@@ -37,8 +37,10 @@ race:
 
 # Short-benchtime kernel microbenchmarks: enough iterations to catch an
 # allocation or order-of-magnitude regression without taking minutes.
+# They cover the simulator's instruction kernels, the scratchpad views,
+# and the fixed-point and float64 matrix-vector kernels under them.
 bench:
-	$(GO) test -run '^$$' -bench 'Kernel|AccessCycles|NumsView|ReadNumsInto' -benchmem -benchtime 50x ./internal/sim ./internal/mem
+	$(GO) test -run '^$$' -bench 'Kernel|AccessCycles|NumsView|ReadNumsInto' -benchmem -benchtime 50x ./internal/sim ./internal/mem ./internal/fixed ./internal/nn
 	$(GO) test -run '^$$' -bench 'SuiteSerial|SuiteParallel' -benchmem -benchtime 2x ./internal/bench
 
 # Traced smoke run: one benchmark with the Chrome timeline and the

@@ -3,7 +3,9 @@ package bench
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -192,5 +194,35 @@ func TestCampaignClassifiesCrashes(t *testing.T) {
 	}
 	if got := rep.Total.Crash; got != 5 {
 		t.Errorf("crash tally = %d, want 5\n%s", got, rep.Render())
+	}
+}
+
+// TestCorruptLengthSiteAllocatesLittle pins a campaign one of whose
+// sites flips bit 29 of the length register an RV reads, so the RV asks
+// for 2^29 + 500 elements (1 GiB). The run must fail on the scratchpad
+// range check before its result buffer is sized: the whole campaign
+// stays far below the 1 GiB that one buffer used to take, and its report
+// keeps the bytes (pinned by digest) it had when that buffer was
+// allocated.
+func TestCorruptLengthSiteAllocatesLittle(t *testing.T) {
+	s := NewSuite(7)
+	if _, err := s.FaultTargets(); err != nil { // generate programs outside the measurement
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	report := ffCampaignBytes(t, s,
+		fault.Campaign{Seed: 8250777069400846129, Sites: 100, Checkpoints: 8, Workers: 1}, "RBM")
+	runtime.ReadMemStats(&after)
+	const detail = "sim: pc=38 RV $8, $0: mem: vector-spad: access [5120, 1073747944) outside capacity 65536"
+	if !bytes.Contains(report, []byte(detail)) {
+		t.Fatalf("report lacks the corrupted-length site %q", detail)
+	}
+	const wantDigest = "681309e94d87a532f960f119e0db11deab26af42a01677d09a1eaaa73f26a297"
+	if got := fmt.Sprintf("%x", sha256.Sum256(report)); got != wantDigest {
+		t.Errorf("report digest %s, want %s", got, wantDigest)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<20 {
+		t.Errorf("campaign allocated %d MiB, want under 64 MiB", got>>20)
 	}
 }

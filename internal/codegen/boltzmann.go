@@ -149,6 +149,7 @@ func bmCheck(net *nn.BM, v, h0 nn.Vec, steps, pMain, rMain, hOutMain int) func(*
 	return func(m *sim.Machine) error {
 		h := append(nn.Vec(nil), h0...)
 		nh := net.H
+		wv := net.W.MulVec(v) // v is clamped for the whole chain
 		for t := 0; t < steps; t++ {
 			pSim, err := m.ReadMainNums(pMain+t*fixed.Bytes(nh), nh)
 			if err != nil {
@@ -158,7 +159,7 @@ func bmCheck(net *nn.BM, v, h0 nn.Vec, steps, pMain, rMain, hOutMain int) func(*
 			if err != nil {
 				return err
 			}
-			pRef := net.HiddenProb(v, h)
+			pRef := net.HiddenProbWv(wv, h)
 			for i := range pRef {
 				// Compare against the saturating sigmoid the datapath
 				// actually computes.

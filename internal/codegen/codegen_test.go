@@ -212,6 +212,82 @@ func TestAllTenBenchmarksGenerateAndVerify(t *testing.T) {
 	}
 }
 
+// TestVerifyRejectsACorruptedOutput is the failing path of
+// TestAllTenBenchmarksGenerateAndVerify: after a clean run, one high bit
+// flipped in one checked output word must make Verify fail, whether the
+// word is compared through Results (MLP) or by a custom check (BM, RBM,
+// SOM, RBM-CD). For the custom checks both the lowest and the highest
+// word the run wrote are tried: the first lies in the probabilities (or
+// SOM's winners) compared against the float reference, the last in the
+// final state.
+func TestVerifyRejectsACorruptedOutput(t *testing.T) {
+	for _, name := range []string{"MLP", "BM", "RBM", "SOM", "RBM-CD"} {
+		t.Run(name, func(t *testing.T) {
+			p, err := ByName(name, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := sim.DefaultConfig()
+			m := newSim(t, cfg)
+			if err := p.Init(m); err != nil {
+				t.Fatal(err)
+			}
+			before := make([]byte, cfg.MainMemBytes)
+			if err := m.ReadMainBytesInto(0, before); err != nil {
+				t.Fatal(err)
+			}
+			m.LoadProgram(p.Asm.Instructions)
+			if _, err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Verify(m); err != nil {
+				t.Fatalf("clean run: %v", err)
+			}
+			var words []int
+			if len(p.Results) > 0 {
+				words = append(words, p.Results[0].Addr)
+			} else {
+				after := make([]byte, cfg.MainMemBytes)
+				if err := m.ReadMainBytesInto(0, after); err != nil {
+					t.Fatal(err)
+				}
+				lo, hi := -1, -1
+				for i := 0; i < len(after); i += 2 {
+					if after[i] != before[i] || after[i+1] != before[i+1] {
+						if lo < 0 {
+							lo = i
+						}
+						hi = i
+					}
+				}
+				if lo == hi {
+					t.Fatal("run changed fewer than two main-memory words")
+				}
+				words = []int{lo, hi}
+			}
+			flip := func(addr int) {
+				w, err := m.ReadMainNums(addr, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w[0] ^= 1 << 14
+				if err := m.WriteMainNums(addr, w); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, addr := range words {
+				flip(addr)
+				if err := p.Verify(m); err == nil {
+					t.Errorf("Verify accepts the run with bit 14 of the word at %d flipped", addr)
+				} else {
+					t.Logf("word at %d flipped: %v", addr, err)
+				}
+				flip(addr)
+			}
+		})
+	}
+}
+
 func TestByName(t *testing.T) {
 	if _, err := ByName("MLP", 1); err != nil {
 		t.Error(err)

@@ -360,7 +360,9 @@ func (m *Main) RestoreFrom(img []byte) (int, error) {
 	return copied, nil
 }
 
-func (m *Main) check(addr, n int) error {
+// Check validates an access region, returning the error every accessor
+// reports for it.
+func (m *Main) Check(addr, n int) error {
 	if n < 0 {
 		return fmt.Errorf("mem: main: negative access size %d", n)
 	}
@@ -372,7 +374,7 @@ func (m *Main) check(addr, n int) error {
 
 // ReadBytes copies n bytes at addr.
 func (m *Main) ReadBytes(addr, n int) ([]byte, error) {
-	if err := m.check(addr, n); err != nil {
+	if err := m.Check(addr, n); err != nil {
 		return nil, err
 	}
 	out := make([]byte, n)
@@ -382,7 +384,7 @@ func (m *Main) ReadBytes(addr, n int) ([]byte, error) {
 
 // ReadBytesInto copies len(dst) bytes at addr into dst without allocating.
 func (m *Main) ReadBytesInto(addr int, dst []byte) error {
-	if err := m.check(addr, len(dst)); err != nil {
+	if err := m.Check(addr, len(dst)); err != nil {
 		return err
 	}
 	copy(dst, m.data[addr:addr+len(dst)])
@@ -391,7 +393,7 @@ func (m *Main) ReadBytesInto(addr int, dst []byte) error {
 
 // WriteBytes stores b at addr.
 func (m *Main) WriteBytes(addr int, b []byte) error {
-	if err := m.check(addr, len(b)); err != nil {
+	if err := m.Check(addr, len(b)); err != nil {
 		return err
 	}
 	m.markDirty(addr, len(b))
@@ -401,7 +403,7 @@ func (m *Main) WriteBytes(addr int, b []byte) error {
 
 // ReadWord reads a 32-bit little-endian word (scalar load).
 func (m *Main) ReadWord(addr int) (uint32, error) {
-	if err := m.check(addr, 4); err != nil {
+	if err := m.Check(addr, 4); err != nil {
 		return 0, err
 	}
 	b := m.data[addr:]
@@ -410,7 +412,7 @@ func (m *Main) ReadWord(addr int) (uint32, error) {
 
 // WriteWord stores a 32-bit little-endian word (scalar store).
 func (m *Main) WriteWord(addr int, v uint32) error {
-	if err := m.check(addr, 4); err != nil {
+	if err := m.Check(addr, 4); err != nil {
 		return err
 	}
 	m.markDirty(addr, 4)
@@ -424,7 +426,7 @@ func (m *Main) WriteWord(addr int, v uint32) error {
 // ReadNums reads count fixed-point elements at byte address addr.
 func (m *Main) ReadNums(addr, count int) ([]fixed.Num, error) {
 	n := fixed.Bytes(count)
-	if err := m.check(addr, n); err != nil {
+	if err := m.Check(addr, n); err != nil {
 		return nil, err
 	}
 	return fixed.FromBytes(m.data[addr:addr+n], count), nil
@@ -434,7 +436,7 @@ func (m *Main) ReadNums(addr, count int) ([]fixed.Num, error) {
 // without allocating.
 func (m *Main) ReadNumsInto(addr int, dst []fixed.Num) error {
 	n := fixed.Bytes(len(dst))
-	if err := m.check(addr, n); err != nil {
+	if err := m.Check(addr, n); err != nil {
 		return err
 	}
 	fixed.FromBytesInto(m.data[addr:addr+n], dst)
@@ -444,7 +446,7 @@ func (m *Main) ReadNumsInto(addr int, dst []fixed.Num) error {
 // WriteNums stores fixed-point elements at byte address addr.
 func (m *Main) WriteNums(addr int, ns []fixed.Num) error {
 	n := fixed.Bytes(len(ns))
-	if err := m.check(addr, n); err != nil {
+	if err := m.Check(addr, n); err != nil {
 		return err
 	}
 	m.markDirty(addr, n)

@@ -178,10 +178,12 @@ func (s *Scratchpad) FlipBit(addr int, bit uint8) bool {
 	return true
 }
 
-// check validates an access region. Scratchpad addressing errors are program
-// bugs surfaced as errors so the simulator can report the faulting
-// instruction.
-func (s *Scratchpad) check(addr, n int) error {
+// Check validates an access region. Scratchpad addressing errors are
+// program bugs surfaced as errors so the simulator can report the faulting
+// instruction. The simulator also calls Check before it sizes a buffer
+// from a register-held length, so an out-of-range access fails without
+// allocating.
+func (s *Scratchpad) Check(addr, n int) error {
 	if n < 0 {
 		return fmt.Errorf("mem: %s: negative access size %d", s.name, n)
 	}
@@ -193,7 +195,7 @@ func (s *Scratchpad) check(addr, n int) error {
 
 // ReadBytes copies n bytes starting at addr.
 func (s *Scratchpad) ReadBytes(addr, n int) ([]byte, error) {
-	if err := s.check(addr, n); err != nil {
+	if err := s.Check(addr, n); err != nil {
 		return nil, err
 	}
 	out := make([]byte, n)
@@ -204,7 +206,7 @@ func (s *Scratchpad) ReadBytes(addr, n int) ([]byte, error) {
 // ReadBytesInto copies len(dst) bytes starting at addr into dst without
 // allocating.
 func (s *Scratchpad) ReadBytesInto(addr int, dst []byte) error {
-	if err := s.check(addr, len(dst)); err != nil {
+	if err := s.Check(addr, len(dst)); err != nil {
 		return err
 	}
 	copy(dst, s.data[addr:addr+len(dst)])
@@ -213,7 +215,7 @@ func (s *Scratchpad) ReadBytesInto(addr int, dst []byte) error {
 
 // WriteBytes stores b at addr.
 func (s *Scratchpad) WriteBytes(addr int, b []byte) error {
-	if err := s.check(addr, len(b)); err != nil {
+	if err := s.Check(addr, len(b)); err != nil {
 		return err
 	}
 	s.dirty = true
@@ -225,7 +227,7 @@ func (s *Scratchpad) WriteBytes(addr int, b []byte) error {
 // addr.
 func (s *Scratchpad) ReadNums(addr, count int) ([]fixed.Num, error) {
 	n := fixed.Bytes(count)
-	if err := s.check(addr, n); err != nil {
+	if err := s.Check(addr, n); err != nil {
 		return nil, err
 	}
 	return fixed.FromBytes(s.data[addr:addr+n], count), nil
@@ -234,7 +236,7 @@ func (s *Scratchpad) ReadNums(addr, count int) ([]fixed.Num, error) {
 // ReadNumsInto reads len(dst) elements into dst without allocating.
 func (s *Scratchpad) ReadNumsInto(addr int, dst []fixed.Num) error {
 	n := fixed.Bytes(len(dst))
-	if err := s.check(addr, n); err != nil {
+	if err := s.Check(addr, n); err != nil {
 		return err
 	}
 	fixed.FromBytesInto(s.data[addr:addr+n], dst)
@@ -257,7 +259,7 @@ func (s *Scratchpad) ReadNumsInto(addr int, dst []fixed.Num) error {
 // writers to guard against by construction.
 func (s *Scratchpad) NumsView(addr, count int, spill *[]fixed.Num) ([]fixed.Num, error) {
 	n := fixed.Bytes(count)
-	if err := s.check(addr, n); err != nil {
+	if err := s.Check(addr, n); err != nil {
 		return nil, err
 	}
 	if ns, ok := fixed.ViewBytes(s.data[addr:addr+n], count); ok {
@@ -274,11 +276,17 @@ func (s *Scratchpad) NumsView(addr, count int, spill *[]fixed.Num) ([]fixed.Num,
 // WriteNums stores fixed-point elements at byte address addr.
 func (s *Scratchpad) WriteNums(addr int, ns []fixed.Num) error {
 	n := fixed.Bytes(len(ns))
-	if err := s.check(addr, n); err != nil {
+	if err := s.Check(addr, n); err != nil {
 		return err
 	}
 	s.dirty = true
-	fixed.ToBytes(ns, s.data[addr:addr+n])
+	dst := s.data[addr : addr+n]
+	// Where reads alias the storage (NumsView), a write is one copy.
+	if view, ok := fixed.ViewBytes(dst, len(ns)); ok {
+		copy(view, ns)
+		return nil
+	}
+	fixed.ToBytes(ns, dst)
 	return nil
 }
 

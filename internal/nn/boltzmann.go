@@ -47,8 +47,13 @@ func (b *BM) QuantizeParams() *BM {
 }
 
 // HiddenProb computes p = sigmoid(W v + L h + b).
-func (b *BM) HiddenProb(v, h Vec) Vec {
-	return SigmoidVec(Add(Add(b.W.MulVec(v), b.L.MulVec(h)), b.B))
+func (b *BM) HiddenProb(v, h Vec) Vec { return b.HiddenProbWv(b.W.MulVec(v), h) }
+
+// HiddenProbWv is HiddenProb given the visible term wv = W v, which stays
+// fixed along a Gibbs chain that only resamples h, so a chain computes it
+// once rather than on every step.
+func (b *BM) HiddenProbWv(wv, h Vec) Vec {
+	return SigmoidVec(Add(Add(wv, b.L.MulVec(h)), b.B))
 }
 
 // GibbsStep samples a new hidden state given probabilities p and uniform

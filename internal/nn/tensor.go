@@ -39,15 +39,30 @@ func (m Mat) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Row returns row i as a slice view.
 func (m Mat) Row(i int) Vec { return Vec(m.Data[i*m.Cols : (i+1)*m.Cols]) }
 
-// MulVec computes m * x.
+// MulVec computes m * x. It sweeps x once per four rows with four
+// independent sums; each sum still adds its row's products in column
+// order, so every output is bit-identical to a one-row dot product.
 func (m Mat) MulVec(x Vec) Vec {
 	if len(x) != m.Cols {
 		panic("nn: MulVec dimension mismatch")
 	}
 	out := make(Vec, m.Rows)
-	for i := 0; i < m.Rows; i++ {
+	i := 0
+	for ; i+4 <= m.Rows; i += 4 {
+		r0, r1 := m.Row(i)[:len(x)], m.Row(i + 1)[:len(x)]
+		r2, r3 := m.Row(i + 2)[:len(x)], m.Row(i + 3)[:len(x)]
+		var s0, s1, s2, s3 float64
+		for j, v := range x {
+			s0 += r0[j] * v
+			s1 += r1[j] * v
+			s2 += r2[j] * v
+			s3 += r3[j] * v
+		}
+		out[i], out[i+1], out[i+2], out[i+3] = s0, s1, s2, s3
+	}
+	for ; i < m.Rows; i++ {
 		var s float64
-		row := m.Row(i)
+		row := m.Row(i)[:len(x)]
 		for j, v := range x {
 			s += row[j] * v
 		}
@@ -56,15 +71,32 @@ func (m Mat) MulVec(x Vec) Vec {
 	return out
 }
 
-// VecMul computes x * m (contraction over rows).
+// VecMul computes x * m (contraction over rows). It walks the matrix in
+// storage order and takes four rows per pass: out[j] is loaded once, gets
+// the four row terms added one at a time in row order, and is stored
+// once, so every output sees the same additions in the same order as a
+// one-row sweep and is bit-identical to it.
 func (m Mat) VecMul(x Vec) Vec {
 	if len(x) != m.Rows {
 		panic("nn: VecMul dimension mismatch")
 	}
 	out := make(Vec, m.Cols)
-	for i := 0; i < m.Rows; i++ {
+	i := 0
+	for ; i+4 <= m.Rows; i += 4 {
+		x0, x1, x2, x3 := x[i], x[i+1], x[i+2], x[i+3]
+		r0, r1 := m.Row(i)[:len(out)], m.Row(i + 1)[:len(out)]
+		r2, r3 := m.Row(i + 2)[:len(out)], m.Row(i + 3)[:len(out)]
+		for j, o := range out {
+			o += x0 * r0[j]
+			o += x1 * r1[j]
+			o += x2 * r2[j]
+			o += x3 * r3[j]
+			out[j] = o
+		}
+	}
+	for ; i < m.Rows; i++ {
 		xi := x[i]
-		row := m.Row(i)
+		row := m.Row(i)[:len(out)]
 		for j := range out {
 			out[j] += xi * row[j]
 		}

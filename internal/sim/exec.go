@@ -366,6 +366,16 @@ func (m *Machine) execLoadStore(inst core.Instruction, e *effect, load bool) err
 	spadAddr := m.regAddr(inst.R[0])
 	mainAddr := m.regAddr(inst.R[2]) + int(inst.Imm)
 	bytes := fixed.Bytes(n)
+	// Check the region the transfer reads before sizing its buffer, so
+	// a corrupted length fails without allocating it.
+	if load {
+		err = m.main.Check(mainAddr, bytes)
+	} else {
+		err = pad.Check(spadAddr, bytes)
+	}
+	if err != nil {
+		return err
+	}
 	data := scratchBytes(&m.bufBytes, bytes)
 	if load {
 		if err := m.main.ReadBytesInto(mainAddr, data); err != nil {
@@ -411,6 +421,9 @@ func (m *Machine) execMove(inst core.Instruction, e *effect) error {
 	}
 	dst, src := m.regAddr(inst.R[0]), m.regAddr(inst.R[2])
 	bytes := fixed.Bytes(n)
+	if err := pad.Check(src, bytes); err != nil {
+		return err
+	}
 	data := scratchBytes(&m.bufBytes, bytes)
 	if err := pad.ReadBytesInto(src, data); err != nil {
 		return err
@@ -461,31 +474,16 @@ func (m *Machine) execMatVec(inst core.Instruction, e *effect) error {
 	if err != nil {
 		return err
 	}
+	// With a zero-length input the matrix region is empty whatever outN
+	// is, so check the output region before sizing buffers from outN.
+	if err := m.vspad.Check(voutAddr, fixed.Bytes(outN)); err != nil {
+		return err
+	}
 	out := scratch(&m.bufOut, outN)
 	if inst.Op == core.MMV {
-		for i := 0; i < outN; i++ {
-			out[i] = fixed.Dot(mat[i*cols:(i+1)*cols], vin)
-		}
+		fixed.MatVec(out, mat, vin)
 	} else {
-		// Contract over rows with a row-major accumulator sweep: each matrix
-		// element is visited in storage order exactly once, instead of the
-		// column-major strided walk (mat[i*cols+j] inner over i) that missed
-		// cache on every step. Accumulation order per output stays i=0..inN-1,
-		// and integer addition is associative, so results are bit-identical.
-		acc := scratchAcc(&m.bufAcc, outN)
-		for j := range acc {
-			acc[j] = 0
-		}
-		for i := 0; i < inN; i++ {
-			v := vin[i]
-			row := mat[i*cols : (i+1)*cols]
-			for j, mv := range row {
-				acc[j] += fixed.MulAcc(v, mv)
-			}
-		}
-		for j, sum := range acc {
-			out[j] = fixed.AccSat(sum)
-		}
+		fixed.VecMat(out, vin, mat, scratchAcc(&m.bufAcc, outN))
 	}
 	m.applyStuck(fault.UnitMatrix, out)
 	if err := m.vspad.WriteNums(voutAddr, out); err != nil {
@@ -547,6 +545,11 @@ func (m *Machine) execOuter(inst core.Instruction, e *effect) error {
 	}
 	v1, err := m.vecView(m.regAddr(inst.R[3]), cols, &m.bufB)
 	if err != nil {
+		return err
+	}
+	// Each length passes the vector-scratchpad check on its own, but
+	// their product can still far exceed the matrix scratchpad.
+	if err := m.mspad.Check(dst, fixed.Bytes(rows*cols)); err != nil {
 		return err
 	}
 	out := scratch(&m.bufMat, rows*cols)
@@ -787,6 +790,9 @@ func (m *Machine) execRV(inst core.Instruction, e *effect) error {
 		return err
 	}
 	dst := m.regAddr(inst.R[0])
+	if err := m.vspad.Check(dst, fixed.Bytes(n)); err != nil {
+		return err
+	}
 	out := scratch(&m.bufOut, n)
 	for i := range out {
 		out[i] = m.nextRand()

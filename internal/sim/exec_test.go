@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -707,5 +708,49 @@ func TestStatsInstructionMix(t *testing.T) {
 	}
 	if stats.DMABytes != 3*16 {
 		t.Errorf("dma bytes = %d", stats.DMABytes)
+	}
+}
+
+// TestCorruptLengthFailsBeforeSizingBuffers pins that an out-of-range
+// length fails on the first region its instruction touches, with that
+// region's error, before any operand or result buffer is sized from it.
+// A length bit flipped by a fault otherwise allocated (and filled) up to
+// 2 GiB before the failing access, and the machine kept the buffer.
+func TestCorruptLengthFailsBeforeSizingBuffers(t *testing.T) {
+	// $1 = 2^30 elements (2 GiB); $2 = 0; $3 = 16384 elements, a length
+	// the vector scratchpad holds but whose square the matrix one does not.
+	const setup = "\tSMOVE $1, #16384\n\tSMUL $1, $1, #65536\n\tSMOVE $2, #0\n\tSMOVE $3, #16384\n"
+	const (
+		vspad   = "mem: vector-spad: access [0, 2147483648) outside capacity 65536"
+		mspad   = "mem: matrix-spad: access [0, 2147483648) outside capacity 786432"
+		mainMem = "mem: main: access [0, 2147483648) outside capacity 16777216"
+	)
+	cases := []struct{ name, inst, want string }{
+		{"RV", "RV $2, $1", vspad},
+		{"VLOAD", "VLOAD $2, $1, #0", mainMem},
+		{"VSTORE", "VSTORE $2, $1, #0", vspad},
+		{"MLOAD", "MLOAD $2, $1, #0", mainMem},
+		{"MSTORE", "MSTORE $2, $1, #0", mspad},
+		{"VMOVE", "VMOVE $2, $1, $2", vspad},
+		{"MMOVE", "MMOVE $2, $1, $2", mspad},
+		{"OP", "OP $2, $2, $3, $2, $3", "mem: matrix-spad: access [0, 536870912) outside capacity 786432"},
+		{"MMV of an empty input", "MMV $2, $1, $2, $2, $2", vspad},
+		{"VMM of an empty input", "VMM $2, $1, $2, $2, $2", vspad},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := mustNew(t, DefaultConfig())
+			m.LoadProgram(mustAssemble(t, setup+"\t"+c.inst+"\n").Instructions)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := m.Run()
+			runtime.ReadMemStats(&after)
+			if err == nil || !strings.HasSuffix(err.Error(), ": "+c.want) {
+				t.Fatalf("error = %v, want one ending in %q", err, c.want)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+				t.Errorf("failing run allocated %d bytes, want under 1 MiB", got)
+			}
+		})
 	}
 }
