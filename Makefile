@@ -13,9 +13,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race bench bench-host bench-json repro smoke smoke-fault smoke-host smoke-serve smoke-predecode smoke-reqtrace smoke-crash smoke-checkpoint smoke-autoscale check-host fault-json
+.PHONY: ci fmt vet build test race bench bench-host bench-json repro smoke smoke-fault smoke-host smoke-serve smoke-reqtrace smoke-crash smoke-checkpoint smoke-autoscale check-host fault-json
 
-ci: fmt vet build race bench smoke smoke-fault smoke-host smoke-serve smoke-predecode smoke-reqtrace smoke-crash smoke-checkpoint smoke-autoscale check-host
+ci: fmt vet build race bench smoke smoke-fault smoke-host smoke-serve smoke-reqtrace smoke-crash smoke-checkpoint smoke-autoscale check-host
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -85,19 +85,6 @@ smoke-serve:
 	rm -f /tmp/cambricon-smoke-run.json /tmp/cambricon-smoke-metrics.txt; \
 	echo "smoke-serve: ok"
 	@rm -f /tmp/cambricon-smoke-camserve
-
-# Pre-decode smoke run: one benchmark through both dispatch loops — the
-# pre-decoded fused path (the default) and the per-step decode escape
-# hatch — asserting the reported statistics are byte-identical
-# (docs/PERF.md, Level 4).
-smoke-predecode:
-	@$(GO) run ./cmd/camsim -benchmark SOM -json > /tmp/cambricon-smoke-predec.json
-	@$(GO) run ./cmd/camsim -benchmark SOM -json -predecode=false > /tmp/cambricon-smoke-base.json
-	@diff /tmp/cambricon-smoke-predec.json /tmp/cambricon-smoke-base.json >/dev/null || { \
-		echo "smoke-predecode: statistics diverge between dispatch loops"; \
-		diff /tmp/cambricon-smoke-predec.json /tmp/cambricon-smoke-base.json; exit 1; }
-	@rm -f /tmp/cambricon-smoke-predec.json /tmp/cambricon-smoke-base.json
-	@echo "smoke-predecode: ok"
 
 # Request-tracing smoke run: start camserve, send a W3C traceparent
 # through POST /run, and assert the trace is joined end to end — the

@@ -12,7 +12,6 @@
 //	camrepro -bench-json BENCH_sim.json  # emit the machine-readable perf record
 //	camrepro -host-json BENCH_host.json  # warm-vs-cold host throughput record
 //	camrepro -check-host BENCH_host.json # re-measure and gate against the committed record
-//	camrepro -warm=false       # disable machine pooling / snapshot warm-starts
 //	camrepro -profile-json PROFILES.json # per-benchmark stall-attribution profiles
 //	camrepro -fault-json FAULTS.json     # fault-injection campaign record
 //	camrepro -listing x86:MLP  # dump a baseline pseudo-assembly listing
@@ -60,8 +59,6 @@ func main() {
 	checkHost := flag.String("check-host", "", "re-run the host benchmarks and exit nonzero if they regressed against this baseline record")
 	checkRuns := flag.Int("check-runs", 5, "timed iterations per row for -check-host (fewer than -host-runs: the gate compares ratios, not raw times)")
 	checkTol := flag.Float64("check-tol", bench.DefaultHostTolerance, "fractional tolerance for -check-host (ratios may drop, and warm allocations grow, by this much)")
-	warm := flag.Bool("warm", true, "reuse pooled, snapshot-restored machines across runs (false = build a machine per run)")
-	predecode := flag.Bool("predecode", true, "run through the pre-decoded fused dispatch loop (false = per-step decode; statistics are bit-identical either way)")
 	listing := flag.String("listing", "", "dump a baseline listing, e.g. x86:MLP (arches: x86, MIPS, GPU)")
 	source := flag.String("source", "", "dump the generated Cambricon assembly of a benchmark")
 	version := flag.Bool("version", false, "print the simulator version and exit")
@@ -91,8 +88,6 @@ func main() {
 	}
 
 	suite := bench.NewSuite(*seed)
-	suite.Warm = *warm
-	suite.Predecode = *predecode
 
 	if *hostJSON != "" {
 		if err := emitHostJSON(*seed, *hostRuns, *hostJSON); err != nil {

@@ -20,7 +20,7 @@ import (
 // completes once the slot frees.
 func TestQueuedRequestAdmittedWhenSlotFrees(t *testing.T) {
 	s, ts := testServerCfg(t, serverConfig{
-		seed: 7, warm: true, predecode: true, maxInflight: 1, queueDepth: 4, ledgerSize: 8,
+		seed: 7, maxInflight: 1, queueDepth: 4, ledgerSize: 8,
 	})
 	s.adm.slots <- struct{}{} // occupy the only slot
 	done := make(chan int, 1)
@@ -55,7 +55,7 @@ func TestQueuedRequestAdmittedWhenSlotFrees(t *testing.T) {
 // with queue-full while the queue itself keeps waiting.
 func TestQueueOverflowSheds(t *testing.T) {
 	s, ts := testServerCfg(t, serverConfig{
-		seed: 7, warm: true, predecode: true, maxInflight: 1, queueDepth: 1, ledgerSize: 16,
+		seed: 7, maxInflight: 1, queueDepth: 1, ledgerSize: 16,
 	})
 	s.adm.slots <- struct{}{}
 	queued := make(chan int, 1)
@@ -103,7 +103,7 @@ func TestQueueOverflowSheds(t *testing.T) {
 // whatever was still running when the drain deadline expired.
 func TestDrainShedsAndFinalizeRecordsAborted(t *testing.T) {
 	s, ts := testServerCfg(t, serverConfig{
-		seed: 7, warm: true, predecode: true, maxInflight: 2, queueDepth: 4, ledgerSize: 8,
+		seed: 7, maxInflight: 2, queueDepth: 4, ledgerSize: 8,
 	})
 	s.adm.startDrain()
 	resp, _ := postRun(t, ts, "MLP")

@@ -52,7 +52,7 @@ func findRun(runs []runRecord, id int64) (runRecord, bool) {
 // runs reproduce the recovered stats digest bit for bit.
 func TestCrashRecoveryAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	cfg := serverConfig{seed: 7, warm: true, predecode: true, maxInflight: 2, ledgerSize: 16, walDir: dir}
+	cfg := serverConfig{seed: 7, maxInflight: 2, ledgerSize: 16, walDir: dir}
 	s1, ts1 := testServerCfg(t, cfg)
 	resp, rec1 := postRun(t, ts1, "MLP")
 	if resp.StatusCode != http.StatusOK || rec1.StatsDigest == "" {
@@ -103,7 +103,7 @@ func TestCrashRecoveryAcrossRestart(t *testing.T) {
 // while the daemon keeps answering.
 func TestChaosPanicCostsOne500NotTheDaemon(t *testing.T) {
 	_, ts := testServerCfg(t, serverConfig{
-		seed: 7, warm: true, predecode: true, maxInflight: 2, ledgerSize: 8,
+		seed: 7, maxInflight: 2, ledgerSize: 8,
 		chaosSpec: "panic=1",
 	})
 	for i := 0; i < 3; i++ {
@@ -137,7 +137,7 @@ func TestChaosPanicCostsOne500NotTheDaemon(t *testing.T) {
 // HTTP mapping).
 func TestChaosRestoreFailureIsA500(t *testing.T) {
 	_, ts := testServerCfg(t, serverConfig{
-		seed: 7, warm: true, predecode: true, maxInflight: 2, ledgerSize: 8,
+		seed: 7, maxInflight: 2, ledgerSize: 8,
 		chaosSpec: "restore-fail=1",
 	})
 	resp, _ := postRun(t, ts, "MLP")
@@ -155,7 +155,7 @@ func TestChaosRestoreFailureIsA500(t *testing.T) {
 // holder is unaffected.
 func TestRequestTimeoutWhileQueued(t *testing.T) {
 	s, ts := testServerCfg(t, serverConfig{
-		seed: 7, warm: true, predecode: true, maxInflight: 1, queueDepth: 4, ledgerSize: 8,
+		seed: 7, maxInflight: 1, queueDepth: 4, ledgerSize: 8,
 	})
 	s.adm.slots <- struct{}{} // hold the only slot for the whole test
 	defer func() { <-s.adm.slots }()
@@ -191,7 +191,7 @@ func TestRequestTimeoutWhileQueued(t *testing.T) {
 func TestWALTearSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	s1, ts1 := testServerCfg(t, serverConfig{
-		seed: 7, warm: true, predecode: true, maxInflight: 2, ledgerSize: 8,
+		seed: 7, maxInflight: 2, ledgerSize: 8,
 		walDir: dir, chaosSpec: "wal-tear=2",
 	})
 	resp, rec := postRun(t, ts1, "MLP")
@@ -202,7 +202,7 @@ func TestWALTearSurvivesRestart(t *testing.T) {
 	ts1.Close() // crash
 
 	s2, ts2 := testServerCfg(t, serverConfig{
-		seed: 7, warm: true, predecode: true, maxInflight: 2, ledgerSize: 8,
+		seed: 7, maxInflight: 2, ledgerSize: 8,
 		walDir: dir,
 	})
 	if s2.recovery.BadSegments != 1 {

@@ -36,7 +36,6 @@
 //	camserve -drain-timeout 30s # graceful-shutdown drain budget
 //	camserve -ledger 256        # runs retained by GET /runs and the flight recorder
 //	camserve -seed 7            # benchmark generation seed
-//	camserve -warm=false        # disable machine pooling / warm-starts
 //	camserve -chaos 'restore-fail=0.1,panic=0.05'  # service-path fault injection
 //	camserve -log-format json   # structured access logs (default text)
 //	camserve -debug-addr :6060  # opt-in net/http/pprof listener
@@ -110,8 +109,6 @@ func main() {
 	walSync := flag.Bool("wal-sync", false, "fsync every WAL append (survive power loss, not just crashes)")
 	walSegBytes := flag.Int64("wal-segment-bytes", 1<<20, "WAL segment rotation threshold in bytes")
 	chaosSpec := flag.String("chaos", "", "service-path chaos spec, e.g. 'seed=7,restore-fail=0.1,panic=0.05,wal-tear=3' (docs/ROBUSTNESS.md)")
-	warm := flag.Bool("warm", true, "reuse pooled, snapshot-restored machines across runs")
-	predecode := flag.Bool("predecode", true, "run through the pre-decoded fused dispatch loop (false = per-step decode)")
 	logFormat := flag.String("log-format", "text", "access-log encoding: text or json")
 	debugAddr := flag.String("debug-addr", "", "optional listen address for net/http/pprof (e.g. 127.0.0.1:6060); empty disables")
 	sampleInterval := flag.Duration("sample-interval", 0, "metrics-history sampling cadence for /vars, /alerts, /dash and -autoscale (0 disables)")
@@ -135,8 +132,6 @@ func main() {
 	}
 	srv, err := newServer(serverConfig{
 		seed:            *seed,
-		warm:            *warm,
-		predecode:       *predecode,
 		maxInflight:     *maxInflight,
 		queueDepth:      *queueDepth,
 		ledgerSize:      *ledgerSize,
@@ -226,8 +221,6 @@ func debugHandler() http.Handler {
 // tests construct it directly.
 type serverConfig struct {
 	seed            uint64
-	warm            bool
-	predecode       bool
 	maxInflight     int
 	queueDepth      int
 	ledgerSize      int
@@ -324,8 +317,6 @@ func newServer(cfg serverConfig, logger *slog.Logger) (*server, error) {
 		return nil, err
 	}
 	suite := bench.NewSuite(cfg.seed)
-	suite.Warm = cfg.warm
-	suite.Predecode = cfg.predecode
 	suite.Metrics = reg
 	suite.Chaos = ch
 	s := &server{

@@ -20,8 +20,7 @@ import (
 func testServer(t *testing.T, maxInflight, ledgerSize int) (*server, *httptest.Server) {
 	t.Helper()
 	return testServerCfg(t, serverConfig{
-		seed: 7, warm: true, predecode: true,
-		maxInflight: maxInflight, ledgerSize: ledgerSize,
+		seed: 7, maxInflight: maxInflight, ledgerSize: ledgerSize,
 	})
 }
 
@@ -109,7 +108,7 @@ func scrape(t *testing.T, ts *httptest.Server) string {
 
 func TestHealthAndReadiness(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-	s, err := newServer(serverConfig{seed: 7, warm: true, predecode: true, maxInflight: 2, ledgerSize: 8}, logger)
+	s, err := newServer(serverConfig{seed: 7, maxInflight: 2, ledgerSize: 8}, logger)
 	if err != nil {
 		t.Fatal(err)
 	}

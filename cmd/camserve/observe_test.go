@@ -52,8 +52,7 @@ func observeServer(t *testing.T, mutate func(*serverConfig)) (*server, *httptest
 	t.Helper()
 	clock := newObsClock()
 	cfg := serverConfig{
-		seed: 7, warm: true, predecode: true,
-		maxInflight: 2, ledgerSize: 16,
+		seed: 7, maxInflight: 2, ledgerSize: 16,
 		sampleInterval: time.Second,
 		clock:          clock.now,
 	}
@@ -353,7 +352,7 @@ func TestParseAutoscaleErrors(t *testing.T) {
 // bad -slo spec is rejected at startup.
 func TestObservabilityFlagValidation(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-	base := serverConfig{seed: 7, warm: true, maxInflight: 1, ledgerSize: 4}
+	base := serverConfig{seed: 7, maxInflight: 1, ledgerSize: 4}
 
 	cfg := base
 	cfg.sloSpec = "x=latency:m:0.1:0.01"

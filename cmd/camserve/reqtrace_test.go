@@ -322,7 +322,7 @@ func TestRunTraceChromeExport(t *testing.T) {
 func TestAccessLogCarriesTraceID(t *testing.T) {
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewJSONHandler(&buf, nil))
-	s, err := newServer(serverConfig{seed: 7, warm: true, predecode: true, maxInflight: 2, ledgerSize: 8}, logger)
+	s, err := newServer(serverConfig{seed: 7, maxInflight: 2, ledgerSize: 8}, logger)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,8 +77,6 @@ func main() {
 	hist := flag.Bool("hist", false, "print the dynamic opcode histogram")
 	jsonOut := flag.Bool("json", false, "print run statistics as JSON")
 	maxCycles := flag.Int64("max-cycles", 0, "watchdog: fail the run once the simulated clock passes this budget (0 = off)")
-	warm := flag.Bool("warm", true, "with -benchmark all: reuse pooled, snapshot-restored machines across runs (false = build a machine per run)")
-	predecode := flag.Bool("predecode", true, "run through the pre-decoded fused dispatch loop (false = per-step decode; statistics are bit-identical either way)")
 	dumpDecoded := flag.Bool("dump-decoded", false, "print the pre-decoded listing with fusion decisions instead of running")
 	binFlag := flag.Bool("bin", false, "treat the program argument as a binary instruction image (8 bytes per instruction, little-endian), not assembly text")
 	ckptAt := flag.Int64("checkpoint-at", -1, "with a program file: capture a mid-run checkpoint at this dynamic instruction index, then continue (requires -checkpoint)")
@@ -160,7 +158,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, "camsim: -dump-decoded needs a single program; use -benchmark NAME")
 				os.Exit(2)
 			}
-			runAll(*seed, *workers, *jsonOut, *warm, *predecode)
+			runAll(*seed, *workers, *jsonOut)
 			return
 		}
 		p, err := codegen.ByName(*benchmark, *seed)
@@ -175,7 +173,7 @@ func main() {
 		if *verbose {
 			fmt.Print(p.Source)
 		}
-		stats, err := executeBenchmark(p, m, *predecode)
+		stats, err := p.Execute(m)
 		obs.finish(err, *topN)
 		if err != nil {
 			fatal(err)
@@ -242,15 +240,7 @@ func main() {
 		dumpDecodedProgram(insts)
 		return
 	}
-	if *predecode {
-		dp, err := sim.Predecode(insts)
-		if err != nil {
-			fatal(err)
-		}
-		m.LoadDecoded(dp)
-	} else {
-		m.LoadProgram(insts)
-	}
+	m.LoadProgram(insts)
 	obs := newObserver(m, *traceOut, *profileFlag, *profileJSON, flag.Arg(0))
 	var stats sim.Stats
 	if *ckptAt >= 0 {
@@ -362,24 +352,6 @@ func (o *observer) finish(runErr error, topN int) {
 	}
 }
 
-// executeBenchmark runs one generated benchmark, through the pre-decoded
-// fused dispatch loop (the default) or the per-step decode path.
-// Statistics are bit-identical either way.
-func executeBenchmark(p *codegen.Program, m *sim.Machine, predecode bool) (sim.Stats, error) {
-	if !predecode {
-		return p.Execute(m)
-	}
-	if err := p.Init(m); err != nil {
-		return sim.Stats{}, err
-	}
-	dp, err := sim.Predecode(p.Asm.Instructions)
-	if err != nil {
-		return sim.Stats{}, err
-	}
-	m.LoadDecoded(dp)
-	return p.ExecutePreparedContext(context.Background(), m)
-}
-
 // runCheckpointed is the testable core of -checkpoint-at/-checkpoint:
 // run the loaded program until the given dynamic instruction boundary,
 // write the CAMCKPT1 checkpoint, and continue to completion. The final
@@ -439,32 +411,39 @@ func writeDecodedListing(w io.Writer, insts []core.Instruction) error {
 }
 
 // runAll executes every Table III benchmark through the shared suite's
-// parallel harness (bench.Suite.RunAll) and prints one summary line per
-// benchmark in deterministic table order.
-func runAll(seed uint64, workers int, jsonOut, warm, predecode bool) {
+// parallel harness and prints the results to stdout.
+func runAll(seed uint64, workers int, jsonOut bool) {
+	if err := writeBenchmarkAll(os.Stdout, seed, workers, jsonOut); err != nil {
+		fatal(err)
+	}
+}
+
+// writeBenchmarkAll is the testable core of -benchmark all: it runs every
+// Table III benchmark (bench.Suite.RunAll) and writes either the
+// statistics as one JSON object keyed by benchmark name or one summary
+// line per benchmark in deterministic table order.
+func writeBenchmarkAll(w io.Writer, seed uint64, workers int, jsonOut bool) error {
 	s := bench.NewSuite(seed)
-	s.Warm = warm
-	s.Predecode = predecode
 	results, err := s.RunAll(context.Background(), workers)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if jsonOut {
 		out := make(map[string]*sim.Stats, len(results))
 		for i := range results {
 			out[results[i].Name] = &results[i].Stats
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fatal(err)
-		}
-		return
+		return enc.Encode(out)
 	}
 	for _, r := range results {
-		fmt.Printf("%-18s verified  cycles=%-8d instructions=%-7d time=%.2f us\n",
-			r.Name, r.Stats.Cycles, r.Stats.Instructions, r.Stats.Seconds(s.Config.ClockHz)*1e6)
+		if _, err := fmt.Fprintf(w, "%-18s verified  cycles=%-8d instructions=%-7d time=%.2f us\n",
+			r.Name, r.Stats.Cycles, r.Stats.Instructions, r.Stats.Seconds(s.Config.ClockHz)*1e6); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 func parsePair(s string) (int, int, error) {

@@ -89,3 +89,33 @@ func TestMultiFlag(t *testing.T) {
 		t.Errorf("multiFlag = %q", m.String())
 	}
 }
+
+// TestBenchmarkAllGolden pins the simulated results of all ten Table III
+// benchmarks: `camsim -benchmark all -json` at the default seed must
+// match testdata/benchmark_all.golden.json byte for byte — cycles,
+// instruction counts, the CPI stack, opcode histograms, everything the
+// statistics carry. A change every run mode shares (timing model, code
+// generation) therefore cannot slip through as long as the modes agree
+// with each other. Regenerate with
+// `go test ./cmd/camsim -run TestBenchmarkAllGolden -update` only for a
+// declared model change.
+func TestBenchmarkAllGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if err := writeBenchmarkAll(&buf, 7, 0, true); err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "benchmark_all.golden.json")
+	if *updateGolden {
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("-benchmark all -json diverged from %s (%d bytes, want %d); rerun with -update only for a declared model change",
+			golden, buf.Len(), len(want))
+	}
+}

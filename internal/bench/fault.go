@@ -21,7 +21,7 @@ import (
 // FaultTargets exposes the benchmark programs as fault-campaign
 // targets. Each run draws its machine through the suite's warm-start
 // layer (a pooled machine restored from the benchmark's post-Init
-// snapshot; a fresh build when Warm is off) configured exactly like the
+// snapshot; a fresh build in a cold suite) configured exactly like the
 // performance runs: same Table II machine, same derived seed. Machines
 // are never shared between concurrent campaign workers.
 func (s *Suite) FaultTargets() ([]fault.Target, error) {
@@ -163,8 +163,8 @@ func (t *faultTarget) PrepareCheckpoints(k int) error {
 }
 
 func (t *faultTarget) buildCheckpoints(k int) ([]*sim.Snapshot, *sim.Liveness, *fault.Observation, error) {
-	if !t.suite.Warm {
-		return nil, nil, nil, fmt.Errorf("bench: %s: checkpoint fast-forwarding requires the warm-start layer (Suite.Warm)", t.prog.Name)
+	if t.suite.cold {
+		return nil, nil, nil, fmt.Errorf("bench: %s: checkpoint fast-forwarding requires the warm-start layer", t.prog.Name)
 	}
 	ctx := context.Background()
 	cfg := t.runConfig(0)

@@ -18,7 +18,7 @@ func codegenLogisticTraining(seed uint64) (*codegen.Program, error) {
 }
 
 // runProgram executes a generated program on a suite-configured machine
-// (pooled and snapshot-restored when the suite is Warm), verifying its
+// (pooled and snapshot-restored unless the suite is cold), verifying its
 // expectations.
 func runProgram(s *Suite, p *codegen.Program) (sim.Stats, error) {
 	cfg := s.Config

@@ -36,13 +36,12 @@ const hostBenchmark = "MLP"
 // small one-time cost.
 const hostFFCheckpoints = 8
 
-// dispatchBenchmark is the Table III benchmark the pre-decoded-dispatch
-// rows run. The dispatch layer (docs/PERF.md, Level 4) removes per-fetch
-// work — re-encoding for the injector hook, operand-role resolution,
-// event-buffer zeroing — so its win shows on loop-heavy benchmarks whose
-// campaigns execute many dynamic instructions per run; SOM is the
-// clearest such case (MLP, dominated by a handful of large DMAs, barely
-// dispatches at all and would measure memmove instead).
+// dispatchBenchmark is the Table III benchmark the campaign-fastforward
+// rows run: a loop-heavy program whose campaigns execute many dynamic
+// instructions per run, so skipping a fault-free prefix saves
+// interpreter time. SOM is the clearest such case (MLP, dominated by a
+// handful of large DMAs, barely dispatches at all and would measure
+// memmove instead).
 const dispatchBenchmark = "SOM"
 
 // HostReport is the machine-readable host-throughput record
@@ -57,7 +56,7 @@ type HostReport struct {
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	// Seed is the benchmark generation seed; Benchmark the program the
 	// warm/cold measurements ran; DispatchBenchmark the program the
-	// pre-decoded-dispatch rows ran (empty in pre-dispatch reports).
+	// campaign-fastforward rows ran.
 	Seed              uint64 `json:"seed"`
 	Benchmark         string `json:"benchmark"`
 	DispatchBenchmark string `json:"dispatch_benchmark,omitempty"`
@@ -72,11 +71,6 @@ type HostReport struct {
 	CampaignAllocRatio float64 `json:"campaign_alloc_ratio_cold_over_warm"`
 	RestoreSpeedup     float64 `json:"restore_speedup_cold_over_warm"`
 	RestoreAllocRatio  float64 `json:"restore_alloc_ratio_cold_over_warm"`
-	// PredecodeSpeedup is the baseline/predecoded wall-time ratio of the
-	// campaign-dispatch rows: how many times faster a warm fault campaign
-	// over DispatchBenchmark runs with pre-decoded dispatch than with the
-	// per-step decode loop (zero in pre-dispatch reports).
-	PredecodeSpeedup float64 `json:"campaign_speedup_baseline_over_predecoded,omitempty"`
 	// FastForwardSpeedup is the replay/checkpointed wall-time ratio of
 	// the campaign-fastforward rows: how many times faster a warm,
 	// transient-models-only fault campaign over DispatchBenchmark runs
@@ -149,13 +143,7 @@ func hostMeasure(name string, runs int, prep, fn func() error) (HostEntry, error
 // generation, snapshot capture when warm), so callers run it once untimed
 // before measuring.
 func hostCampaignFn(s *Suite, sites int) (func() error, error) {
-	return hostCampaignFnFor(s, hostBenchmark, sites)
-}
-
-// hostCampaignFnFor is hostCampaignFn over an arbitrary Table III
-// benchmark (the dispatch rows run dispatchBenchmark instead).
-func hostCampaignFnFor(s *Suite, name string, sites int) (func() error, error) {
-	return hostCampaignFnWith(s, name, fault.Campaign{Seed: s.Seed, Sites: sites, Workers: 1})
+	return hostCampaignFnWith(s, hostBenchmark, fault.Campaign{Seed: s.Seed, Sites: sites, Workers: 1})
 }
 
 // hostCampaignFnWith is the fully parameterized variant: the caller
@@ -184,8 +172,8 @@ func hostCampaignFnWith(s *Suite, name string, c fault.Campaign) (func() error, 
 // hostRestoreFns builds the machine-acquisition measurement pair: the
 // warm path restores a run-dirtied pooled machine to the benchmark's
 // post-Init snapshot (prep re-dirties it by running the program); the
-// cold path is the historical full build — sim.New plus image replay and
-// program load.
+// cold path is what a cold suite does instead — sim.New plus image
+// replay and loading the suite's cached decoded program.
 func hostRestoreFns(s *Suite) (prep, warm, cold func() error, err error) {
 	p, err := s.Program(hostBenchmark)
 	if err != nil {
@@ -194,6 +182,10 @@ func hostRestoreFns(s *Suite) (prep, warm, cold func() error, err error) {
 	cfg := s.Config
 	cfg.Seed = s.Seed ^ 0xcafe
 	snap, err := s.preparedSnapshot(context.Background(), p, cfg)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	dp, err := s.decodedProgram(context.Background(), p)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -217,7 +209,7 @@ func hostRestoreFns(s *Suite) (prep, warm, cold func() error, err error) {
 		if err := p.Init(fresh); err != nil {
 			return err
 		}
-		fresh.LoadProgram(p.Asm.Instructions)
+		fresh.LoadDecoded(dp)
 		return nil
 	}
 	return prep, warm, cold, nil
@@ -246,7 +238,7 @@ func RunHostBenchmarks(seed uint64, runs, sites int) (*HostReport, error) {
 
 	warmSuite := NewSuite(seed)
 	coldSuite := NewSuite(seed)
-	coldSuite.Warm = false
+	coldSuite.cold = true
 
 	warmRun, err := hostCampaignFn(warmSuite, sites)
 	if err != nil {
@@ -285,40 +277,11 @@ func RunHostBenchmarks(seed uint64, runs, sites int) (*HostReport, error) {
 		return nil, err
 	}
 
-	// Pre-decoded dispatch (docs/PERF.md, Level 4): the same warm
-	// campaign over the loop-heavy dispatch benchmark, with and without
-	// pre-decoded programs. Both suites are warm, so the ratio isolates
-	// the dispatch layer.
-	baseSuite := NewSuite(seed)
-	baseSuite.Predecode = false
-	decRun, err := hostCampaignFnFor(warmSuite, dispatchBenchmark, sites)
-	if err != nil {
-		return nil, err
-	}
-	baseRun, err := hostCampaignFnFor(baseSuite, dispatchBenchmark, sites)
-	if err != nil {
-		return nil, err
-	}
-	if err := decRun(); err != nil {
-		return nil, err
-	}
-	if err := baseRun(); err != nil {
-		return nil, err
-	}
-	decCamp, err := hostMeasure("campaign-dispatch/predecoded", runs, nil, decRun)
-	if err != nil {
-		return nil, err
-	}
-	baseCamp, err := hostMeasure("campaign-dispatch/baseline", runs, nil, baseRun)
-	if err != nil {
-		return nil, err
-	}
-
-	// Checkpoint fast-forwarding (docs/PERF.md, Level 5): the same warm,
-	// pre-decoded campaign over the loop-heavy dispatch benchmark,
-	// restricted to the transient fault models — whole-run stuck-lane
-	// faults cannot fast-forward (every cycle is faulted) and would
-	// dilute the measurement — with and without prepared checkpoints.
+	// Checkpoint fast-forwarding (docs/PERF.md, Level 5): a warm
+	// campaign over the loop-heavy dispatch benchmark, restricted to the
+	// transient fault models — whole-run stuck-lane faults cannot
+	// fast-forward (every cycle is faulted) and would dilute the
+	// measurement — with and without prepared checkpoints.
 	// Reports are byte-identical either way (pinned by differential
 	// tests); only the wall clock moves.
 	ffModels := []fault.Model{fault.ModelSpadBit, fault.ModelGPRBit, fault.ModelFetchBit, fault.ModelDMABit}
@@ -347,12 +310,11 @@ func RunHostBenchmarks(seed uint64, runs, sites int) (*HostReport, error) {
 		return nil, err
 	}
 
-	rep.Entries = []HostEntry{warmCamp, coldCamp, warmRest, coldRest, decCamp, baseCamp, replayCamp, ffCamp}
+	rep.Entries = []HostEntry{warmCamp, coldCamp, warmRest, coldRest, replayCamp, ffCamp}
 	rep.CampaignSpeedup = ratio(coldCamp.NSPerRun, warmCamp.NSPerRun)
 	rep.CampaignAllocRatio = ratio(coldCamp.AllocsPerRun, warmCamp.AllocsPerRun)
 	rep.RestoreSpeedup = ratio(coldRest.NSPerRun, warmRest.NSPerRun)
 	rep.RestoreAllocRatio = ratio(coldRest.AllocsPerRun, warmRest.AllocsPerRun)
-	rep.PredecodeSpeedup = ratio(baseCamp.NSPerRun, decCamp.NSPerRun)
 	rep.FastForwardSpeedup = ratio(replayCamp.NSPerRun, ffCamp.NSPerRun)
 	return rep, nil
 }

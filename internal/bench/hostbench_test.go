@@ -9,7 +9,7 @@ import (
 )
 
 // TestHostReportSchema pins the BENCH_host.json format: versioned
-// schema, all four measurement rows, and computed cold/warm ratios.
+// schema, every measurement row, and computed ratios.
 func TestHostReportSchema(t *testing.T) {
 	rep, err := RunHostBenchmarks(7, 2, 4)
 	if err != nil {
@@ -25,7 +25,6 @@ func TestHostReportSchema(t *testing.T) {
 		t.Fatalf("dispatch benchmark = %q, want %q", rep.DispatchBenchmark, dispatchBenchmark)
 	}
 	want := []string{"campaign-run/warm", "campaign-run/cold", "machine-acquire/warm", "machine-acquire/cold",
-		"campaign-dispatch/predecoded", "campaign-dispatch/baseline",
 		"campaign-fastforward/replay", "campaign-fastforward/checkpointed"}
 	if len(rep.Entries) != len(want) {
 		t.Fatalf("entries = %d, want %d", len(rep.Entries), len(want))
@@ -40,7 +39,7 @@ func TestHostReportSchema(t *testing.T) {
 	}
 	if rep.CampaignSpeedup <= 0 || rep.CampaignAllocRatio <= 0 ||
 		rep.RestoreSpeedup <= 0 || rep.RestoreAllocRatio <= 0 ||
-		rep.PredecodeSpeedup <= 0 || rep.FastForwardSpeedup <= 0 {
+		rep.FastForwardSpeedup <= 0 {
 		t.Fatalf("ratios not computed: %+v", rep)
 	}
 
@@ -64,7 +63,7 @@ func TestHostReportSchema(t *testing.T) {
 // BENCH_host.json and docs/PERF.md Level 3).
 func benchCampaign(b *testing.B, warm bool) {
 	s := NewSuite(7)
-	s.Warm = warm
+	s.cold = !warm
 	fn, err := hostCampaignFn(s, 32)
 	if err != nil {
 		b.Fatal(err)
@@ -84,35 +83,6 @@ func benchCampaign(b *testing.B, warm bool) {
 func BenchmarkCampaignThroughput(b *testing.B) {
 	b.Run("warm", func(b *testing.B) { benchCampaign(b, true) })
 	b.Run("cold", func(b *testing.B) { benchCampaign(b, false) })
-}
-
-// BenchmarkPredecodedDispatch compares a warm single-worker fault
-// campaign (golden + 32 faulted runs) over the dispatch benchmark with
-// pre-decoded dispatch against the per-step decode loop — the Level 4
-// acceptance measurement (see BENCH_host.json's campaign-dispatch rows
-// and docs/PERF.md). Simulated statistics and fault reports are
-// bit-identical between the two variants; only host time moves.
-func BenchmarkPredecodedDispatch(b *testing.B) {
-	run := func(b *testing.B, predecode bool) {
-		s := NewSuite(7)
-		s.Predecode = predecode
-		fn, err := hostCampaignFnFor(s, dispatchBenchmark, 32)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := fn(); err != nil { // untimed: program generation, decode, snapshot capture
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := fn(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("predecoded", func(b *testing.B) { run(b, true) })
-	b.Run("baseline", func(b *testing.B) { run(b, false) })
 }
 
 // BenchmarkFastForwardCampaign compares a warm single-worker

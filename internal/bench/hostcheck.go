@@ -36,11 +36,8 @@ var hostRatios = []struct {
 	{"campaign_alloc_ratio_cold_over_warm", func(r *HostReport) float64 { return r.CampaignAllocRatio }},
 	{"restore_speedup_cold_over_warm", func(r *HostReport) float64 { return r.RestoreSpeedup }},
 	{"restore_alloc_ratio_cold_over_warm", func(r *HostReport) float64 { return r.RestoreAllocRatio }},
-	// Pre-decoded dispatch (docs/PERF.md, Level 4). The `base <= 0` skip
-	// below keeps reports generated before the dispatch layer checkable.
-	{"campaign_speedup_baseline_over_predecoded", func(r *HostReport) float64 { return r.PredecodeSpeedup }},
-	// Checkpoint fast-forwarding (docs/PERF.md, Level 5); same skip for
-	// pre-checkpoint reports.
+	// Checkpoint fast-forwarding (docs/PERF.md, Level 5). The `base <= 0`
+	// skip below keeps reports generated before it checkable.
 	{"campaign_speedup_replay_over_fastforward", func(r *HostReport) float64 { return r.FastForwardSpeedup }},
 }
 

@@ -1,14 +1,16 @@
 package bench
 
 // Tests pinning the pre-decoded dispatch layer's contract (docs/PERF.md,
-// Level 4): simulated results are bit-identical with and without
-// pre-decode across every Table III workload, fault-campaign reports are
-// byte-identical, the decode cache singleflights across machines and
+// Level 4): the tight fused loop the suite runs and the observing slow
+// loop agree on every Table III workload, fault-campaign reports keep
+// their pinned bytes, the decode cache singleflights across machines and
 // counts its traffic, and the warm decoded hot loop is allocation-free.
 
 import (
-	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"io"
 	"reflect"
 	"testing"
 
@@ -16,37 +18,42 @@ import (
 	"cambricon/internal/sim"
 )
 
-func predecodeOff(seed uint64) *Suite {
-	s := NewSuite(seed)
-	s.Predecode = false
-	return s
-}
-
 // TestPredecodeBitIdenticalTableIII runs every Table III workload through
-// both dispatch modes and requires identical statistics — cycles, stall
-// attribution, opcode histograms, everything — plus a passing output
-// verification on both sides. This is the acceptance check that the
-// dispatch layer is a host-time optimization only.
+// both run loops and requires identical statistics — cycles, stall
+// attribution, opcode histograms, everything: Suite.Stats runs the tight
+// fused loop (and verifies the outputs), and a machine prepared the same
+// way with an instruction trace attached runs the observing slow loop.
+// This is the acceptance check that fusion is a host-time optimization
+// only.
 func TestPredecodeBitIdenticalTableIII(t *testing.T) {
-	dec, base := NewSuite(7), predecodeOff(7)
-	progs, err := dec.Programs()
+	s := NewSuite(7)
+	progs, err := s.Programs()
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := s.Config
+	cfg.Seed = s.Seed ^ 0xcafe
 	fused := 0
 	for _, p := range progs {
-		d, err := dec.Stats(p.Name)
+		tight, err := s.Stats(p.Name)
 		if err != nil {
-			t.Fatalf("%s predecoded: %v", p.Name, err)
+			t.Fatalf("%s tight loop: %v", p.Name, err)
 		}
-		b, err := base.Stats(p.Name)
+		m, pooled, err := s.preparedMachine(context.Background(), p, cfg)
 		if err != nil {
-			t.Fatalf("%s baseline: %v", p.Name, err)
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(d, b) {
-			t.Errorf("%s: stats diverge\npredecoded %+v\nbaseline   %+v", p.Name, d, b)
+		m.SetTrace(io.Discard)
+		slow, err := m.Run()
+		m.SetTrace(nil)
+		s.releaseMachine(m, pooled)
+		if err != nil {
+			t.Fatalf("%s slow loop: %v", p.Name, err)
 		}
-		dp, err := sim.Predecode(p.Asm.Instructions)
+		if !reflect.DeepEqual(tight, slow) {
+			t.Errorf("%s: stats diverge\ntight %+v\nslow  %+v", p.Name, tight, slow)
+		}
+		dp, err := s.decodedProgram(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,15 +66,16 @@ func TestPredecodeBitIdenticalTableIII(t *testing.T) {
 	}
 }
 
-// TestPredecodeCampaignReportsByteIdentical pins that fault campaigns —
-// golden run through the tight fused loop, faulted runs through the
-// observed slow loop — serialize byte-for-byte the same report with
-// pre-decode on and off.
+// TestPredecodeCampaignReportsByteIdentical pins the bytes of a fault
+// campaign's report — golden run through the tight fused loop, faulted
+// runs through the observing slow loop — to the SHA-256 the report had
+// when the per-step decode interpreter still existed to cross-check it
+// (the same with pre-decode on and off).
 func TestPredecodeCampaignReportsByteIdentical(t *testing.T) {
-	dec := campaignBytes(t, NewSuite(7), 2)
-	base := campaignBytes(t, predecodeOff(7), 2)
-	if !bytes.Equal(dec, base) {
-		t.Fatalf("campaign reports diverge:\npredecoded:\n%s\nbaseline:\n%s", dec, base)
+	const want = "41cde1b079561bb7ecd6a2a52dba046693b490f2a13aff45f251cb6272074e6e"
+	sum := sha256.Sum256(campaignBytes(t, NewSuite(7), 2))
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("campaign report SHA-256 = %s, want %s", got, want)
 	}
 }
 

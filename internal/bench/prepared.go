@@ -4,8 +4,9 @@ package bench
 // and experiment paths that used to construct a fresh 16 MiB sim.Machine
 // and replay a workload image per run instead draw a pooled machine and
 // Restore a captured post-Init snapshot — a handful of dirty-page copies.
-// Simulated statistics are bit-identical either way; Suite.Warm=false is
-// the escape hatch that forces the historical cold behaviour.
+// Simulated statistics are bit-identical either way; a cold suite (set
+// only by the host benchmark and tests) keeps the historical behaviour
+// as the oracle.
 
 import (
 	"context"
@@ -339,14 +340,8 @@ func (s *Suite) decodedProgram(ctx context.Context, prog *codegen.Program) (*sim
 	return de.dp, de.err
 }
 
-// loadProgram loads prog onto m through the suite's decode policy:
-// pre-decoded (cached) when Predecode, the per-step decode path
-// otherwise. Simulated statistics are bit-identical either way.
+// loadProgram loads prog onto m from the suite's decode cache.
 func (s *Suite) loadProgram(ctx context.Context, m *sim.Machine, prog *codegen.Program) error {
-	if !s.Predecode {
-		m.LoadProgram(prog.Asm.Instructions)
-		return nil
-	}
 	dp, err := s.decodedProgram(ctx, prog)
 	if err != nil {
 		return err
@@ -401,8 +396,8 @@ func (s *Suite) preparedSnapshot(ctx context.Context, prog *codegen.Program, cfg
 // preparedMachine returns a machine holding prog's post-Init state. Warm
 // suites restore a pooled machine from the benchmark's snapshot and
 // report pooled=true — the caller must hand it back via releaseMachine
-// when done with the run. Cold suites (Warm=false) build a fresh machine
-// and replay the image, the historical behaviour, with pooled=false.
+// when done with the run. Cold suites build a fresh machine and replay
+// the image, the historical behaviour, with pooled=false.
 // Both produce bit-identical run statistics. (The pooled flag, rather
 // than a release closure, keeps the per-run hot path allocation-free.)
 // A request recorder on ctx gets per-phase spans: machine.build /
@@ -411,7 +406,7 @@ func (s *Suite) preparedSnapshot(ctx context.Context, prog *codegen.Program, cfg
 func (s *Suite) preparedMachine(ctx context.Context, prog *codegen.Program, cfg sim.Config) (m *sim.Machine, pooled bool, err error) {
 	sm := s.sm()
 	rec := reqtrace.From(ctx)
-	if !s.Warm {
+	if s.cold {
 		sp := rec.Start(reqtrace.Root, "machine.build")
 		m, err := sim.New(cfg)
 		rec.End(sp)
@@ -505,7 +500,7 @@ func (s *Suite) checkpointMachine(cfg sim.Config, snap *sim.Snapshot) (*sim.Mach
 // ones.
 func (s *Suite) kernelMachine(cfg sim.Config) (*sim.Machine, bool, error) {
 	sm := s.sm()
-	if !s.Warm {
+	if s.cold {
 		m, err := sim.New(cfg)
 		if err != nil {
 			return nil, false, err

@@ -26,25 +26,17 @@ import (
 // RunAll can fan the ten benchmarks out across a worker pool while the
 // experiments keep reading through the same cache. Seed and Config must
 // not be mutated once the first run has started.
+//
+// Runs draw pooled machines restored from per-benchmark snapshots
+// instead of building a fresh machine and replaying the memory image
+// (the warm-start layer, docs/PERF.md Level 3), and each benchmark's
+// program is pre-decoded and fusion-planned once and shared by every
+// machine that runs it (Level 4).
 type Suite struct {
 	// Seed drives weight/input generation and the RV stream.
 	Seed uint64
 	// Config is the accelerator configuration (Table II defaults).
 	Config sim.Config
-	// Warm enables the warm-start layer (docs/PERF.md, Level 3): runs
-	// draw pooled machines restored from per-benchmark snapshots instead
-	// of building a fresh machine and replaying the memory image each
-	// time. Simulated statistics are bit-identical either way; set false
-	// (or pass -warm=off to the CLIs) to force the historical cold path.
-	Warm bool
-	// Predecode enables the pre-decoded dispatch layer (docs/PERF.md,
-	// Level 4): each benchmark program is pre-decoded and fusion-planned
-	// once (singleflight, shared by warm snapshots, pooled machines and
-	// fault-campaign workers) and runs execute through the decoded
-	// interpreter loop. Simulated statistics are bit-identical either
-	// way; set false (or pass -predecode=false to the CLIs) to force the
-	// per-step decode path.
-	Predecode bool
 	// Chaos, when non-nil, injects operational failures into the
 	// service path (docs/ROBUSTNESS.md, "Chaos for the service path"):
 	// failing/delayed snapshot restores, slow pool acquires, and runs
@@ -63,6 +55,12 @@ type Suite struct {
 	// instrumented paths then stay allocation-free and produce
 	// bit-identical simulated statistics. Set before the first run.
 	Metrics *metrics.Registry
+
+	// cold turns the warm-start layer off: every run builds a fresh
+	// machine and replays the memory image. Simulated statistics are
+	// bit-identical either way; only the host benchmark's cold rows and
+	// the warm/cold equivalence tests set it.
+	cold bool
 
 	progsOnce sync.Once
 	progs     []*codegen.Program
@@ -91,10 +89,9 @@ type statsEntry struct {
 	err  error
 }
 
-// NewSuite builds a suite over the Table II machine, with warm-starts and
-// pre-decoded dispatch on.
+// NewSuite builds a suite over the Table II machine.
 func NewSuite(seed uint64) *Suite {
-	return &Suite{Seed: seed, Config: sim.DefaultConfig(), Warm: true, Predecode: true, stats: map[string]*statsEntry{}}
+	return &Suite{Seed: seed, Config: sim.DefaultConfig(), stats: map[string]*statsEntry{}}
 }
 
 // sm resolves the suite's metric bundle once (nil when no registry is
@@ -171,7 +168,7 @@ func (s *Suite) StatsCtx(ctx context.Context, name string) (sim.Stats, error) {
 }
 
 // runBenchmark simulates one benchmark on a prepared machine (pooled and
-// snapshot-restored when Warm, freshly built otherwise). A panic anywhere
+// snapshot-restored, or freshly built in a cold suite). A panic anywhere
 // in generation or simulation is recovered into the returned error so one
 // poisoned benchmark cannot take down a whole campaign. A request
 // recorder on ctx (reqtrace.With) gets the per-phase span tree — machine

@@ -23,7 +23,7 @@ var warmBenchmarks = []string{"MLP", "HNN"}
 
 func coldSuite(seed uint64) *Suite {
 	s := NewSuite(seed)
-	s.Warm = false
+	s.cold = true
 	return s
 }
 

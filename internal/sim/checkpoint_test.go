@@ -2,6 +2,9 @@ package sim
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -28,8 +31,12 @@ l:	RV     $2, $1           // fresh random vector each iteration
 	CB     #l, $8
 `
 
-// ckptMachine builds a machine running ckptKernel through the requested
-// dispatch path.
+// ckptMachine builds a machine running ckptKernel. predecoded installs a
+// shared DecodedProgram, the way the bench decode cache does, and leaves
+// unobserved runs on the tight fused loop. Otherwise — the baseline — the
+// machine decodes its own copy in LoadProgram and an instruction trace
+// to io.Discard steers its runs down the observing slow loop, the oracle
+// the tight loop is checked against.
 func ckptMachine(t *testing.T, cfg Config, predecoded bool) *Machine {
 	t.Helper()
 	m := mustNew(t, cfg)
@@ -42,6 +49,7 @@ func ckptMachine(t *testing.T, cfg Config, predecoded bool) *Machine {
 		m.LoadDecoded(dp)
 	} else {
 		m.LoadProgram(prog)
+		m.SetTrace(io.Discard)
 	}
 	snapInit(t, m)
 	return m
@@ -67,7 +75,9 @@ func compareResumed(t *testing.T, label string, want, got *Machine, wantStats, g
 // instruction boundaries — including ones that land inside fused pairs —
 // captures a checkpoint, restores it onto a fresh machine, and requires
 // the resumed remainder to be bit-identical to the uninterrupted run, on
-// both the baseline and the pre-decoded dispatch paths.
+// both the baseline (slow loop) and the pre-decoded (tight loop) paths.
+// The fresh machine carries no trace, so on the baseline path a
+// checkpoint taken in the slow loop also resumes in the tight one.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	for _, path := range []struct {
 		name       string
@@ -258,6 +268,42 @@ func TestCheckpointSerializationRoundTrip(t *testing.T) {
 		}
 		if _, err := ReadCheckpoint(bytes.NewReader(append(append([]byte(nil), raw...), 0))); err == nil {
 			t.Error("trailing garbage accepted")
+		}
+	})
+
+	// The writer sets flag bit 1 (pre-decoded) for a loaded program. A
+	// file with the bit clear — what writers running the per-step
+	// interpreter produced — still reads, pre-decodes its program and
+	// resumes bit-identically; re-encoding it gives back the default
+	// writer's exact bytes.
+	t.Run("predecode-flag-clear", func(t *testing.T) {
+		const flagsOff = len(ckptMagic) + 4
+		raw := append([]byte(nil), file.Bytes()...)
+		flags := binary.LittleEndian.Uint32(raw[flagsOff:])
+		if flags&ckptFlagPredecode == 0 {
+			t.Fatalf("flags %#x: bit 1 clear for a loaded program", flags)
+		}
+		binary.LittleEndian.PutUint32(raw[flagsOff:], flags&^ckptFlagPredecode)
+		binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(raw[:len(raw)-4]))
+		ckpt, err := ReadCheckpoint(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := mustNew(t, cfg)
+		if err := fresh.Restore(ckpt); err != nil {
+			t.Fatal(err)
+		}
+		gotStats, err := fresh.Resume()
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareResumed(t, "flag-bit-1-clear", ref, fresh, wantStats, gotStats)
+		var again bytes.Buffer
+		if err := WriteCheckpoint(&again, ckpt); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), file.Bytes()) {
+			t.Fatal("re-encoding a bit-1-clear checkpoint does not give the default writer's bytes")
 		}
 	})
 }

@@ -20,7 +20,9 @@ import (
 //
 //	magic   [8]byte  "CAMCKPT1"
 //	version uint32   (currently 1)
-//	flags   uint32   bit 0: mid-run, bit 1: program was pre-decoded
+//	flags   uint32   bit 0: mid-run, bit 1: program pre-decoded (set
+//	                 whenever a program is loaded; the reader pre-decodes
+//	                 the program whether it is set or not)
 //	config  uint32 length + JSON        (Config, all exported fields)
 //	gpr     core.NumGPRs × uint32
 //	pc      int64
@@ -72,8 +74,8 @@ func WriteCheckpoint(w io.Writer, s *Snapshot) error {
 	w64(s.rng)
 
 	var progImg []byte
-	if len(s.prog) > 0 {
-		if progImg, err = core.EncodeProgram(s.prog); err != nil {
+	if s.dec != nil && len(s.dec.insts) > 0 {
+		if progImg, err = core.EncodeProgram(s.dec.insts); err != nil {
 			return fmt.Errorf("sim: checkpoint: encode program: %w", err)
 		}
 	}
@@ -229,9 +231,9 @@ func (r *ckptReader) i64s(maxLen int) []int64 {
 }
 
 // ReadCheckpoint deserializes a checkpoint written by WriteCheckpoint.
-// The CRC, magic, version and every structural invariant are verified;
-// pre-decoded programs are re-predecoded so the restored machine runs
-// through the same dispatch path it was checkpointed from.
+// The CRC, magic, version and every structural invariant are verified,
+// and the program is pre-decoded whatever flag bit 1 says, so the
+// restored machine runs through the same loops as the one checkpointed.
 func ReadCheckpoint(src io.Reader) (*Snapshot, error) {
 	raw, err := io.ReadAll(src)
 	if err != nil {
@@ -277,14 +279,8 @@ func ReadCheckpoint(src io.Reader) (*Snapshot, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sim: checkpoint: decode program: %w", err)
 		}
-		s.prog = prog
-		if flags&ckptFlagPredecode != 0 {
-			dp, err := Predecode(prog)
-			if err != nil {
-				return nil, fmt.Errorf("sim: checkpoint: predecode program: %w", err)
-			}
-			s.dec = dp
-			s.prog = dp.insts
+		if s.dec, err = Predecode(prog); err != nil {
+			return nil, fmt.Errorf("sim: checkpoint: predecode program: %w", err)
 		}
 	}
 

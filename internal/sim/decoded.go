@@ -72,11 +72,14 @@ type DecodedProgram struct {
 	dec    []core.DecodedInst
 	fuse   []FuseKind
 	fusion FusionStats
+	// err is set only on the program LoadProgram installs for an invalid
+	// instruction stream: the *RuntimeError every run of it returns.
+	err error
 }
 
 // Predecode validates and pre-decodes prog and plans its fusion pairs.
-// The program must not be mutated afterwards (the same contract as
-// Snapshot's program sharing).
+// The program must not be mutated afterwards: snapshots and the machines
+// restored from them share it.
 func Predecode(prog []core.Instruction) (*DecodedProgram, error) {
 	dec, err := core.PreDecode(prog)
 	if err != nil {
@@ -227,40 +230,21 @@ func fusePlan(dec []core.DecodedInst) ([]FuseKind, FusionStats) {
 	return fuse, fs
 }
 
-// LoadDecoded installs a pre-decoded program: Run then executes through
-// the pre-decoded dispatch loop instead of the baseline interpreter, with
-// bit-identical statistics, cycles, traces and fault behaviour.
-// LoadProgram clears the decoded form again (the two entry points cannot
-// get out of sync).
+// LoadDecoded installs a pre-decoded program, typically one shared by
+// many machines (a decode cache, a campaign's workers): unlike
+// LoadProgram it costs no decode and no allocation.
 func (m *Machine) LoadDecoded(dp *DecodedProgram) {
-	m.prog = dp.insts
 	m.dec = dp
 	m.pc = 0
 }
 
-// runDecoded executes the installed DecodedProgram. The program was
-// validated by Predecode, so the baseline loop's per-run validation scan
-// is skipped. Fault-free untraced runs take the tight fused loop (which
-// also implements the MaxCycles watchdog with diagnostics identical to
-// the baseline loop's); runs with an injector, tracer or instruction
-// trace take the general pre-decoded loop, which performs the baseline
-// loop's observability work step for step (bit-identical traces, fault
-// reports and watchdog diagnostics) while still skipping per-fetch
-// re-encoding and operand-role resolution.
-func (m *Machine) runDecoded(ctx context.Context) (Stats, error) {
-	if m.tracer == nil && m.trace == nil && m.inj == nil && m.rec == nil {
-		return m.runDecodedTight(ctx)
-	}
-	return m.runDecodedSlow(ctx)
-}
-
 // runDecodedTight is the fused hot loop: no tracer, no instruction trace,
-// no injector. Per dynamic instruction it performs only the functional
-// execution, the statistics updates and the timing-model advance —
-// operand roles come from the decode, and fused pairs execute with a
-// single dispatch. A positive MaxCycles arms the same per-commit watchdog
-// as the baseline loop (the reusable event buffer then records stage
-// timestamps for the diagnostic; timing is unaffected).
+// no injector, no access trace. Per dynamic instruction it performs only
+// the functional execution, the statistics updates and the timing-model
+// advance — operand roles come from the decode, and fused pairs execute
+// with a single dispatch. A positive MaxCycles arms the same per-commit
+// watchdog as runDecodedSlow (the reusable event buffer then records
+// stage timestamps for the diagnostic; timing is unaffected).
 func (m *Machine) runDecodedTight(ctx context.Context) (Stats, error) {
 	dp := m.dec
 	dec := dp.dec
@@ -270,8 +254,9 @@ func (m *Machine) runDecodedTight(ctx context.Context) (Stats, error) {
 	stopAt := m.stopAt
 	var evp *trace.InstEvent
 	if watchdog {
-		// The watchdog diagnostic reads only the stage timestamps advance
-		// assigns unconditionally, so the buffer needs no per-step reset.
+		// The watchdog diagnostic reads only the stage timestamps
+		// advanceWith assigns unconditionally, so the buffer needs no
+		// per-step reset.
 		evp = &m.ev
 	}
 	for m.pc >= 0 && m.pc < len(dec) {
@@ -300,7 +285,7 @@ func (m *Machine) runDecodedTight(ctx context.Context) (Stats, error) {
 		// Fall back to single steps when the second constituent would
 		// cross the instruction limit, a cancellation poll point or a
 		// RunUntil stop boundary, so those checks fire at exactly the
-		// baseline loop's boundaries.
+		// instruction boundaries runDecodedSlow checks them at.
 		if k := dp.fuse[m.pc]; k != FuseNone && n+2 <= limit &&
 			(done == nil || (n+1)&1023 != 0) &&
 			(stopAt < 0 || n+2 <= stopAt) {
@@ -358,7 +343,7 @@ func (m *Machine) runDecodedTight(ctx context.Context) (Stats, error) {
 // hand-off depends on. A non-nil evp arms the watchdog: the cycle budget
 // is checked after each constituent's commit, so a pair whose first half
 // trips the budget errors out before the second half executes — exactly
-// the baseline loop's instruction boundary.
+// the unfused instruction boundary.
 func (m *Machine) stepFused(d1, d2 *core.DecodedInst, k FuseKind, evp *trace.InstEvent) error {
 	m.eff.reset()
 	if err := m.execInto(d1.Inst, &m.eff); err != nil {
@@ -418,12 +403,13 @@ func (m *Machine) stepFused(d1, d2 *core.DecodedInst, k FuseKind, evp *trace.Ins
 	return nil
 }
 
-// runDecodedSlow is the general pre-decoded loop: it mirrors the baseline
-// RunContext body observability call for observability call — same trace
-// lines, same tracer events, same injector hook order, same watchdog
-// diagnostics — while using the decode's cached 64-bit words (the
-// injector's fetch hook costs a table lookup instead of an Encode) and
-// cached operand roles for the timing model.
+// runDecodedSlow is the general observing loop: one instruction per
+// iteration, no fusion, with every observation hook — the instruction
+// trace line, the tracer's per-instruction event, the injector's fetch
+// corruption (of the decode's cached 64-bit word) and pre-execute hook,
+// the access-trace record — called at its instruction boundary. It is
+// the oracle the tight loop is checked against: statistics, cycles,
+// architectural state and watchdog diagnostics agree bit for bit.
 func (m *Machine) runDecodedSlow(ctx context.Context) (Stats, error) {
 	dp := m.dec
 	dec := dp.dec
@@ -472,7 +458,7 @@ func (m *Machine) runDecodedSlow(ctx context.Context) (Stats, error) {
 					return m.stats, &RuntimeError{PC: m.pc, Inst: d.Inst, Err: err}
 				}
 				// The corrupted instruction is not the decoded one: derive
-				// its operand roles generically, like the baseline fetch.
+				// its operand roles from the instruction itself.
 				var srcBuf [6]uint8
 				src = inst.ReadRegs(srcBuf[:0])
 				dst, hasDst = inst.DestReg()
@@ -495,9 +481,9 @@ func (m *Machine) runDecodedSlow(ctx context.Context) (Stats, error) {
 		if needEv {
 			if tracing {
 				// The tracer consumes the event's stall attribution, which
-				// advance accumulates: the buffer must start zeroed. The
-				// watchdog reads only the stage timestamps advance assigns
-				// unconditionally, so its diagnostic needs no reset.
+				// advanceWith accumulates: the buffer must start zeroed. The
+				// watchdog reads only the stage timestamps advanceWith
+				// assigns unconditionally, so its diagnostic needs no reset.
 				m.ev = trace.InstEvent{}
 			}
 			evp = &m.ev

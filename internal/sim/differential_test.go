@@ -371,7 +371,9 @@ func randDiffInst(rng *rand.Rand) core.Instruction {
 }
 
 // TestDifferentialAgainstReferenceInterpreter runs random straight-line
-// programs on both implementations and compares every architectural bit.
+// programs on both implementations — the machine loads each through
+// LoadProgram and runs it in the tight fused loop — and compares every
+// architectural bit.
 func TestDifferentialAgainstReferenceInterpreter(t *testing.T) {
 	const (
 		trials  = 150
@@ -469,60 +471,49 @@ func compareRegion(t *testing.T, trial int, name string, m *Machine,
 	}
 }
 
-// comparePaths runs one program through the per-step decode loop and the
-// pre-decoded fused dispatch loop under identical configurations and
-// fails the test unless every architectural bit and every statistic
-// agrees. A third machine runs the decoded program with an instruction
-// trace attached (written to io.Discard) and a never-fired watchdog
-// armed, which steers it down the observed slow loop — so one call
-// covers both decoded dispatchers against the baseline.
+// comparePaths runs one program through both run loops under identical
+// configurations and fails the test unless every architectural bit and
+// every statistic agrees. The reference machine has an instruction trace
+// attached (written to io.Discard) and a never-fired watchdog armed,
+// which steers it down the observing slow loop; the other runs the
+// shared decoded program through the tight fused loop.
 func comparePaths(t *testing.T, label string, cfg Config, prog []core.Instruction,
 	setup func(set func(r uint8, v int32))) {
 	t.Helper()
-	base := mustNew(t, cfg)
-	tight := mustNew(t, cfg)
 	slowCfg := cfg
 	slowCfg.MaxCycles = 1 << 40 // arms the watchdog without ever tripping it
 	slow := mustNew(t, slowCfg)
-	slow.SetTrace(io.Discard) // steers the decoded dispatch down the slow loop
+	slow.SetTrace(io.Discard) // steers the run down the slow loop
+	tight := mustNew(t, cfg)
 	if setup != nil {
 		setup(func(r uint8, v int32) {
-			base.SetGPR(r, uint32(v))
-			tight.SetGPR(r, uint32(v))
 			slow.SetGPR(r, uint32(v))
+			tight.SetGPR(r, uint32(v))
 		})
 	}
 	dp, err := Predecode(prog)
 	if err != nil {
 		t.Fatalf("%s: predecode: %v", label, err)
 	}
-	base.LoadProgram(prog)
-	tight.LoadDecoded(dp)
 	slow.LoadDecoded(dp)
+	tight.LoadDecoded(dp)
 
-	wantStats, wantErr := base.Run()
-	for _, alt := range []struct {
-		name string
-		m    *Machine
-	}{{"tight", tight}, {"slow", slow}} {
-		gotStats, gotErr := alt.m.Run()
-		if (wantErr == nil) != (gotErr == nil) ||
-			(wantErr != nil && wantErr.Error() != gotErr.Error()) {
-			t.Fatalf("%s/%s: errors diverge: baseline %v, predecoded %v",
-				label, alt.name, wantErr, gotErr)
-		}
-		if !reflect.DeepEqual(wantStats, gotStats) {
-			t.Fatalf("%s/%s: stats diverge:\nbaseline   %+v\npredecoded %+v",
-				label, alt.name, wantStats, gotStats)
-		}
-		for r := 0; r < core.NumGPRs; r++ {
-			if base.GPR(uint8(r)) != alt.m.GPR(uint8(r)) {
-				t.Fatalf("%s/%s: $%d = %d, baseline %d", label, alt.name, r,
-					int32(alt.m.GPR(uint8(r))), int32(base.GPR(uint8(r))))
-			}
-		}
-		compareMachineSpaces(t, label+"/"+alt.name, base, alt.m)
+	wantStats, wantErr := slow.Run()
+	gotStats, gotErr := tight.Run()
+	if (wantErr == nil) != (gotErr == nil) ||
+		(wantErr != nil && wantErr.Error() != gotErr.Error()) {
+		t.Fatalf("%s: errors diverge: slow %v, tight %v", label, wantErr, gotErr)
 	}
+	if !reflect.DeepEqual(wantStats, gotStats) {
+		t.Fatalf("%s: stats diverge:\nslow  %+v\ntight %+v", label, wantStats, gotStats)
+	}
+	for r := 0; r < core.NumGPRs; r++ {
+		if slow.GPR(uint8(r)) != tight.GPR(uint8(r)) {
+			t.Fatalf("%s: $%d = %d, slow loop %d", label, r,
+				int32(tight.GPR(uint8(r))), int32(slow.GPR(uint8(r))))
+		}
+	}
+	compareMachineSpaces(t, label, slow, tight)
 }
 
 // compareMachineSpaces checks every byte of both scratchpads and the
@@ -551,7 +542,7 @@ func compareMachineSpaces(t *testing.T, label string, want, got *Machine) {
 			}
 			for i := range w {
 				if w[i] != g[i] {
-					t.Fatalf("%s: %s[%d] = %v, baseline %v",
+					t.Fatalf("%s: %s[%d] = %v, want %v",
 						label, sp.name, base+2*i, g[i], w[i])
 				}
 			}
@@ -559,11 +550,11 @@ func compareMachineSpaces(t *testing.T, label string, want, got *Machine) {
 	}
 }
 
-// TestPredecodedISATour runs the 43-instruction ISA tour through the
-// baseline and both pre-decoded dispatchers and demands bit-identical
-// results. The tour's vector section contains back-to-back vector ops
-// and an MMV, so the fusion plan is non-trivial — superinstruction
-// execution, not just flat decoded dispatch, is under test.
+// TestPredecodedISATour runs the 43-instruction ISA tour through both
+// run loops and demands bit-identical results. The tour's vector section
+// contains back-to-back vector ops and an MMV, so the fusion plan is
+// non-trivial — superinstruction execution, not just flat decoded
+// dispatch, is under test.
 func TestPredecodedISATour(t *testing.T) {
 	p := mustAssemble(t, tourSrc)
 	dp, err := Predecode(p.Instructions)
@@ -577,10 +568,10 @@ func TestPredecodedISATour(t *testing.T) {
 }
 
 // TestPredecodedDifferentialCorpus replays the random straight-line
-// corpus of TestDifferentialAgainstReferenceInterpreter through the
-// pre-decoded dispatchers. The baseline loop is already proven against
-// the naive reference interpreter above, so agreement here extends the
-// differential chain to the fused dispatch loops.
+// corpus of TestDifferentialAgainstReferenceInterpreter through both run
+// loops. The tight loop is already proven against the naive reference
+// interpreter above, so agreement here extends the differential chain to
+// the observing slow loop.
 func TestPredecodedDifferentialCorpus(t *testing.T) {
 	const (
 		trials  = 60
@@ -631,10 +622,10 @@ func TestPredecodedDifferentialCorpus(t *testing.T) {
 }
 
 // TestPredecodedControlFlow runs random counter-controlled loops through
-// all three dispatchers. Backward branches land on arbitrary body
-// instructions, so this is the test that catches a fusion plan pairing
-// across a branch target (a jump into the middle of a superinstruction
-// must still execute the consumer half exactly once).
+// both run loops. Backward branches land on arbitrary body instructions,
+// so this is the test that catches a fusion plan pairing across a branch
+// target (a jump into the middle of a superinstruction must still
+// execute the consumer half exactly once).
 func TestPredecodedControlFlow(t *testing.T) {
 	const trials = 40
 	for trial := 0; trial < trials; trial++ {

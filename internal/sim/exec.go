@@ -214,18 +214,9 @@ func (m *Machine) vecView(addr, n int, spill *[]fixed.Num) ([]fixed.Num, error) 
 	return m.vspad.NumsView(addr, n, spill)
 }
 
-// exec functionally executes inst against the architectural state and
-// returns its timing effect. It is the baseline interpreter's entry
-// point; the pre-decoded path calls execInto directly to avoid the
-// by-value effect copy.
-func (m *Machine) exec(inst core.Instruction) (effect, error) {
-	var e effect
-	err := m.execInto(inst, &e)
-	return e, err
-}
-
-// execInto is exec writing its timing effect into a caller-owned buffer
-// (*e must be zero on entry).
+// execInto functionally executes inst against the architectural state
+// and writes its timing effect into a caller-owned buffer (*e must be
+// reset on entry).
 func (m *Machine) execInto(inst core.Instruction, e *effect) error {
 	switch inst.Op {
 	case core.JUMP:

@@ -93,9 +93,14 @@ func TestGoldenCyclePins(t *testing.T) {
 }
 
 // TestNilInjectorZeroAllocs pins the hot path with the watchdog armed
-// and the injector nil: re-running on a warm machine must not allocate.
+// and the injector nil: re-loading a shared decoded program and
+// re-running on a warm machine must not allocate.
 func TestNilInjectorZeroAllocs(t *testing.T) {
 	p, err := asm.Assemble(traceTestPrograms["mlp-layer"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp, err := Predecode(p.Instructions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +115,7 @@ func TestNilInjectorZeroAllocs(t *testing.T) {
 	m.SetInjector(nil)
 	run := func() {
 		m.Reset()
-		m.LoadProgram(p.Instructions)
+		m.LoadDecoded(dp)
 		if _, err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -365,6 +370,10 @@ func BenchmarkRunNilInjector(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	dp, err := Predecode(p.Instructions)
+	if err != nil {
+		b.Fatal(err)
+	}
 	cfg := DefaultConfig()
 	cfg.MaxCycles = 1 << 20
 	m := mustNew(b, cfg)
@@ -378,7 +387,7 @@ func BenchmarkRunNilInjector(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Reset()
-		m.LoadProgram(p.Instructions)
+		m.LoadDecoded(dp)
 		if _, err := m.Run(); err != nil {
 			b.Fatal(err)
 		}

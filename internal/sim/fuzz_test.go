@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"io"
 	"reflect"
 	"testing"
 	"time"
@@ -63,13 +64,13 @@ func FuzzRunDecodedProgram(f *testing.F) {
 }
 
 // FuzzPredecodedEquivalence feeds arbitrary binary images through both
-// interpreters — the per-step decode loop and the pre-decoded fused
-// dispatch loop — and requires identical outcomes: same statistics, same
-// cycles, same registers, and the same error (or clean termination) for
-// every program the decoder accepts. The watchdog is armed, so the fuzz
+// run loops — the observing slow loop (steered there by an instruction
+// trace to io.Discard) and the tight fused loop — and requires identical
+// outcomes: same statistics, same cycles, same registers, and the same
+// error (or clean termination) for every program the decoder accepts,
+// invalid instructions included. The watchdog is armed, so the fuzz
 // covers the tight loop's in-loop watchdog (including mid-fused-pair
-// trips) against the baseline's; TestPredecoded* in differential_test.go
-// steers the observed slow loop as well.
+// trips) against the slow loop's.
 func FuzzPredecodedEquivalence(f *testing.F) {
 	f.Add(fuzzSeedImage(f, "\tSMOVE $1, #5\n"))
 	f.Add(fuzzSeedImage(f, "\tSMOVE $1, #3\nspin:\tSADD $1, $1, #-1\n\tCB #spin, $1\n"))
@@ -87,39 +88,31 @@ func FuzzPredecodedEquivalence(f *testing.F) {
 		if err != nil {
 			return
 		}
-		base, err := New(cfg)
+		slow, err := New(cfg)
 		if err != nil {
 			t.Fatalf("default config rejected: %v", err)
 		}
-		base.LoadProgram(prog)
-		wantStats, wantErr := base.Run()
+		slow.SetTrace(io.Discard)
+		slow.LoadProgram(prog)
+		wantStats, wantErr := slow.Run()
 
-		dp, perr := Predecode(prog)
-		if perr != nil {
-			// Predecode front-loads the per-run validation; anything it
-			// rejects must also fail the baseline run.
-			if wantErr == nil {
-				t.Fatalf("predecode rejected (%v) but the baseline ran clean", perr)
-			}
-			return
-		}
-		dec, err := New(cfg)
+		tight, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec.LoadDecoded(dp)
-		gotStats, gotErr := dec.Run()
+		tight.LoadProgram(prog)
+		gotStats, gotErr := tight.Run()
 		if (wantErr == nil) != (gotErr == nil) ||
 			(wantErr != nil && wantErr.Error() != gotErr.Error()) {
-			t.Fatalf("errors diverge: baseline %v, predecoded %v", wantErr, gotErr)
+			t.Fatalf("errors diverge: slow %v, tight %v", wantErr, gotErr)
 		}
 		if !reflect.DeepEqual(wantStats, gotStats) {
-			t.Fatalf("stats diverge:\nbaseline   %+v\npredecoded %+v", wantStats, gotStats)
+			t.Fatalf("stats diverge:\nslow  %+v\ntight %+v", wantStats, gotStats)
 		}
 		for r := 0; r < core.NumGPRs; r++ {
-			if base.GPR(uint8(r)) != dec.GPR(uint8(r)) {
-				t.Fatalf("$%d = %d, baseline %d", r,
-					int32(dec.GPR(uint8(r))), int32(base.GPR(uint8(r))))
+			if slow.GPR(uint8(r)) != tight.GPR(uint8(r)) {
+				t.Fatalf("$%d = %d, slow loop %d", r,
+					int32(tight.GPR(uint8(r))), int32(slow.GPR(uint8(r))))
 			}
 		}
 	})

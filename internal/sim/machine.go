@@ -26,17 +26,15 @@ type Machine struct {
 	mspad *mem.Scratchpad
 	main  *mem.Main
 	rng   uint64
-	prog  []core.Instruction
 	stats Stats
 	pipe  pipeline
 	trace io.Writer
 
-	// dec is the installed pre-decoded program (nil = baseline
-	// interpretation). LoadDecoded sets it, LoadProgram clears it, and
-	// Restore propagates whatever the snapshot carried.
+	// dec is the installed program in pre-decoded form (nil = none
+	// loaded). LoadProgram and LoadDecoded set it, and Restore propagates
+	// whatever the snapshot carried.
 	dec *DecodedProgram
-	// eff is the pre-decoded loop's reusable effect buffer (the baseline
-	// loop stack-allocates its own).
+	// eff is the run loops' reusable effect buffer.
 	eff effect
 	// fusedSrc/fusedAddr arm the fused-pair read short-circuit: while
 	// non-empty, vector-scratchpad operand views of exactly
@@ -64,7 +62,7 @@ type Machine struct {
 
 	// rec, when non-nil, records each committed instruction's operand
 	// registers and memory access regions (see AccessTrace). Like inj it
-	// routes pre-decoded runs through the general observing loop and is
+	// routes runs through the general observing loop and is
 	// behaviour-neutral.
 	rec *AccessTrace
 
@@ -90,7 +88,7 @@ type Machine struct {
 	metWatchdog *metrics.Counter
 	metCancel   *metrics.Counter
 
-	// Reusable operand buffers for the execution hot path (one exec call
+	// Reusable operand buffers for the execution hot path (one execInto call
 	// uses at most one of each). bufA/bufB/bufMat are spill targets for
 	// zero-copy scratchpad views (mem.Scratchpad.NumsView) and are only
 	// populated when the host layout forbids aliasing; bufOut and bufAcc
@@ -160,7 +158,6 @@ func (m *Machine) Reconfigure(cfg Config) error {
 			cfg.MainMemBytes, cfg.VectorSpadBytes, cfg.MatrixSpadBytes, cfg.SpadBanks, cfg.BankBytes)
 	}
 	m.cfg = cfg
-	m.prog = nil
 	m.dec = nil
 	m.lastSnap = nil
 	m.vspad.DropDirtyTracking()
@@ -170,13 +167,26 @@ func (m *Machine) Reconfigure(cfg Config) error {
 	return nil
 }
 
-// LoadProgram installs the program to run through the baseline
-// interpreter, clearing any previously installed pre-decoded form (see
-// LoadDecoded).
+// LoadProgram validates and pre-decodes prog (see Predecode) and installs
+// it; the program must not be mutated afterwards. Run accepts handcrafted
+// instruction slices, not just assembler output, and execution indexes
+// register files by operand fields, so an invalid instruction never
+// reaches a run loop: every Run of the program fails with a
+// *RuntimeError naming the first invalid instruction's pc, before
+// anything executes. Machines that share one program use LoadDecoded to
+// pay the decode once.
 func (m *Machine) LoadProgram(prog []core.Instruction) {
-	m.prog = prog
-	m.dec = nil
-	m.pc = 0
+	dp, err := Predecode(prog)
+	if err != nil {
+		dp = &DecodedProgram{insts: prog, err: err}
+		for pc := range prog {
+			if verr := prog[pc].Validate(); verr != nil {
+				dp.err = &RuntimeError{PC: pc, Inst: prog[pc], Err: verr}
+				break
+			}
+		}
+	}
+	m.LoadDecoded(dp)
 }
 
 // SetGPR initializes a register (argument passing before Run).
@@ -339,24 +349,6 @@ func (m *Machine) noteFault(kind string) {
 	}
 }
 
-// injectFetch routes one fetched instruction through the injector's
-// encoding-corruption hook: the instruction is re-encoded to its 64-bit
-// word, offered for corruption, and decoded again. An undecodable
-// corrupted word is a detected fault (the decode error). Programs reach
-// this path pre-validated, so the re-encode itself cannot fail.
-func (m *Machine) injectFetch(inst core.Instruction) (core.Instruction, error) {
-	w, err := core.Encode(inst)
-	if err != nil {
-		return inst, err
-	}
-	cw := m.inj.CorruptFetch(m.stats.Instructions, w)
-	if cw == w {
-		return inst, nil
-	}
-	m.noteFault("fetch-bit")
-	return core.Decode(cw)
-}
-
 // RuntimeError reports a fault during execution, tied to the program
 // counter and instruction that caused it.
 type RuntimeError struct {
@@ -478,129 +470,22 @@ func (m *Machine) RunUntilContext(ctx context.Context, n int64) (Stats, bool, er
 	return stats, err == nil && !m.stopped, err
 }
 
-// resume dispatches the current run segment to the interpreter the
-// installed program form selects.
+// resume dispatches the current run segment to one of the two run
+// loops: the tight fused loop when nothing observes the run, the general
+// observing loop when a tracer, instruction trace, injector or access
+// trace is attached. Both produce bit-identical statistics, cycles and
+// architectural state.
 func (m *Machine) resume(ctx context.Context) (Stats, error) {
 	m.stopped = false
-	if m.dec != nil {
-		// Pre-decoded dispatch: the program was validated by Predecode,
-		// and the decoded loops produce bit-identical statistics, cycles,
-		// traces and fault behaviour to the baseline loop below.
-		return m.runDecoded(ctx)
+	switch {
+	case m.dec == nil:
+		return m.stats, nil // no program loaded: nothing to run
+	case m.dec.err != nil:
+		return m.stats, m.dec.err
+	case m.tracer == nil && m.trace == nil && m.inj == nil && m.rec == nil:
+		return m.runDecodedTight(ctx)
 	}
-	// Pre-validate the program once: Run accepts handcrafted instruction
-	// slices (not just assembler output), and execution indexes register
-	// files and formats by field values, so malformed instructions must
-	// be rejected as errors before the hot loop runs unchecked.
-	for pc := range m.prog {
-		if err := m.prog[pc].Validate(); err != nil {
-			return m.stats, &RuntimeError{PC: pc, Inst: m.prog[pc], Err: err}
-		}
-	}
-	tracing := m.tracer != nil
-	if tracing {
-		m.tracer.BeginRun(m.runMeta())
-		defer func() { m.tracer.EndRun(m.pipe.lastCommit) }()
-	}
-	if m.inj != nil {
-		m.inj.BeginRun()
-	}
-	watchdog := m.cfg.MaxCycles > 0
-	// The watchdog reads the committing instruction's stage timestamps
-	// for its diagnostic, so it arms the reusable event buffer even when
-	// untraced; timing is unaffected (advance only records into it).
-	needEv := tracing || watchdog
-	done := ctx.Done()
-	stopAt := m.stopAt
-	for m.pc >= 0 && m.pc < len(m.prog) {
-		if stopAt >= 0 && m.stats.Instructions >= stopAt {
-			m.stopped = true
-			m.stats.Cycles = m.pipe.lastCommit
-			return m.stats, nil
-		}
-		if done != nil && m.stats.Instructions&1023 == 0 {
-			select {
-			case <-done:
-				m.stats.Cycles = m.pipe.lastCommit
-				m.metCancel.Inc()
-				return m.stats, ctx.Err()
-			default:
-			}
-		}
-		if m.stats.Instructions >= m.cfg.MaxDynamicInstructions {
-			m.stats.Cycles = m.pipe.lastCommit
-			return m.stats, &RuntimeError{PC: m.pc, Inst: m.prog[m.pc],
-				Err: fmt.Errorf("dynamic instruction limit %d exceeded", m.cfg.MaxDynamicInstructions)}
-		}
-		inst := m.prog[m.pc]
-		if m.inj != nil {
-			var err error
-			if inst, err = m.injectFetch(inst); err != nil {
-				m.stats.Cycles = m.pipe.lastCommit
-				return m.stats, &RuntimeError{PC: m.pc, Inst: m.prog[m.pc], Err: err}
-			}
-			m.inj.BeforeExec(m.stats.Instructions, m)
-		}
-		eff, err := m.exec(inst)
-		if err != nil {
-			m.stats.Cycles = m.pipe.lastCommit
-			return m.stats, &RuntimeError{PC: m.pc, Inst: inst, Err: err}
-		}
-		m.stats.Instructions++
-		m.stats.ByType[inst.Op.Type()]++
-		m.stats.ByOpcode[inst.Op]++
-		if m.rec != nil {
-			var srcBuf [6]uint8
-			dst, hasDst := inst.DestReg()
-			m.rec.record(m.stats.Instructions-1, inst.ReadRegs(srcBuf[:0]), dst, hasDst, &eff)
-		}
-		var evp *trace.InstEvent
-		if needEv {
-			m.ev = trace.InstEvent{}
-			evp = &m.ev
-		}
-		commit := m.pipe.advance(inst, &eff, evp)
-		if tracing {
-			m.ev.Index = m.stats.Instructions - 1
-			m.ev.PC = m.pc
-			m.ev.Op = inst.Op
-			m.ev.BranchTaken = eff.branchTaken
-			m.ev.IsDMA = eff.isDMA
-			m.ev.DMABytes = eff.dmaBytes
-			m.tracer.Instruction(&m.ev)
-		}
-		if m.trace != nil {
-			note := ""
-			if eff.branchTaken {
-				note = fmt.Sprintf("  ; taken -> %d", m.pc+eff.branchOffset)
-			}
-			fmt.Fprintf(m.trace, "%8d  cyc=%-8d pc=%-6d %s%s\n",
-				m.stats.Instructions-1, commit, m.pc, inst, note)
-		}
-		if watchdog && commit > m.cfg.MaxCycles {
-			m.stats.Cycles = m.pipe.lastCommit
-			m.metWatchdog.Inc()
-			return m.stats, &WatchdogError{
-				PC:    m.pc,
-				Inst:  inst,
-				Index: m.stats.Instructions - 1,
-				Cycle: commit,
-				Limit: m.cfg.MaxCycles,
-				Stage: stageAt(&m.ev, m.cfg.MaxCycles),
-			}
-		}
-		if eff.branchTaken {
-			m.stats.BranchesTaken++
-			m.pc += eff.branchOffset
-		} else {
-			m.pc++
-		}
-	}
-	m.stats.Cycles = m.pipe.lastCommit
-	if m.pc != len(m.prog) && len(m.prog) > 0 {
-		return m.stats, fmt.Errorf("sim: control flow left the program (pc=%d, len=%d)", m.pc, len(m.prog))
-	}
-	return m.stats, nil
+	return m.runDecodedSlow(ctx)
 }
 
 // regInt reads a GPR as a signed 32-bit integer.

@@ -18,12 +18,11 @@ import (
 // and may be shared by any number of machines (and goroutines)
 // concurrently.
 type Snapshot struct {
-	cfg  Config
-	gpr  [core.NumGPRs]uint32
-	pc   int
-	rng  uint64
-	prog []core.Instruction
-	dec  *DecodedProgram
+	cfg Config
+	gpr [core.NumGPRs]uint32
+	pc  int
+	rng uint64
+	dec *DecodedProgram
 
 	vspad, mspad []byte
 	main         *mem.SparseImage
@@ -108,7 +107,6 @@ func (m *Machine) capture(midRun bool) *Snapshot {
 		gpr:   m.gpr,
 		pc:    m.pc,
 		rng:   m.rng,
-		prog:  m.prog,
 		dec:   m.dec,
 		vspad: m.vspad.Image(),
 		mspad: m.mspad.Image(),
@@ -207,7 +205,6 @@ func (m *Machine) Restore(s *Snapshot) error {
 	m.gpr = s.gpr
 	m.pc = s.pc
 	m.rng = s.rng
-	m.prog = s.prog
 	m.dec = s.dec
 	if s.stats != nil {
 		// Mid-run snapshot: resume where the capture stopped — statistics

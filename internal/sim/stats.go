@@ -69,7 +69,7 @@ type Stats struct {
 	MemQueueFullStallCycles int64
 
 	// Stalls is the attributed CPI stack: every cycle of the run charged
-	// to exactly one cause (see pipeline.advance). Unlike the raw
+	// to exactly one cause (see pipeline.advanceWith). Unlike the raw
 	// per-instruction stall counters above — which sum each
 	// instruction's own waits and therefore double-count wall-clock
 	// cycles when several instructions wait out the same interval — the

@@ -7,7 +7,7 @@ import (
 
 // pipeline is a timestamp-propagation model of the Fig. 8 seven-stage
 // pipeline. Instructions pass through it in program order (the machine
-// executes functionally in order); each advance call computes when the
+// executes functionally in order); each advanceWith call computes when the
 // instruction would fetch, issue, execute and commit given the structural
 // resources of Table II, and accumulates stall statistics.
 type pipeline struct {
@@ -268,32 +268,21 @@ func (p *pipeline) stateEqual(s *pipeState) bool {
 	return true
 }
 
-// advance threads one executed instruction through the timing model and
-// returns the instruction's commit cycle.
+// advanceWith threads one executed instruction through the timing model
+// and returns the instruction's commit cycle. The caller supplies the
+// instruction's source and destination register sets (cached at decode
+// time, or derived from a fetch-corrupted instruction).
 //
-// Besides computing the timestamps, advance attributes every cycle of the
-// instruction's commit window — the interval between the previous commit
-// and this one — to exactly one stall cause (a CPI stack), accumulated in
-// Stats.Stalls. The instruction's critical path covers [fetch, commit)
-// contiguously, so clipping each path segment to the window and charging
-// the pre-fetch remainder to whatever gated the fetch accounts for the
-// whole window; commit windows telescope across the run, which is why the
-// per-cause totals sum to exactly Stats.Cycles. When ev is non-nil the
-// same timestamps and attribution are recorded for the tracer; passing
-// nil adds no work beyond the always-on statistics.
-func (p *pipeline) advance(inst core.Instruction, e *effect, ev *trace.InstEvent) int64 {
-	var srcBuf [6]uint8
-	src := inst.ReadRegs(srcBuf[:0])
-	dst, hasDst := inst.DestReg()
-	return p.advanceWith(src, dst, hasDst, e, ev)
-}
-
-// advanceWith is advance with the instruction's source and destination
-// register sets supplied by the caller. The baseline interpreter derives
-// them from the instruction on every dynamic step (the advance wrapper
-// above); the pre-decoded path passes the sets cached at decode time.
-// Both paths share this one body, so their timing is identical by
-// construction.
+// Besides computing the timestamps, advanceWith attributes every cycle of
+// the instruction's commit window — the interval between the previous
+// commit and this one — to exactly one stall cause (a CPI stack),
+// accumulated in Stats.Stalls. The instruction's critical path covers
+// [fetch, commit) contiguously, so clipping each path segment to the
+// window and charging the pre-fetch remainder to whatever gated the fetch
+// accounts for the whole window; commit windows telescope across the
+// run, which is why the per-cause totals sum to exactly Stats.Cycles.
+// When ev is non-nil the same timestamps and attribution are recorded for
+// the tracer; passing nil adds no work beyond the always-on statistics.
 func (p *pipeline) advanceWith(src []uint8, dst uint8, hasDst bool, e *effect, ev *trace.InstEvent) int64 {
 	i := p.count
 	p.count++

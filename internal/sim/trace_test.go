@@ -188,10 +188,16 @@ func TestCheckConsistencyDetectsCorruption(t *testing.T) {
 }
 
 // TestNilTracerZeroAllocs pins the untraced hot path: after warm-up,
-// re-running a program on the same machine must not allocate at all,
-// tracing plumbing included.
+// re-loading and re-running a program on the same machine must not
+// allocate at all, tracing plumbing included. The program is decoded
+// once, the way a decode cache shares it: LoadProgram pays its decode
+// (three allocations) on every call.
 func TestNilTracerZeroAllocs(t *testing.T) {
 	p, err := asm.Assemble(traceTestPrograms["mlp-layer"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp, err := Predecode(p.Instructions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +209,7 @@ func TestNilTracerZeroAllocs(t *testing.T) {
 	}
 	run := func() {
 		m.Reset()
-		m.LoadProgram(p.Instructions)
+		m.LoadDecoded(dp)
 		if _, err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -238,6 +244,10 @@ func benchmarkRun(b *testing.B, tr trace.Tracer) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	dp, err := Predecode(p.Instructions)
+	if err != nil {
+		b.Fatal(err)
+	}
 	m := mustNew(b, DefaultConfig())
 	for _, c := range p.Data {
 		if err := m.WriteMainNums(c.Addr, c.Values); err != nil {
@@ -249,7 +259,7 @@ func benchmarkRun(b *testing.B, tr trace.Tracer) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Reset()
-		m.LoadProgram(p.Instructions)
+		m.LoadDecoded(dp)
 		if _, err := m.Run(); err != nil {
 			b.Fatal(err)
 		}
