@@ -5,7 +5,9 @@
 # smoke run of the observability layer (docs/OBSERVABILITY.md), a
 # fault-campaign smoke run of the robustness layer (docs/ROBUSTNESS.md),
 # an end-to-end camserve smoke run (start the daemon, drive one /run,
-# scrape /metrics), a kill-and-restart crash-recovery smoke run over the
+# scrape /metrics; camserve's request tracing, metrics history and SLO
+# endpoints are covered by the Go tests in cmd/camserve, which `race`
+# runs), a kill-and-restart crash-recovery smoke run over the
 # durable run ledger (docs/ROBUSTNESS.md, "Serving-layer robustness"),
 # a checkpoint/resume smoke run of the mid-run snapshot layer
 # (docs/PERF.md, Level 5), and the host-benchmark regression gate
@@ -13,9 +15,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race bench bench-host bench-json repro smoke smoke-fault smoke-host smoke-serve smoke-reqtrace smoke-crash smoke-checkpoint smoke-autoscale check-host fault-json
+.PHONY: ci fmt vet build test race bench bench-host bench-json repro smoke smoke-fault smoke-host smoke-serve smoke-crash smoke-checkpoint check-host fault-json
 
-ci: fmt vet build race bench smoke smoke-fault smoke-host smoke-serve smoke-reqtrace smoke-crash smoke-checkpoint smoke-autoscale check-host
+ci: fmt vet build race bench smoke smoke-fault smoke-host smoke-serve smoke-crash smoke-checkpoint check-host
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -86,36 +88,6 @@ smoke-serve:
 	echo "smoke-serve: ok"
 	@rm -f /tmp/cambricon-smoke-camserve
 
-# Request-tracing smoke run: start camserve, send a W3C traceparent
-# through POST /run, and assert the trace is joined end to end — the
-# response continues the caller's trace id, the flight recorder serves
-# the run's debug bundle with its span timeline, and the Chrome export
-# is a loadable trace (docs/OBSERVABILITY.md, "Request tracing & the
-# flight recorder").
-smoke-reqtrace:
-	@$(GO) build -o /tmp/cambricon-smoke-reqtrace-srv ./cmd/camserve
-	@/tmp/cambricon-smoke-reqtrace-srv -addr 127.0.0.1:18932 -log-format json >/dev/null 2>&1 & \
-	pid=$$!; \
-	trap 'kill $$pid 2>/dev/null' EXIT; \
-	for i in $$(seq 1 50); do \
-		curl -fsS http://127.0.0.1:18932/readyz >/dev/null 2>&1 && break; \
-		sleep 0.2; \
-	done; \
-	tp='00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01'; \
-	curl -fsS -X POST -H "traceparent: $$tp" -d '{"benchmark":"MLP"}' \
-		http://127.0.0.1:18932/run > /tmp/cambricon-smoke-rt-run.json || { echo "smoke-reqtrace: /run failed"; exit 1; }; \
-	grep -q '"trace_id": "4bf92f3577b34da6a3ce929d0e0e4736"' /tmp/cambricon-smoke-rt-run.json || { \
-		echo "smoke-reqtrace: run did not join the caller's trace"; cat /tmp/cambricon-smoke-rt-run.json; exit 1; }; \
-	curl -fsS http://127.0.0.1:18932/runs/1 > /tmp/cambricon-smoke-rt-dbg.json || { echo "smoke-reqtrace: /runs/1 failed"; exit 1; }; \
-	grep -q '"sim.run"' /tmp/cambricon-smoke-rt-dbg.json || { echo "smoke-reqtrace: bundle missing sim.run span"; exit 1; }; \
-	grep -q '"stall_breakdown"' /tmp/cambricon-smoke-rt-dbg.json || { echo "smoke-reqtrace: bundle missing stall breakdown"; exit 1; }; \
-	curl -fsS http://127.0.0.1:18932/runs/1/trace > /tmp/cambricon-smoke-rt-trace.json || { echo "smoke-reqtrace: /runs/1/trace failed"; exit 1; }; \
-	grep -q '"traceEvents"' /tmp/cambricon-smoke-rt-trace.json || { echo "smoke-reqtrace: not a Chrome trace"; exit 1; }; \
-	curl -fsS http://127.0.0.1:18932/metrics | grep -q '^cambricon_go_goroutines ' || { echo "smoke-reqtrace: runtime metrics missing"; exit 1; }; \
-	rm -f /tmp/cambricon-smoke-rt-run.json /tmp/cambricon-smoke-rt-dbg.json /tmp/cambricon-smoke-rt-trace.json; \
-	echo "smoke-reqtrace: ok"
-	@rm -f /tmp/cambricon-smoke-reqtrace-srv
-
 # Crash-recovery smoke run: the kill-and-restart criterion against a
 # real process (docs/ROBUSTNESS.md, "Serving-layer robustness"). Start
 # camserve with a durable WAL and a chaos spec that stalls every
@@ -176,46 +148,6 @@ smoke-checkpoint:
 	@rm -f /tmp/cambricon-smoke-ckpt-sim /tmp/cambricon-smoke-ckpt.bin \
 		/tmp/cambricon-smoke-ckpt-plain.json /tmp/cambricon-smoke-ckpt-run.json /tmp/cambricon-smoke-ckpt-resumed.json
 	@echo "smoke-checkpoint: ok"
-
-# Autoscaler smoke run: the metrics-driven pool autoscaler proven
-# against a real process (docs/OBSERVABILITY.md, "Metrics history, SLOs,
-# and autoscaling"). Start camserve with the sampler and an aggressive
-# autoscale spec, drive a queued burst through a single run slot, and
-# assert the pool scaled up under the observed queue pressure, the
-# history endpoints serve, and the pool scaled back down after the idle
-# deadline. The tsdb package is also re-checked under the race detector.
-smoke-autoscale:
-	$(GO) test -race -count=1 ./internal/tsdb
-	@$(GO) build -o /tmp/cambricon-smoke-as-srv ./cmd/camserve
-	@/tmp/cambricon-smoke-as-srv -addr 127.0.0.1:18935 -max-inflight 1 -queue-depth 32 \
-		-sample-interval 100ms -autoscale 'min=0,max=4,step=2,idle=1s,window=1s' \
-		-chaos 'run-delay=300ms:1' >/dev/null 2>&1 & \
-	pid=$$!; \
-	trap 'kill $$pid 2>/dev/null' EXIT; \
-	for i in $$(seq 1 50); do \
-		curl -fsS http://127.0.0.1:18935/readyz >/dev/null 2>&1 && break; \
-		sleep 0.2; \
-	done; \
-	for i in $$(seq 1 16); do \
-		curl -fsS -X POST -d '{"benchmark":"MLP"}' http://127.0.0.1:18935/run >/dev/null 2>&1 & \
-	done; \
-	up=0; \
-	for i in $$(seq 1 50); do \
-		curl -fsS http://127.0.0.1:18935/metrics 2>/dev/null | grep -q '^cambricon_pool_scale_up_total [1-9]' && { up=1; break; }; \
-		sleep 0.2; \
-	done; \
-	[ $$up = 1 ] || { echo "smoke-autoscale: pool never scaled up under queue pressure"; exit 1; }; \
-	curl -fsS http://127.0.0.1:18935/alerts 2>/dev/null | grep -q '"alerts"' || { echo "smoke-autoscale: /alerts failed"; exit 1; }; \
-	curl -fsS 'http://127.0.0.1:18935/dash?window=1m' 2>/dev/null | grep -q '<svg' || { echo "smoke-autoscale: /dash failed"; exit 1; }; \
-	curl -fsS 'http://127.0.0.1:18935/vars?window=1m' 2>/dev/null | grep -q '"series"' || { echo "smoke-autoscale: /vars failed"; exit 1; }; \
-	down=0; \
-	for i in $$(seq 1 100); do \
-		curl -fsS http://127.0.0.1:18935/metrics 2>/dev/null | grep -q '^cambricon_pool_scale_down_total [1-9]' && { down=1; break; }; \
-		sleep 0.2; \
-	done; \
-	[ $$down = 1 ] || { echo "smoke-autoscale: pool never scaled down after quiescence"; exit 1; }; \
-	echo "smoke-autoscale: ok"
-	@rm -f /tmp/cambricon-smoke-as-srv
 
 # Host-benchmark regression gate: re-measure the warm-start layer and
 # fail if the host-portable signals (cold/warm ratios, warm-row

@@ -1,17 +1,20 @@
 package main
 
 // Admission-control tests: bounded queueing admits when a slot frees,
-// drain sheds queued waiters and refuses new work, and finalize records
-// un-drained runs as aborted.
+// drain sheds queued waiters and refuses new work, finalize records
+// un-drained runs as aborted, and the run slots bound how many machines
+// the run path builds.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
+	"sync"
 	"testing"
 	"time"
 
+	"cambricon/internal/bench"
 	"cambricon/internal/ledger"
 )
 
@@ -125,5 +128,59 @@ func TestDrainShedsAndFinalizeRecordsAborted(t *testing.T) {
 	got, ok := s.ledger.Get(id)
 	if !ok || got.Status != ledger.StatusAborted || got.Error == "" {
 		t.Fatalf("un-drained run row = %+v (found %v), want aborted with an error", got, ok)
+	}
+}
+
+// TestRunSlotsBoundPoolMachines: a run holds its machine only inside its
+// run slot, and the pool builds only when nothing is idle, so however
+// bursty the traffic the run path never builds more machines than there
+// are slots. That bound is why the pool needs no size controller. Every
+// run stalls 20ms on its machine, so a burst really overlaps (without the
+// bound, each wave would hold six machines at once) even on a host with
+// fewer cores than the burst.
+func TestRunSlotsBoundPoolMachines(t *testing.T) {
+	const slots = 2
+	_, ts := testServerCfg(t, serverConfig{
+		seed: 7, maxInflight: slots, queueDepth: 8, ledgerSize: 32,
+		chaosSpec: "run-delay=20ms",
+	})
+	for wave := 0; wave < 3; wave++ {
+		var wg sync.WaitGroup
+		codes := make([]int, 6)
+		for i := range codes {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				name := "MLP"
+				if i%2 == 1 {
+					name = "CNN"
+				}
+				body, _ := json.Marshal(runRequest{Benchmark: name})
+				resp, err := http.Post(ts.URL+"/run", "application/json", bytes.NewReader(body))
+				if err != nil {
+					return
+				}
+				resp.Body.Close()
+				codes[i] = resp.StatusCode
+			}(i)
+		}
+		wg.Wait()
+		for i, code := range codes {
+			if code != http.StatusOK {
+				t.Fatalf("wave %d request %d = %d, want 200 (the queue holds the burst)", wave, i, code)
+			}
+		}
+	}
+	misses := metricValue(t, scrape(t, ts), bench.MetricPoolMisses)
+	if misses < 1 || misses > slots {
+		t.Fatalf("%s = %v after three waves of 6, want 1..%d (one build per run slot at most)",
+			bench.MetricPoolMisses, misses, slots)
+	}
+	if resp, _ := postRun(t, ts, "CNN"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("run after the waves = %d, want 200", resp.StatusCode)
+	}
+	if got := metricValue(t, scrape(t, ts), bench.MetricPoolMisses); got != misses {
+		t.Fatalf("%s = %v after one more run, want %v (the pool already holds its machines)",
+			bench.MetricPoolMisses, got, misses)
 	}
 }

@@ -39,6 +39,7 @@
 //	camserve -chaos 'restore-fail=0.1,panic=0.05'  # service-path fault injection
 //	camserve -log-format json   # structured access logs (default text)
 //	camserve -debug-addr :6060  # opt-in net/http/pprof listener
+//	camserve -sample-interval 1s  # metrics history for /vars, /alerts and the -slo rules
 //
 // Endpoints:
 //
@@ -51,6 +52,8 @@
 //	GET  /runs/{id}        per-run debug bundle: span timeline, CPI-stack
 //	                       stall breakdown, restore bytes, trace id
 //	GET  /runs/{id}/trace  the span timeline as Chrome Trace Event JSON
+//	GET  /vars             sampled metrics history as JSON (-sample-interval)
+//	GET  /alerts           SLO burn-rate rule states (-sample-interval)
 package main
 
 import (
@@ -111,9 +114,8 @@ func main() {
 	chaosSpec := flag.String("chaos", "", "service-path chaos spec, e.g. 'seed=7,restore-fail=0.1,panic=0.05,wal-tear=3' (docs/ROBUSTNESS.md)")
 	logFormat := flag.String("log-format", "text", "access-log encoding: text or json")
 	debugAddr := flag.String("debug-addr", "", "optional listen address for net/http/pprof (e.g. 127.0.0.1:6060); empty disables")
-	sampleInterval := flag.Duration("sample-interval", 0, "metrics-history sampling cadence for /vars, /alerts, /dash and -autoscale (0 disables)")
+	sampleInterval := flag.Duration("sample-interval", 0, "metrics-history sampling cadence for /vars, /alerts and the -slo rules (0 disables)")
 	sloSpec := flag.String("slo", "", "SLO burn-rate rules, e.g. 'wait=latency:cambricon_serve_queue_wait_seconds:0.0256:0.01'; empty installs the defaults when sampling, 'none' disables (docs/OBSERVABILITY.md)")
-	autoscaleSpec := flag.String("autoscale", "", "pool autoscaler spec, e.g. 'min=0,max=4,step=2,idle=30s,window=10s'; empty disables (requires -sample-interval)")
 	version := flag.Bool("version", false, "print the simulator version and exit")
 	flag.Parse()
 
@@ -143,7 +145,6 @@ func main() {
 		chaosSpec:       *chaosSpec,
 		sampleInterval:  *sampleInterval,
 		sloSpec:         *sloSpec,
-		autoscaleSpec:   *autoscaleSpec,
 	}, logger)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "camserve: %v\n", err)
@@ -232,13 +233,12 @@ type serverConfig struct {
 	chaosSpec       string
 
 	// sampleInterval > 0 turns on the metrics-history sampler (and with
-	// it /vars, /alerts, /dash); sloSpec and autoscaleSpec configure the
-	// burn-rate rules and the pool autoscaler on top of it (observe.go).
+	// it /vars, /alerts); sloSpec configures the burn-rate rules on top
+	// of it (observe.go).
 	sampleInterval time.Duration
 	sloSpec        string
-	autoscaleSpec  string
-	// clock overrides time.Now for the sampler, SLO windows and
-	// autoscaler; tests inject a manual clock and drive observeTick.
+	// clock overrides time.Now for the sampler and the SLO windows;
+	// tests inject a manual clock and drive observeTick.
 	clock func() time.Time
 }
 
@@ -279,11 +279,10 @@ type server struct {
 	retry   *rand.Rand
 
 	// Observability loop (observe.go): the metrics-history sampler, the
-	// SLO rules evaluated over it, the pool autoscaler, and the clock
-	// they all share. All nil/zero when -sample-interval is unset.
+	// SLO rules evaluated over it, and the clock they share. All nil/zero
+	// when -sample-interval is unset.
 	tsdb         *tsdb.Store
 	sloRules     []tsdb.Rule
-	scaler       *autoscaler
 	clock        func() time.Time
 	inflightRuns *metrics.Gauge
 }
@@ -400,20 +399,19 @@ func (s *server) handler() http.Handler {
 	mux.HandleFunc("POST /run", s.handleRun)
 	mux.HandleFunc("GET /vars", s.handleVars)
 	mux.HandleFunc("GET /alerts", s.handleAlerts)
-	mux.HandleFunc("GET /dash", s.handleDash)
 	mux.HandleFunc("GET /runs", s.handleRuns)
 	mux.HandleFunc("GET /runs/{id}", s.handleRunByID)
 	mux.HandleFunc("GET /runs/{id}/trace", s.handleRunTrace)
-	return s.logRequests(s.recoverPanics(mux))
+	return s.logRequests(mux, s.recoverPanics(mux))
 }
 
 // logRequests is the tracing + slog access-log middleware: it joins (or
 // mints) the request's W3C trace via the traceparent header, attaches a
 // recorder to the context for the handlers to span, echoes the outgoing
-// traceparent on the response, feeds the per-path request counter, and
-// logs every request with its trace id so log lines join against
-// GET /runs/{id}.
-func (s *server) logRequests(next http.Handler) http.Handler {
+// traceparent on the response, feeds the per-route request counter, and
+// logs every request (with its raw path) and its trace id so log lines
+// join against GET /runs/{id}.
+func (s *server) logRequests(mux *http.ServeMux, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		tp, _ := reqtrace.ParseTraceparent(r.Header.Get("traceparent"))
@@ -423,14 +421,30 @@ func (s *server) logRequests(next http.Handler) http.Handler {
 		w.Header().Set("traceparent", rec.Traceparent())
 		srec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		next.ServeHTTP(srec, r.WithContext(reqtrace.With(r.Context(), rec)))
-		path := r.URL.Path
-		s.reg.Counter(metricRequests, "HTTP requests served, by path and status",
-			metrics.L("path", path), metrics.L("code", fmt.Sprint(srec.status))).Inc()
+		s.reg.Counter(metricRequests, "HTTP requests served, by route and status",
+			metrics.L("path", routeLabel(mux, r)), metrics.L("code", fmt.Sprint(srec.status))).Inc()
 		s.logger.Info("request",
-			"method", r.Method, "path", path, "status", srec.status,
+			"method", r.Method, "path", r.URL.Path, "status", srec.status,
 			"dur", time.Since(start).Round(time.Microsecond),
 			"trace_id", rec.TraceID())
 	})
+}
+
+// unmatchedRoute is the request counter's path label for every request
+// no route serves.
+const unmatchedRoute = "unmatched"
+
+// routeLabel is the path of the route r matched ("/runs/{id}", never
+// "/runs/17"), so the request counter holds one series per route however
+// many distinct paths clients send; paths no route serves share
+// unmatchedRoute. (ServeMux.Handler rather than Request.Pattern, which
+// needs Go 1.23.)
+func routeLabel(mux *http.ServeMux, r *http.Request) string {
+	_, pattern := mux.Handler(r)
+	if _, path, ok := strings.Cut(pattern, " "); ok {
+		return path
+	}
+	return unmatchedRoute
 }
 
 // recoverPanics is the handler-level isolation boundary: a panicking

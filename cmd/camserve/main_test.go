@@ -330,3 +330,65 @@ func TestRunsLedgerRingNewestFirst(t *testing.T) {
 		}
 	}
 }
+
+// TestRequestCounterLabelsByRoute: the request counter is labelled with
+// the matched route, not the raw path, so 400 requests to 400 distinct
+// paths add one series per (route, code) pair — plus one per code for
+// paths no route serves — while the access log keeps the raw path.
+func TestRequestCounterLabelsByRoute(t *testing.T) {
+	var logs bytes.Buffer
+	s, err := newServer(serverConfig{seed: 7, maxInflight: 1, ledgerSize: 4},
+		slog.New(slog.NewJSONHandler(&logs, nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.warmup()
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+
+	paths := []string{"/healthz"}
+	for i := 1; i <= 200; i++ {
+		paths = append(paths, "/runs/"+strconv.Itoa(i), "/scan-"+strconv.Itoa(i))
+	}
+	for i := 1; i <= 3; i++ {
+		paths = append(paths, "/runs/"+strconv.Itoa(i)+"/trace")
+	}
+	for _, path := range paths {
+		want := http.StatusNotFound
+		if path == "/healthz" {
+			want = http.StatusOK
+		}
+		if code, _ := get(t, ts, path); code != want {
+			t.Fatalf("GET %s = %d, want %d", path, code, want)
+		}
+	}
+
+	page := scrape(t, ts)
+	want := map[string]float64{
+		`{code="200",path="/healthz"}`:         1,
+		`{code="404",path="/runs/{id}"}`:       200,
+		`{code="404",path="unmatched"}`:        200,
+		`{code="404",path="/runs/{id}/trace"}`: 3,
+	}
+	var series []string
+	for _, line := range strings.Split(page, "\n") {
+		if strings.HasPrefix(line, metricRequests+"{") {
+			series = append(series, line)
+		}
+	}
+	if len(series) != len(want) {
+		t.Fatalf("%s has %d series, want %d:\n%s", metricRequests, len(series), len(want), strings.Join(series, "\n"))
+	}
+	for labels, n := range want {
+		if got := labeledMetricValue(t, page, metricRequests+labels); got != n {
+			t.Fatalf("%s%s = %v, want %v", metricRequests, labels, got, n)
+		}
+	}
+
+	ts.Close() // wait for every handler's access-log write
+	for _, raw := range []string{"/runs/17", "/scan-17"} {
+		if !strings.Contains(logs.String(), `"path":"`+raw+`"`) {
+			t.Fatalf("access log lacks the raw path %s", raw)
+		}
+	}
+}

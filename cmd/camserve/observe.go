@@ -1,15 +1,13 @@
 package main
 
-// The observability loop (docs/OBSERVABILITY.md, "Metrics history, SLOs,
-// and autoscaling"): with -sample-interval set, camserve samples its own
-// metrics registry into an in-process tsdb ring on every tick, evaluates
-// the -slo burn-rate rules against that history, and (with -autoscale)
-// drives the machine pool's prewarm/shrink levers from the observed
-// queue pressure. The history feeds three endpoints — GET /vars (JSON),
-// GET /alerts (rule states), GET /dash (server-rendered HTML with SVG
-// sparklines) — and two closed loops: /readyz degrades to 503 while any
-// fast-burn rule fires, and shed Retry-After hints stretch to the recent
-// queue-wait p90 instead of blind jitter.
+// The observability loop (docs/OBSERVABILITY.md, "Metrics history and
+// SLOs"): with -sample-interval set, camserve samples its own metrics
+// registry into an in-process tsdb ring on every tick and evaluates the
+// -slo burn-rate rules against that history. The history feeds two
+// endpoints — GET /vars (JSON) and GET /alerts (rule states) — and two
+// closed loops: /readyz degrades to 503 while any fast-burn rule fires,
+// and shed Retry-After hints stretch to the recent queue-wait p90
+// instead of blind jitter.
 
 import (
 	"context"
@@ -35,14 +33,14 @@ const retryHintWindow = 2 * time.Minute
 // stays at 1..4 seconds.
 const retryAfterMax = 30
 
-// defaultVarsWindow bounds /vars, /alerts and /dash queries when the
-// request names no ?window.
+// defaultVarsWindow bounds /vars queries when the request names no
+// ?window.
 const defaultVarsWindow = 10 * time.Minute
 
 // observe is the sampling loop: one registry sample (plus a runtime
-// collection, so Go memory gauges have history too) and one autoscaler
-// tick per -sample-interval, until ctx ends. Run as a goroutine; tests
-// call observeTick directly under an injected clock instead.
+// collection, so Go memory gauges have history too) per -sample-interval,
+// until ctx ends. Run as a goroutine; tests call observeTick directly
+// under an injected clock instead.
 func (s *server) observe(ctx context.Context) {
 	t := time.NewTicker(s.cfg.sampleInterval)
 	defer t.Stop()
@@ -56,13 +54,10 @@ func (s *server) observe(ctx context.Context) {
 	}
 }
 
-// observeTick performs one sampling pass and one autoscaler step.
+// observeTick performs one sampling pass.
 func (s *server) observeTick() {
 	s.runtime.Collect()
 	s.tsdb.Sample()
-	if s.scaler != nil {
-		s.scaler.tick(s.clock())
-	}
 }
 
 // alerts evaluates the installed SLO rules against the sampled history
@@ -141,26 +136,9 @@ func (s *server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 	}{Alerts: alerts, FastBurning: tsdb.FastBurning(alerts)})
 }
 
-// handleDash serves the server-rendered HTML dashboard.
-func (s *server) handleDash(w http.ResponseWriter, r *http.Request) {
-	if s.tsdb == nil {
-		writeJSONError(w, http.StatusNotFound, "dashboard disabled (start camserve with -sample-interval)")
-		return
-	}
-	window, err := s.queryWindow(r)
-	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	if err := s.tsdb.WriteDash(w, window, s.alerts()); err != nil {
-		s.logger.Error("dash write", "err", err)
-	}
-}
-
-// setupObservability wires the tsdb sampler, SLO rules and autoscaler
-// from the server config; a zero sample interval disables all three
-// (and rejects -slo/-autoscale, which would silently do nothing).
+// setupObservability wires the tsdb sampler and SLO rules from the
+// server config; a zero sample interval disables both (and rejects -slo,
+// which would silently do nothing).
 func (s *server) setupObservability(reg *metrics.Registry) error {
 	cfg := s.cfg
 	if s.clock == nil {
@@ -169,9 +147,6 @@ func (s *server) setupObservability(reg *metrics.Registry) error {
 	if cfg.sampleInterval <= 0 {
 		if cfg.sloSpec != "" && cfg.sloSpec != "none" {
 			return fmt.Errorf("-slo requires -sample-interval")
-		}
-		if cfg.autoscaleSpec != "" {
-			return fmt.Errorf("-autoscale requires -sample-interval")
 		}
 		return nil
 	}
@@ -188,13 +163,6 @@ func (s *server) setupObservability(reg *metrics.Registry) error {
 			return err
 		}
 		s.sloRules = rules
-	}
-	if cfg.autoscaleSpec != "" {
-		asCfg, err := parseAutoscale(cfg.autoscaleSpec)
-		if err != nil {
-			return err
-		}
-		s.scaler = newAutoscaler(asCfg, s.suite, s.tsdb, reg, s.clock())
 	}
 	return nil
 }

@@ -1,8 +1,8 @@
 package main
 
-// Tests for the observability loop (observe.go, autoscale.go): the
-// sampled-history endpoints, the SLO-driven readiness degrade, the
-// pressure-aware Retry-After, and the metrics-driven pool autoscaler.
+// Tests for the observability loop (observe.go): the sampled-history
+// endpoints, the SLO-driven readiness degrade, and the pressure-aware
+// Retry-After.
 // Everything runs under an injected clock with observeTick driven
 // directly — no wall-clock sleeps, no background sampler goroutine.
 
@@ -90,7 +90,7 @@ func get(t *testing.T, ts *httptest.Server, path string) (int, string) {
 // empty data.
 func TestObservabilityEndpointsDisabled(t *testing.T) {
 	_, ts := testServer(t, 1, 8)
-	for _, path := range []string{"/vars", "/alerts", "/dash"} {
+	for _, path := range []string{"/vars", "/alerts"} {
 		code, body := get(t, ts, path)
 		if code != http.StatusNotFound {
 			t.Fatalf("GET %s = %d without sampler, want 404", path, code)
@@ -237,119 +237,9 @@ func TestShedRetryAfterTracksQueueWait(t *testing.T) {
 	}
 }
 
-// TestAutoscalerScalesUpAndDown drives the acceptance criterion end to
-// end under the injected clock: queue pressure grows the pool (idle
-// machines appear before any request needs them, scale-up counter
-// moves), quiescence shrinks it back to the floor and releases the
-// prepared snapshots, and the service still serves afterwards.
-func TestAutoscalerScalesUpAndDown(t *testing.T) {
-	s, ts, clock := observeServer(t, func(cfg *serverConfig) {
-		cfg.autoscaleSpec = "min=0,max=4,step=2,idle=3s,window=2s"
-	})
-	h := queueWait(s)
-	h.Observe(0.0001) // series must exist before the baseline pass
-	s.observeTick()   // baseline
-
-	// One real run so prepared snapshots exist for the drop to release.
-	if resp, _ := postRun(t, ts, "MLP"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("priming run = %d, want 200", resp.StatusCode)
-	}
-
-	// Pressure phase: queued requests observed in two consecutive ticks.
-	for tick := 0; tick < 2; tick++ {
-		h.Observe(0.05)
-		clock.advance(time.Second)
-		s.observeTick()
-	}
-	if idle := s.suite.PoolIdle(); idle < 2 {
-		t.Fatalf("pool idle = %d after sustained pressure, want prewarmed machines (target max=4)", idle)
-	}
-	page := scrape(t, ts)
-	if got := metricValue(t, page, metricPoolScaleUp); got < 1 {
-		t.Fatalf("%s = %v after pressure, want >= 1", metricPoolScaleUp, got)
-	}
-	if got := metricValue(t, page, metricPoolTarget); got < 2 {
-		t.Fatalf("%s = %v after pressure, want >= 2", metricPoolTarget, got)
-	}
-
-	// Quiescence: no new observations; tick past the window and the idle
-	// deadline until the pool is back at the floor.
-	for tick := 0; tick < 10; tick++ {
-		clock.advance(time.Second)
-		s.observeTick()
-	}
-	if idle := s.suite.PoolIdle(); idle != 0 {
-		t.Fatalf("pool idle = %d after quiescence, want 0 (min=0)", idle)
-	}
-	page = scrape(t, ts)
-	if got := metricValue(t, page, metricPoolScaleDown); got < 1 {
-		t.Fatalf("%s = %v after quiescence, want >= 1", metricPoolScaleDown, got)
-	}
-	if got := metricValue(t, page, metricPoolTarget); got != 0 {
-		t.Fatalf("%s = %v after quiescence, want 0", metricPoolTarget, got)
-	}
-	if got := metricValue(t, page, "cambricon_snapshot_prepared"); got != 0 {
-		t.Fatalf("prepared snapshots = %v after quiesced drop, want 0", got)
-	}
-
-	// The scaled-to-zero service still serves: the next run rebuilds its
-	// snapshot and machine on demand.
-	if resp, rec := postRun(t, ts, "MLP"); resp.StatusCode != http.StatusOK || rec.Cycles <= 0 {
-		t.Fatalf("post-shrink run = %d cycles=%d, want 200 with cycles", resp.StatusCode, rec.Cycles)
-	}
-}
-
-// TestDashEndpoint: the dashboard renders HTML with sparklines for the
-// sampled families and is byte-deterministic under the frozen clock.
-func TestDashEndpoint(t *testing.T) {
-	s, ts, clock := observeServer(t, nil)
-	s.observeTick()
-	queueWait(s).Observe(0.01)
-	clock.advance(time.Second)
-	s.observeTick()
-
-	code, body := get(t, ts, "/dash")
-	if code != http.StatusOK {
-		t.Fatalf("GET /dash = %d", code)
-	}
-	for _, want := range []string{"<svg", "cambricon_serve_queue_wait_seconds", "queue-wait-fast"} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("GET /dash missing %q:\n%.2000s", want, body)
-		}
-	}
-	_, again := get(t, ts, "/dash")
-	if body != again {
-		t.Fatal("two /dash renders under a frozen clock differ — rendering is not deterministic")
-	}
-}
-
-// TestParseAutoscaleErrors pins the -autoscale grammar diagnostics.
-func TestParseAutoscaleErrors(t *testing.T) {
-	good, err := parseAutoscale("min=1,max=8,step=2,idle=30s,window=5s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if good.min != 1 || good.max != 8 || good.step != 2 || good.idle != 30*time.Second || good.window != 5*time.Second {
-		t.Fatalf("parsed spec %+v does not match input", good)
-	}
-	for _, spec := range []string{
-		"min",         // no '='
-		"min=-1",      // negative count
-		"min=x",       // not a number
-		"idle=0s",     // non-positive duration
-		"window=fast", // unparsable duration
-		"burst=3",     // unknown key
-		"min=4,max=2", // inverted bounds
-	} {
-		if _, err := parseAutoscale(spec); err == nil {
-			t.Fatalf("parseAutoscale(%q) accepted a bad spec", spec)
-		}
-	}
-}
-
-// TestObservabilityFlagValidation: -slo and -autoscale without
-// -sample-interval are configuration errors, not silent no-ops, and a
-// bad -slo spec is rejected at startup.
+// TestObservabilityFlagValidation: -slo without -sample-interval is a
+// configuration error, not a silent no-op, and a bad -slo spec is
+// rejected at startup.
 func TestObservabilityFlagValidation(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
 	base := serverConfig{seed: 7, maxInflight: 1, ledgerSize: 4}
@@ -360,20 +250,9 @@ func TestObservabilityFlagValidation(t *testing.T) {
 		t.Fatal("-slo without -sample-interval was accepted")
 	}
 	cfg = base
-	cfg.autoscaleSpec = "max=2"
-	if _, err := newServer(cfg, logger); err == nil {
-		t.Fatal("-autoscale without -sample-interval was accepted")
-	}
-	cfg = base
 	cfg.sampleInterval = time.Second
 	cfg.sloSpec = "not-a-rule"
 	if _, err := newServer(cfg, logger); err == nil {
 		t.Fatal("malformed -slo spec was accepted")
-	}
-	cfg = base
-	cfg.sampleInterval = time.Second
-	cfg.autoscaleSpec = "min=4,max=2"
-	if _, err := newServer(cfg, logger); err == nil {
-		t.Fatal("inverted -autoscale bounds were accepted")
 	}
 }

@@ -210,17 +210,6 @@ func (sm *suiteMetrics) snapshotPrepared(snap *sim.Snapshot) {
 	sm.snapDense.Add(int64(snap.DenseBytes()))
 }
 
-// snapshotDropped reverses snapshotPrepared's accounting when
-// DropPreparedSnapshots releases a snapshot back to the collector.
-func (sm *suiteMetrics) snapshotDropped(snap *sim.Snapshot) {
-	if sm == nil || snap == nil {
-		return
-	}
-	sm.snapPrepared.Add(-1)
-	sm.snapResident.Add(-int64(snap.Bytes()))
-	sm.snapDense.Add(-int64(snap.DenseBytes()))
-}
-
 // simMetrics returns the machine-level counter bundle (nil when
 // unmetered, which Machine.SetMetrics treats as detach).
 func (sm *suiteMetrics) simMetrics() *sim.Metrics {

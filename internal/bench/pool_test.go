@@ -7,7 +7,6 @@ package bench
 // from a freshly built one.
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
@@ -75,9 +74,7 @@ func freshKernelStats(t *testing.T, cfg sim.Config) sim.Stats {
 // machine's statistics are bit-identical to a fresh build's.
 func TestPoolCrossConfigMemSharing(t *testing.T) {
 	// Idle machines live on explicit bounded free lists, so reuse and
-	// steal counts are deterministic — no GC pinning, no race-mode skip
-	// (both were needed when retention went through a sync.Pool, which
-	// drops Puts randomly under the race detector).
+	// steal counts are deterministic, with or without the race detector.
 	reg := metrics.New()
 	s := NewSuite(11)
 	s.Metrics = reg
@@ -143,118 +140,35 @@ func TestPoolFreeListBound(t *testing.T) {
 	}
 	p.release(m1)
 	p.release(m2)
-	if got := p.idle(); got != 2 {
+	if got := len(e.free); got != 2 {
 		t.Fatalf("idle after two releases = %d, want 2", got)
 	}
 	if m, reused, _, _ := p.acquire(cfg); !reused || m != m2 {
 		t.Fatalf("LIFO reuse: got %p reused=%v, want most recently released %p", m, reused, m2)
 	}
 
-	// Fill the free list to capacity, then overflow by one: the overflow
-	// release is dropped and counted.
-	if _, err := p.prewarm(cfg, defaultPoolMaxIdle); err != nil {
-		t.Fatal(err)
+	// Fill the free list to capacity by releasing fresh machines, then
+	// overflow by one: the overflow release is dropped and counted.
+	for len(e.free) < defaultPoolMaxIdle {
+		m, err := sim.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.release(m)
 	}
-	if got := p.idle(); got != defaultPoolMaxIdle {
-		t.Fatalf("idle after prewarm = %d, want %d", got, defaultPoolMaxIdle)
+	if got := p.drops.Load(); got != 0 {
+		t.Fatalf("drops while filling = %d, want 0", got)
 	}
 	overflow, err := sim.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.release(overflow)
-	if got := p.idle(); got != defaultPoolMaxIdle {
+	if got := len(e.free); got != defaultPoolMaxIdle {
 		t.Fatalf("idle after overflow release = %d, want %d (bounded)", got, defaultPoolMaxIdle)
 	}
 	if got := p.drops.Load(); got != 1 {
 		t.Fatalf("drops = %d, want 1", got)
-	}
-}
-
-// TestPoolPrewarmShrink pins the autoscaler's levers through the Suite
-// API: prewarm builds machines ahead of demand, shrink releases them,
-// and a post-shrink run still produces bit-identical statistics.
-func TestPoolPrewarmShrink(t *testing.T) {
-	s := NewSuite(11)
-	built, err := s.PoolPrewarm(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if built != 3 || s.PoolIdle() != 3 {
-		t.Fatalf("PoolPrewarm built %d, idle %d, want 3 and 3", built, s.PoolIdle())
-	}
-	// Prewarming to a target already met builds nothing.
-	if built, _ := s.PoolPrewarm(2); built != 0 {
-		t.Fatalf("redundant prewarm built %d, want 0", built)
-	}
-
-	// A warm run must now reuse a prewarmed machine, not build.
-	want := freshKernelStats(t, s.serveConfig())
-	st := runPoolKernel(t, s, s.serveConfig())
-	if !reflect.DeepEqual(st, want) {
-		t.Fatalf("prewarmed-machine stats diverge:\n got  %+v\n want %+v", st, want)
-	}
-	builds, reuses := s.PoolStats()
-	if builds != 3 || reuses != 1 {
-		t.Fatalf("builds=%d reuses=%d after prewarmed run, want 3 and 1", builds, reuses)
-	}
-
-	if dropped := s.PoolShrink(1); dropped != 2 {
-		t.Fatalf("PoolShrink(1) dropped %d, want 2", dropped)
-	}
-	if s.PoolIdle() != 1 {
-		t.Fatalf("idle after shrink = %d, want 1", s.PoolIdle())
-	}
-	if dropped := s.PoolShrink(0); dropped != 1 {
-		t.Fatalf("PoolShrink(0) dropped %d, want 1", dropped)
-	}
-
-	// The pool floor is not a cliff: the next run rebuilds and matches.
-	st2 := runPoolKernel(t, s, s.serveConfig())
-	if !reflect.DeepEqual(st2, want) {
-		t.Fatalf("post-shrink stats diverge:\n got  %+v\n want %+v", st2, want)
-	}
-}
-
-// TestDropPreparedSnapshots pins snapshot release accounting: dropping
-// hands back the gauge-tracked bytes and the next run rebuilds the
-// snapshot with identical results.
-func TestDropPreparedSnapshots(t *testing.T) {
-	reg := metrics.New()
-	s := NewSuite(11)
-	s.Metrics = reg
-
-	st, err := s.Stats("MLP")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Gauge(MetricSnapPrepared, "").Value(); got != 1 {
-		t.Fatalf("%s = %d, want 1 after a run", MetricSnapPrepared, got)
-	}
-	if dropped := s.DropPreparedSnapshots(); dropped != 1 {
-		t.Fatalf("DropPreparedSnapshots = %d, want 1", dropped)
-	}
-	if got := reg.Gauge(MetricSnapPrepared, "").Value(); got != 0 {
-		t.Fatalf("%s = %d, want 0 after drop", MetricSnapPrepared, got)
-	}
-	if got := reg.Gauge(MetricSnapResident, "").Value(); got != 0 {
-		t.Fatalf("%s = %d, want 0 after drop", MetricSnapResident, got)
-	}
-	if dropped := s.DropPreparedSnapshots(); dropped != 0 {
-		t.Fatalf("second DropPreparedSnapshots = %d, want 0", dropped)
-	}
-
-	// RunOnce (the service path, no singleflight cache) rebuilds the
-	// snapshot and produces the same simulated statistics.
-	st2, err := s.RunOnce(context.Background(), "MLP")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(st2, st) {
-		t.Fatalf("post-drop rerun diverges:\n got  %+v\n want %+v", st2, st)
-	}
-	if got := reg.Gauge(MetricSnapPrepared, "").Value(); got != 1 {
-		t.Fatalf("%s = %d, want 1 after rebuild", MetricSnapPrepared, got)
 	}
 }
 

@@ -36,11 +36,13 @@ const defaultPoolMaxIdle = 64
 //
 // Retention is an explicit bounded free list per entry (LIFO, capacity
 // defaultPoolMaxIdle, preallocated so acquire and release never
-// allocate) rather than a sync.Pool: machines survive until shrink —
-// not until the next GC cycle — which makes reuse deterministic
-// (testable under -race without GC pinning) and gives the autoscaler
-// real Grow/Shrink levers (prewarm, shrink, idle). The zero value is
-// ready.
+// allocate) rather than a sync.Pool, which sheds idle entries at GC: a
+// released machine stays until it is reused, so reuse is deterministic
+// (testable under -race without GC pinning). The pool never builds
+// ahead of demand: acquire builds only when no machine of cfg's memory
+// geometry is idle. It therefore holds at most as many machines per
+// geometry as it ever had concurrent holders — under camserve, the
+// admission run slots. The zero value is ready.
 type machinePool struct {
 	mu        sync.Mutex
 	entries   map[sim.Config]*poolEntry
@@ -172,76 +174,6 @@ func (p *machinePool) acquire(cfg sim.Config) (m *sim.Machine, reused, shared bo
 	return m, false, false, nil
 }
 
-// idle reports the total number of machines sitting on free lists.
-func (p *machinePool) idle() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, e := range p.entries {
-		n += len(e.free)
-	}
-	return n
-}
-
-// prewarm builds machines for cfg until its entry holds target idle
-// ones (bounded by the free-list capacity), returning how many it
-// built. The machines are bare, exactly as acquire would hand them out.
-func (p *machinePool) prewarm(cfg sim.Config, target int) (built int, err error) {
-	key := poolKey(cfg)
-	e, err := p.entry(key)
-	if err != nil {
-		return 0, err
-	}
-	for {
-		p.mu.Lock()
-		need := target - len(e.free)
-		if need > cap(e.free)-len(e.free) {
-			need = cap(e.free) - len(e.free)
-		}
-		p.mu.Unlock()
-		if need <= 0 {
-			return built, nil
-		}
-		m, err := sim.New(key)
-		if err != nil {
-			return built, err
-		}
-		p.builds.Add(1)
-		p.mu.Lock()
-		if len(e.free) < cap(e.free) {
-			e.free = append(e.free, m)
-		}
-		p.mu.Unlock()
-		built++
-	}
-}
-
-// shrink drops idle machines until at most keep remain pool-wide,
-// releasing the excess to the garbage collector (largest free lists
-// first), and returns how many it dropped. In-use machines are
-// untouched — they rejoin or overflow the bound on release as usual.
-func (p *machinePool) shrink(keep int) (dropped int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for {
-		total := 0
-		var victim *poolEntry
-		for _, e := range p.entries {
-			total += len(e.free)
-			if victim == nil || len(e.free) > len(victim.free) {
-				victim = e
-			}
-		}
-		if total <= keep || victim == nil || len(victim.free) == 0 {
-			return dropped
-		}
-		victim.free[len(victim.free)-1] = nil
-		victim.free = victim.free[:len(victim.free)-1]
-		dropped++
-		p.drops.Add(1)
-	}
-}
-
 // acquirePristine is acquire plus a restore to the configuration's
 // post-construction zero state: registers, PRNG and all memory exactly as
 // sim.New left them.
@@ -283,12 +215,9 @@ func (p *machinePool) release(m *sim.Machine) {
 }
 
 // preparedEntry is the singleflight cell for one benchmark's post-Init
-// snapshot. done flips (atomically, after snap/err are written) when the
-// build finishes, so DropPreparedSnapshots can tell a completed entry
-// from one an in-flight builder still owns.
+// snapshot.
 type preparedEntry struct {
 	once sync.Once
-	done atomic.Bool
 	snap *sim.Snapshot
 	err  error
 }
@@ -367,7 +296,6 @@ func (s *Suite) preparedSnapshot(ctx context.Context, prog *codegen.Program, cfg
 	}
 	s.prepMu.Unlock()
 	pe.once.Do(func() {
-		defer pe.done.Store(true)
 		rec := reqtrace.From(ctx)
 		sp := rec.Start(reqtrace.Root, "snapshot.prepare")
 		defer rec.End(sp)
@@ -541,62 +469,11 @@ func (s *Suite) PoolMemShared() int64 {
 	return s.pool.memShared.Load()
 }
 
-// serveConfig is the configuration run-path machines use: the suite's
-// architectural config with the run seed derived from the suite seed
-// (the same derivation runBenchmark performs), so prewarm targets the
-// exact pool entry the serving path draws from.
+// serveConfig is the configuration run-path machines use (runBenchmark
+// and Profile): the suite's architectural config with the run seed
+// derived from the suite seed.
 func (s *Suite) serveConfig() sim.Config {
 	cfg := s.Config
 	cfg.Seed = s.Seed ^ 0xcafe
 	return cfg
-}
-
-// PoolIdle reports how many machines sit idle on the pool's free lists.
-func (s *Suite) PoolIdle() int {
-	return s.pool.idle()
-}
-
-// PoolDrops reports how many released machines overflowed the bounded
-// free list (or were dropped by shrink) and went to the collector.
-func (s *Suite) PoolDrops() int64 {
-	return s.pool.drops.Load()
-}
-
-// PoolPrewarm grows the run-path pool entry to n idle machines, building
-// the shortfall up front so admitted requests find a machine waiting
-// instead of paying a 16 MiB construction on the request path. Returns
-// how many machines were built.
-func (s *Suite) PoolPrewarm(n int) (int, error) {
-	return s.pool.prewarm(s.serveConfig(), n)
-}
-
-// PoolShrink drops idle pooled machines until at most keep remain,
-// returning how many were released to the collector. In-flight machines
-// are untouched.
-func (s *Suite) PoolShrink(keep int) int {
-	return s.pool.shrink(keep)
-}
-
-// DropPreparedSnapshots releases every completed per-benchmark prepared
-// snapshot (and cached build error), returning how many snapshots were
-// dropped. The next run of each benchmark pays one snapshot.prepare
-// again — the trade a quiesced service makes to hand resident image
-// memory back. Entries whose singleflight build is still in flight are
-// left alone.
-func (s *Suite) DropPreparedSnapshots() int {
-	s.prepMu.Lock()
-	defer s.prepMu.Unlock()
-	sm := s.sm()
-	dropped := 0
-	for name, pe := range s.prepared {
-		if !pe.done.Load() {
-			continue
-		}
-		delete(s.prepared, name)
-		if pe.snap != nil {
-			sm.snapshotDropped(pe.snap)
-			dropped++
-		}
-	}
-	return dropped
 }

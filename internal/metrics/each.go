@@ -1,10 +1,9 @@
 package metrics
 
 // Registry.Each is the snapshot/visitor API over the registry's current
-// state: the tsdb sampler (internal/tsdb) and the /dash renderer read
-// the same sorted family/series walk the Prometheus encoder serializes,
-// so a scrape, a sample pass and a dashboard row all agree on series
-// identity and order.
+// state: the tsdb sampler (internal/tsdb) reads the same sorted
+// family/series walk the Prometheus encoder serializes, so a scrape and
+// a sample pass agree on series identity and order.
 
 // Sample is the point-in-time state of one series as delivered to Each.
 // The struct and its slices are reused across visits — a visitor that

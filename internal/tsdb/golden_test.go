@@ -5,7 +5,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -14,9 +13,9 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// goldenStore builds the fixed scenario both golden files render: a
-// counter, a labelled gauge pair and a histogram sampled through four
-// passes of an injected clock.
+// goldenStore builds the fixed scenario the golden file renders — a
+// counter, a gauge and a histogram sampled through four passes of an
+// injected clock — and evaluates one latency rule over it.
 func goldenStore(t *testing.T) (*Store, []Alert) {
 	t.Helper()
 	reg := metrics.New()
@@ -80,46 +79,5 @@ func TestGoldenVars(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Fatal("two /vars renders of the same state differ")
-	}
-}
-
-// TestGoldenDash pins /dash byte-for-byte under the injected clock.
-func TestGoldenDash(t *testing.T) {
-	s, alerts := goldenStore(t)
-	var buf bytes.Buffer
-	if err := s.WriteDash(&buf, time.Minute, alerts); err != nil {
-		t.Fatal(err)
-	}
-	page := buf.String()
-	for _, want := range []string{
-		"<svg class=\"spark\"", // sparklines rendered
-		"cambricon_serve_queue_wait_seconds",
-		"code=&#34;200&#34;", // labels HTML-escaped
-		"<h2>slo</h2>",
-	} {
-		if !strings.Contains(page, want) {
-			t.Fatalf("/dash page lacks %q:\n%s", want, page)
-		}
-	}
-	checkGolden(t, "dash.golden.html", buf.Bytes())
-
-	var buf2 bytes.Buffer
-	if err := s.WriteDash(&buf2, time.Minute, alerts); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatal("two /dash renders of the same state differ")
-	}
-}
-
-// TestDashNilStore pins the sampler-disabled page.
-func TestDashNilStore(t *testing.T) {
-	var s *Store
-	var buf bytes.Buffer
-	if err := s.WriteDash(&buf, time.Minute, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "sampler disabled") {
-		t.Fatalf("nil-store dash = %q", buf.String())
 	}
 }

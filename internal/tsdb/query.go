@@ -1,11 +1,11 @@
 package tsdb
 
 // Windowed queries over the sampled history. All family-level queries
-// (Rate, CountRate, Quantile, BadFraction, SumDelta) aggregate across
-// every series of the named family — a labelled counter like
+// (SumDelta, Quantile, BadFraction) aggregate across every series of the
+// named family — a labelled counter like
 // cambricon_serve_sheds_total{benchmark,reason} contributes all its
-// series — because the consumers (SLO rules, the autoscaler, Retry-After
-// hints) want service-level signals, not per-label ones.
+// series — because the consumers (SLO rules, Retry-After hints) want
+// service-level signals, not per-label ones.
 
 import (
 	"strings"
@@ -64,43 +64,10 @@ func (s *Store) SumDelta(name string, window time.Duration) (sum float64, ok boo
 	return sum, ok
 }
 
-// Rate is SumDelta divided by the window length in seconds — the
-// family-wide per-second rate over the window.
-func (s *Store) Rate(name string, window time.Duration) (perSecond float64, ok bool) {
-	sum, ok := s.SumDelta(name, window)
-	if !ok || window <= 0 {
-		return 0, ok && window > 0
-	}
-	return sum / window.Seconds(), true
-}
-
-// GaugeLast returns the sum of the most recent sampled value of every
-// gauge series in the family (a per-label gauge family sums to the
-// service-wide value). ok is false when no gauge point exists yet.
-func (s *Store) GaugeLast(name string) (v float64, ok bool) {
-	if s == nil {
-		return 0, false
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	s.eachFamily(name, func(se *series) {
-		if se.kind.String() != "gauge" || se.n == 0 {
-			return
-		}
-		last := se.head - 1
-		if last < 0 {
-			last += len(se.times)
-		}
-		v += se.vals[last]
-		ok = true
-	})
-	return v, ok
-}
-
 // histWindow merges the bucket deltas of every histogram series of a
 // family over the window into scratch (len = buckets incl. +Inf) and
-// returns the merged totals. Caller holds RLock.
-func (s *Store) histWindow(name string, from int64) (bounds []float64, merged []float64, total, sum float64, ok bool) {
+// returns the merged total. Caller holds RLock.
+func (s *Store) histWindow(name string, from int64) (bounds []float64, merged []float64, total float64, ok bool) {
 	s.eachFamily(name, func(se *series) {
 		if se.buckets == nil {
 			return
@@ -116,29 +83,13 @@ func (s *Store) histWindow(name string, from int64) (bounds []float64, merged []
 			}
 			ok = true
 			total += v
-			sum += se.sums[slot]
 			base := slot * nb
 			for i := 0; i < nb && i < len(merged); i++ {
 				merged[i] += se.buckets[base+i]
 			}
 		})
 	})
-	return bounds, merged, total, sum, ok
-}
-
-// CountRate is the family-wide per-second observation rate of a
-// histogram over the window.
-func (s *Store) CountRate(name string, window time.Duration) (perSecond float64, ok bool) {
-	if s == nil || window <= 0 {
-		return 0, false
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, _, total, _, ok := s.histWindow(name, s.cutoff(window))
-	if !ok {
-		return 0, false
-	}
-	return total / window.Seconds(), true
+	return bounds, merged, total, ok
 }
 
 // Quantile estimates the q-quantile (0..1) of a histogram family's
@@ -153,7 +104,7 @@ func (s *Store) Quantile(name string, q float64, window time.Duration) (v float6
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	bounds, merged, total, _, ok := s.histWindow(name, s.cutoff(window))
+	bounds, merged, total, ok := s.histWindow(name, s.cutoff(window))
 	if !ok || total <= 0 || len(bounds) == 0 {
 		return 0, false
 	}
@@ -190,7 +141,7 @@ func (s *Store) BadFraction(name string, threshold float64, window time.Duration
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	bounds, merged, total, _, ok := s.histWindow(name, s.cutoff(window))
+	bounds, merged, total, ok := s.histWindow(name, s.cutoff(window))
 	if !ok || total <= 0 {
 		return 0, 0, ok
 	}

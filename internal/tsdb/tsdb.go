@@ -1,11 +1,11 @@
 // Package tsdb is the in-process metrics history (docs/OBSERVABILITY.md,
-// "Metrics history, SLOs, and autoscaling"): a dependency-free,
-// fixed-memory ring-buffer time-series store sampled from a
-// metrics.Registry. Where internal/metrics answers "what are the totals
-// right now", this package answers "what happened over the last N
-// minutes" — windowed rates, quantile estimates over histogram-bucket
-// deltas, SLO burn rates — which is what the camserve autoscaler and the
-// /alerts, /vars and /dash endpoints act on.
+// "Metrics history and SLOs"): a dependency-free, fixed-memory
+// ring-buffer time-series store sampled from a metrics.Registry. Where
+// internal/metrics answers "what are the totals right now", this package
+// answers "what happened over the last N minutes" — windowed counter
+// sums, quantile estimates over histogram-bucket deltas, SLO burn rates
+// — which is what camserve's /vars and /alerts endpoints, its /readyz
+// degradation and its Retry-After hints act on.
 //
 // Each Sample pass visits every registry series (Registry.Each, the same
 // sorted walk the Prometheus encoder serializes) and appends one point
@@ -17,8 +17,8 @@
 // never grows with uptime.
 //
 // The clock is injectable (Options.Now), which makes every downstream
-// artifact — /vars JSON, the /dash HTML with its inline SVG sparklines,
-// alert evaluations — byte-deterministic in tests.
+// artifact — /vars JSON, alert evaluations — byte-deterministic in
+// tests.
 package tsdb
 
 import (
@@ -45,8 +45,8 @@ const DefaultCapacity = 600
 // Options configures a Store.
 type Options struct {
 	// Interval is the nominal sampling cadence. The store itself never
-	// ticks — the owner calls Sample — but the interval is reported by
-	// Interval() so rate windows and dashboards can state the resolution.
+	// ticks — the owner calls Sample — but /vars reports the interval so
+	// readers know the history's resolution.
 	Interval time.Duration
 	// Capacity is the number of points retained per series
 	// (DefaultCapacity when <= 0). Memory per series is fixed at
@@ -91,17 +91,15 @@ type series struct {
 	seen        bool
 	prevValue   float64
 	prevCount   uint64
-	prevSum     float64
 	prevBuckets []uint64
 
 	// Rings: head is the next write slot, n the live point count.
 	// vals holds counter deltas, gauge values, or histogram count
-	// deltas; sums and buckets (flat, cap×(len(bounds)+1)) exist for
-	// histograms only.
+	// deltas; buckets (flat, cap×(len(bounds)+1)) exist for histograms
+	// only.
 	head, n int
 	times   []int64 // unix milliseconds
 	vals    []float64
-	sums    []float64
 	buckets []float64
 }
 
@@ -129,12 +127,6 @@ func New(reg *metrics.Registry, opts Options) *Store {
 	opts.Metrics.Gauge(MetricCapacity, "points retained per tsdb series").Set(int64(capacity))
 	return s
 }
-
-// Interval reports the nominal sampling cadence the store was built for.
-func (s *Store) Interval() time.Duration { return s.interval }
-
-// Capacity reports the per-series point retention.
-func (s *Store) Capacity() int { return s.cap }
 
 // Passes reports how many Sample passes have completed.
 func (s *Store) Passes() uint64 {
@@ -205,13 +197,11 @@ func (s *Store) record(sm *metrics.Sample, ts int64) bool {
 		if !se.seen {
 			se.seen = true
 			se.prevCount = sm.Count
-			se.prevSum = sm.Sum
 			copy(se.prevBuckets, sm.BucketCounts)
 			return false
 		}
 		slot := se.advance(ts)
 		se.vals[slot] = float64(sm.Count - se.prevCount)
-		se.sums[slot] = sm.Sum - se.prevSum
 		nb := len(se.bounds) + 1
 		base := slot * nb
 		for i := 0; i < nb && i < len(sm.BucketCounts); i++ {
@@ -219,7 +209,6 @@ func (s *Store) record(sm *metrics.Sample, ts int64) bool {
 			se.prevBuckets[i] = sm.BucketCounts[i]
 		}
 		se.prevCount = sm.Count
-		se.prevSum = sm.Sum
 		return true
 	}
 	return false
@@ -237,7 +226,6 @@ func (s *Store) newSeries(sm *metrics.Sample) *series {
 	if sm.Kind == metrics.KindHistogram {
 		se.bounds = append([]float64(nil), sm.Bounds...)
 		se.prevBuckets = make([]uint64, len(sm.Bounds)+1)
-		se.sums = make([]float64, s.cap)
 		se.buckets = make([]float64, s.cap*(len(sm.Bounds)+1))
 	}
 	return se

@@ -49,9 +49,9 @@ func TestCounterDeltas(t *testing.T) {
 	if sum, ok := s.SumDelta("req_total", time.Hour); !ok || sum != 8 {
 		t.Fatalf("SumDelta = %v ok=%v, want 8", sum, ok)
 	}
-	// Rate over a 2s window that covers both points.
-	if rate, ok := s.Rate("req_total", 2*time.Second); !ok || rate != 4 {
-		t.Fatalf("Rate = %v ok=%v, want 4/s", rate, ok)
+	// A 2s window covers both points.
+	if sum, ok := s.SumDelta("req_total", 2*time.Second); !ok || sum != 8 {
+		t.Fatalf("2s-window SumDelta = %v ok=%v, want 8", sum, ok)
 	}
 	// Window narrower than history only sees the last point.
 	if sum, _ := s.SumDelta("req_total", time.Second); sum != 3 {
@@ -59,8 +59,8 @@ func TestCounterDeltas(t *testing.T) {
 	}
 }
 
-// TestGaugeLast pins gauge semantics: last value wins, labelled series
-// sum family-wide.
+// TestGaugeLast pins gauge semantics: every pass records each labelled
+// series' current value, so the latest point is the last value set.
 func TestGaugeLast(t *testing.T) {
 	reg := metrics.New()
 	g1 := reg.Gauge("depth", "queue depth", metrics.L("q", "a"))
@@ -73,11 +73,18 @@ func TestGaugeLast(t *testing.T) {
 	g1.Set(10)
 	clk.sample(s, time.Second)
 
-	if v, ok := s.GaugeLast("depth"); !ok || v != 14 {
-		t.Fatalf("GaugeLast = %v ok=%v, want 14", v, ok)
-	}
-	if _, ok := s.GaugeLast("missing"); ok {
-		t.Fatal("GaugeLast on an unknown family reported ok")
+	last := map[string]float64{}
+	s.EachSeries(time.Hour, func(meta SeriesMeta, pts []Point) {
+		if meta.Name != "depth" {
+			return
+		}
+		if meta.Kind != "gauge" || len(pts) != 2 {
+			t.Fatalf("series %+v holds %d points, want a gauge with 2", meta, len(pts))
+		}
+		last[meta.Labels] = pts[len(pts)-1].V
+	})
+	if len(last) != 2 || last[`q="a"`] != 10 || last[`q="b"`] != 4 {
+		t.Fatalf("latest gauge points = %v, want q=a 10 and q=b 4", last)
 	}
 }
 
@@ -168,9 +175,9 @@ func TestHistogramQuantiles(t *testing.T) {
 	if q, ok := s.Quantile("lat_seconds", 0.95, time.Hour); !ok || q < 0.69 || q > 0.71 {
 		t.Fatalf("p95 = %v ok=%v, want ~0.7", q, ok)
 	}
-	// CountRate over the 1s window holding the 10 observations.
-	if r, ok := s.CountRate("lat_seconds", time.Second); !ok || r != 10 {
-		t.Fatalf("CountRate = %v ok=%v, want 10/s", r, ok)
+	// The 1s window holds all 10 observations.
+	if _, total, ok := s.BadFraction("lat_seconds", 0.2, time.Second); !ok || total != 10 {
+		t.Fatalf("1s-window BadFraction total = %v ok=%v, want 10", total, ok)
 	}
 	// BadFraction at the 0.2 bound: 2 of 10 above.
 	bad, total, ok := s.BadFraction("lat_seconds", 0.2, time.Hour)
@@ -202,11 +209,8 @@ func TestQuantileInfBucket(t *testing.T) {
 func TestNilStore(t *testing.T) {
 	var s *Store
 	s.Sample()
-	if _, ok := s.Rate("x", time.Minute); ok {
-		t.Fatal("nil store reported a rate")
-	}
-	if _, ok := s.GaugeLast("x"); ok {
-		t.Fatal("nil store reported a gauge")
+	if _, ok := s.SumDelta("x", time.Minute); ok {
+		t.Fatal("nil store reported a sum")
 	}
 	if _, ok := s.Quantile("x", 0.5, time.Minute); ok {
 		t.Fatal("nil store reported a quantile")
@@ -241,7 +245,7 @@ func TestSelfMetrics(t *testing.T) {
 }
 
 // TestConcurrentSampleAndQuery exercises Sample racing queries; run
-// under -race in CI (smoke-autoscale target).
+// under -race in CI (make race).
 func TestConcurrentSampleAndQuery(t *testing.T) {
 	reg := metrics.New()
 	c := reg.Counter("cc_total", "")
@@ -257,7 +261,7 @@ func TestConcurrentSampleAndQuery(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 500; i++ {
-		s.Rate("cc_total", time.Minute)
+		s.SumDelta("cc_total", time.Minute)
 		s.Quantile("ch_seconds", 0.9, time.Minute)
 		s.EachSeries(time.Minute, func(SeriesMeta, []Point) {})
 	}
