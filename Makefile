@@ -1,23 +1,23 @@
 # Build/verify entry points for the Cambricon reproduction. `make ci` is
 # the gate every PR must pass: formatting, vet, build, the full test suite
-# under the race detector (covering the parallel benchmark harness), a
-# short run of the hot-kernel microbenchmarks (docs/PERF.md), a traced
-# smoke run of the observability layer (docs/OBSERVABILITY.md), a
-# fault-campaign smoke run of the robustness layer (docs/ROBUSTNESS.md),
-# an end-to-end camserve smoke run (start the daemon, drive one /run,
-# scrape /metrics; camserve's request tracing, metrics history and SLO
-# endpoints are covered by the Go tests in cmd/camserve, which `race`
-# runs), a kill-and-restart crash-recovery smoke run over the
-# durable run ledger (docs/ROBUSTNESS.md, "Serving-layer robustness"),
-# a checkpoint/resume smoke run of the mid-run snapshot layer
-# (docs/PERF.md, Level 5), and the host-benchmark regression gate
+# under the race detector (covering the parallel benchmark harness), vet
+# and unit tests of the separate perfbench module, a short run of the
+# hot-kernel microbenchmarks (docs/PERF.md), a traced smoke run of the
+# observability layer (docs/OBSERVABILITY.md), a fault-campaign smoke run
+# of the robustness layer (docs/ROBUSTNESS.md), an end-to-end camserve
+# smoke run (start the daemon, drive one /run, scrape /metrics;
+# camserve's request tracing is covered by the Go tests in cmd/camserve,
+# which `race` runs), a kill-and-restart crash-recovery smoke run over
+# the durable run ledger (docs/ROBUSTNESS.md, "Serving-layer
+# robustness"), a checkpoint/resume smoke run of the mid-run snapshot
+# layer (docs/PERF.md, Level 5), and the host-benchmark regression gate
 # against BENCH_host.json.
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race bench bench-host bench-json repro smoke smoke-fault smoke-host smoke-serve smoke-crash smoke-checkpoint check-host fault-json
+.PHONY: ci fmt vet build test race perfbench-test bench bench-host bench-json repro smoke smoke-fault smoke-host smoke-serve smoke-crash smoke-checkpoint check-host fault-json
 
-ci: fmt vet build race bench smoke smoke-fault smoke-host smoke-serve smoke-crash smoke-checkpoint check-host
+ci: fmt vet build race perfbench-test bench smoke smoke-fault smoke-host smoke-serve smoke-crash smoke-checkpoint check-host
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -36,6 +36,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# perfbench is a module of its own (perfbench/go.mod), so the root vet
+# and test skip it. Vet it and run its unit tests; this does not run the
+# benchmark.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Short-benchtime kernel microbenchmarks: enough iterations to catch an
 # allocation or order-of-magnitude regression without taking minutes.

@@ -39,7 +39,6 @@
 //	camserve -chaos 'restore-fail=0.1,panic=0.05'  # service-path fault injection
 //	camserve -log-format json   # structured access logs (default text)
 //	camserve -debug-addr :6060  # opt-in net/http/pprof listener
-//	camserve -sample-interval 1s  # metrics history for /vars, /alerts and the -slo rules
 //
 // Endpoints:
 //
@@ -52,8 +51,6 @@
 //	GET  /runs/{id}        per-run debug bundle: span timeline, CPI-stack
 //	                       stall breakdown, restore bytes, trace id
 //	GET  /runs/{id}/trace  the span timeline as Chrome Trace Event JSON
-//	GET  /vars             sampled metrics history as JSON (-sample-interval)
-//	GET  /alerts           SLO burn-rate rule states (-sample-interval)
 package main
 
 import (
@@ -83,7 +80,6 @@ import (
 	"cambricon/internal/reqtrace"
 	"cambricon/internal/sim"
 	"cambricon/internal/trace"
-	"cambricon/internal/tsdb"
 )
 
 // Metric names owned by the HTTP layer (the suite's own instruments are
@@ -95,9 +91,6 @@ const (
 	metricRequests  = "cambricon_serve_requests_total"
 	metricInFlight  = "cambricon_serve_runs_in_flight"
 	metricRunsTotal = "cambricon_serve_ledger_runs_total"
-	// metricInflightRuns (admitted minus completed, the full admitted
-	// window including response encoding) lives in observe.go; it must
-	// read 0 after every drain.
 )
 
 func main() {
@@ -114,8 +107,6 @@ func main() {
 	chaosSpec := flag.String("chaos", "", "service-path chaos spec, e.g. 'seed=7,restore-fail=0.1,panic=0.05,wal-tear=3' (docs/ROBUSTNESS.md)")
 	logFormat := flag.String("log-format", "text", "access-log encoding: text or json")
 	debugAddr := flag.String("debug-addr", "", "optional listen address for net/http/pprof (e.g. 127.0.0.1:6060); empty disables")
-	sampleInterval := flag.Duration("sample-interval", 0, "metrics-history sampling cadence for /vars, /alerts and the -slo rules (0 disables)")
-	sloSpec := flag.String("slo", "", "SLO burn-rate rules, e.g. 'wait=latency:cambricon_serve_queue_wait_seconds:0.0256:0.01'; empty installs the defaults when sampling, 'none' disables (docs/OBSERVABILITY.md)")
 	version := flag.Bool("version", false, "print the simulator version and exit")
 	flag.Parse()
 
@@ -143,8 +134,6 @@ func main() {
 		walSync:         *walSync,
 		walSegmentBytes: *walSegBytes,
 		chaosSpec:       *chaosSpec,
-		sampleInterval:  *sampleInterval,
-		sloSpec:         *sloSpec,
 	}, logger)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "camserve: %v\n", err)
@@ -158,9 +147,6 @@ func main() {
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	go srv.warmup()
-	if *sampleInterval > 0 {
-		go srv.observe(ctx)
-	}
 	if *debugAddr != "" {
 		go func() {
 			logger.Info("pprof debug listener", "addr", *debugAddr)
@@ -231,15 +217,6 @@ type serverConfig struct {
 	walSync         bool
 	walSegmentBytes int64
 	chaosSpec       string
-
-	// sampleInterval > 0 turns on the metrics-history sampler (and with
-	// it /vars, /alerts); sloSpec configures the burn-rate rules on top
-	// of it (observe.go).
-	sampleInterval time.Duration
-	sloSpec        string
-	// clock overrides time.Now for the sampler and the SLO windows;
-	// tests inject a manual clock and drive observeTick.
-	clock func() time.Time
 }
 
 // server wires the benchmark suite, its metrics registry, the durable
@@ -254,6 +231,7 @@ type server struct {
 
 	// adm bounds concurrent runs and the per-benchmark wait queues;
 	// everything it sheds is a fast 503 with a jittered Retry-After.
+	// inFlight counts the admitted runs holding a slot.
 	adm      *admission
 	inFlight *metrics.Gauge
 
@@ -271,20 +249,15 @@ type server struct {
 	// flight retains the per-run debug bundles GET /runs/{id} and
 	// /runs/{id}/trace serve, bounded to the same depth as the ledger.
 	flight *reqtrace.Store[*runDebug]
-	ready  atomic.Bool
+
+	// ready flips once warmup has generated the programs; it is the
+	// whole of what /readyz reports.
+	ready atomic.Bool
 
 	// retry seeds the jittered Retry-After hints so shed clients spread
 	// their retries instead of stampeding back in lockstep.
 	retryMu sync.Mutex
 	retry   *rand.Rand
-
-	// Observability loop (observe.go): the metrics-history sampler, the
-	// SLO rules evaluated over it, and the clock they share. All nil/zero
-	// when -sample-interval is unset.
-	tsdb         *tsdb.Store
-	sloRules     []tsdb.Rule
-	clock        func() time.Time
-	inflightRuns *metrics.Gauge
 }
 
 func newServer(cfg serverConfig, logger *slog.Logger) (*server, error) {
@@ -331,12 +304,6 @@ func newServer(cfg serverConfig, logger *slog.Logger) (*server, error) {
 		configKey: suite.ConfigKey(),
 		flight:    reqtrace.NewStore[*runDebug](cfg.ledgerSize),
 		retry:     rand.New(rand.NewPCG(cfg.seed, 0x52657472)),
-		clock:     cfg.clock,
-		inflightRuns: reg.Gauge(metricInflightRuns,
-			"POST /run requests admitted and not yet completed (0 after a clean drain)"),
-	}
-	if err := s.setupObservability(reg); err != nil {
-		return nil, err
 	}
 	if ch != nil {
 		logger.Warn("chaos enabled", "spec", cfg.chaosSpec, "seed", ch.Seed())
@@ -397,8 +364,6 @@ func (s *server) handler() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("POST /run", s.handleRun)
-	mux.HandleFunc("GET /vars", s.handleVars)
-	mux.HandleFunc("GET /alerts", s.handleAlerts)
 	mux.HandleFunc("GET /runs", s.handleRuns)
 	mux.HandleFunc("GET /runs/{id}", s.handleRunByID)
 	mux.HandleFunc("GET /runs/{id}/trace", s.handleRunTrace)
@@ -494,12 +459,6 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "generating benchmark programs", http.StatusServiceUnavailable)
 		return
 	}
-	// A fast-burning SLO degrades readiness: fall out of the load
-	// balancer while error budget is burning at page speed.
-	if burning := s.readyzDegraded(); len(burning) > 0 {
-		http.Error(w, "slo fast-burn: "+strings.Join(burning, ", "), http.StatusServiceUnavailable)
-		return
-	}
 	fmt.Fprintln(w, "ready")
 }
 
@@ -507,6 +466,11 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 type runRequest struct {
 	Benchmark string `json:"benchmark"`
 }
+
+// maxRunBody bounds how much of a POST /run body the daemon reads:
+// about 100 times the longest valid body,
+// {"benchmark":"Sparse Autoencoder"}. A longer body is a 413.
+const maxRunBody = 4 << 10
 
 // runRecord is one ledger row (and the POST /run success body) — the
 // durable shape lives in internal/ledger.
@@ -535,15 +499,10 @@ func (s *server) requestTimeout(r *http.Request) time.Duration {
 	return d
 }
 
-// retryAfter returns the Retry-After hint for a shed request: when the
-// sampler has queue-wait history, the recent p90 (clamped to 1..30s) —
-// clients back off for about as long as the queue actually takes —
-// otherwise a jittered 1..4s from a seeded stream, so shed clients
-// spread their retries instead of stampeding back in lockstep.
+// retryAfter returns the Retry-After hint for a shed request: a jittered
+// 1..4s from a seeded stream, so shed clients spread their retries
+// instead of stampeding back in lockstep.
 func (s *server) retryAfter() int {
-	if hint, ok := s.pressureRetryAfter(); ok {
-		return hint
-	}
 	s.retryMu.Lock()
 	defer s.retryMu.Unlock()
 	return 1 + s.retry.IntN(4)
@@ -572,8 +531,13 @@ func (s *server) runGuarded(ctx context.Context, name string) (st sim.Stats, err
 func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	rec := reqtrace.From(r.Context())
 	var req runRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRunBody)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSONError(w, status, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
 	if req.Benchmark == "" {
@@ -638,8 +602,6 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	defer s.runWG.Done()
 	s.inFlight.Add(1)
 	defer s.inFlight.Add(-1)
-	s.inflightRuns.Add(1)
-	defer s.inflightRuns.Add(-1)
 
 	row.Status = ledger.StatusRunning
 	s.inflight.Store(row.ID, row)

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -196,5 +197,99 @@ func TestNilCounterZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("nil-metric ops allocated %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestLabelValueEscaping pins the exposition-format escaping of label
+// values character by character: backslash, newline and double quote
+// must come out as \\, \n and \" (and nothing else may be touched).
+func TestLabelValueEscaping(t *testing.T) {
+	cases := []struct{ in, want string }{
+		{`plain`, `plain`},
+		{`back\slash`, `back\\slash`},
+		{"new\nline", `new\nline`},
+		{`dou"ble`, `dou\"ble`},
+		{"all\\three\"here\n", `all\\three\"here\n`},
+		{"tab\tand ünïcode stay", "tab\tand ünïcode stay"},
+	}
+	for _, c := range cases {
+		r := New()
+		r.Counter("esc_total", "h", L("v", c.in)).Inc()
+		var buf bytes.Buffer
+		if err := r.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		wantLine := `esc_total{v="` + c.want + `"} 1`
+		if !strings.Contains(buf.String(), wantLine+"\n") {
+			t.Fatalf("escaping %q: page lacks %q:\n%s", c.in, wantLine, buf.String())
+		}
+	}
+}
+
+// TestHelpEscaping pins HELP-comment escaping: backslash and newline are
+// escaped, double quotes pass through verbatim (per the format spec).
+func TestHelpEscaping(t *testing.T) {
+	r := New()
+	r.Counter("help_total", "line\nbreak \\ and \"quotes\"").Inc()
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := `# HELP help_total line\nbreak \\ and "quotes"`
+	if !strings.Contains(buf.String(), want+"\n") {
+		t.Fatalf("help escaping: page lacks %q:\n%s", want, buf.String())
+	}
+}
+
+// TestExpBucketsEdgeCases pins every degenerate input to nil (callers
+// registering with nil buckets get the bare +Inf histogram) and the
+// well-formed shape to exact powers.
+func TestExpBucketsEdgeCases(t *testing.T) {
+	for _, c := range []struct {
+		name          string
+		start, factor float64
+		n             int
+	}{
+		{"n=0", 1, 2, 0},
+		{"n<0", 1, 2, -3},
+		{"factor=1", 1, 1, 4},
+		{"factor<1", 1, 0.5, 4},
+		{"start=0", 0, 2, 4},
+		{"start<0", -1, 2, 4},
+	} {
+		if got := ExpBuckets(c.start, c.factor, c.n); got != nil {
+			t.Fatalf("ExpBuckets(%s) = %v, want nil", c.name, got)
+		}
+	}
+	got := ExpBuckets(0.25, 2, 5)
+	want := []float64{0.25, 0.5, 1, 2, 4}
+	if len(got) != len(want) {
+		t.Fatalf("ExpBuckets = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("ExpBuckets[%d] = %v, want %v", i, got[i], want[i])
+		}
+	}
+	// A degenerate-bucket histogram still observes into +Inf and totals.
+	r := New()
+	h := r.Histogram("degen_seconds", "", ExpBuckets(1, 1, 0))
+	h.Observe(3)
+	if h.Count() != 1 || h.Sum() != 3 {
+		t.Fatalf("bare +Inf histogram count=%d sum=%v, want 1 and 3", h.Count(), h.Sum())
+	}
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if page := buf.String(); strings.Count(page, "degen_seconds_bucket") != 1 ||
+		!strings.Contains(page, `degen_seconds_bucket{le="+Inf"} 1`+"\n") {
+		t.Fatalf("bare histogram page, want only the +Inf bucket:\n%s", page)
+	}
+	// Non-finite bounds are dropped at registration, not at observe time.
+	h2 := New().Histogram("inf_seconds", "", []float64{1, math.Inf(1), math.NaN(), 2})
+	h2.Observe(1.5)
+	if h2.Count() != 1 {
+		t.Fatalf("histogram with non-finite bounds lost an observation")
 	}
 }

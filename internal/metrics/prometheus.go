@@ -16,9 +16,7 @@ import (
 )
 
 // WritePrometheus encodes the registry's current state in Prometheus
-// text format v0.0.4. A nil registry writes nothing. It walks the same
-// sorted family/series snapshot Registry.Each visits, so the exposition
-// and the tsdb sampler observe series in the same deterministic order.
+// text format v0.0.4. A nil registry writes nothing.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
@@ -38,10 +36,9 @@ type famView struct {
 }
 
 // snapshot captures the registry's family and series sets — sorted by
-// name, then label key — under the registry lock. It is the shared
-// iteration base of WritePrometheus and Each: both walk series in the
-// same deterministic order. The pointers stay live (series hold
-// atomics); only the set membership is snapshotted.
+// name, then label key — under the registry lock, so WritePrometheus
+// emits them in a deterministic order. The pointers stay live (series
+// hold atomics); only the set membership is snapshotted.
 func (r *Registry) snapshot() []famView {
 	r.mu.Lock()
 	fams := make([]famView, 0, len(r.families))

@@ -37,7 +37,7 @@ l:	RV     $2, $1           // fresh random vector each iteration
 // machine decodes its own copy in LoadProgram and an instruction trace
 // to io.Discard steers its runs down the observing slow loop, the oracle
 // the tight loop is checked against.
-func ckptMachine(t *testing.T, cfg Config, predecoded bool) *Machine {
+func ckptMachine(t testing.TB, cfg Config, predecoded bool) *Machine {
 	t.Helper()
 	m := mustNew(t, cfg)
 	prog := mustAssemble(t, ckptKernel).Instructions

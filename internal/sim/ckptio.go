@@ -206,6 +206,19 @@ func (r *ckptReader) cint() int {
 	return int(v)
 }
 
+// count reads the element count of a list whose every element takes at
+// least minBytes on the wire, and rejects a count the bytes left cannot
+// hold, so a crafted count fails before anything is sized from it.
+func (r *ckptReader) count(minBytes int) int {
+	n := r.cint()
+	if r.err == nil && n > (len(r.b)-r.off)/minBytes {
+		r.err = fmt.Errorf("sim: checkpoint: count %d at offset %d exceeds the %d bytes left",
+			n, r.off-4, len(r.b)-r.off)
+		return 0
+	}
+	return n
+}
+
 func (r *ckptReader) byte() byte {
 	b := r.take(1)
 	if b == nil {
@@ -215,7 +228,7 @@ func (r *ckptReader) byte() byte {
 }
 
 func (r *ckptReader) i64s(maxLen int) []int64 {
-	n := r.cint()
+	n := r.count(8)
 	if r.err != nil {
 		return nil
 	}
@@ -292,7 +305,7 @@ func ReadCheckpoint(src io.Reader) (*Snapshot, error) {
 	}
 
 	mainSize := int(r.i64())
-	nPages := r.cint()
+	nPages := r.count(8) // a page record is at least its index and length words
 	if r.err == nil && mainSize != cfg.MainMemBytes {
 		return nil, fmt.Errorf("sim: checkpoint: main image %d bytes, config says %d", mainSize, cfg.MainMemBytes)
 	}
@@ -333,9 +346,15 @@ func ReadCheckpoint(src io.Reader) (*Snapshot, error) {
 // padding).
 var statsWireSize = int64(binary.Size(Stats{}))
 
+// mqEntryWireBytes is the serialized size of one memory-queue entry:
+// done, nAcc, the two masks, then every access slot (space, write flag,
+// address, length).
+const mqEntryWireBytes = 8 + 4 + 2 + len(mqEntry{}.accBuf)*(2+8+8)
+
 func readPipeState(r *ckptReader, cfg *Config) (*pipeState, error) {
-	// Ring sizes are bounded by the validated configuration, so a
-	// corrupted length cannot force a huge allocation.
+	// Ring lengths are bounded by the configuration and, through count,
+	// by the bytes left, so a corrupted length cannot force a huge
+	// allocation even under a crafted configuration.
 	maxRing := cfg.IssueQueueDepth + cfg.ROBDepth + cfg.MemQueueDepth
 	p := &pipeState{}
 	p.count = r.i64()
@@ -355,7 +374,7 @@ func readPipeState(r *ckptReader, cfg *Config) (*pipeState, error) {
 	p.memCount = r.i64()
 	p.mqPos = r.cint()
 	p.mqMaxDone = r.i64()
-	nMQ := r.cint()
+	nMQ := r.count(mqEntryWireBytes)
 	if r.err == nil && nMQ > maxRing {
 		return nil, fmt.Errorf("sim: checkpoint: memory queue length %d exceeds limit %d", nMQ, maxRing)
 	}

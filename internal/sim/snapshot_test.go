@@ -27,7 +27,7 @@ l:	RV     $2, $1           // fresh random vector each iteration
 `
 
 // snapInit writes the kernel's input region.
-func snapInit(t *testing.T, m *Machine) {
+func snapInit(t testing.TB, m *Machine) {
 	t.Helper()
 	in := make([]float64, 32)
 	for i := range in {
