@@ -14,7 +14,6 @@ import (
 	"cambricon/internal/codegen"
 	"cambricon/internal/core"
 	"cambricon/internal/fault"
-	"cambricon/internal/fixed"
 	"cambricon/internal/sim"
 )
 
@@ -104,10 +103,10 @@ func (t *faultTarget) RunBuf(inj fault.Injector, maxCycles int64, buf []byte) (o
 
 // finish assembles the observation of a completed (or failed) run: the
 // final counters, the site-space geometry, hang/detection classification
-// and the serialized result regions. verify additionally checks the run
-// against the reference model (golden runs only: a wrong golden output
-// would poison every classification).
-func (t *faultTarget) finish(m *sim.Machine, cfg sim.Config, stats sim.Stats, err error, verify bool, buf []byte) (obs fault.Observation) {
+// and the serialized output regions (codegen.Program.Output). golden
+// additionally checks the outputs through the suite (Suite.checkOutput):
+// a wrong golden output would poison every classification.
+func (t *faultTarget) finish(m *sim.Machine, cfg sim.Config, stats sim.Stats, err error, golden bool, buf []byte) (obs fault.Observation) {
 	obs.Cycles = stats.Cycles
 	obs.Instructions = stats.Instructions
 	obs.Geometry = fault.Geometry{
@@ -126,13 +125,13 @@ func (t *faultTarget) finish(m *sim.Machine, cfg sim.Config, stats sim.Stats, er
 		obs.Err = err
 		return obs
 	}
-	if verify {
-		if err := t.prog.Verify(m); err != nil {
+	if golden {
+		if _, err := t.suite.checkOutput(t.prog, m); err != nil {
 			obs.Err = err
 			return obs
 		}
 	}
-	obs.Output, obs.Err = t.output(m, buf)
+	obs.Output, obs.Err = t.prog.Output(m, buf)
 	return obs
 }
 
@@ -185,7 +184,7 @@ func (t *faultTarget) buildCheckpoints(k int) ([]*sim.Snapshot, *sim.Liveness, *
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	gobs := t.finish(m, cfg, st, nil, false, nil)
+	gobs := t.finish(m, cfg, st, nil, true, nil)
 	golden := &gobs
 	if gobs.Err != nil {
 		golden = nil
@@ -358,30 +357,4 @@ func goldenObservation(g *fault.Observation, buf []byte) fault.Observation {
 	copy(buf, g.Output)
 	obs.Output = buf
 	return obs
-}
-
-// output serializes the benchmark's declared result regions from main
-// memory into buf (grown as needed): each element as its raw Q8.8 bits,
-// little-endian, regions in declaration order — exactly the bytes the
-// machine holds, since main memory stores elements little-endian. Byte
-// equality of two serializations is exactly element-wise equality of all
-// outputs.
-func (t *faultTarget) output(m *sim.Machine, buf []byte) ([]byte, error) {
-	var total int
-	for _, r := range t.prog.Results {
-		total += fixed.Bytes(r.N)
-	}
-	if cap(buf) < total {
-		buf = make([]byte, total)
-	}
-	buf = buf[:total]
-	off := 0
-	for _, r := range t.prog.Results {
-		n := fixed.Bytes(r.N)
-		if err := m.ReadMainBytesInto(r.Addr, buf[off:off+n]); err != nil {
-			return nil, fmt.Errorf("bench: %s: result %q: %w", t.prog.Name, r.Name, err)
-		}
-		off += n
-	}
-	return buf, nil
 }

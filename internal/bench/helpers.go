@@ -18,8 +18,8 @@ func codegenLogisticTraining(seed uint64) (*codegen.Program, error) {
 }
 
 // runProgram executes a generated program on a suite-configured machine
-// (pooled and snapshot-restored unless the suite is cold), verifying its
-// expectations.
+// (pooled and snapshot-restored unless the suite is cold) and checks its
+// outputs like every run of the suite's own programs.
 func runProgram(s *Suite, p *codegen.Program) (sim.Stats, error) {
 	cfg := s.Config
 	cfg.Seed = s.Seed ^ 0xcafe
@@ -28,5 +28,6 @@ func runProgram(s *Suite, p *codegen.Program) (sim.Stats, error) {
 		return sim.Stats{}, err
 	}
 	defer s.releaseMachine(m, pooled)
-	return p.ExecutePreparedContext(context.Background(), m)
+	st, _, err := s.runChecked(context.Background(), p, m)
+	return st, err
 }

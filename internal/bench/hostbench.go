@@ -44,6 +44,12 @@ const hostFFCheckpoints = 8
 // memmove instead).
 const dispatchBenchmark = "SOM"
 
+// serveBenchmark is the Table III benchmark the serve-run/warm row runs:
+// the program whose float64 reference check is the costliest, so a run
+// path that went back to verifying every run would show in the row's
+// allocations (46 per run) as well as its time.
+const serveBenchmark = "RBM"
+
 // HostReport is the machine-readable host-throughput record
 // (conventionally BENCH_host.json).
 type HostReport struct {
@@ -310,7 +316,23 @@ func RunHostBenchmarks(seed uint64, runs, sites int) (*HostReport, error) {
 		return nil, err
 	}
 
-	rep.Entries = []HostEntry{warmCamp, coldCamp, warmRest, coldRest, replayCamp, ffCamp}
+	// The daemon's run path minus HTTP: Suite.RunOnce on the warm suite.
+	// The untimed first run verifies and records the output, so every
+	// timed run compares against it; -check-host gates the row's
+	// allocations like machine-acquire/warm's.
+	serveRun := func() error {
+		_, err := warmSuite.RunOnce(context.Background(), serveBenchmark)
+		return err
+	}
+	if err := serveRun(); err != nil {
+		return nil, err
+	}
+	serve, err := hostMeasure("serve-run/warm", 4*runs, nil, serveRun)
+	if err != nil {
+		return nil, err
+	}
+
+	rep.Entries = []HostEntry{warmCamp, coldCamp, warmRest, coldRest, replayCamp, ffCamp, serve}
 	rep.CampaignSpeedup = ratio(coldCamp.NSPerRun, warmCamp.NSPerRun)
 	rep.CampaignAllocRatio = ratio(coldCamp.AllocsPerRun, warmCamp.AllocsPerRun)
 	rep.RestoreSpeedup = ratio(coldRest.NSPerRun, warmRest.NSPerRun)

@@ -25,7 +25,7 @@ func TestHostReportSchema(t *testing.T) {
 		t.Fatalf("dispatch benchmark = %q, want %q", rep.DispatchBenchmark, dispatchBenchmark)
 	}
 	want := []string{"campaign-run/warm", "campaign-run/cold", "machine-acquire/warm", "machine-acquire/cold",
-		"campaign-fastforward/replay", "campaign-fastforward/checkpointed"}
+		"campaign-fastforward/replay", "campaign-fastforward/checkpointed", "serve-run/warm"}
 	if len(rep.Entries) != len(want) {
 		t.Fatalf("entries = %d, want %d", len(rep.Entries), len(want))
 	}
@@ -36,6 +36,9 @@ func TestHostReportSchema(t *testing.T) {
 		if e.Runs <= 0 || e.NSPerRun <= 0 {
 			t.Fatalf("entry %q not measured: %+v", e.Name, e)
 		}
+	}
+	if serve := rep.Entries[len(rep.Entries)-1]; serve.AllocsPerRun != 0 {
+		t.Fatalf("serve-run/warm allocates %v times per run, want 0", serve.AllocsPerRun)
 	}
 	if rep.CampaignSpeedup <= 0 || rep.CampaignAllocRatio <= 0 ||
 		rep.RestoreSpeedup <= 0 || rep.RestoreAllocRatio <= 0 ||

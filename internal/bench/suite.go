@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cambricon/internal/baseline/dadiannao"
@@ -75,6 +76,9 @@ type Suite struct {
 	pool     machinePool
 	prepMu   sync.Mutex
 	prepared map[string]*preparedEntry
+	// outputs holds each program's verified output, the record every
+	// later run is compared against (checkOutput). Guarded by prepMu.
+	outputs map[string]*outputRecord
 
 	decMu   sync.Mutex
 	decoded map[string]*decodedEntry
@@ -168,12 +172,13 @@ func (s *Suite) StatsCtx(ctx context.Context, name string) (sim.Stats, error) {
 }
 
 // runBenchmark simulates one benchmark on a prepared machine (pooled and
-// snapshot-restored, or freshly built in a cold suite). A panic anywhere
-// in generation or simulation is recovered into the returned error so one
-// poisoned benchmark cannot take down a whole campaign. A request
-// recorder on ctx (reqtrace.With) gets the per-phase span tree — machine
-// preparation inside preparedMachine, then a "sim.run" span annotated
-// with the run's cycle counts and its CPI-stack stall attribution — at
+// snapshot-restored, or freshly built in a cold suite) and checks its
+// outputs (checkOutput). A panic anywhere in generation or simulation is
+// recovered into the returned error so one poisoned benchmark cannot take
+// down a whole campaign. A request recorder on ctx (reqtrace.With) gets
+// the per-phase span tree — machine preparation inside preparedMachine,
+// then a "sim.run" span annotated with the run's cycle counts, its
+// CPI-stack stall attribution and which output check it paid for — at
 // zero cost when no recorder is attached.
 func (s *Suite) runBenchmark(ctx context.Context, name string) (st sim.Stats, err error) {
 	sm := s.sm()
@@ -201,10 +206,78 @@ func (s *Suite) runBenchmark(ctx context.Context, name string) (st sim.Stats, er
 	s.Chaos.BeforeRun()
 	rec := reqtrace.From(ctx)
 	sp := rec.Start(reqtrace.Root, "sim.run")
-	st, err = p.ExecutePreparedContext(ctx, m)
+	st, check, err := s.runChecked(ctx, p, m)
+	if check != "" {
+		rec.AnnotateStr(sp, "output", check)
+	}
 	annotateRun(rec, sp, &st)
 	rec.End(sp)
 	return st, err
+}
+
+// The output checks a run can pay for, as the "sim.run" span's "output"
+// attribute reports them.
+const (
+	outputVerify  = "verify"
+	outputCompare = "compare"
+)
+
+// runChecked runs a prepared machine to completion and checks its
+// outputs, reporting which check ran ("" when the run itself failed).
+func (s *Suite) runChecked(ctx context.Context, p *codegen.Program, m *sim.Machine) (sim.Stats, string, error) {
+	st, err := m.RunContext(ctx)
+	if err != nil {
+		return st, "", fmt.Errorf("bench: %s: %w", p.Name, err)
+	}
+	check, err := s.checkOutput(p, m)
+	return st, check, err
+}
+
+// outputRecord is one program's verified output: the serialized bytes
+// (codegen.Program.Output) of the first run that passed Verify, nil
+// until one has.
+type outputRecord struct {
+	out atomic.Pointer[[]byte]
+}
+
+// checkOutput checks the outputs of a completed run of p on m and
+// reports which check ran. The first run of a program to pass
+// Program.Verify records its output; every later run compares its
+// declared regions in main memory with that record, in place and
+// without allocating, and any difference fails the run. Every run of a
+// program on one suite starts from the same image with the same
+// configuration and seed, so it must reproduce the record byte for byte
+// — a stricter check than Verify's tolerances, without recomputing the
+// float64 reference. Concurrent first runs may each verify; exactly one
+// records. A run that fails its check records nothing.
+func (s *Suite) checkOutput(p *codegen.Program, m *sim.Machine) (string, error) {
+	rec := s.outputCell(p.Name)
+	if want := rec.out.Load(); want != nil {
+		return outputCompare, p.CompareOutput(m, *want)
+	}
+	out, err := p.Output(m, nil)
+	if err == nil {
+		err = p.VerifyOutput(out)
+	}
+	if err == nil {
+		rec.out.CompareAndSwap(nil, &out)
+	}
+	return outputVerify, err
+}
+
+// outputCell returns the named program's output record.
+func (s *Suite) outputCell(name string) *outputRecord {
+	s.prepMu.Lock()
+	defer s.prepMu.Unlock()
+	if s.outputs == nil {
+		s.outputs = map[string]*outputRecord{}
+	}
+	rec := s.outputs[name]
+	if rec == nil {
+		rec = &outputRecord{}
+		s.outputs[name] = rec
+	}
+	return rec
 }
 
 // annotateRun links the sim-side span to the run's simulated outcome:
@@ -244,9 +317,9 @@ func (s *Suite) RunOnce(ctx context.Context, name string) (sim.Stats, error) {
 // Profile re-runs one benchmark with a stall-attribution profile
 // attached and returns the materialized report (all opcode rows). It
 // deliberately bypasses the Stats singleflight cache: the traced run
-// gets its own machine, built exactly like runBenchmark's, and the
-// tracer contract guarantees its cycle counts match the cached
-// untraced run bit for bit.
+// gets its own machine, built exactly like runBenchmark's and checked
+// the same way, and the tracer contract guarantees its cycle counts
+// match the cached untraced run bit for bit.
 func (s *Suite) Profile(name string) (*trace.Report, error) {
 	p, err := s.Program(name)
 	if err != nil {
@@ -261,7 +334,7 @@ func (s *Suite) Profile(name string) (*trace.Report, error) {
 	prof := trace.NewProfile()
 	prof.Label = name
 	m.SetTracer(prof)
-	if _, err := p.ExecutePreparedContext(context.Background(), m); err != nil {
+	if _, _, err := s.runChecked(context.Background(), p, m); err != nil {
 		return nil, err
 	}
 	return prof.Report(0), nil

@@ -8,7 +8,6 @@ import (
 	"cambricon/internal/core"
 	"cambricon/internal/fixed"
 	"cambricon/internal/nn"
-	"cambricon/internal/sim"
 	"cambricon/internal/workload"
 )
 
@@ -50,9 +49,9 @@ func GenBM(seed uint64) (*Program, error) {
 	wMain := g.data(net.W.Data)
 	lMain := g.data(net.L.Data)
 	bMain := g.data(net.B)
-	pMain := g.outAddr(steps * nh)
-	rMain := g.outAddr(steps * nh)
-	hOutMain := g.outAddr(nh)
+	pMain := g.outAddr("probabilities", steps*nh)
+	rMain := g.outAddr("draws", steps*nh)
+	hOutMain := g.outAddr("final hidden state", nh)
 
 	half := nh / 2
 	wM := g.mspadA.takeElems(nh * nv)
@@ -145,17 +144,17 @@ func GenBM(seed uint64) (*Program, error) {
 
 // bmCheck validates the Gibbs chain: probabilities against the float
 // reference, thresholds bit-exactly on the accelerator's own values.
-func bmCheck(net *nn.BM, v, h0 nn.Vec, steps, pMain, rMain, hOutMain int) func(*sim.Machine) error {
-	return func(m *sim.Machine) error {
+func bmCheck(net *nn.BM, v, h0 nn.Vec, steps, pMain, rMain, hOutMain int) func(Outputs) error {
+	return func(out Outputs) error {
 		h := append(nn.Vec(nil), h0...)
 		nh := net.H
 		wv := net.W.MulVec(v) // v is clamped for the whole chain
 		for t := 0; t < steps; t++ {
-			pSim, err := m.ReadMainNums(pMain+t*fixed.Bytes(nh), nh)
+			pSim, err := out.ReadNums(pMain+t*fixed.Bytes(nh), nh)
 			if err != nil {
 				return err
 			}
-			rSim, err := m.ReadMainNums(rMain+t*fixed.Bytes(nh), nh)
+			rSim, err := out.ReadNums(rMain+t*fixed.Bytes(nh), nh)
 			if err != nil {
 				return err
 			}
@@ -177,7 +176,7 @@ func bmCheck(net *nn.BM, v, h0 nn.Vec, steps, pMain, rMain, hOutMain int) func(*
 				}
 			}
 		}
-		got, err := m.ReadMainNums(hOutMain, nh)
+		got, err := out.ReadNums(hOutMain, nh)
 		if err != nil {
 			return err
 		}

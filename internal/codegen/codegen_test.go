@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cambricon/internal/core"
+	"cambricon/internal/fixed"
 	"cambricon/internal/sim"
 )
 
@@ -244,7 +245,7 @@ func TestVerifyRejectsACorruptedOutput(t *testing.T) {
 				t.Fatalf("clean run: %v", err)
 			}
 			var words []int
-			if len(p.Results) > 0 {
+			if len(p.Checks) == 0 {
 				words = append(words, p.Results[0].Addr)
 			} else {
 				after := make([]byte, cfg.MainMemBytes)
@@ -285,6 +286,45 @@ func TestVerifyRejectsACorruptedOutput(t *testing.T) {
 				flip(addr)
 			}
 		})
+	}
+}
+
+// TestCheckReadingPastItsRegionFailsVerify: a check sees only the
+// declared output regions, so a read that strays one element past (or
+// before) its region fails Verify on a clean run, while the region
+// itself reads fine.
+func TestCheckReadingPastItsRegionFailsVerify(t *testing.T) {
+	for _, name := range []string{"BM", "SOM"} {
+		p, err := ByName(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := newSim(t, sim.DefaultConfig())
+		if _, err := p.Execute(m); err != nil {
+			t.Fatalf("%s clean run: %v", name, err)
+		}
+		checks := p.Checks
+		for _, r := range p.Results {
+			for _, c := range []struct {
+				what      string
+				addr, n   int
+				wantError bool
+			}{
+				{"the region", r.Addr, r.N, false},
+				{"one element past it", r.Addr, r.N + 1, true},
+				{"one element before it", r.Addr - fixed.Bytes(1), r.N, true},
+			} {
+				p.Checks = append(checks[:len(checks):len(checks)], func(out Outputs) error {
+					_, err := out.ReadNums(c.addr, c.n)
+					return err
+				})
+				err := p.Verify(m)
+				if c.wantError != (err != nil) {
+					t.Errorf("%s: a check reading %s of %q: Verify error = %v", name, c.what, r.Name, err)
+				}
+			}
+		}
+		p.Checks = checks
 	}
 }
 

@@ -15,6 +15,7 @@ package codegen
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -30,14 +31,17 @@ type Chunk struct {
 	Data []fixed.Num
 }
 
-// Result is one expected output region in main memory after a run.
+// Result is one declared output region in main memory. The regions, in
+// declaration order, are the whole of a run's output: Output serializes
+// exactly these bytes and Verify reads nothing else.
 type Result struct {
-	// Name labels the comparison in error messages.
+	// Name labels the region in error messages.
 	Name string
 	// Addr and N locate the output in main memory (N elements).
 	Addr, N int
 	// Want is the reference expectation (from internal/nn, computed over
-	// fixed-point-quantized parameters).
+	// fixed-point-quantized parameters). nil means the region is read by
+	// the program's Checks instead.
 	Want []float64
 	// Tol is the maximum absolute element error. Zero means exact.
 	Tol float64
@@ -53,10 +57,11 @@ type Program struct {
 	Asm *asm.Program
 	// Chunks is the main-memory image.
 	Chunks []Chunk
-	// Results are the post-run expectations.
+	// Results declare the output regions and their expectations.
 	Results []Result
-	// Checks are additional custom validations run after Results.
-	Checks []func(m *sim.Machine) error
+	// Checks are additional custom validations run after Results. They
+	// see only the declared output regions.
+	Checks []func(out Outputs) error
 }
 
 // Len returns the static code length (the Fig. 10 metric).
@@ -75,30 +80,148 @@ func (p *Program) Init(m *sim.Machine) error {
 	return nil
 }
 
+// outputBytes is the length of the program's serialized output.
+func (p *Program) outputBytes() int {
+	n := 0
+	for _, r := range p.Results {
+		n += fixed.Bytes(r.N)
+	}
+	return n
+}
+
+// Output serializes the declared output regions from main memory into buf
+// (grown as needed): each element as its raw Q8.8 bits, little-endian,
+// regions in declaration order — exactly the bytes the machine holds,
+// since main memory stores elements little-endian. Byte equality of two
+// serializations is exactly element-wise equality of all outputs.
+func (p *Program) Output(m *sim.Machine, buf []byte) ([]byte, error) {
+	total := p.outputBytes()
+	if cap(buf) < total {
+		buf = make([]byte, total)
+	}
+	buf = buf[:total]
+	off := 0
+	for _, r := range p.Results {
+		n := fixed.Bytes(r.N)
+		if err := m.ReadMainBytesInto(r.Addr, buf[off:off+n]); err != nil {
+			return nil, fmt.Errorf("codegen: %s: output %q: %w", p.Name, r.Name, err)
+		}
+		off += n
+	}
+	return buf, nil
+}
+
 // Verify compares machine state against the program's expectations.
 func (p *Program) Verify(m *sim.Machine) error {
+	out, err := p.Output(m, nil)
+	if err != nil {
+		return err
+	}
+	return p.VerifyOutput(out)
+}
+
+// VerifyOutput checks a serialized output (see Output) against the
+// program's expectations: each region with a Want within its tolerance,
+// then every custom check.
+func (p *Program) VerifyOutput(out []byte) error {
+	if want := p.outputBytes(); len(out) != want {
+		return fmt.Errorf("codegen: %s: output is %d bytes, want %d", p.Name, len(out), want)
+	}
+	off := 0
 	for _, r := range p.Results {
-		got, err := m.ReadMainNums(r.Addr, r.N)
-		if err != nil {
-			return fmt.Errorf("codegen: %s: result %q: %w", p.Name, r.Name, err)
-		}
-		if len(r.Want) != r.N {
-			return fmt.Errorf("codegen: %s: result %q: want length %d != N %d",
-				p.Name, r.Name, len(r.Want), r.N)
-		}
-		for i, g := range fixed.Floats(got) {
-			if d := math.Abs(g - r.Want[i]); d > r.Tol {
-				return fmt.Errorf("codegen: %s: result %q[%d] = %v, want %v (|err| %.4f > tol %.4f)",
-					p.Name, r.Name, i, g, r.Want[i], d, r.Tol)
+		n := fixed.Bytes(r.N)
+		if r.Want != nil {
+			if len(r.Want) != r.N {
+				return fmt.Errorf("codegen: %s: result %q: want length %d != N %d",
+					p.Name, r.Name, len(r.Want), r.N)
+			}
+			for i, g := range fixed.Floats(fixed.FromBytes(out[off:off+n], r.N)) {
+				if d := math.Abs(g - r.Want[i]); d > r.Tol {
+					return fmt.Errorf("codegen: %s: result %q[%d] = %v, want %v (|err| %.4f > tol %.4f)",
+						p.Name, r.Name, i, g, r.Want[i], d, r.Tol)
+				}
 			}
 		}
+		off += n
 	}
+	view := Outputs{results: p.Results, out: out}
 	for i, check := range p.Checks {
-		if err := check(m); err != nil {
+		if err := check(view); err != nil {
 			return fmt.Errorf("codegen: %s: check %d: %w", p.Name, i, err)
 		}
 	}
 	return nil
+}
+
+// CompareOutput compares the declared output regions in m's main memory,
+// in place, with want — the Output of a run that passed Verify. It
+// allocates nothing unless they differ; the error then names the region
+// and its first differing element.
+func (p *Program) CompareOutput(m *sim.Machine, want []byte) error {
+	if len(want) != p.outputBytes() {
+		return fmt.Errorf("codegen: %s: recorded output is %d bytes, want %d", p.Name, len(want), p.outputBytes())
+	}
+	off := 0
+	for _, r := range p.Results {
+		n := fixed.Bytes(r.N)
+		at, err := m.DiffMain(r.Addr, want[off:off+n])
+		if err != nil {
+			return fmt.Errorf("codegen: %s: output %q: %w", p.Name, r.Name, err)
+		}
+		if at >= 0 {
+			e := at / 2
+			got, err := m.ReadMainNums(r.Addr+fixed.Bytes(e), 1)
+			if err != nil {
+				return fmt.Errorf("codegen: %s: output %q: %w", p.Name, r.Name, err)
+			}
+			rec := fixed.FromBytes(want[off+fixed.Bytes(e):], 1)
+			return fmt.Errorf("codegen: %s: output %q[%d] = %#04x, recorded %#04x",
+				p.Name, r.Name, e, uint16(got[0]), uint16(rec[0]))
+		}
+		off += n
+	}
+	return nil
+}
+
+// Outputs is a read-only view of a serialized output (see Output),
+// addressed by main-memory address. A read must lie inside one declared
+// region.
+type Outputs struct {
+	results []Result
+	out     []byte
+}
+
+// region returns the serialized bytes of main memory [addr, addr+n).
+func (o Outputs) region(addr, n int) ([]byte, error) {
+	off := 0
+	for _, r := range o.results {
+		size := fixed.Bytes(r.N)
+		if n >= 0 && addr >= r.Addr && addr+n <= r.Addr+size {
+			at := off + addr - r.Addr
+			return o.out[at : at+n], nil
+		}
+		off += size
+	}
+	return nil, fmt.Errorf("read [%d, %d) outside the declared output regions", addr, addr+n)
+}
+
+// ReadNums decodes count fixed-point elements at main-memory address addr.
+func (o Outputs) ReadNums(addr, count int) ([]fixed.Num, error) {
+	b, err := o.region(addr, fixed.Bytes(count))
+	if err != nil {
+		return nil, err
+	}
+	return fixed.FromBytes(b, count), nil
+}
+
+// ReadWord decodes the 32-bit little-endian word at main-memory address
+// addr.
+func (o Outputs) ReadWord(addr int) (uint32, error) {
+	b, err := o.region(addr, 4)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint32(b), nil
 }
 
 // Execute initializes a machine, runs the program and verifies the outputs,
@@ -125,22 +248,6 @@ func (p *Program) ExecuteContext(ctx context.Context, m *sim.Machine) (sim.Stats
 	return stats, nil
 }
 
-// ExecutePreparedContext runs and verifies the program on a machine that
-// already holds its memory image and instruction stream — typically one
-// just restored from a sim.Snapshot captured after Init+LoadProgram. It
-// is ExecuteContext minus the image replay, and produces identical
-// statistics and errors.
-func (p *Program) ExecutePreparedContext(ctx context.Context, m *sim.Machine) (sim.Stats, error) {
-	stats, err := m.RunContext(ctx)
-	if err != nil {
-		return stats, fmt.Errorf("codegen: %s: %w", p.Name, err)
-	}
-	if err := p.Verify(m); err != nil {
-		return stats, err
-	}
-	return stats, nil
-}
-
 // finish assembles the builder output into a Program.
 func finish(name string, b *asm.Builder, g *gen) (*Program, error) {
 	src := b.Source()
@@ -154,7 +261,6 @@ func finish(name string, b *asm.Builder, g *gen) (*Program, error) {
 		Asm:     prog,
 		Chunks:  g.chunks,
 		Results: g.results,
-		Checks:  g.checks,
 	}, nil
 }
 
@@ -181,14 +287,13 @@ func (a *alloc) take(n int) int {
 func (a *alloc) takeElems(n int) int { return a.take(fixed.Bytes(n)) }
 
 // gen carries shared generator state: allocators, the data image and the
-// expectations being accumulated.
+// output regions being accumulated.
 type gen struct {
 	mainA   alloc
 	vspadA  alloc
 	mspadA  alloc
 	chunks  []Chunk
 	results []Result
-	checks  []func(m *sim.Machine) error
 }
 
 func newGen() *gen {
@@ -214,9 +319,13 @@ func (g *gen) out(name string, n int, want []float64, tol float64) int {
 	return addr
 }
 
-// outAddr reserves an unchecked main-memory region (inspected by custom
-// checks instead).
-func (g *gen) outAddr(n int) int { return g.mainA.takeElems(n) }
+// outAddr reserves a main-memory output region with no expectation of its
+// own: the program's custom checks read it.
+func (g *gen) outAddr(name string, n int) int {
+	addr := g.mainA.takeElems(n)
+	g.results = append(g.results, Result{Name: name, Addr: addr, N: n})
+	return addr
+}
 
 // fix converts a float constant to its fixed-point immediate encoding.
 func fix(v float64) int32 { return int32(fixed.FromFloat(v)) }

@@ -8,7 +8,6 @@ import (
 	"cambricon/internal/core"
 	"cambricon/internal/fixed"
 	"cambricon/internal/nn"
-	"cambricon/internal/sim"
 	"cambricon/internal/workload"
 )
 
@@ -33,12 +32,12 @@ func GenRBM(seed uint64) (*Program, error) {
 	wMain := g.data(net.W.Data)
 	bhMain := g.data(net.BH)
 	bvMain := g.data(net.BV)
-	phMain := g.outAddr(steps * nh)
-	rhMain := g.outAddr(steps * nh)
-	pvMain := g.outAddr(steps * nv)
-	rvMain := g.outAddr(steps * nv)
-	hOutMain := g.outAddr(nh)
-	vOutMain := g.outAddr(nv)
+	phMain := g.outAddr("hidden probabilities", steps*nh)
+	rhMain := g.outAddr("hidden draws", steps*nh)
+	pvMain := g.outAddr("visible probabilities", steps*nv)
+	rvMain := g.outAddr("visible draws", steps*nv)
+	hOutMain := g.outAddr("final hidden state", nh)
+	vOutMain := g.outAddr("final visible state", nv)
 
 	wM := g.mspadA.takeElems(nh * nv)
 	vV := g.vspadA.takeElems(nv)
@@ -132,17 +131,17 @@ func GenRBM(seed uint64) (*Program, error) {
 
 // rbmGibbsCheck replays the alternating chain: probabilities against the
 // float reference, thresholds bit-exactly on the accelerator's own values.
-func rbmGibbsCheck(net *nn.RBM, v0 nn.Vec, steps, phMain, rhMain, pvMain, rvMain, hOutMain, vOutMain int) func(*sim.Machine) error {
-	return func(m *sim.Machine) error {
+func rbmGibbsCheck(net *nn.RBM, v0 nn.Vec, steps, phMain, rhMain, pvMain, rvMain, hOutMain, vOutMain int) func(Outputs) error {
+	return func(out Outputs) error {
 		nv, nh := net.V, net.H
 		v := append(nn.Vec(nil), v0...)
 		h := make(nn.Vec, nh)
 		for t := 0; t < steps; t++ {
-			pSim, err := m.ReadMainNums(phMain+t*fixed.Bytes(nh), nh)
+			pSim, err := out.ReadNums(phMain+t*fixed.Bytes(nh), nh)
 			if err != nil {
 				return err
 			}
-			rSim, err := m.ReadMainNums(rhMain+t*fixed.Bytes(nh), nh)
+			rSim, err := out.ReadNums(rhMain+t*fixed.Bytes(nh), nh)
 			if err != nil {
 				return err
 			}
@@ -161,11 +160,11 @@ func rbmGibbsCheck(net *nn.RBM, v0 nn.Vec, steps, phMain, rhMain, pvMain, rvMain
 					h[i] = 0
 				}
 			}
-			pvSim, err := m.ReadMainNums(pvMain+t*fixed.Bytes(nv), nv)
+			pvSim, err := out.ReadNums(pvMain+t*fixed.Bytes(nv), nv)
 			if err != nil {
 				return err
 			}
-			rvSim, err := m.ReadMainNums(rvMain+t*fixed.Bytes(nv), nv)
+			rvSim, err := out.ReadNums(rvMain+t*fixed.Bytes(nv), nv)
 			if err != nil {
 				return err
 			}
@@ -185,7 +184,7 @@ func rbmGibbsCheck(net *nn.RBM, v0 nn.Vec, steps, phMain, rhMain, pvMain, rvMain
 				}
 			}
 		}
-		gotH, err := m.ReadMainNums(hOutMain, nh)
+		gotH, err := out.ReadNums(hOutMain, nh)
 		if err != nil {
 			return err
 		}
@@ -194,7 +193,7 @@ func rbmGibbsCheck(net *nn.RBM, v0 nn.Vec, steps, phMain, rhMain, pvMain, rvMain
 				return fmt.Errorf("final h[%d] = %v, want %v", i, gv, h[i])
 			}
 		}
-		gotV, err := m.ReadMainNums(vOutMain, nv)
+		gotV, err := out.ReadNums(vOutMain, nv)
 		if err != nil {
 			return err
 		}

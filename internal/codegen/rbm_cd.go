@@ -8,7 +8,6 @@ import (
 	"cambricon/internal/core"
 	"cambricon/internal/fixed"
 	"cambricon/internal/nn"
-	"cambricon/internal/sim"
 )
 
 // GenRBMCD is an extension beyond the Table III benchmark set: one full
@@ -30,11 +29,11 @@ func GenRBMCD(seed uint64) (*Program, error) {
 	wMain := g.data(net.W.Data)
 	bhMain := g.data(net.BH)
 	bvMain := g.data(net.BV)
-	p0Main := g.outAddr(nh)
-	r0Main := g.outAddr(nh)
-	v1Main := g.outAddr(nv)
-	h1Main := g.outAddr(nh)
-	wOutMain := g.outAddr(nh * nv)
+	p0Main := g.outAddr("p0", nh)
+	r0Main := g.outAddr("r0", nh)
+	v1Main := g.outAddr("v1", nv)
+	h1Main := g.outAddr("h1", nh)
+	wOutMain := g.outAddr("updated W", nh*nv)
 
 	half := nh / 2
 	wM := g.mspadA.takeElems(nh * nv)
@@ -144,14 +143,14 @@ func GenRBMCD(seed uint64) (*Program, error) {
 
 // rbmCheck validates the CD-1 chain stage by stage, thresholding on the
 // accelerator's own values so sampling never cascades into false failures.
-func rbmCheck(net *nn.RBM, v0 nn.Vec, p0Main, r0Main, v1Main, h1Main, wOutMain int) func(*sim.Machine) error {
-	return func(m *sim.Machine) error {
+func rbmCheck(net *nn.RBM, v0 nn.Vec, p0Main, r0Main, v1Main, h1Main, wOutMain int) func(Outputs) error {
+	return func(out Outputs) error {
 		nv, nh := net.V, net.H
-		p0Sim, err := m.ReadMainNums(p0Main, nh)
+		p0Sim, err := out.ReadNums(p0Main, nh)
 		if err != nil {
 			return err
 		}
-		r0Sim, err := m.ReadMainNums(r0Main, nh)
+		r0Sim, err := out.ReadNums(r0Main, nh)
 		if err != nil {
 			return err
 		}
@@ -168,7 +167,7 @@ func rbmCheck(net *nn.RBM, v0 nn.Vec, p0Main, r0Main, v1Main, h1Main, wOutMain i
 				h0[i] = 1
 			}
 		}
-		v1Sim, err := m.ReadMainNums(v1Main, nv)
+		v1Sim, err := out.ReadNums(v1Main, nv)
 		if err != nil {
 			return err
 		}
@@ -180,7 +179,7 @@ func rbmCheck(net *nn.RBM, v0 nn.Vec, p0Main, r0Main, v1Main, h1Main, wOutMain i
 			}
 		}
 		v1 := fixed.Floats(v1Sim)
-		h1Sim, err := m.ReadMainNums(h1Main, nh)
+		h1Sim, err := out.ReadNums(h1Main, nh)
 		if err != nil {
 			return err
 		}
@@ -192,7 +191,7 @@ func rbmCheck(net *nn.RBM, v0 nn.Vec, p0Main, r0Main, v1Main, h1Main, wOutMain i
 			}
 		}
 		h1 := fixed.Floats(h1Sim)
-		wSim, err := m.ReadMainNums(wOutMain, nh*nv)
+		wSim, err := out.ReadNums(wOutMain, nh*nv)
 		if err != nil {
 			return err
 		}

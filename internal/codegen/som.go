@@ -8,7 +8,6 @@ import (
 	"cambricon/internal/core"
 	"cambricon/internal/fixed"
 	"cambricon/internal/nn"
-	"cambricon/internal/sim"
 	"cambricon/internal/workload"
 )
 
@@ -47,8 +46,8 @@ func GenSOM(seed uint64) (*Program, error) {
 	var b asm.Builder
 
 	xMain := g.data(flat)
-	bmuMain := g.outAddr(2 * workload.SOMSteps) // 32-bit words, one per step
-	wOutMain := g.outAddr(neurons * in)
+	bmuMain := g.outAddr("BMU indices", 2*workload.SOMSteps) // 32-bit words, one per step
+	wOutMain := g.outAddr("trained prototypes", neurons*in)
 
 	wV := g.vspadA.takeElems(neurons * in) // prototypes, row-contiguous
 	xV := g.vspadA.takeElems(in)
@@ -174,13 +173,13 @@ func GenSOM(seed uint64) (*Program, error) {
 // somCheck replays the training trajectory in float64 along the
 // accelerator's own BMU choices and verifies (a) each BMU pick was within
 // fixed-point tolerance of optimal and (b) the final prototypes match.
-func somCheck(initW nn.Vec, inputs []nn.Vec, bmuMain, wOutMain, in, gw, gh int) func(*sim.Machine) error {
-	return func(m *sim.Machine) error {
+func somCheck(initW nn.Vec, inputs []nn.Vec, bmuMain, wOutMain, in, gw, gh int) func(Outputs) error {
+	return func(out Outputs) error {
 		neurons := gw * gh
 		w := nn.Mat{Rows: neurons, Cols: in, Data: append(nn.Vec(nil), initW...)}
 		ref := &nn.SOM{In: in, GridW: gw, GridH: gh, W: w}
 		for step, x := range inputs {
-			word, err := m.ReadMainWord(bmuMain + 4*step)
+			word, err := out.ReadWord(bmuMain + 4*step)
 			if err != nil {
 				return err
 			}
@@ -216,7 +215,7 @@ func somCheck(initW nn.Vec, inputs []nn.Vec, bmuMain, wOutMain, in, gw, gh int) 
 				}
 			}
 		}
-		got, err := m.ReadMainNums(wOutMain, neurons*in)
+		got, err := out.ReadNums(wOutMain, neurons*in)
 		if err != nil {
 			return err
 		}

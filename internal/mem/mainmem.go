@@ -393,6 +393,25 @@ func (m *Main) ReadBytesInto(addr int, dst []byte) error {
 	return nil
 }
 
+// Diff compares len(want) bytes at addr with want in place, without
+// allocating, and returns the offset of the first differing byte, or -1
+// when they are equal.
+func (m *Main) Diff(addr int, want []byte) (int, error) {
+	if err := m.Check(addr, len(want)); err != nil {
+		return 0, err
+	}
+	got := m.data[addr : addr+len(want)]
+	if bytes.Equal(got, want) {
+		return -1, nil
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			return i, nil
+		}
+	}
+	return -1, nil
+}
+
 // WriteBytes stores b at addr.
 func (m *Main) WriteBytes(addr int, b []byte) error {
 	if err := m.Check(addr, len(b)); err != nil {

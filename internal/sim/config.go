@@ -132,11 +132,21 @@ func DefaultConfig() Config {
 	}
 }
 
+// Upper bounds on the fields that size allocations: the three memories,
+// the pipeline rings and the scratchpads' per-bank counters. A checkpoint
+// file carries its configuration, so without them a valid-CRC file could
+// make sim.New ask for any amount of memory.
+const (
+	maxMemBytes = 1 << 30 // main memory and each scratchpad
+	maxEntries  = 1 << 16 // ring depths and scratchpad banks
+)
+
 // validate fills defaults and rejects nonsensical geometry. Every divisor
 // the timing model uses on its hot paths (VectorLanes, MatrixBlocks,
 // MACsPerBlock, BankBytes, DMABytesPerCycle, beat-cost multipliers) is
 // guaranteed positive here, once, so the per-instruction cycle math never
-// needs to re-check or clamp.
+// needs to re-check or clamp. Every field that sizes an allocation is
+// bounded here too, so nothing is sized from an unchecked value.
 func (c *Config) validate() error {
 	if c.IssueWidth <= 0 {
 		c.IssueWidth = 1
@@ -203,6 +213,22 @@ func (c *Config) validate() error {
 	}
 	if c.BranchPenaltyCycles < 0 {
 		c.BranchPenaltyCycles = 0
+	}
+	for _, f := range [...]struct {
+		name   string
+		v, max int
+	}{
+		{"MainMemBytes", c.MainMemBytes, maxMemBytes},
+		{"VectorSpadBytes", c.VectorSpadBytes, maxMemBytes},
+		{"MatrixSpadBytes", c.MatrixSpadBytes, maxMemBytes},
+		{"IssueQueueDepth", c.IssueQueueDepth, maxEntries},
+		{"ROBDepth", c.ROBDepth, maxEntries},
+		{"MemQueueDepth", c.MemQueueDepth, maxEntries},
+		{"SpadBanks", c.SpadBanks, maxEntries},
+	} {
+		if f.v > f.max {
+			return fmt.Errorf("sim: %s %d exceeds the limit %d", f.name, f.v, f.max)
+		}
 	}
 	return nil
 }

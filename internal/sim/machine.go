@@ -220,6 +220,14 @@ func (m *Machine) ReadMainBytesInto(addr int, dst []byte) error {
 	return m.main.ReadBytesInto(addr, dst)
 }
 
+// DiffMain compares len(want) bytes of main memory at addr with want in
+// place, without allocating, and returns the offset of the first
+// differing byte, or -1 when they are equal (output checks of repeated
+// runs).
+func (m *Machine) DiffMain(addr int, want []byte) (int, error) {
+	return m.main.Diff(addr, want)
+}
+
 // WriteMainWord stores a 32-bit scalar in main memory.
 func (m *Machine) WriteMainWord(addr int, v uint32) error {
 	return m.main.WriteWord(addr, v)
