@@ -96,7 +96,7 @@ func newSuiteMetrics(reg *metrics.Registry) *suiteMetrics {
 		decodeHits:    reg.Counter(MetricDecodeHits, "decoded-program requests served from the suite's singleflight cache"),
 		decodeMisses:  reg.Counter(MetricDecodeMisses, "decoded-program requests that paid for a fresh pre-decode"),
 		snapPrepared:  reg.Gauge(MetricSnapPrepared, "prepared per-benchmark snapshots held"),
-		snapResident:  reg.Gauge(MetricSnapResident, "resident bytes of the prepared snapshots (page-sparse main memory)"),
+		snapResident:  reg.Gauge(MetricSnapResident, "resident bytes of the prepared snapshots (page-sparse memory images)"),
 		snapDense:     reg.Gauge(MetricSnapDense, "bytes the prepared snapshots would occupy with dense main-memory images"),
 	}
 	sm.simM = sim.Metrics{

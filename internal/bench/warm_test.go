@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"cambricon/internal/fault"
+	"cambricon/internal/metrics"
 )
 
 // warmBenchmarks keeps these tests fast: the two cheapest Table III
@@ -172,5 +173,32 @@ func TestKernelMachineWarmMatchesCold(t *testing.T) {
 	}
 	if !reflect.DeepEqual(warmTbl.Rows, coldTbl.Rows) {
 		t.Fatalf("warm sweep %v != cold sweep %v", warmTbl.Rows, coldTbl.Rows)
+	}
+}
+
+// TestWarmRestoreCopiesWrittenPages pins what a warm run pays to restore
+// its machine: only the pages the previous run of the same program
+// wrote, in all three memories. After two warm runs, the third RunOnce
+// of MLP restores at most 80 KiB and of HNN at most 40 KiB, where
+// whole-scratchpad restores cost 836 and 840 KiB.
+func TestWarmRestoreCopiesWrittenPages(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		max  uint64
+	}{{"MLP", 80 << 10}, {"HNN", 40 << 10}} {
+		reg := metrics.New()
+		s := NewSuite(7)
+		s.Metrics = reg
+		restored := reg.Counter(MetricRestoreBytes, "")
+		var before uint64
+		for run := 0; run < 3; run++ {
+			before = restored.Value()
+			if _, err := s.RunOnce(context.Background(), c.name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := restored.Value() - before; got == 0 || got > c.max {
+			t.Errorf("%s: third warm run restored %d bytes, want 1 to %d", c.name, got, c.max)
+		}
 	}
 }

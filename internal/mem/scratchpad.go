@@ -5,8 +5,6 @@
 package mem
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 
 	"cambricon/internal/fixed"
@@ -20,19 +18,10 @@ import (
 // A Scratchpad is purely functional storage plus a conflict model: timing
 // integration lives in internal/sim.
 type Scratchpad struct {
-	name      string
-	data      []byte
+	paged
 	banks     int
 	lineBytes int
 	perBank   []int // reusable conflict counters (Scratchpad is not concurrency-safe)
-
-	// tracking/dirty implement whole-pad dirty tracking for
-	// snapshot/restore warm-starts: scratchpads are small (64 KiB / 768
-	// KiB) and almost every run streams through most of one, so a single
-	// flag — skip the copy when the pad was never written — captures the
-	// useful cases without per-page bookkeeping on the operand hot path.
-	tracking bool
-	dirty    bool
 
 	// onConflict, when set, observes crossbar serialization: it receives
 	// the busiest bank of an access set and the cycles that bank was
@@ -52,109 +41,15 @@ func NewScratchpad(name string, size, banks, lineBytes int) (*Scratchpad, error)
 	if banks&(banks-1) != 0 {
 		return nil, fmt.Errorf("mem: bank count %d must be a power of two", banks)
 	}
-	return &Scratchpad{name: name, data: make([]byte, size), banks: banks,
+	return &Scratchpad{paged: paged{name: name, data: make([]byte, size)}, banks: banks,
 		lineBytes: lineBytes, perBank: make([]int, banks)}, nil
 }
 
 // Name returns the scratchpad's diagnostic name.
 func (s *Scratchpad) Name() string { return s.name }
 
-// Size returns the capacity in bytes.
-func (s *Scratchpad) Size() int { return len(s.data) }
-
 // Banks returns the number of banks.
 func (s *Scratchpad) Banks() int { return s.banks }
-
-// Image returns a copy of the full scratchpad contents (snapshot capture).
-func (s *Scratchpad) Image() []byte {
-	img := make([]byte, len(s.data))
-	copy(img, s.data)
-	return img
-}
-
-// DiffWords compares the live scratchpad contents against img (a prior
-// Image of this scratchpad) and appends the indices of the differing
-// 16-bit words to a fresh slice, giving up (ok false) once more than max
-// words differ or when img has the wrong length. An equal pad returns
-// (nil, true) after a single bytes.Equal pass; convergence checks use
-// the word list to ask whether each surviving difference is ever read
-// again.
-func (s *Scratchpad) DiffWords(img []byte, max int) (words []int, ok bool) {
-	if len(img) != len(s.data) {
-		return nil, false
-	}
-	if bytes.Equal(s.data, img) {
-		return nil, true
-	}
-	i := 0
-	for ; i+8 <= len(s.data); i += 8 {
-		a := binary.LittleEndian.Uint64(s.data[i:])
-		b := binary.LittleEndian.Uint64(img[i:])
-		if x := a ^ b; x != 0 {
-			for k := 0; k < 8; k += 2 {
-				if x>>(8*uint(k))&0xffff != 0 {
-					words = append(words, (i+k)/2)
-					if len(words) > max {
-						return nil, false
-					}
-				}
-			}
-		}
-	}
-	for ; i < len(s.data); i++ {
-		if s.data[i] != img[i] {
-			w := i / 2
-			if len(words) == 0 || words[len(words)-1] != w {
-				words = append(words, w)
-				if len(words) > max {
-					return nil, false
-				}
-			}
-		}
-	}
-	return words, true
-}
-
-// BeginDirtyTracking clears and (re)enables write tracking: after the
-// call, RestoreFrom skips the copy entirely when nothing was written
-// since.
-func (s *Scratchpad) BeginDirtyTracking() {
-	s.tracking = true
-	s.dirty = false
-}
-
-// DropDirtyTracking disables write tracking; the next RestoreFrom falls
-// back to a full copy.
-func (s *Scratchpad) DropDirtyTracking() { s.tracking = false }
-
-// Tracking reports whether write tracking is active.
-func (s *Scratchpad) Tracking() bool { return s.tracking }
-
-// MarkDirty forces the next RestoreFrom to copy even if nothing was
-// written (no-op without tracking). Used when a tracked scratchpad
-// switches to a different snapshot image: the whole-pad granularity means
-// the switch is a full pad copy, but tracking survives so later restores
-// to the same image stay skippable.
-func (s *Scratchpad) MarkDirty() {
-	if s.tracking {
-		s.dirty = true
-	}
-}
-
-// RestoreFrom reinstates img (a prior Image of this scratchpad), copying
-// only when the pad was written since BeginDirtyTracking (or when
-// tracking is off), and returns the number of bytes copied.
-func (s *Scratchpad) RestoreFrom(img []byte) (int, error) {
-	if len(img) != len(s.data) {
-		return 0, fmt.Errorf("mem: %s: restore image is %d bytes, capacity %d", s.name, len(img), len(s.data))
-	}
-	if s.tracking && !s.dirty {
-		return 0, nil
-	}
-	s.tracking = true
-	s.dirty = false
-	return copy(s.data, img), nil
-}
 
 // SetConflictHook registers fn to observe bank conflicts: whenever an
 // AccessCycles access set serializes through the crossbar beyond its
@@ -173,74 +68,9 @@ func (s *Scratchpad) FlipBit(addr int, bit uint8) bool {
 	if addr < 0 || addr >= len(s.data) {
 		return false
 	}
-	s.dirty = true
+	s.markDirty(addr, 1)
 	s.data[addr] ^= 1 << (bit % 8)
 	return true
-}
-
-// Check validates an access region. Scratchpad addressing errors are
-// program bugs surfaced as errors so the simulator can report the faulting
-// instruction. The simulator also calls Check before it sizes a buffer
-// from a register-held length, so an out-of-range access fails without
-// allocating.
-func (s *Scratchpad) Check(addr, n int) error {
-	if n < 0 {
-		return fmt.Errorf("mem: %s: negative access size %d", s.name, n)
-	}
-	if addr < 0 || addr+n > len(s.data) {
-		return fmt.Errorf("mem: %s: access [%d, %d) outside capacity %d", s.name, addr, addr+n, len(s.data))
-	}
-	return nil
-}
-
-// ReadBytes copies n bytes starting at addr.
-func (s *Scratchpad) ReadBytes(addr, n int) ([]byte, error) {
-	if err := s.Check(addr, n); err != nil {
-		return nil, err
-	}
-	out := make([]byte, n)
-	copy(out, s.data[addr:addr+n])
-	return out, nil
-}
-
-// ReadBytesInto copies len(dst) bytes starting at addr into dst without
-// allocating.
-func (s *Scratchpad) ReadBytesInto(addr int, dst []byte) error {
-	if err := s.Check(addr, len(dst)); err != nil {
-		return err
-	}
-	copy(dst, s.data[addr:addr+len(dst)])
-	return nil
-}
-
-// WriteBytes stores b at addr.
-func (s *Scratchpad) WriteBytes(addr int, b []byte) error {
-	if err := s.Check(addr, len(b)); err != nil {
-		return err
-	}
-	s.dirty = true
-	copy(s.data[addr:], b)
-	return nil
-}
-
-// ReadNums reads count 16-bit fixed-point elements starting at byte address
-// addr.
-func (s *Scratchpad) ReadNums(addr, count int) ([]fixed.Num, error) {
-	n := fixed.Bytes(count)
-	if err := s.Check(addr, n); err != nil {
-		return nil, err
-	}
-	return fixed.FromBytes(s.data[addr:addr+n], count), nil
-}
-
-// ReadNumsInto reads len(dst) elements into dst without allocating.
-func (s *Scratchpad) ReadNumsInto(addr int, dst []fixed.Num) error {
-	n := fixed.Bytes(len(dst))
-	if err := s.Check(addr, n); err != nil {
-		return err
-	}
-	fixed.FromBytesInto(s.data[addr:addr+n], dst)
-	return nil
 }
 
 // NumsView returns count elements starting at byte address addr as a
@@ -271,23 +101,6 @@ func (s *Scratchpad) NumsView(addr, count int, spill *[]fixed.Num) ([]fixed.Num,
 	dst := (*spill)[:count]
 	fixed.FromBytesInto(s.data[addr:addr+n], dst)
 	return dst, nil
-}
-
-// WriteNums stores fixed-point elements at byte address addr.
-func (s *Scratchpad) WriteNums(addr int, ns []fixed.Num) error {
-	n := fixed.Bytes(len(ns))
-	if err := s.Check(addr, n); err != nil {
-		return err
-	}
-	s.dirty = true
-	dst := s.data[addr : addr+n]
-	// Where reads alias the storage (NumsView), a write is one copy.
-	if view, ok := fixed.ViewBytes(dst, len(ns)); ok {
-		copy(view, ns)
-		return nil
-	}
-	fixed.ToBytes(ns, dst)
-	return nil
 }
 
 // AccessCycles returns the number of scratchpad cycles needed to service the

@@ -2,16 +2,17 @@ package mem
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
 	"cambricon/internal/fixed"
 )
 
-// dirtyPages decodes the main-memory bitmap into page indices.
-func dirtyPages(m *Main) []int {
+// dirtyPages decodes a memory's page bitmap into page indices.
+func dirtyPages(t *paged) []int {
 	var pages []int
-	for w, word := range m.dirty {
+	for w, word := range t.dirty {
 		for b := 0; b < 64; b++ {
 			if word&(1<<uint(b)) != 0 {
 				pages = append(pages, w*64+b)
@@ -21,9 +22,13 @@ func dirtyPages(m *Main) []int {
 	return pages
 }
 
+// contents is a dense copy of a memory, for comparisons.
+func contents(t *paged) []byte { return bytes.Clone(t.data) }
+
 func TestMainDirtyTrackingMarksPages(t *testing.T) {
 	m := newMainMem(t, 4*PageBytes)
-	img := m.Image()
+	img := m.SparseImage()
+	dense := contents(&m.paged)
 	m.BeginDirtyTracking()
 
 	// A small write inside page 1.
@@ -34,32 +39,25 @@ func TestMainDirtyTrackingMarksPages(t *testing.T) {
 	if err := m.WriteBytes(3*PageBytes-2, []byte{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
 	}
-	got := dirtyPages(m)
-	want := []int{1, 2, 3}
-	if len(got) != len(want) {
+	if got, want := dirtyPages(&m.paged), []int{1, 2, 3}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("dirty pages = %v, want %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("dirty pages = %v, want %v", got, want)
-		}
-	}
 
-	copied, err := m.RestoreFrom(img)
+	copied, err := m.RestoreFromSparse(img)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if copied != 3*PageBytes {
 		t.Fatalf("restore copied %d bytes, want %d (3 pages)", copied, 3*PageBytes)
 	}
-	if !bytes.Equal(m.data, img) {
+	if !bytes.Equal(m.data, dense) {
 		t.Fatal("restored contents differ from image")
 	}
-	if pages := dirtyPages(m); len(pages) != 0 {
+	if pages := dirtyPages(&m.paged); len(pages) != 0 {
 		t.Fatalf("bitmap not cleared after restore: %v", pages)
 	}
 	// Untouched restore copies nothing.
-	copied, err = m.RestoreFrom(img)
+	copied, err = m.RestoreFromSparse(img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +72,7 @@ func TestMainDirtyTrackingWriteNums(t *testing.T) {
 	if err := m.WriteNums(0, fixed.FromFloats([]float64{1, 2, 3})); err != nil {
 		t.Fatal(err)
 	}
-	got := dirtyPages(m)
+	got := dirtyPages(&m.paged)
 	if len(got) != 1 || got[0] != 0 {
 		t.Fatalf("dirty pages = %v, want [0]", got)
 	}
@@ -85,37 +83,37 @@ func TestMainRestoreWithoutTrackingCopiesAll(t *testing.T) {
 	if err := m.WriteBytes(2*PageBytes+50, []byte{9, 9, 9}); err != nil {
 		t.Fatal(err)
 	}
-	img := make([]byte, m.Size())
-	copied, err := m.RestoreFrom(img)
+	img := ZeroSparseImage(m.Size())
+	copied, err := m.RestoreFromSparse(img)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if copied != m.Size() {
 		t.Fatalf("untracked restore copied %d bytes, want full %d", copied, m.Size())
 	}
-	if m.dirty == nil {
+	if !m.Tracking() {
 		t.Fatal("untracked restore should begin tracking")
 	}
 	// The partial last page restores without overrunning the buffer.
 	if err := m.WriteBytes(2*PageBytes+10, []byte{7}); err != nil {
 		t.Fatal(err)
 	}
-	copied, err = m.RestoreFrom(img)
+	copied, err = m.RestoreFromSparse(img)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if copied != 100 {
 		t.Fatalf("partial-page restore copied %d bytes, want 100", copied)
 	}
-	if !bytes.Equal(m.data, img) {
+	if !bytes.Equal(m.data, make([]byte, m.Size())) {
 		t.Fatal("restored contents differ from image")
 	}
 }
 
 func TestMainRestoreSizeMismatch(t *testing.T) {
 	m := newMainMem(t, PageBytes)
-	if _, err := m.RestoreFrom(make([]byte, PageBytes-1)); err == nil ||
-		!strings.Contains(err.Error(), "restore image") {
+	if _, err := m.RestoreFromSparse(ZeroSparseImage(PageBytes - 1)); err == nil ||
+		!strings.Contains(err.Error(), "mem: main: restore image") {
 		t.Fatalf("size-mismatch restore: err = %v", err)
 	}
 }
@@ -128,7 +126,7 @@ func TestSparseImageRoundTrip(t *testing.T) {
 	if err := m.WriteBytes(4*PageBytes+96, []byte{5, 6, 7}); err != nil {
 		t.Fatal(err)
 	}
-	dense := m.Image()
+	dense := contents(&m.paged)
 	img := m.SparseImage()
 	if img.Size() != m.Size() {
 		t.Fatalf("SparseImage.Size() = %d, want %d", img.Size(), m.Size())
@@ -156,7 +154,7 @@ func TestSparseImageRoundTrip(t *testing.T) {
 	if !bytes.Equal(m.data, dense) {
 		t.Fatal("sparse restore does not reproduce the dense image")
 	}
-	if m.dirty == nil {
+	if !m.Tracking() {
 		t.Fatal("untracked sparse restore should begin tracking")
 	}
 
@@ -188,24 +186,29 @@ func TestSparseImageRoundTrip(t *testing.T) {
 }
 
 func TestSparseRestoreSizeMismatch(t *testing.T) {
-	m := newMainMem(t, PageBytes)
-	other := newMainMem(t, 2*PageBytes)
-	if _, err := m.RestoreFromSparse(other.SparseImage()); err == nil ||
-		!strings.Contains(err.Error(), "restore image") {
+	s := newPad(t, "vspad", PageBytes, 4, 64)
+	other := newPad(t, "mspad", 2*PageBytes, 4, 64)
+	if _, err := s.RestoreFromSparse(other.SparseImage()); err == nil ||
+		!strings.Contains(err.Error(), "mem: vspad: restore image") {
 		t.Fatalf("size-mismatch sparse restore: err = %v", err)
 	}
 }
 
+// TestScratchpadDirtyTracking pins that a scratchpad tracks pages like
+// main memory: every write kind marks exactly the pages it touches, a
+// restore rewrites only those (and zeroes a written page the image does
+// not store), and without tracking a restore rebuilds the whole pad.
 func TestScratchpadDirtyTracking(t *testing.T) {
-	s := newPad(t, "vspad", 1024, 4, 64)
-	if err := s.WriteBytes(0, []byte{1, 2, 3}); err != nil {
+	s := newPad(t, "vspad", 4*PageBytes+64, 4, 64) // short last page
+	if err := s.WriteBytes(PageBytes, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	img := s.Image()
+	img := s.SparseImage()
+	dense := contents(&s.paged)
 	s.BeginDirtyTracking()
 
 	// Clean pad: restore is free.
-	copied, err := s.RestoreFrom(img)
+	copied, err := s.RestoreFromSparse(img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,44 +216,40 @@ func TestScratchpadDirtyTracking(t *testing.T) {
 		t.Fatalf("clean restore copied %d bytes, want 0", copied)
 	}
 
-	// Each write kind dirties the pad.
-	dirtiers := []struct {
-		name string
-		fn   func()
+	// Each write kind dirties the pages it touches, and only those.
+	for _, d := range []struct {
+		name  string
+		write func()
+		pages []int
+		bytes int
 	}{
-		{"WriteBytes", func() { s.WriteBytes(0, []byte{9}) }},
-		{"WriteNums", func() { s.WriteNums(0, fixed.FromFloats([]float64{4})) }},
-		{"FlipBit", func() { s.FlipBit(5, 1) }},
-	}
-	for _, d := range dirtiers {
-		d.fn()
-		if !s.dirty {
-			t.Fatalf("%s did not dirty the pad", d.name)
+		{"WriteBytes", func() { s.WriteBytes(2*PageBytes-1, []byte{9, 9}) }, []int{1, 2}, 2 * PageBytes},
+		{"WriteNums", func() { s.WriteNums(0, fixed.FromFloats([]float64{4})) }, []int{0}, PageBytes},
+		{"FlipBit", func() { s.FlipBit(4*PageBytes+5, 1) }, []int{4}, 64},
+	} {
+		d.write()
+		if got := dirtyPages(&s.paged); !reflect.DeepEqual(got, d.pages) {
+			t.Fatalf("%s: dirty pages = %v, want %v", d.name, got, d.pages)
 		}
-		copied, err := s.RestoreFrom(img)
+		copied, err := s.RestoreFromSparse(img)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if copied != s.Size() {
-			t.Fatalf("%s: dirty restore copied %d bytes, want %d", d.name, copied, s.Size())
+		if copied != d.bytes {
+			t.Fatalf("%s: dirty restore copied %d bytes, want %d", d.name, copied, d.bytes)
 		}
-		if !bytes.Equal(s.data, img) {
+		if !bytes.Equal(s.data, dense) {
 			t.Fatalf("%s: restored contents differ from image", d.name)
 		}
 	}
 
-	// Tracking dropped: restore always copies.
+	// Tracking dropped: restore rebuilds the whole pad.
 	s.DropDirtyTracking()
-	copied, err = s.RestoreFrom(img)
+	copied, err = s.RestoreFromSparse(img)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if copied != s.Size() {
 		t.Fatalf("untracked restore copied %d bytes, want %d", copied, s.Size())
-	}
-
-	if _, err := s.RestoreFrom(make([]byte, 7)); err == nil ||
-		!strings.Contains(err.Error(), "restore image") {
-		t.Fatalf("size-mismatch restore: err = %v", err)
 	}
 }

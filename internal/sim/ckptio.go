@@ -19,7 +19,8 @@ import (
 // Layout, all integers little-endian:
 //
 //	magic   [8]byte  "CAMCKPT1"
-//	version uint32   (currently 1)
+//	version uint32   (currently 2; version 1 stored the scratchpads
+//	                 densely and is no longer read)
 //	flags   uint32   bit 0: mid-run, bit 1: program pre-decoded (set
 //	                 whenever a program is loaded; the reader pre-decodes
 //	                 the program whether it is set or not)
@@ -28,9 +29,8 @@ import (
 //	pc      int64
 //	rng     uint64
 //	program uint32 length + core.EncodeProgram bytes (0 = none)
-//	vspad   uint32 length + bytes
-//	mspad   uint32 length + bytes
-//	main    uint64 size, uint32 pages, then per page ascending:
+//	images  vector scratchpad, matrix scratchpad, main memory, each:
+//	        uint64 size, uint32 pages, then per nonzero page ascending:
 //	        uint32 index + uint32 length + bytes
 //	mid-run only: Stats (fixed-size, binary.Write) + pipeState fields
 //	crc     uint32   IEEE CRC-32 of everything above
@@ -39,11 +39,18 @@ import (
 // bit-flipped file is an error, never a silently wrong machine state.
 const (
 	ckptMagic   = "CAMCKPT1"
-	ckptVersion = 1
+	ckptVersion = 2
 
 	ckptFlagMidRun    = 1 << 0
 	ckptFlagPredecode = 1 << 1
 )
+
+// ckptImages is the order the memory images appear in a checkpoint, with
+// the name a read error gives each.
+var ckptImages = [3]struct {
+	sp   space
+	name string
+}{{spaceVec, "vector scratchpad"}, {spaceMat, "matrix scratchpad"}, {spaceMain, "main memory"}}
 
 // WriteCheckpoint serializes s to w. The encoding is deterministic:
 // identical snapshots produce identical bytes.
@@ -82,19 +89,17 @@ func WriteCheckpoint(w io.Writer, s *Snapshot) error {
 	w32(uint32(len(progImg)))
 	buf.Write(progImg)
 
-	w32(uint32(len(s.vspad)))
-	buf.Write(s.vspad)
-	w32(uint32(len(s.mspad)))
-	buf.Write(s.mspad)
-
-	w64(uint64(s.main.Size()))
-	pages := s.main.StoredPages()
-	w32(uint32(len(pages)))
-	for _, p := range pages {
-		pg := s.main.Page(p)
-		w32(uint32(p))
-		w32(uint32(len(pg)))
-		buf.Write(pg)
+	for _, im := range ckptImages {
+		img := s.img[im.sp]
+		w64(uint64(img.Size()))
+		pages := img.StoredPages()
+		w32(uint32(len(pages)))
+		for _, p := range pages {
+			pg := img.Page(p)
+			w32(uint32(p))
+			w32(uint32(len(pg)))
+			buf.Write(pg)
+		}
 	}
 
 	if s.stats != nil {
@@ -297,27 +302,22 @@ func ReadCheckpoint(src io.Reader) (*Snapshot, error) {
 		}
 	}
 
-	s.vspad = append([]byte(nil), r.take(r.cint())...)
-	s.mspad = append([]byte(nil), r.take(r.cint())...)
-	if r.err == nil && (len(s.vspad) != cfg.VectorSpadBytes || len(s.mspad) != cfg.MatrixSpadBytes) {
-		return nil, fmt.Errorf("sim: checkpoint: scratchpad images %d/%d bytes, config says %d/%d",
-			len(s.vspad), len(s.mspad), cfg.VectorSpadBytes, cfg.MatrixSpadBytes)
-	}
-
-	mainSize := int(r.i64())
-	nPages := r.count(8) // a page record is at least its index and length words
-	if r.err == nil && mainSize != cfg.MainMemBytes {
-		return nil, fmt.Errorf("sim: checkpoint: main image %d bytes, config says %d", mainSize, cfg.MainMemBytes)
-	}
-	pages := make([]int, 0, nPages)
-	contents := make([][]byte, 0, nPages)
-	for i := 0; i < nPages && r.err == nil; i++ {
-		pages = append(pages, r.cint())
-		contents = append(contents, r.take(r.cint()))
-	}
-	if r.err == nil {
-		if s.main, err = mem.BuildSparseImage(mainSize, pages, contents); err != nil {
-			return nil, fmt.Errorf("sim: checkpoint: %w", err)
+	for _, im := range ckptImages {
+		size := int(r.i64())
+		nPages := r.count(8) // a page record is at least its index and length words
+		if want := cfg.memBytes(im.sp); r.err == nil && size != want {
+			return nil, fmt.Errorf("sim: checkpoint: %s image %d bytes, config says %d", im.name, size, want)
+		}
+		pages := make([]int, 0, nPages)
+		contents := make([][]byte, 0, nPages)
+		for i := 0; i < nPages && r.err == nil; i++ {
+			pages = append(pages, r.cint())
+			contents = append(contents, r.take(r.cint()))
+		}
+		if r.err == nil {
+			if s.img[im.sp], err = mem.BuildSparseImage(size, pages, contents); err != nil {
+				return nil, fmt.Errorf("sim: checkpoint: %s: %w", im.name, err)
+			}
 		}
 	}
 

@@ -1,0 +1,36 @@
+package sim
+
+// Hooks for the external tests (package sim_test), which build the Table
+// III programs through internal/bench and so cannot live in package sim.
+
+import (
+	"bytes"
+	"slices"
+
+	"cambricon/internal/mem"
+)
+
+// MemoryNames names the memories a Snapshot images, indexed like its
+// images.
+var MemoryNames = [3]string{spaceMain: "main", spaceVec: "vector-spad", spaceMat: "matrix-spad"}
+
+// PageBound is the page bound a convergence proof compares memory sp
+// over, for this machine against the golden state at dynamic index to.
+func (m *Machine) PageBound(sp int, lv *Liveness, to int64) ([]int, bool) {
+	pages, ok := m.pageBound(space(sp), lv, to)
+	return slices.Clone(pages), ok
+}
+
+// DiffPages returns the pages of memory sp whose contents differ between
+// two snapshots.
+func DiffPages(a, b *Snapshot, sp int) []int {
+	ia, ib := a.img[sp], b.img[sp]
+	var pages []int
+	for p := 0; p*mem.PageBytes < ia.Size(); p++ {
+		// Absent pages are all-zero, and a stored page is never all-zero.
+		if !bytes.Equal(ia.Page(p), ib.Page(p)) {
+			pages = append(pages, p)
+		}
+	}
+	return pages
+}

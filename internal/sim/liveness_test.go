@@ -149,3 +149,45 @@ func TestConvergedWith(t *testing.T) {
 		t.Fatalf("retry hint %d, want last read + 1 = %d", retry, lv.vspadLast[0]+1)
 	}
 }
+
+// TestConvergedWithAllocationFree pins that a convergence proof reuses
+// the machine's page and word buffers: once they have grown, a proof
+// allocates nothing, whether it converges or finds a live scratchpad
+// difference.
+func TestConvergedWithAllocationFree(t *testing.T) {
+	cfg := DefaultConfig()
+	golden, start, st, lv := recordGolden(t, cfg, true)
+	j1, j2 := st.Instructions/3, 2*st.Instructions/3
+	if err := golden.Restore(start); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := golden.RunUntil(j1); err != nil {
+		t.Fatal(err)
+	}
+	ck1 := golden.Checkpoint()
+	if _, _, err := golden.RunUntil(j2); err != nil {
+		t.Fatal(err)
+	}
+	ck2 := golden.Checkpoint()
+
+	m := ckptMachine(t, cfg, true)
+	if err := m.Restore(ck1); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := m.RunUntil(j2); err != nil {
+		t.Fatal(err)
+	}
+	if conv, _ := m.ConvergedWith(ck2, lv); !conv {
+		t.Fatal("golden replay did not converge")
+	}
+	if allocs := testing.AllocsPerRun(50, func() { m.ConvergedWith(ck2, lv) }); allocs != 0 {
+		t.Fatalf("converging proof: %.1f allocs, want 0", allocs)
+	}
+	m.vspad.FlipBit(0, 0) // a live word: the proof lists it and fails
+	if conv, retry := m.ConvergedWith(ck2, lv); conv || retry == 0 {
+		t.Fatalf("live difference: converged=%v retry=%d, want a retry hint", conv, retry)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { m.ConvergedWith(ck2, lv) }); allocs != 0 {
+		t.Fatalf("failing proof: %.1f allocs, want 0", allocs)
+	}
+}

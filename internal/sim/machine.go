@@ -68,10 +68,16 @@ type Machine struct {
 
 	// lastSnap remembers which Snapshot this machine's memory dirty
 	// tracking is relative to: Restore to the same snapshot copies only
-	// dirty regions, any other snapshot forces a full copy.
+	// dirty pages, to another one also the pages resident in either
+	// image (everything when the machine tracks no writes).
 	// lastRestoreBytes is the copy volume of the most recent Restore.
 	lastSnap         *Snapshot
 	lastRestoreBytes int
+
+	// pageBuf and wordBuf are ConvergedWith's reusable page and word
+	// lists, so a convergence proof allocates nothing once they have
+	// grown.
+	pageBuf, wordBuf []int
 
 	// stopAt, when >= 0, makes the run loops return cleanly (no error) at
 	// the first instruction boundary where stats.Instructions reaches it —
@@ -160,9 +166,9 @@ func (m *Machine) Reconfigure(cfg Config) error {
 	m.cfg = cfg
 	m.dec = nil
 	m.lastSnap = nil
-	m.vspad.DropDirtyTracking()
-	m.mspad.DropDirtyTracking()
-	m.main.DropDirtyTracking()
+	for _, mm := range m.memories() {
+		mm.DropDirtyTracking()
+	}
 	m.Reset()
 	return nil
 }

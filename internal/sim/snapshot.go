@@ -11,10 +11,11 @@ import (
 // program and memory images. Capturing one right after Program.Init
 // turns every later run of the same prepared workload into a Restore —
 // a handful of dirty-page copies — instead of a 16 MiB machine rebuild
-// plus image replay. Main memory is held page-sparse (only nonzero 4 KiB
-// pages are resident; benchmarks touch well under 1 MiB of the 16 MiB
-// space), so a suite holding all ten prepared benchmarks keeps ~20x less
-// memory than with dense images. A Snapshot is immutable once captured
+// plus image replay. All three memories are held page-sparse (only
+// nonzero 4 KiB pages are resident; benchmarks touch well under 1 MiB of
+// the 16 MiB main memory and a few pages of each scratchpad), so a suite
+// holding all ten prepared benchmarks keeps a small fraction of the
+// memory dense images would take. A Snapshot is immutable once captured
 // and may be shared by any number of machines (and goroutines)
 // concurrently.
 type Snapshot struct {
@@ -24,8 +25,9 @@ type Snapshot struct {
 	rng uint64
 	dec *DecodedProgram
 
-	vspad, mspad []byte
-	main         *mem.SparseImage
+	// img holds the three memory images, indexed by space: main memory
+	// and both scratchpads, each page-sparse.
+	img [3]*mem.SparseImage
 
 	// stats/pipe are set only for mid-run captures (Checkpoint): the
 	// accumulated statistics and pipeline timing state at the capture
@@ -61,13 +63,50 @@ func (s *Snapshot) Stats() Stats {
 	return *s.stats
 }
 
-// Bytes returns the resident size of the captured memory images: the
-// dense scratchpad copies plus only the nonzero pages of main memory.
-func (s *Snapshot) Bytes() int { return len(s.vspad) + len(s.mspad) + s.main.Bytes() }
+// Bytes returns the resident size of the captured memory images: only
+// the nonzero pages of main memory and of both scratchpads.
+func (s *Snapshot) Bytes() int {
+	n := 0
+	for _, img := range s.img {
+		n += img.Bytes()
+	}
+	return n
+}
 
-// DenseBytes returns what the same capture would occupy with a dense
-// main-memory image — the denominator of the sparse-snapshot saving.
-func (s *Snapshot) DenseBytes() int { return len(s.vspad) + len(s.mspad) + s.main.Size() }
+// DenseBytes returns what the same capture would occupy with dense
+// memory images — the denominator of the sparse-snapshot saving.
+func (s *Snapshot) DenseBytes() int {
+	n := 0
+	for _, img := range s.img {
+		n += img.Size()
+	}
+	return n
+}
+
+// pagedMem is the page-tracked storage the machine's three memories
+// share (internal/mem): snapshots, restores and convergence proofs treat
+// main memory and both scratchpads alike through it.
+type pagedMem interface {
+	SparseImage() *mem.SparseImage
+	BeginDirtyTracking()
+	DropDirtyTracking()
+	Tracking() bool
+	MarkPagesDirty(img *mem.SparseImage)
+	RestoreFromSparse(img *mem.SparseImage) (int, error)
+	AppendDirtyPages(buf []int) ([]int, bool)
+	AppendPageDiffWords(buf []int, img *mem.SparseImage, p, limit int) ([]int, bool)
+}
+
+// memories returns the machine's three memories, indexed by space like
+// Snapshot.img.
+func (m *Machine) memories() [3]pagedMem {
+	return [3]pagedMem{spaceMain: m.main, spaceVec: m.vspad, spaceMat: m.mspad}
+}
+
+// memBytes returns the capacity of memory sp under the configuration.
+func (c *Config) memBytes(sp space) int {
+	return [3]int{spaceMain: c.MainMemBytes, spaceVec: c.VectorSpadBytes, spaceMat: c.MatrixSpadBytes}[sp]
+}
 
 // archEqual reports whether two configurations describe the same
 // architectural state shapes, ignoring the watchdog budget: MaxCycles
@@ -103,23 +142,21 @@ func (m *Machine) Checkpoint() *Snapshot {
 
 func (m *Machine) capture(midRun bool) *Snapshot {
 	s := &Snapshot{
-		cfg:   m.cfg,
-		gpr:   m.gpr,
-		pc:    m.pc,
-		rng:   m.rng,
-		dec:   m.dec,
-		vspad: m.vspad.Image(),
-		mspad: m.mspad.Image(),
-		main:  m.main.SparseImage(),
+		cfg: m.cfg,
+		gpr: m.gpr,
+		pc:  m.pc,
+		rng: m.rng,
+		dec: m.dec,
+	}
+	for sp, mm := range m.memories() {
+		s.img[sp] = mm.SparseImage()
+		mm.BeginDirtyTracking()
 	}
 	if midRun {
 		st := m.stats
 		s.stats = &st
 		s.pipe = m.pipe.capture()
 	}
-	m.vspad.BeginDirtyTracking()
-	m.mspad.BeginDirtyTracking()
-	m.main.BeginDirtyTracking()
 	m.lastSnap = s
 	return s
 }
@@ -128,8 +165,8 @@ func (m *Machine) capture(midRun bool) *Snapshot {
 // machine for cfg — zero registers, PC 0, seeded PRNG, no program, all
 // memory zero — without building one. Restoring it onto any archEqual
 // machine resets it to post-construction state; the bench pool uses this
-// to recycle machines across configurations (and, with the sparse
-// all-zero main image, the restore touches only pages that were dirtied).
+// to recycle machines across configurations (and, with all-zero sparse
+// images, the restore touches only pages that were dirtied).
 func PristineSnapshot(cfg Config) (*Snapshot, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -138,13 +175,11 @@ func PristineSnapshot(cfg Config) (*Snapshot, error) {
 	if rng == 0 {
 		rng = 1
 	}
-	return &Snapshot{
-		cfg:   cfg,
-		rng:   rng,
-		vspad: make([]byte, cfg.VectorSpadBytes),
-		mspad: make([]byte, cfg.MatrixSpadBytes),
-		main:  mem.ZeroSparseImage(cfg.MainMemBytes),
-	}, nil
+	s := &Snapshot{cfg: cfg, rng: rng}
+	for sp := range s.img {
+		s.img[sp] = mem.ZeroSparseImage(cfg.memBytes(space(sp)))
+	}
+	return s, nil
 }
 
 // Restore reinstates a snapshot by copying into the machine's existing
@@ -166,41 +201,37 @@ func (m *Machine) Restore(s *Snapshot) error {
 	if !archEqual(m.cfg, s.cfg) {
 		return fmt.Errorf("sim: restore: machine config %+v does not match snapshot config %+v", m.cfg, s.cfg)
 	}
+	mems := m.memories()
 	if m.lastSnap != s {
-		if m.lastSnap != nil && m.main.Tracking() && m.vspad.Tracking() && m.mspad.Tracking() {
-			// Delta switch: the machine's contents are provably "lastSnap +
-			// dirty", so every page that can differ from s is either dirty
-			// or resident in one of the two images. Marking those as dirty
-			// lets the tracked restore below rebuild only them instead of
-			// walking the whole 16 MiB space. (Scratchpads track a single
-			// whole-pad flag, so their switch is a full — but small — copy.)
-			m.main.MarkPagesDirty(m.lastSnap.main)
-			m.main.MarkPagesDirty(s.main)
-			m.vspad.MarkDirty()
-			m.mspad.MarkDirty()
-		} else {
-			// The machine's dirty state is relative to no known image:
-			// invalidate tracking so the restores below copy in full.
-			m.vspad.DropDirtyTracking()
-			m.mspad.DropDirtyTracking()
-			m.main.DropDirtyTracking()
+		tracked := m.lastSnap != nil
+		for _, mm := range mems {
+			tracked = tracked && mm.Tracking()
+		}
+		for sp, mm := range mems {
+			if tracked {
+				// Delta switch: the memory's contents are provably
+				// "lastSnap + dirty", so every page that can differ from s
+				// is either dirty or resident in one of the two images.
+				// Marking those as dirty lets the tracked restore below
+				// rebuild only them instead of the whole memory.
+				mm.MarkPagesDirty(m.lastSnap.img[sp])
+				mm.MarkPagesDirty(s.img[sp])
+			} else {
+				// The contents are relative to no known image: invalidate
+				// tracking so the restore below rebuilds in full.
+				mm.DropDirtyTracking()
+			}
 		}
 		m.lastSnap = s
 	}
 	copied := 0
-	n, err := m.vspad.RestoreFrom(s.vspad)
-	if err != nil {
-		return err
+	for sp, mm := range mems {
+		n, err := mm.RestoreFromSparse(s.img[sp])
+		if err != nil {
+			return err
+		}
+		copied += n
 	}
-	copied += n
-	if n, err = m.mspad.RestoreFrom(s.mspad); err != nil {
-		return err
-	}
-	copied += n
-	if n, err = m.main.RestoreFromSparse(s.main); err != nil {
-		return err
-	}
-	copied += n
 	m.lastRestoreBytes = copied
 	m.gpr = s.gpr
 	m.pc = s.pc

@@ -164,35 +164,95 @@ func TestSetMaxCycles(t *testing.T) {
 	}
 }
 
-// TestSnapshotBytes sanity-checks the captured image accounting: main
+// TestSnapshotBytes sanity-checks the captured image accounting: every
 // memory is held page-sparse, so a pristine machine's snapshot keeps
-// only the dense scratchpad copies resident, while DenseBytes reports
-// what the historical full-image capture would have occupied.
+// nothing resident, a prepared image only its touched main pages, and a
+// run's snapshot only the scratchpad pages it wrote on top, while
+// DenseBytes reports what dense images would have occupied.
 func TestSnapshotBytes(t *testing.T) {
 	cfg := snapConfig()
-	m := mustNew(t, cfg)
-	snap := m.Snapshot()
-	if want := cfg.VectorSpadBytes + cfg.MatrixSpadBytes; snap.Bytes() != want {
-		t.Fatalf("pristine Snapshot.Bytes() = %d, want %d (sparse main should be empty)", snap.Bytes(), want)
-	}
-	if want := cfg.VectorSpadBytes + cfg.MatrixSpadBytes + cfg.MainMemBytes; snap.DenseBytes() != want {
-		t.Fatalf("Snapshot.DenseBytes() = %d, want %d", snap.DenseBytes(), want)
-	}
-	if !archEqual(snap.Config(), cfg) {
-		t.Fatal("snapshot config does not match capture config")
+	dense := cfg.VectorSpadBytes + cfg.MatrixSpadBytes + cfg.MainMemBytes
+	for _, pristine := range []*Snapshot{mustNew(t, cfg).Snapshot(), mustPristine(t, cfg)} {
+		if pristine.Bytes() != 0 {
+			t.Fatalf("pristine Snapshot.Bytes() = %d, want 0", pristine.Bytes())
+		}
+		if pristine.DenseBytes() != dense {
+			t.Fatalf("Snapshot.DenseBytes() = %d, want %d", pristine.DenseBytes(), dense)
+		}
+		if !archEqual(pristine.Config(), cfg) {
+			t.Fatal("snapshot config does not match capture config")
+		}
 	}
 
-	// A prepared image keeps only its touched pages resident.
-	mm := mustNew(t, cfg)
-	snapInit(t, mm)
-	prepared := mm.Snapshot()
-	if prepared.Bytes() >= prepared.DenseBytes() {
-		t.Fatalf("prepared snapshot is not sparse: resident %d >= dense %d",
-			prepared.Bytes(), prepared.DenseBytes())
+	// A prepared image keeps only its touched main pages resident.
+	m := mustNew(t, cfg)
+	snapInit(t, m)
+	if got := m.Snapshot().Bytes(); got != mem.PageBytes {
+		t.Fatalf("prepared snapshot resident = %d bytes, want the one main page snapInit writes", got)
 	}
-	extra := prepared.Bytes() - (cfg.VectorSpadBytes + cfg.MatrixSpadBytes)
-	if extra <= 0 || extra > 4*mem.PageBytes {
-		t.Fatalf("prepared snapshot resident main = %d bytes, want a handful of pages", extra)
+	// After a run, the two vector-scratchpad pages snapKernel writes (its
+	// regions A and B) join it.
+	m.LoadProgram(mustAssemble(t, snapKernel).Instructions)
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Snapshot().Bytes(); got != 3*mem.PageBytes {
+		t.Fatalf("post-run snapshot resident = %d bytes, want 3 pages", got)
+	}
+}
+
+// mustPristine synthesizes a pristine snapshot, failing the test on error.
+func mustPristine(t *testing.T, cfg Config) *Snapshot {
+	t.Helper()
+	s, err := PristineSnapshot(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// pageKernel writes one page of each memory: vector-scratchpad page 2,
+// matrix-scratchpad page 5 and main-memory page 10.
+const pageKernel = `
+	SMOVE  $1, #32
+	SMOVE  $2, #8192
+	SMOVE  $3, #20480
+	VLOAD  $2, $1, #1000
+	MLOAD  $3, $1, #1000
+	VSTORE $2, $1, #40960
+`
+
+// TestRestoreCopiesOnlyWrittenPages pins the page-granular restore of all
+// three memories: after a run, each memory's dirty set is exactly the
+// pages the run wrote, and restoring the snapshot copies those pages and
+// nothing else — every time, not just on the first restore.
+func TestRestoreCopiesOnlyWrittenPages(t *testing.T) {
+	cfg := snapConfig()
+	m := mustNew(t, cfg)
+	snapInit(t, m)
+	m.LoadProgram(mustAssemble(t, pageKernel).Instructions)
+	snap := m.Snapshot()
+	wantPages := [3][]int{spaceMain: {10}, spaceVec: {2}, spaceMat: {5}}
+	for round := 0; round < 3; round++ {
+		if _, err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		for sp, mm := range m.memories() {
+			pages, ok := mm.AppendDirtyPages(nil)
+			if !ok || !reflect.DeepEqual(pages, wantPages[sp]) {
+				t.Fatalf("round %d, memory %d: dirty pages = %v, %v; want %v, true", round, sp, pages, ok, wantPages[sp])
+			}
+			for _, p := range pages {
+				want += min(mem.PageBytes, cfg.memBytes(space(sp))-p*mem.PageBytes)
+			}
+		}
+		if err := m.Restore(snap); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.LastRestoreBytes(); got != want {
+			t.Fatalf("round %d: restore copied %d bytes, want %d (the written pages)", round, got, want)
+		}
 	}
 }
 
