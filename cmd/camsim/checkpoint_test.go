@@ -7,14 +7,97 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cambricon/internal/asm"
 	"cambricon/internal/sim"
 )
+
+// TestMain lets a test start the real camsim in a child process: the
+// test binary re-executes itself with argv[0] "camsim" (runCamsim), and
+// that invocation runs main instead of the tests.
+func TestMain(m *testing.M) {
+	if os.Args[0] == "camsim" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runCamsim runs camsim with args in a child process and returns its
+// standard output and standard error; err is non-nil when it exits
+// non-zero.
+func runCamsim(t *testing.T, args ...string) (stdout, stderr string, err error) {
+	t.Helper()
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(exe, args...)
+	cmd.Args[0] = "camsim"
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err = cmd.Run()
+	return out.String(), errOut.String(), err
+}
+
+// TestCheckpointResumeAcrossProcesses drives the checkpoint round trip
+// through three camsim processes: a plain -json run, a run interrupted
+// by -checkpoint-at 12 -checkpoint that finishes anyway, and a -resume
+// of the file it wrote must print identical statistics. The file stores
+// only nonzero scratchpad pages, and a version-1 file (dense
+// scratchpads) is refused, naming both versions.
+func TestCheckpointResumeAcrossProcesses(t *testing.T) {
+	prog := filepath.Join("..", "..", "testdata", "sum_loop.cam")
+	ckpt := filepath.Join(t.TempDir(), "sum_loop.ckpt")
+	plain, stderr, err := runCamsim(t, "-json", prog)
+	if err != nil {
+		t.Fatalf("plain run: %v\n%s", err, stderr)
+	}
+	for _, c := range []struct {
+		name string
+		args []string
+	}{
+		{"checkpointed run", []string{"-checkpoint-at", "12", "-checkpoint", ckpt, "-json", prog}},
+		{"resumed run", []string{"-resume", ckpt, "-json"}},
+	} {
+		got, stderr, err := runCamsim(t, c.args...)
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", c.name, err, stderr)
+		}
+		if got != plain {
+			t.Fatalf("%s diverges from the plain run:\n--- plain ---\n%s\n--- %s ---\n%s", c.name, plain, c.name, got)
+		}
+	}
+
+	raw, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim.DefaultConfig()
+	if pads := cfg.VectorSpadBytes + cfg.MatrixSpadBytes; len(raw) >= pads {
+		t.Errorf("checkpoint is %d bytes, no smaller than the two scratchpads (%d bytes): pads stored densely", len(raw), pads)
+	}
+	// The version word follows the 8-byte magic; reseal the CRC so the
+	// version check, not the integrity check, rejects the file.
+	binary.LittleEndian.PutUint32(raw[8:], 1)
+	binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(raw[:len(raw)-4]))
+	v1 := filepath.Join(t.TempDir(), "v1.ckpt")
+	if err := os.WriteFile(v1, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, stderr, err := runCamsim(t, "-resume", v1, "-json"); err == nil ||
+		!strings.Contains(stderr, "unsupported version 1 (want 2)") {
+		t.Fatalf("version-1 resume: err = %v, stderr %q; want it refused naming both versions", err, stderr)
+	}
+}
 
 // loadSumLoop builds a fresh machine with the sum_loop smoke program
 // loaded (data image applied), ready to run from PC 0.
