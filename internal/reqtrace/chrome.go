@@ -1,59 +1,42 @@
 package reqtrace
 
 import (
-	"bufio"
 	"fmt"
 	"io"
+
+	"cambricon/internal/trace"
 )
 
 // WriteChrome renders the bundle's span tree as a Chrome Trace Event
-// JSON document — the same format internal/trace's Chrome sink emits
-// for simulated pipelines, so ui.perfetto.dev and chrome://tracing open
+// JSON document through trace.ChromeDoc, the writer camsim's pipeline
+// timeline uses too, so ui.perfetto.dev and chrome://tracing open
 // both. Wall time maps 1:1 onto trace time (1 trace microsecond = 1
 // microsecond of request wall time; sub-microsecond span edges keep
 // three decimals). All spans share one "request" track and nest by
 // containment; each event's args carry the span's parent index and
 // attributes.
 func (b *Bundle) WriteChrome(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 16<<10)
-	var err error
-	printf := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(bw, format, args...)
-		}
-	}
-	printf(`{"displayTimeUnit":"ms","otherData":{"tool":"cambricon camserve","trace_id":%q,"span_id":%q},"traceEvents":[`,
-		b.TraceID, b.SpanID)
-	printf("\n" + `{"ph":"M","pid":0,"tid":0,"name":"process_name","args":{"name":"camserve"}},` + "\n")
-	printf(`{"ph":"M","pid":0,"tid":1,"name":"thread_name","args":{"name":"request"}}`)
+	doc := trace.NewChromeDoc(w)
+	doc.Open(`"tool":"cambricon camserve","trace_id":%q,"span_id":%q`, b.TraceID, b.SpanID)
+	doc.Event(`{"ph":"M","pid":0,"tid":0,"name":"process_name","args":{"name":"camserve"}}`)
+	doc.Event(`{"ph":"M","pid":0,"tid":1,"name":"thread_name","args":{"name":"request"}}`)
 	for i := range b.Spans {
 		sp := &b.Spans[i]
-		printf(",\n")
-		printf(`{"ph":"X","pid":0,"tid":1,"ts":%s,"dur":%s,"name":%q,"args":{"parent":%d`,
+		doc.Event(`{"ph":"X","pid":0,"tid":1,"ts":%s,"dur":%s,"name":%q,"args":{"parent":%d`,
 			us(int64(sp.Start)), us(int64(sp.Duration())), sp.Name, sp.Parent)
 		for _, a := range sp.Attrs {
 			switch v := a.Value.(type) {
 			case string:
-				printf(`,%q:%q`, a.Key, v)
+				doc.Printf(`,%q:%q`, a.Key, v)
 			case bool:
-				printf(`,%q:%t`, a.Key, v)
+				doc.Printf(`,%q:%t`, a.Key, v)
 			case int64:
-				printf(`,%q:%d`, a.Key, v)
-			case int:
-				printf(`,%q:%d`, a.Key, v)
-			case float64:
-				printf(`,%q:%g`, a.Key, v)
-			default:
-				printf(`,%q:%q`, a.Key, fmt.Sprint(v))
+				doc.Printf(`,%q:%d`, a.Key, v)
 			}
 		}
-		printf("}}")
+		doc.Printf("}}")
 	}
-	printf("\n]}\n")
-	if err != nil {
-		return err
-	}
-	return bw.Flush()
+	return doc.Close()
 }
 
 // us renders a nanosecond count as decimal microseconds with exactly

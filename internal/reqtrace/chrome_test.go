@@ -39,19 +39,19 @@ func goldenBundle() *Bundle {
 	sem := r.Start(Root, "sem.acquire")
 	r.End(sem)
 	pool := r.Start(Root, "pool.acquire")
-	r.Annotate(pool, "reused", true)
+	r.AnnotateBool(pool, "reused", true)
 	r.End(pool)
 	rest := r.Start(Root, "snapshot.restore")
-	r.Annotate(rest, "bytes", int64(73728))
+	r.AnnotateInt(rest, "bytes", 73728)
 	r.End(rest)
 	run := r.Start(Root, "sim.run")
-	r.Annotate(run, "cycles", int64(188640))
-	r.Annotate(run, "instructions", int64(4673))
+	r.AnnotateInt(run, "cycles", 188640)
+	r.AnnotateInt(run, "instructions", 4673)
 	r.End(run)
 	enc := r.Start(Root, "encode.json")
 	r.End(enc)
-	r.Annotate(Root, "benchmark", "MLP")
-	r.Annotate(Root, "status", "ok")
+	r.AnnotateStr(Root, "benchmark", "MLP")
+	r.AnnotateStr(Root, "status", "ok")
 	return r.Finish()
 }
 

@@ -277,16 +277,12 @@ func (r *Recorder) End(ref SpanRef) {
 	}
 }
 
-// Annotate attaches a key/value attribute to the span (Root for
-// request-level attributes). value should be an int64, string or bool
-// so bundles marshal predictably. Hot paths that must stay
-// allocation-free when no recorder is attached should use the typed
-// variants below: passing a value through this any parameter boxes it
-// at the call site, before the nil check can short-circuit.
-func (r *Recorder) Annotate(ref SpanRef, key string, value any) {
-	if r == nil {
-		return
-	}
+// annotate attaches a key/value attribute to the span (Root for
+// request-level attributes). The typed methods below are the only
+// callers, so a value is always an int64, string or bool; they check
+// for a nil recorder before value reaches this any parameter, because
+// boxing it at the call site would allocate even when nobody records.
+func (r *Recorder) annotate(ref SpanRef, key string, value any) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if i := int(ref); i >= 0 && i < len(r.spans) {
@@ -294,30 +290,30 @@ func (r *Recorder) Annotate(ref SpanRef, key string, value any) {
 	}
 }
 
-// AnnotateInt is Annotate for int64 values without call-site boxing:
-// on a nil recorder the value never reaches an interface, so the
-// caller allocates nothing.
+// AnnotateInt attaches an int64 attribute to the span (Root for
+// request-level attributes). On a nil recorder the value never reaches
+// an interface, so the caller allocates nothing.
 func (r *Recorder) AnnotateInt(ref SpanRef, key string, value int64) {
 	if r == nil {
 		return
 	}
-	r.Annotate(ref, key, value)
+	r.annotate(ref, key, value)
 }
 
-// AnnotateStr is Annotate for strings without call-site boxing.
+// AnnotateStr attaches a string attribute to the span.
 func (r *Recorder) AnnotateStr(ref SpanRef, key, value string) {
 	if r == nil {
 		return
 	}
-	r.Annotate(ref, key, value)
+	r.annotate(ref, key, value)
 }
 
-// AnnotateBool is Annotate for bools without call-site boxing.
+// AnnotateBool attaches a bool attribute to the span.
 func (r *Recorder) AnnotateBool(ref SpanRef, key string, value bool) {
 	if r == nil {
 		return
 	}
-	r.Annotate(ref, key, value)
+	r.annotate(ref, key, value)
 }
 
 // Finish closes the root (and any spans left open, at the root's end)

@@ -77,13 +77,13 @@ func TestRecorderSpanTree(t *testing.T) {
 	r.clock = func() time.Duration { fake += time.Millisecond; return fake }
 
 	wait := r.Start(Root, "sem.acquire")
-	r.Annotate(wait, "rejected", false)
+	r.AnnotateBool(wait, "rejected", false)
 	r.End(wait)
 	run := r.Start(Root, "sim.run")
 	child := r.Start(run, "pool.acquire")
-	r.Annotate(child, "reused", true)
+	r.AnnotateBool(child, "reused", true)
 	r.End(child)
-	r.Annotate(run, "cycles", int64(12345))
+	r.AnnotateInt(run, "cycles", 12345)
 	r.End(run)
 	leak := r.Start(Root, "left.open") // closed by Finish at root end
 
@@ -197,7 +197,7 @@ func TestStoreEviction(t *testing.T) {
 func TestBundleJSONRoundTrip(t *testing.T) {
 	r := NewRecorder("request", Traceparent{})
 	sp := r.Start(Root, "phase")
-	r.Annotate(sp, "note", "hello")
+	r.AnnotateStr(sp, "note", "hello")
 	r.End(sp)
 	b := r.Finish()
 	blob, err := json.Marshal(b)
