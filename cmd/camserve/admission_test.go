@@ -87,11 +87,11 @@ func TestQueueOverflowSheds(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	// The queue is at depth: the next request sheds immediately.
-	resp, _ := postRun(t, ts, "MLP")
+	resp, _ := postRun(t, ts.URL, "MLP")
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("over-depth POST /run = %d, want 503", resp.StatusCode)
 	}
-	page := scrape(t, ts)
+	page := scrape(t, ts.URL)
 	if got := labeledMetricValue(t, page, metricSheds+`{benchmark="MLP",reason="queue-full"}`); got != 1 {
 		t.Fatalf("queue-full sheds = %v, want 1", got)
 	}
@@ -109,11 +109,11 @@ func TestDrainShedsAndFinalizeRecordsAborted(t *testing.T) {
 		seed: 7, maxInflight: 2, queueDepth: 4, ledgerSize: 8,
 	})
 	s.adm.startDrain()
-	resp, _ := postRun(t, ts, "MLP")
+	resp, _ := postRun(t, ts.URL, "MLP")
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("POST /run while draining = %d, want 503", resp.StatusCode)
 	}
-	page := scrape(t, ts)
+	page := scrape(t, ts.URL)
 	if got := labeledMetricValue(t, page, metricSheds+`{benchmark="MLP",reason="draining"}`); got != 1 {
 		t.Fatalf("draining sheds = %v, want 1", got)
 	}
@@ -171,15 +171,15 @@ func TestRunSlotsBoundPoolMachines(t *testing.T) {
 			}
 		}
 	}
-	misses := metricValue(t, scrape(t, ts), bench.MetricPoolMisses)
+	misses := metricValue(t, scrape(t, ts.URL), bench.MetricPoolMisses)
 	if misses < 1 || misses > slots {
 		t.Fatalf("%s = %v after three waves of 6, want 1..%d (one build per run slot at most)",
 			bench.MetricPoolMisses, misses, slots)
 	}
-	if resp, _ := postRun(t, ts, "CNN"); resp.StatusCode != http.StatusOK {
+	if resp, _ := postRun(t, ts.URL, "CNN"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("run after the waves = %d, want 200", resp.StatusCode)
 	}
-	if got := metricValue(t, scrape(t, ts), bench.MetricPoolMisses); got != misses {
+	if got := metricValue(t, scrape(t, ts.URL), bench.MetricPoolMisses); got != misses {
 		t.Fatalf("%s = %v after one more run, want %v (the pool already holds its machines)",
 			bench.MetricPoolMisses, got, misses)
 	}

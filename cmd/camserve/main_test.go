@@ -11,7 +11,13 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"cambricon/internal/cmdtest"
 )
+
+// TestMain lets tests run the real camserve in a child process
+// (cmdtest.Start).
+func TestMain(m *testing.M) { cmdtest.Main(m, "camserve", main) }
 
 // testServer builds a memory-only server over a discarding logger and
 // runs warmup synchronously so /readyz is deterministic in tests. Queue
@@ -37,10 +43,10 @@ func testServerCfg(t *testing.T, cfg serverConfig) (*server, *httptest.Server) {
 	return s, ts
 }
 
-func postRun(t *testing.T, ts *httptest.Server, benchmark string) (*http.Response, runRecord) {
+func postRun(t *testing.T, base, benchmark string) (*http.Response, runRecord) {
 	t.Helper()
 	body, _ := json.Marshal(runRequest{Benchmark: benchmark})
-	resp, err := http.Post(ts.URL+"/run", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(base+"/run", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,9 +96,9 @@ func labeledMetricValue(t *testing.T, page, series string) float64 {
 }
 
 // get fetches a path and returns status and body.
-func get(t *testing.T, ts *httptest.Server, path string) (int, string) {
+func get(t *testing.T, base, path string) (int, string) {
 	t.Helper()
-	resp, err := http.Get(ts.URL + path)
+	resp, err := http.Get(base + path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,9 +110,9 @@ func get(t *testing.T, ts *httptest.Server, path string) (int, string) {
 	return resp.StatusCode, string(b)
 }
 
-func scrape(t *testing.T, ts *httptest.Server) string {
+func scrape(t *testing.T, base string) string {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/metrics")
+	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +166,7 @@ func TestHealthAndReadiness(t *testing.T) {
 
 func TestRunEndpoint(t *testing.T) {
 	_, ts := testServer(t, 2, 8)
-	resp, rec := postRun(t, ts, "MLP")
+	resp, rec := postRun(t, ts.URL, "MLP")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /run = %d", resp.StatusCode)
 	}
@@ -168,7 +174,7 @@ func TestRunEndpoint(t *testing.T) {
 		t.Fatalf("run record %+v", rec)
 	}
 	// Unknown benchmark and malformed body are client errors.
-	resp, _ = postRun(t, ts, "no-such-benchmark")
+	resp, _ = postRun(t, ts.URL, "no-such-benchmark")
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown benchmark = %d, want 400", resp.StatusCode)
 	}
@@ -190,7 +196,7 @@ func TestRunEndpoint(t *testing.T) {
 		t.Fatalf("GET /run = %d, want 405", resp.StatusCode)
 	}
 	// The run shows up in metrics and ledger.
-	page := scrape(t, ts)
+	page := scrape(t, ts.URL)
 	if got := metricValue(t, page, "cambricon_bench_runs_completed_total"); got != 1 {
 		t.Fatalf("runs completed = %v, want 1", got)
 	}
@@ -232,7 +238,7 @@ func TestRunSaturationReturns503(t *testing.T) {
 	// Occupy the single slot; with queue depth 0 the next request must
 	// bounce immediately, not queue.
 	s.adm.slots <- struct{}{}
-	resp, _ := postRun(t, ts, "MLP")
+	resp, _ := postRun(t, ts.URL, "MLP")
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("saturated POST /run = %d, want 503", resp.StatusCode)
 	}
@@ -246,15 +252,15 @@ func TestRunSaturationReturns503(t *testing.T) {
 	}
 	// Readiness means "programs generated", not "has spare capacity": a
 	// shed leaves /readyz at 200.
-	if code, body := get(t, ts, "/readyz"); code != http.StatusOK {
+	if code, body := get(t, ts.URL, "/readyz"); code != http.StatusOK {
 		t.Fatalf("/readyz after a shed = %d %q, want 200", code, body)
 	}
 	<-s.adm.slots
-	resp, _ = postRun(t, ts, "MLP")
+	resp, _ = postRun(t, ts.URL, "MLP")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /run after slot freed = %d", resp.StatusCode)
 	}
-	page := scrape(t, ts)
+	page := scrape(t, ts.URL)
 	if got := labeledMetricValue(t, page, metricSheds+`{benchmark="MLP",reason="queue-full"}`); got != 1 {
 		t.Fatalf("%s{MLP,queue-full} = %v, want 1", metricSheds, got)
 	}
@@ -269,7 +275,7 @@ func TestRetryAfterJitter(t *testing.T) {
 	defer func() { <-s.adm.slots }()
 	seen := map[string]bool{}
 	for i := 0; i < 32; i++ {
-		resp, _ := postRun(t, ts, "MLP")
+		resp, _ := postRun(t, ts.URL, "MLP")
 		if resp.StatusCode != http.StatusServiceUnavailable {
 			t.Fatalf("shed %d = %d, want 503", i, resp.StatusCode)
 		}
@@ -317,7 +323,7 @@ func TestConcurrentRunsConsistentMetrics(t *testing.T) {
 				i, cycles[i], cycles[0])
 		}
 	}
-	page := scrape(t, ts)
+	page := scrape(t, ts.URL)
 	if got := metricValue(t, page, "cambricon_bench_runs_completed_total"); got != n {
 		t.Fatalf("runs completed = %v, want %d", got, n)
 	}
@@ -351,7 +357,7 @@ func TestConcurrentRunsConsistentMetrics(t *testing.T) {
 func TestRunsLedgerRingNewestFirst(t *testing.T) {
 	_, ts := testServer(t, 2, 3)
 	for i := 0; i < 5; i++ {
-		if resp, _ := postRun(t, ts, "MLP"); resp.StatusCode != http.StatusOK {
+		if resp, _ := postRun(t, ts.URL, "MLP"); resp.StatusCode != http.StatusOK {
 			t.Fatalf("run %d = %d", i, resp.StatusCode)
 		}
 	}
@@ -403,12 +409,12 @@ func TestRequestCounterLabelsByRoute(t *testing.T) {
 		if path == "/healthz" {
 			want = http.StatusOK
 		}
-		if code, _ := get(t, ts, path); code != want {
+		if code, _ := get(t, ts.URL, path); code != want {
 			t.Fatalf("GET %s = %d, want %d", path, code, want)
 		}
 	}
 
-	page := scrape(t, ts)
+	page := scrape(t, ts.URL)
 	want := map[string]float64{
 		`{code="200",path="/healthz"}`:         1,
 		`{code="404",path="/runs/{id}"}`:       200,

@@ -153,7 +153,7 @@ func TestTraceparentMintedWhenAbsentOrMalformed(t *testing.T) {
 func TestRejectedRunRecordsSpan(t *testing.T) {
 	s, ts := testServer(t, 1, 8)
 	s.adm.slots <- struct{}{} // occupy the only slot
-	resp, _ := postRun(t, ts, "MLP")
+	resp, _ := postRun(t, ts.URL, "MLP")
 	<-s.adm.slots
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("saturated POST /run = %d, want 503", resp.StatusCode)
@@ -199,10 +199,10 @@ func TestRunDebugBundle(t *testing.T) {
 	_, ts := testServer(t, 2, 8)
 	// First run pays snapshot prep; the second is the steady-state warm
 	// request whose flight-recorder entry we assert.
-	if resp, _ := postRun(t, ts, "MLP"); resp.StatusCode != http.StatusOK {
+	if resp, _ := postRun(t, ts.URL, "MLP"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("warmup run = %d", resp.StatusCode)
 	}
-	resp, rec := postRun(t, ts, "MLP")
+	resp, rec := postRun(t, ts.URL, "MLP")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /run = %d", resp.StatusCode)
 	}
@@ -240,7 +240,7 @@ func TestRunByIDNotFound(t *testing.T) {
 		}
 	}
 	for i := 0; i < 3; i++ {
-		if resp, _ := postRun(t, ts, "MLP"); resp.StatusCode != http.StatusOK {
+		if resp, _ := postRun(t, ts.URL, "MLP"); resp.StatusCode != http.StatusOK {
 			t.Fatalf("run %d failed", i)
 		}
 	}
@@ -257,7 +257,7 @@ func TestRunByIDNotFound(t *testing.T) {
 // Chrome Trace Event JSON — the shape ui.perfetto.dev loads.
 func TestRunTraceChromeExport(t *testing.T) {
 	_, ts := testServer(t, 2, 8)
-	if resp, _ := postRun(t, ts, "MLP"); resp.StatusCode != http.StatusOK {
+	if resp, _ := postRun(t, ts.URL, "MLP"); resp.StatusCode != http.StatusOK {
 		t.Fatal("run failed")
 	}
 	resp, err := http.Get(ts.URL + "/runs/1/trace")
@@ -409,7 +409,7 @@ func TestDebugHandlerServesPprof(t *testing.T) {
 // runtime — the bridge collects on each scrape.
 func TestMetricsIncludeRuntimeFamilies(t *testing.T) {
 	_, ts := testServer(t, 2, 8)
-	page := scrape(t, ts)
+	page := scrape(t, ts.URL)
 	if got := metricValue(t, page, "cambricon_go_goroutines"); got < 1 {
 		t.Fatalf("cambricon_go_goroutines = %v, want >= 1", got)
 	}

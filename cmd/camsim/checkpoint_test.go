@@ -10,43 +10,15 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"cambricon/internal/asm"
+	"cambricon/internal/cmdtest"
 	"cambricon/internal/sim"
 )
-
-// TestMain lets a test start the real camsim in a child process: the
-// test binary re-executes itself with argv[0] "camsim" (runCamsim), and
-// that invocation runs main instead of the tests.
-func TestMain(m *testing.M) {
-	if os.Args[0] == "camsim" {
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
-
-// runCamsim runs camsim with args in a child process and returns its
-// standard output and standard error; err is non-nil when it exits
-// non-zero.
-func runCamsim(t *testing.T, args ...string) (stdout, stderr string, err error) {
-	t.Helper()
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd := exec.Command(exe, args...)
-	cmd.Args[0] = "camsim"
-	var out, errOut bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &out, &errOut
-	err = cmd.Run()
-	return out.String(), errOut.String(), err
-}
 
 // TestCheckpointResumeAcrossProcesses drives the checkpoint round trip
 // through three camsim processes: a plain -json run, a run interrupted
@@ -57,7 +29,7 @@ func runCamsim(t *testing.T, args ...string) (stdout, stderr string, err error) 
 func TestCheckpointResumeAcrossProcesses(t *testing.T) {
 	prog := filepath.Join("..", "..", "testdata", "sum_loop.cam")
 	ckpt := filepath.Join(t.TempDir(), "sum_loop.ckpt")
-	plain, stderr, err := runCamsim(t, "-json", prog)
+	plain, stderr, err := cmdtest.Run(t, "camsim", "-json", prog)
 	if err != nil {
 		t.Fatalf("plain run: %v\n%s", err, stderr)
 	}
@@ -68,7 +40,7 @@ func TestCheckpointResumeAcrossProcesses(t *testing.T) {
 		{"checkpointed run", []string{"-checkpoint-at", "12", "-checkpoint", ckpt, "-json", prog}},
 		{"resumed run", []string{"-resume", ckpt, "-json"}},
 	} {
-		got, stderr, err := runCamsim(t, c.args...)
+		got, stderr, err := cmdtest.Run(t, "camsim", c.args...)
 		if err != nil {
 			t.Fatalf("%s: %v\n%s", c.name, err, stderr)
 		}
@@ -93,7 +65,7 @@ func TestCheckpointResumeAcrossProcesses(t *testing.T) {
 	if err := os.WriteFile(v1, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, stderr, err := runCamsim(t, "-resume", v1, "-json"); err == nil ||
+	if _, stderr, err := cmdtest.Run(t, "camsim", "-resume", v1, "-json"); err == nil ||
 		!strings.Contains(stderr, "unsupported version 1 (want 2)") {
 		t.Fatalf("version-1 resume: err = %v, stderr %q; want it refused naming both versions", err, stderr)
 	}

@@ -2,15 +2,23 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"cambricon/internal/asm"
+	"cambricon/internal/cmdtest"
+	"cambricon/internal/sim"
+	"cambricon/internal/trace"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files with current output")
+
+// TestMain lets tests run the real camsim in a child process
+// (cmdtest.Run).
+func TestMain(m *testing.M) { cmdtest.Main(m, "camsim", main) }
 
 // TestDumpDecodedGolden pins the -dump-decoded listing format: the
 // fixture program exercises all three fusion kinds (load->matvec,
@@ -117,5 +125,90 @@ func TestBenchmarkAllGolden(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("-benchmark all -json diverged from %s (%d bytes, want %d); rerun with -update only for a declared model change",
 			golden, buf.Len(), len(want))
+	}
+}
+
+// chromeEvent is the part of a Chrome trace event the tests read.
+type chromeEvent struct {
+	Name string         `json:"name"`
+	Args map[string]any `json:"args"`
+}
+
+// chromeEvents parses a -trace file as a Chrome Trace Event document.
+func chromeEvents(t *testing.T, path string) []chromeEvent {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []chromeEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("%s is not a JSON document (%d bytes): %v", path, len(raw), err)
+	}
+	return doc.TraceEvents
+}
+
+// TestTraceAndProfileFiles runs the real camsim with its observability
+// outputs attached. A benchmark run's -trace file must be a Chrome
+// Trace document declaring the pipeline tracks, whose "run end" marker
+// carries the Cycles -json printed, and its -profile-json stall
+// attribution must sum to those Cycles. A run the -max-cycles watchdog
+// stops must exit non-zero and still leave a complete trace document.
+func TestTraceAndProfileFiles(t *testing.T) {
+	dir := t.TempDir()
+	tracePath, profilePath := filepath.Join(dir, "trace.json"), filepath.Join(dir, "profile.json")
+	stdout, stderr, err := cmdtest.Run(t, "camsim", "-benchmark", "MLP", "-trace", tracePath, "-profile-json", profilePath, "-json")
+	if err != nil {
+		t.Fatalf("traced run: %v\n%s", err, stderr)
+	}
+	var stats sim.Stats
+	if err := json.Unmarshal([]byte(stdout), &stats); err != nil || stats.Cycles <= 0 {
+		t.Fatalf("-json printed %q (%v), want the run statistics", stdout, err)
+	}
+
+	tracks := map[string]bool{}
+	endCycles := -1.0
+	for _, ev := range chromeEvents(t, tracePath) {
+		switch ev.Name {
+		case "thread_name":
+			name, _ := ev.Args["name"].(string)
+			tracks[name] = true
+		case "run end":
+			endCycles, _ = ev.Args["total_cycles"].(float64)
+		}
+	}
+	for _, track := range []string{"frontend (fetch->issue)", "vector FU", "matrix FU", "vector DMA", "matrix DMA", "commit"} {
+		if !tracks[track] {
+			t.Errorf("trace declares no %q track", track)
+		}
+	}
+	if endCycles != float64(stats.Cycles) {
+		t.Errorf("trace run end total_cycles = %v, want the printed Cycles %d", endCycles, stats.Cycles)
+	}
+
+	raw, err := os.ReadFile(profilePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep trace.Report
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatalf("-profile-json: %v", err)
+	}
+	var sum int64
+	for _, s := range rep.Stalls {
+		sum += s.Cycles
+	}
+	if len(rep.Stalls) == 0 || sum != stats.Cycles {
+		t.Errorf("profile stall attribution sums to %d over %d causes, want the printed Cycles %d", sum, len(rep.Stalls), stats.Cycles)
+	}
+
+	failedPath := filepath.Join(dir, "failed.json")
+	if _, stderr, err := cmdtest.Run(t, "camsim", "-benchmark", "MLP", "-max-cycles", "1000", "-trace", failedPath); err == nil {
+		t.Fatalf("run past -max-cycles exited 0; stderr %q", stderr)
+	}
+	if evs := chromeEvents(t, failedPath); len(evs) == 0 {
+		t.Error("trace of the failed run holds no events")
 	}
 }
