@@ -9,7 +9,6 @@
 //	camrepro -md               # markdown output (EXPERIMENTS.md body)
 //	camrepro -seed 7           # benchmark generation seed
 //	camrepro -j 8              # benchmark simulation worker count (0 = all cores)
-//	camrepro -bench-json BENCH_sim.json  # emit the machine-readable perf record
 //	camrepro -host-json BENCH_host.json  # warm-vs-cold host throughput record
 //	camrepro -check-host BENCH_host.json # re-measure and gate against the committed record
 //	camrepro -profile-json PROFILES.json # per-benchmark stall-attribution profiles
@@ -32,7 +31,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"cambricon"
 	"cambricon/internal/baseline/genarch"
@@ -48,17 +46,13 @@ func main() {
 	seed := flag.Uint64("seed", 7, "benchmark generation seed")
 	md := flag.Bool("md", false, "render markdown instead of plain text")
 	workers := flag.Int("j", 0, "benchmark simulation workers (0 = GOMAXPROCS, 1 = serial)")
-	benchJSON := flag.String("bench-json", "", "run the suite and write the perf record to this file (e.g. BENCH_sim.json)")
 	profileJSON := flag.String("profile-json", "", "write per-benchmark stall-attribution profiles as JSON to this file")
 	faultJSON := flag.String("fault-json", "", "run a fault-injection campaign and write the report to this file (\"-\" = stdout)")
 	faultSites := flag.Int("fault-sites", 50, "fault sites injected per benchmark in the campaign")
 	faultBench := flag.String("fault-bench", "", "restrict the fault campaign to one benchmark (empty = all)")
 	faultCkpts := flag.Int("fault-checkpoints", 8, "interval checkpoints per benchmark for campaign fast-forwarding (0 = full prefix replay; report bytes are identical either way)")
 	hostJSON := flag.String("host-json", "", "run the host-throughput benchmarks and write the record to this file (e.g. BENCH_host.json, - for stdout)")
-	hostRuns := flag.Int("host-runs", 10, "timed iterations per host-benchmark row")
 	checkHost := flag.String("check-host", "", "re-run the host benchmarks and exit nonzero if they regressed against this baseline record")
-	checkRuns := flag.Int("check-runs", 5, "timed iterations per row for -check-host (fewer than -host-runs: the gate compares ratios, not raw times)")
-	checkTol := flag.Float64("check-tol", bench.DefaultHostTolerance, "fractional tolerance for -check-host (ratios may drop, and warm allocations grow, by this much)")
 	listing := flag.String("listing", "", "dump a baseline listing, e.g. x86:MLP (arches: x86, MIPS, GPU)")
 	source := flag.String("source", "", "dump the generated Cambricon assembly of a benchmark")
 	version := flag.Bool("version", false, "print the simulator version and exit")
@@ -90,7 +84,7 @@ func main() {
 	suite := bench.NewSuite(*seed)
 
 	if *hostJSON != "" {
-		if err := emitHostJSON(*seed, *hostRuns, *hostJSON); err != nil {
+		if err := emitHostJSON(*seed, *hostJSON); err != nil {
 			fmt.Fprintln(os.Stderr, "camrepro:", err)
 			os.Exit(1)
 		}
@@ -98,7 +92,7 @@ func main() {
 	}
 
 	if *checkHost != "" {
-		regressions, err := runHostCheck(*checkHost, *seed, *checkRuns, *checkTol)
+		regressions, err := runHostCheck(*checkHost, *seed)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "camrepro:", err)
 			os.Exit(1)
@@ -111,14 +105,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("host benchmarks within tolerance of %s\n", *checkHost)
-		return
-	}
-
-	if *benchJSON != "" {
-		if err := emitBenchJSON(suite, *workers, *benchJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "camrepro:", err)
-			os.Exit(1)
-		}
 		return
 	}
 
@@ -178,31 +164,18 @@ func main() {
 	}
 }
 
-// emitBenchJSON runs the full benchmark suite through the parallel harness
-// and writes the machine-readable perf record (see bench.Report).
-func emitBenchJSON(suite *bench.Suite, workers int, path string) error {
-	start := time.Now()
-	results, err := suite.RunAll(context.Background(), workers)
-	if err != nil {
-		return err
-	}
-	rep := bench.BuildReport(suite, results, workers, time.Since(start))
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rep.Write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
+// Timed iterations per host-benchmark row. -check-host takes fewer
+// than -host-json records: the gate compares ratios, not raw times.
+const (
+	hostRuns  = 10
+	checkRuns = 3
+)
 
 // emitHostJSON measures host-side throughput of the warm-start layer —
 // campaign runs and machine acquisition, warm vs cold — and writes the
 // cambricon-bench-host/v1 record (see docs/PERF.md, Level 3).
-func emitHostJSON(seed uint64, runs int, path string) error {
-	rep, err := bench.RunHostBenchmarks(seed, runs, 32)
+func emitHostJSON(seed uint64, path string) error {
+	rep, err := bench.RunHostBenchmarks(seed, hostRuns, 32)
 	if err != nil {
 		return err
 	}
@@ -223,8 +196,9 @@ func emitHostJSON(seed uint64, runs int, path string) error {
 // runHostCheck is the perf-regression gate (`make check-host`): it
 // re-measures the host benchmarks with the baseline's seed and compares
 // the host-portable signals (cold/warm ratios, warm-row allocation
-// counts) against the committed record within the given tolerance.
-func runHostCheck(path string, seed uint64, runs int, tol float64) ([]string, error) {
+// counts) against the committed record within
+// bench.DefaultHostTolerance.
+func runHostCheck(path string, seed uint64) ([]string, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -238,11 +212,11 @@ func runHostCheck(path string, seed uint64, runs int, tol float64) ([]string, er
 		// Measure what the baseline measured, whatever -seed says.
 		seed = baseline.Seed
 	}
-	fresh, err := bench.RunHostBenchmarks(seed, runs, 32)
+	fresh, err := bench.RunHostBenchmarks(seed, checkRuns, 32)
 	if err != nil {
 		return nil, err
 	}
-	return bench.CheckHost(&baseline, fresh, tol), nil
+	return bench.CheckHost(&baseline, fresh, bench.DefaultHostTolerance), nil
 }
 
 // emitProfileJSON re-runs every Table III benchmark with a

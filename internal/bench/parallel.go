@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"cambricon/internal/sim"
 	"cambricon/internal/workload"
@@ -21,10 +20,6 @@ type Result struct {
 	// whether the benchmark is expressible on the baseline at all.
 	DDNCycles int64
 	DDNOK     bool
-	// HostNS is the host wall-clock time this worker spent on the
-	// benchmark (simulation + baseline). Near zero when served from the
-	// suite cache.
-	HostNS int64
 	// Err is the per-benchmark failure, if any.
 	Err error
 }
@@ -71,7 +66,6 @@ func (s *Suite) RunAll(ctx context.Context, workers int) ([]Result, error) {
 			defer wg.Done()
 			for i := range jobs {
 				r := &results[i]
-				start := time.Now()
 				// A panic in one benchmark becomes that benchmark's
 				// error; the worker survives to drain its queue.
 				func() {
@@ -86,7 +80,6 @@ func (s *Suite) RunAll(ctx context.Context, workers int) ([]Result, error) {
 						r.DDNCycles, r.DDNOK, r.Err = cycles, ok, err
 					}
 				}()
-				r.HostNS = time.Since(start).Nanoseconds()
 			}
 		}()
 	}

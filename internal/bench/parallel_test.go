@@ -1,13 +1,9 @@
 package bench
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"cambricon/internal/workload"
 )
@@ -126,48 +122,6 @@ func TestRunAllUnknownWorkloadPropagates(t *testing.T) {
 	s := newTestSuite()
 	if _, err := s.Stats("nope"); err == nil {
 		t.Fatal("unknown benchmark did not error")
-	}
-}
-
-func TestBuildReportShape(t *testing.T) {
-	s := newTestSuite()
-	start := time.Now()
-	results, err := s.RunAll(context.Background(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := BuildReport(s, results, 0, time.Since(start))
-	if rep.Schema != ReportSchema {
-		t.Errorf("schema %q", rep.Schema)
-	}
-	if len(rep.Benchmarks) != len(workload.Benchmarks()) {
-		t.Fatalf("%d report entries", len(rep.Benchmarks))
-	}
-	ddn := 0
-	for i, e := range rep.Benchmarks {
-		if e.Name != results[i].Name {
-			t.Errorf("entry %d: name %q, want %q", i, e.Name, results[i].Name)
-		}
-		if e.Cycles <= 0 || e.SimSeconds <= 0 {
-			t.Errorf("%s: empty simulated results", e.Name)
-		}
-		if e.DDNCycles > 0 {
-			ddn++
-		}
-	}
-	if ddn != 3 {
-		t.Errorf("%d DaDianNao entries, want 3", ddn)
-	}
-	var buf bytes.Buffer
-	if err := rep.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var round Report
-	if err := json.Unmarshal(buf.Bytes(), &round); err != nil {
-		t.Fatalf("report is not valid JSON: %v", err)
-	}
-	if round.GoVersion != runtime.Version() {
-		t.Errorf("round-tripped go version %q", round.GoVersion)
 	}
 }
 

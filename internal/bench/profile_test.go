@@ -1,9 +1,6 @@
 package bench
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestSuiteProfileMatchesStats(t *testing.T) {
 	s := newTestSuite()
@@ -39,30 +36,5 @@ func TestSuiteProfileMatchesStats(t *testing.T) {
 func TestSuiteProfileUnknownBenchmark(t *testing.T) {
 	if _, err := newTestSuite().Profile("nope"); err == nil {
 		t.Error("unknown benchmark accepted")
-	}
-}
-
-func TestReportCarriesStallBreakdown(t *testing.T) {
-	s := newTestSuite()
-	st, err := s.Stats("MLP")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := BuildReport(s, []Result{{Name: "MLP", Stats: st, HostNS: 1000}}, 1, time.Millisecond)
-	if len(rep.Benchmarks) != 1 {
-		t.Fatalf("benchmarks = %d", len(rep.Benchmarks))
-	}
-	e := rep.Benchmarks[0]
-	if e.Stalls.Sum() != e.Cycles {
-		t.Errorf("report stall breakdown sums to %d, want %d", e.Stalls.Sum(), e.Cycles)
-	}
-	if e.VectorUtil < 0 || e.VectorUtil > 1 || e.MatrixUtil < 0 || e.MatrixUtil > 1 {
-		t.Errorf("utilization out of range: vector=%v matrix=%v", e.VectorUtil, e.MatrixUtil)
-	}
-	if e.MatrixUtil == 0 {
-		t.Error("MLP should keep the matrix unit busy")
-	}
-	if e.BankConflictCycles != st.BankConflictCycles {
-		t.Errorf("bank conflicts = %d, want %d", e.BankConflictCycles, st.BankConflictCycles)
 	}
 }
