@@ -50,7 +50,6 @@ func main() {
 	faultJSON := flag.String("fault-json", "", "run a fault-injection campaign and write the report to this file (\"-\" = stdout)")
 	faultSites := flag.Int("fault-sites", 50, "fault sites injected per benchmark in the campaign")
 	faultBench := flag.String("fault-bench", "", "restrict the fault campaign to one benchmark (empty = all)")
-	faultCkpts := flag.Int("fault-checkpoints", 8, "interval checkpoints per benchmark for campaign fast-forwarding (0 = full prefix replay; report bytes are identical either way)")
 	hostJSON := flag.String("host-json", "", "run the host-throughput benchmarks and write the record to this file (e.g. BENCH_host.json, - for stdout)")
 	checkHost := flag.String("check-host", "", "re-run the host benchmarks and exit nonzero if they regressed against this baseline record")
 	listing := flag.String("listing", "", "dump a baseline listing, e.g. x86:MLP (arches: x86, MIPS, GPU)")
@@ -117,7 +116,7 @@ func main() {
 	}
 
 	if *faultJSON != "" {
-		if err := emitFaultJSON(suite, *workers, *faultSites, *faultCkpts, *faultBench, *faultJSON); err != nil {
+		if err := emitFaultJSON(suite, *workers, *faultSites, *faultBench, *faultJSON); err != nil {
 			fmt.Fprintln(os.Stderr, "camrepro:", err)
 			os.Exit(1)
 		}
@@ -248,13 +247,17 @@ func emitProfileJSON(suite *bench.Suite, path string) error {
 	return f.Close()
 }
 
+// faultCheckpoints is the number of interval checkpoints per benchmark
+// the fault campaign fast-forwards from (docs/PERF.md, Level 5).
+const faultCheckpoints = 8
+
 // emitFaultJSON runs a deterministic fault-injection campaign over the
 // Table III benchmarks (or one of them) and writes the
 // cambricon-fault/v1 report. The campaign seed is the suite seed, so
 // `-seed N -fault-sites K` fully determines the report bytes —
 // checkpoints only change how fast the sites are swept (docs/PERF.md,
 // Level 5), never what the report says.
-func emitFaultJSON(suite *bench.Suite, workers, sites, checkpoints int, only, path string) error {
+func emitFaultJSON(suite *bench.Suite, workers, sites int, only, path string) error {
 	targets, err := suite.FaultTargets()
 	if err != nil {
 		return err
@@ -271,7 +274,7 @@ func emitFaultJSON(suite *bench.Suite, workers, sites, checkpoints int, only, pa
 		}
 		targets = kept
 	}
-	c := fault.Campaign{Seed: suite.Seed, Sites: sites, Workers: workers, Checkpoints: checkpoints}
+	c := fault.Campaign{Seed: suite.Seed, Sites: sites, Workers: workers, Checkpoints: faultCheckpoints}
 	rep, err := c.Run(context.Background(), targets)
 	if err != nil {
 		return err

@@ -62,10 +62,6 @@ func (v admitVerdict) String() string {
 	return "unknown"
 }
 
-// shed reports whether the verdict is a load-shedding rejection (503
-// with a Retry-After hint) as opposed to a deadline/cancel outcome.
-func (v admitVerdict) shed() bool { return v == admitQueueFull || v == admitDraining }
-
 // admission is the bounded-queue admission controller.
 type admission struct {
 	// slots bounds concurrent runs; holding a token = holding a slot.

@@ -116,6 +116,23 @@ func TestFig11PercentagesSumToHundred(t *testing.T) {
 	}
 }
 
+// TestFig11AverageRowsInOrder: the two average rows close the table,
+// static before dynamic like each benchmark's rows, on every run, so
+// camrepro prints the same bytes every time.
+func TestFig11AverageRowsInOrder(t *testing.T) {
+	s := newTestSuite()
+	for i := 0; i < 64; i++ {
+		tbl, err := RunFig11(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(tbl.Rows)
+		if got := []string{tbl.Rows[n-2][0], tbl.Rows[n-1][0]}; got[0] != "average (static)" || got[1] != "average (dynamic)" {
+			t.Fatalf("run %d: last rows %q, want the static then the dynamic average", i, got)
+		}
+	}
+}
+
 func TestFig12ShapeHolds(t *testing.T) {
 	s := newTestSuite()
 	tbl, err := RunFig12(s)

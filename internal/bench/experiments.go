@@ -236,11 +236,13 @@ func RunFig11(s *Suite) (*Table, error) {
 		}
 		t.Rows = append(t.Rows, dynRow)
 	}
-	for label, sums := range map[string]map[core.Type]float64{
-		"average (static)": staticSums, "average (dynamic)": dynSums} {
-		row := []string{label, ""}
+	for _, avg := range []struct {
+		label string
+		sums  map[core.Type]float64
+	}{{"average (static)", staticSums}, {"average (dynamic)", dynSums}} {
+		row := []string{avg.label, ""}
 		for _, typ := range core.Types() {
-			row = append(row, fmt.Sprintf("%.1f%%", sums[typ]/float64(len(progs))))
+			row = append(row, fmt.Sprintf("%.1f%%", avg.sums[typ]/float64(len(progs))))
 		}
 		t.Rows = append(t.Rows, row)
 	}

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"sync"
 
-	"cambricon/internal/codegen"
 	"cambricon/internal/core"
 	"cambricon/internal/fault"
 	"cambricon/internal/sim"
@@ -30,7 +29,7 @@ func (s *Suite) FaultTargets() ([]fault.Target, error) {
 	}
 	targets := make([]fault.Target, len(progs))
 	for i, p := range progs {
-		targets[i] = &faultTarget{suite: s, prog: p}
+		targets[i] = &faultTarget{suite: s, b: s.byName[p.Name]}
 	}
 	return targets, nil
 }
@@ -39,7 +38,7 @@ func (s *Suite) FaultTargets() ([]fault.Target, error) {
 // fault.BufferedTarget, fault.FastForwardTarget).
 type faultTarget struct {
 	suite *Suite
-	prog  *codegen.Program
+	b     *benchmark
 
 	// ckpts are the interval checkpoints of the fault-free run prepared
 	// by PrepareCheckpoints, ascending by dynamic instruction index;
@@ -58,17 +57,7 @@ type faultTarget struct {
 	ckptErr error
 }
 
-func (t *faultTarget) Name() string { return t.prog.Name }
-
-// runConfig derives the per-run machine configuration: the suite's
-// Table II machine with the fault campaign's derived seed and the run's
-// watchdog budget.
-func (t *faultTarget) runConfig(maxCycles int64) sim.Config {
-	cfg := t.suite.Config
-	cfg.Seed = t.suite.Seed ^ 0xcafe
-	cfg.MaxCycles = maxCycles
-	return cfg
-}
+func (t *faultTarget) Name() string { return t.b.prog.Name }
 
 // Run executes the benchmark once under the given injector.
 func (t *faultTarget) Run(inj fault.Injector, maxCycles int64) fault.Observation {
@@ -86,11 +75,10 @@ func (t *faultTarget) RunBuf(inj fault.Injector, maxCycles int64, buf []byte) (o
 	defer func() {
 		if r := recover(); r != nil {
 			obs.Crashed = true
-			obs.Err = fmt.Errorf("bench: %s: panic: %v", t.prog.Name, r)
+			obs.Err = fmt.Errorf("bench: %s: panic: %v", t.b.prog.Name, r)
 		}
 	}()
-	cfg := t.runConfig(maxCycles)
-	m, pooled, err := t.suite.preparedMachine(context.Background(), t.prog, cfg)
+	m, pooled, err := t.suite.preparedMachine(context.Background(), t.b, maxCycles)
 	if err != nil {
 		obs.Err = err
 		return obs
@@ -98,15 +86,17 @@ func (t *faultTarget) RunBuf(inj fault.Injector, maxCycles int64, buf []byte) (o
 	defer t.suite.releaseMachine(m, pooled)
 	m.SetInjector(inj)
 	stats, err := m.Run()
-	return t.finish(m, cfg, stats, err, inj == nil, buf)
+	return t.finish(m, stats, err, inj == nil, buf)
 }
 
 // finish assembles the observation of a completed (or failed) run: the
 // final counters, the site-space geometry, hang/detection classification
 // and the serialized output regions (codegen.Program.Output). golden
-// additionally checks the outputs through the suite (Suite.checkOutput):
-// a wrong golden output would poison every classification.
-func (t *faultTarget) finish(m *sim.Machine, cfg sim.Config, stats sim.Stats, err error, golden bool, buf []byte) (obs fault.Observation) {
+// additionally checks the outputs against the suite's record
+// (benchmark.checkOutput): a wrong golden output would poison every
+// classification.
+func (t *faultTarget) finish(m *sim.Machine, stats sim.Stats, err error, golden bool, buf []byte) (obs fault.Observation) {
+	cfg := &t.suite.Config
 	obs.Cycles = stats.Cycles
 	obs.Instructions = stats.Instructions
 	obs.Geometry = fault.Geometry{
@@ -126,12 +116,12 @@ func (t *faultTarget) finish(m *sim.Machine, cfg sim.Config, stats sim.Stats, er
 		return obs
 	}
 	if golden {
-		if _, err := t.suite.checkOutput(t.prog, m); err != nil {
+		if _, err := t.b.checkOutput(m); err != nil {
 			obs.Err = err
 			return obs
 		}
 	}
-	obs.Output, obs.Err = t.prog.Output(m, buf)
+	obs.Output, obs.Err = t.b.prog.Output(m, buf)
 	return obs
 }
 
@@ -149,7 +139,7 @@ const ffDMAHop = 256
 // as "fall back to the ordinary path".
 func (t *faultTarget) PrepareCheckpoints(k int) error {
 	if k <= 0 {
-		return fmt.Errorf("bench: %s: checkpoint count %d must be positive", t.prog.Name, k)
+		return fmt.Errorf("bench: %s: checkpoint count %d must be positive", t.b.prog.Name, k)
 	}
 	t.ckptMu.Lock()
 	defer t.ckptMu.Unlock()
@@ -163,11 +153,10 @@ func (t *faultTarget) PrepareCheckpoints(k int) error {
 
 func (t *faultTarget) buildCheckpoints(k int) ([]*sim.Snapshot, *sim.Liveness, *fault.Observation, error) {
 	if t.suite.cold {
-		return nil, nil, nil, fmt.Errorf("bench: %s: checkpoint fast-forwarding requires the warm-start layer", t.prog.Name)
+		return nil, nil, nil, fmt.Errorf("bench: %s: checkpoint fast-forwarding requires the warm-start layer", t.b.prog.Name)
 	}
 	ctx := context.Background()
-	cfg := t.runConfig(0)
-	m, pooled, err := t.suite.preparedMachine(ctx, t.prog, cfg)
+	m, pooled, err := t.suite.preparedMachine(ctx, t.b, 0)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -184,19 +173,19 @@ func (t *faultTarget) buildCheckpoints(k int) ([]*sim.Snapshot, *sim.Liveness, *
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	gobs := t.finish(m, cfg, st, nil, true, nil)
+	gobs := t.finish(m, st, nil, true, nil)
 	golden := &gobs
 	if gobs.Err != nil {
 		golden = nil
 	}
-	lv, lverr := rec.Liveness(cfg)
+	lv, lverr := rec.Liveness(t.suite.runConfig(0))
 	if lverr != nil {
 		// Convergence exits are an optimization: without a usable trace
 		// the checkpoints still fast-forward the fault-free prefix.
 		lv = nil
 	}
 	n := st.Instructions
-	start, err := t.suite.preparedSnapshot(ctx, t.prog, cfg)
+	start, err := t.suite.preparedSnapshot(ctx, t.b)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -248,7 +237,7 @@ func (t *faultTarget) RunSiteBuf(f fault.Fault, maxCycles int64, buf []byte) (ob
 	defer func() {
 		if r := recover(); r != nil {
 			obs.Crashed = true
-			obs.Err = fmt.Errorf("bench: %s: panic: %v", t.prog.Name, r)
+			obs.Err = fmt.Errorf("bench: %s: panic: %v", t.b.prog.Name, r)
 		}
 	}()
 	// target is the dynamic index of the firing instruction: At for the
@@ -268,7 +257,6 @@ func (t *faultTarget) RunSiteBuf(f fault.Fault, maxCycles int64, buf []byte) (ob
 			target, haveOffer = offer, true
 		}
 	}
-	cfg := t.runConfig(maxCycles)
 	// Nearest checkpoint at or before the firing index (ckpts ascend).
 	best := ckpts[0]
 	for _, s := range ckpts[1:] {
@@ -277,7 +265,10 @@ func (t *faultTarget) RunSiteBuf(f fault.Fault, maxCycles int64, buf []byte) (ob
 		}
 		best = s
 	}
-	m, err := t.suite.checkpointMachine(cfg, best)
+	// Restoring the checkpoint directly skips the prepared-snapshot
+	// restore preparedMachine performs, which the checkpoint would
+	// overwrite anyway.
+	m, err := t.suite.restoredMachine(context.Background(), best, maxCycles)
 	if err != nil {
 		obs.Err = err
 		return obs
@@ -340,7 +331,7 @@ func (t *faultTarget) RunSiteBuf(f fault.Fault, maxCycles int64, buf []byte) (ob
 	if err == nil && !done {
 		stats, err = m.Resume()
 	}
-	return t.finish(m, cfg, stats, err, false, buf)
+	return t.finish(m, stats, err, false, buf)
 }
 
 // goldenObservation copies the stored fault-free observation, backing

@@ -185,7 +185,7 @@ func TestConvergedWithSeesSkippedGoldenPadWrite(t *testing.T) {
 		Results: []codegen.Result{{Name: "out", Addr: 4096, N: 16}},
 	}
 	s := NewSuite(7)
-	tgt := &faultTarget{suite: s, prog: prog}
+	tgt := &faultTarget{suite: s, b: &benchmark{prog: prog}}
 	golden := tgt.Run(nil, 0)
 	if golden.Err != nil {
 		t.Fatal(golden.Err)
@@ -209,7 +209,7 @@ func TestConvergedWithSeesSkippedGoldenPadWrite(t *testing.T) {
 
 	// The proof itself: restore the checkpoint before the write, apply
 	// the fault where the injector would, and stop at the next one.
-	m, err := sim.New(tgt.runConfig(0))
+	m, err := sim.New(s.runConfig(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,13 +21,12 @@ func codegenLogisticTraining(seed uint64) (*codegen.Program, error) {
 // (pooled and snapshot-restored unless the suite is cold) and checks its
 // outputs like every run of the suite's own programs.
 func runProgram(s *Suite, p *codegen.Program) (sim.Stats, error) {
-	cfg := s.Config
-	cfg.Seed = s.Seed ^ 0xcafe
-	m, pooled, err := s.preparedMachine(context.Background(), p, cfg)
+	b := &benchmark{prog: p}
+	m, pooled, err := s.preparedMachine(context.Background(), b, s.Config.MaxCycles)
 	if err != nil {
 		return sim.Stats{}, err
 	}
 	defer s.releaseMachine(m, pooled)
-	st, _, err := s.runChecked(context.Background(), p, m)
+	st, _, err := b.runChecked(context.Background(), m)
 	return st, err
 }

@@ -181,17 +181,16 @@ func hostCampaignFnWith(s *Suite, name string, c fault.Campaign) (func() error, 
 // cold path is what a cold suite does instead — sim.New plus image
 // replay and loading the suite's cached decoded program.
 func hostRestoreFns(s *Suite) (prep, warm, cold func() error, err error) {
-	p, err := s.Program(hostBenchmark)
+	b, err := s.lookup(hostBenchmark)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	cfg := s.Config
-	cfg.Seed = s.Seed ^ 0xcafe
-	snap, err := s.preparedSnapshot(context.Background(), p, cfg)
+	p, cfg := b.prog, s.runConfig(0)
+	snap, err := s.preparedSnapshot(context.Background(), b)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	dp, err := s.decodedProgram(context.Background(), p)
+	dp, err := s.decodedProgram(context.Background(), b)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -35,7 +35,6 @@ const (
 	MetricWatchdogTrips = "cambricon_sim_watchdog_trips_total"
 	MetricCancellations = "cambricon_sim_cancellations_total"
 	MetricFFConverged   = "cambricon_fault_ff_converged_total"
-	MetricPredecoded    = "cambricon_bench_programs_predecoded_total"
 	MetricDecodeHits    = "cambricon_bench_decode_cache_hits_total"
 	MetricDecodeMisses  = "cambricon_bench_decode_cache_misses_total"
 	MetricFusedPairs    = "cambricon_bench_fused_pairs_total"
@@ -58,7 +57,6 @@ type suiteMetrics struct {
 	restoreBytes  *metrics.Counter
 	ffConvergedC  *metrics.Counter
 
-	predecodedN  *metrics.Counter
 	decodeHits   *metrics.Counter
 	decodeMisses *metrics.Counter
 
@@ -92,7 +90,6 @@ func newSuiteMetrics(reg *metrics.Registry) *suiteMetrics {
 		restores:      reg.Counter(MetricRestores, "snapshot restores performed by the warm-start layer"),
 		restoreBytes:  reg.Counter(MetricRestoreBytes, "bytes copied by snapshot restores (dirty pages only on the warm path)"),
 		ffConvergedC:  reg.Counter(MetricFFConverged, "fast-forwarded fault runs completed early by a convergence proof (golden observation returned without simulating the remainder)"),
-		predecodedN:   reg.Counter(MetricPredecoded, "benchmark programs pre-decoded and fusion-planned"),
 		decodeHits:    reg.Counter(MetricDecodeHits, "decoded-program requests served from the suite's singleflight cache"),
 		decodeMisses:  reg.Counter(MetricDecodeMisses, "decoded-program requests that paid for a fresh pre-decode"),
 		snapPrepared:  reg.Gauge(MetricSnapPrepared, "prepared per-benchmark snapshots held"),
@@ -172,7 +169,6 @@ func (sm *suiteMetrics) predecoded(dp *sim.DecodedProgram) {
 	if sm == nil || dp == nil {
 		return
 	}
-	sm.predecodedN.Inc()
 	sm.decodeMisses.Inc()
 	f := dp.Fusion()
 	for _, p := range []struct {

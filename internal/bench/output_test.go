@@ -1,6 +1,6 @@
 package bench
 
-// Tests pinning the run path's output check (Suite.checkOutput): the
+// Tests pinning the run path's output check (benchmark.checkOutput): the
 // first run of a program verifies against the float64 reference and
 // records its output; every later run byte-compares its declared regions
 // with that record, allocating nothing, and a difference in any region
@@ -23,10 +23,16 @@ import (
 // recorded returns the named program's recorded output (nil before a run
 // has passed Verify).
 func recorded(s *Suite, name string) []byte {
-	if p := s.outputCell(name).out.Load(); p != nil {
+	if p := record(s, name).out.Load(); p != nil {
 		return *p
 	}
 	return nil
+}
+
+// record returns the named benchmark's record, nil for an unknown name.
+func record(s *Suite, name string) *benchmark {
+	b, _ := s.lookup(name)
+	return b
 }
 
 // declaredBytes sums the sizes of a program's declared output regions.
@@ -155,10 +161,13 @@ func TestConcurrentFirstRunsRecordOnce(t *testing.T) {
 		t.Fatal("no concurrent first run verified")
 	}
 	t.Logf("%d of %d concurrent first runs verified", verified, runs)
-	s.prepMu.Lock()
-	n := len(s.outputs)
-	s.prepMu.Unlock()
-	kept := s.outputCell("BM").out.Load()
+	n := 0
+	for _, b := range s.byName {
+		if b.out.Load() != nil {
+			n++
+		}
+	}
+	kept := record(s, "BM").out.Load()
 	if n != 1 || kept == nil {
 		t.Fatalf("%d records, BM's %v; want exactly BM's", n, kept)
 	}
@@ -167,7 +176,7 @@ func TestConcurrentFirstRunsRecordOnce(t *testing.T) {
 			t.Fatalf("run after the first ones paid for %q, want %q", check, outputCompare)
 		}
 	}
-	if s.outputCell("BM").out.Load() != kept {
+	if record(s, "BM").out.Load() != kept {
 		t.Fatal("a later run replaced the record")
 	}
 }
@@ -244,15 +253,12 @@ func TestBMCampaignReportsSDC(t *testing.T) {
 	if br.Tally.SDC == 0 {
 		t.Fatalf("BM campaign reports no SDC: %+v", br.Tally)
 	}
-	p, err := s.Program("BM")
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := record(s, "BM")
 	for _, r := range br.Runs {
 		if r.Outcome != fault.OutcomeMasked {
 			continue
 		}
-		if err := rerunVerify(s, p, r.Fault); err != nil {
+		if err := rerunVerify(s, b, r.Fault); err != nil {
 			t.Errorf("masked site %+v fails Verify: %v", r.Fault, err)
 		}
 	}
@@ -298,8 +304,8 @@ func campaignOf(s *Suite, c fault.Campaign, name string) (*fault.Report, error) 
 
 // rerunVerify re-runs one fault site on the observed path and checks the
 // faulted outputs against the float64 reference.
-func rerunVerify(s *Suite, p *codegen.Program, f fault.Fault) error {
-	m, pooled, err := s.preparedMachine(context.Background(), p, s.serveConfig())
+func rerunVerify(s *Suite, b *benchmark, f fault.Fault) error {
+	m, pooled, err := s.preparedMachine(context.Background(), b, 0)
 	if err != nil {
 		return err
 	}
@@ -308,5 +314,5 @@ func rerunVerify(s *Suite, p *codegen.Program, f fault.Fault) error {
 	if _, err := m.Run(); err != nil {
 		return err
 	}
-	return p.Verify(m)
+	return b.prog.Verify(m)
 }

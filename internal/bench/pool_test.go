@@ -7,10 +7,12 @@ package bench
 // from a freshly built one.
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"cambricon/internal/asm"
+	"cambricon/internal/fault"
 	"cambricon/internal/metrics"
 	"cambricon/internal/sim"
 )
@@ -87,14 +89,11 @@ func TestPoolCrossConfigMemSharing(t *testing.T) {
 	stA := runPoolKernel(t, s, cfgA)
 	stB := runPoolKernel(t, s, cfgB) // A's machine is idle: must be stolen
 
-	if got := s.PoolMemShared(); got != 1 {
-		t.Fatalf("PoolMemShared = %d, want 1", got)
-	}
-	if got := reg.Counter(MetricPoolMemShared, "").Value(); got != 1 {
+	shared := reg.Counter(MetricPoolMemShared, "")
+	if got := shared.Value(); got != 1 {
 		t.Fatalf("%s = %d, want 1", MetricPoolMemShared, got)
 	}
-	builds, _ := s.PoolStats()
-	if builds != 1 {
+	if builds := reg.Counter(MetricPoolMisses, "").Value(); builds != 1 {
 		t.Fatalf("pool builds = %d, want 1 (second config must share)", builds)
 	}
 
@@ -110,8 +109,8 @@ func TestPoolCrossConfigMemSharing(t *testing.T) {
 	if !reflect.DeepEqual(stA2, stA) {
 		t.Fatalf("cfgA rerun on re-stolen machine diverges:\n got  %+v\n want %+v", stA2, stA)
 	}
-	if got := s.PoolMemShared(); got != 2 {
-		t.Fatalf("PoolMemShared after round trip = %d, want 2", got)
+	if got := shared.Value(); got != 2 {
+		t.Fatalf("%s after round trip = %d, want 2", MetricPoolMemShared, got)
 	}
 }
 
@@ -147,17 +146,18 @@ func TestPoolFreeListBound(t *testing.T) {
 		t.Fatalf("LIFO reuse: got %p reused=%v, want most recently released %p", m, reused, m2)
 	}
 
-	// Fill the free list to capacity by releasing fresh machines, then
-	// overflow by one: the overflow release is dropped and counted.
+	// Fill the free list to capacity by releasing fresh machines — each
+	// one kept — then overflow by one: the overflow release is dropped.
 	for len(e.free) < defaultPoolMaxIdle {
 		m, err := sim.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		n := len(e.free)
 		p.release(m)
-	}
-	if got := p.drops.Load(); got != 0 {
-		t.Fatalf("drops while filling = %d, want 0", got)
+		if len(e.free) != n+1 || e.free[n] != m {
+			t.Fatalf("release below the bound did not keep the machine (idle %d -> %d)", n, len(e.free))
+		}
 	}
 	overflow, err := sim.New(cfg)
 	if err != nil {
@@ -167,15 +167,19 @@ func TestPoolFreeListBound(t *testing.T) {
 	if got := len(e.free); got != defaultPoolMaxIdle {
 		t.Fatalf("idle after overflow release = %d, want %d (bounded)", got, defaultPoolMaxIdle)
 	}
-	if got := p.drops.Load(); got != 1 {
-		t.Fatalf("drops = %d, want 1", got)
+	for _, m := range e.free {
+		if m == overflow {
+			t.Fatal("the overflow release was kept")
+		}
 	}
 }
 
 // TestPoolNoShareAcrossMemGeometry pins the guard: a configuration with
 // a different memory geometry never steals, it builds.
 func TestPoolNoShareAcrossMemGeometry(t *testing.T) {
+	reg := metrics.New()
 	s := NewSuite(11)
+	s.Metrics = reg
 	cfgA := s.Config
 	cfgB := cfgA
 	cfgB.MainMemBytes = cfgA.MainMemBytes * 2
@@ -183,11 +187,59 @@ func TestPoolNoShareAcrossMemGeometry(t *testing.T) {
 	runPoolKernel(t, s, cfgA)
 	runPoolKernel(t, s, cfgB)
 
-	if got := s.PoolMemShared(); got != 0 {
-		t.Fatalf("PoolMemShared = %d, want 0 across memory geometries", got)
+	if got := reg.Counter(MetricPoolMemShared, "").Value(); got != 0 {
+		t.Fatalf("%s = %d, want 0 across memory geometries", MetricPoolMemShared, got)
 	}
-	builds, _ := s.PoolStats()
-	if builds != 2 {
+	if builds := reg.Counter(MetricPoolMisses, "").Value(); builds != 2 {
 		t.Fatalf("pool builds = %d, want 2", builds)
+	}
+}
+
+// TestPoolServesOneConfigurationOutsideKernels pins the traffic the
+// warm-start layer serves: repeated RunOnce over the ten programs and a
+// fast-forwarded campaign over all ten targets draw every machine from
+// one pool entry and never share memory across configurations. Only the
+// handcrafted kernels (ablations, sweeps), which run other
+// configurations, take the cross-configuration path.
+func TestPoolServesOneConfigurationOutsideKernels(t *testing.T) {
+	reg := metrics.New()
+	s := NewSuite(7)
+	s.Metrics = reg
+	progs, err := s.Programs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		for _, p := range progs {
+			if _, err := s.RunOnce(context.Background(), p.Name); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	targets, err := s.FaultTargets()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := fault.Campaign{Seed: 7, Sites: 4, Checkpoints: 8, Workers: 2}
+	if _, err := c.Run(context.Background(), targets); err != nil {
+		t.Fatal(err)
+	}
+	shared := reg.Counter(MetricPoolMemShared, "")
+	s.pool.mu.Lock()
+	entries := len(s.pool.entries)
+	s.pool.mu.Unlock()
+	if entries != 1 || shared.Value() != 0 {
+		t.Fatalf("serving and a campaign used %d pool entries and %d cross-configuration shares, want 1 and 0",
+			entries, shared.Value())
+	}
+
+	if _, err := RunAblations(s); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunMMVSweep(s); err != nil {
+		t.Fatal(err)
+	}
+	if got := shared.Value(); got != 2 {
+		t.Fatalf("ablations and the sweep shared %d times, want 2", got)
 	}
 }

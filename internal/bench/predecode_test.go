@@ -31,15 +31,14 @@ func TestPredecodeBitIdenticalTableIII(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := s.Config
-	cfg.Seed = s.Seed ^ 0xcafe
 	fused := 0
 	for _, p := range progs {
 		tight, err := s.Stats(p.Name)
 		if err != nil {
 			t.Fatalf("%s tight loop: %v", p.Name, err)
 		}
-		m, pooled, err := s.preparedMachine(context.Background(), p, cfg)
+		b := s.byName[p.Name]
+		m, pooled, err := s.preparedMachine(context.Background(), b, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +52,7 @@ func TestPredecodeBitIdenticalTableIII(t *testing.T) {
 		if !reflect.DeepEqual(tight, slow) {
 			t.Errorf("%s: stats diverge\ntight %+v\nslow  %+v", p.Name, tight, slow)
 		}
-		dp, err := s.decodedProgram(context.Background(), p)
+		dp, err := s.decodedProgram(context.Background(), b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,24 +91,21 @@ func TestPredecodeCacheSingleflight(t *testing.T) {
 	// RunOnce bypasses the stats cache but not the decode cache: the
 	// snapshot already carries the decoded program, so this is a hit-free
 	// reuse; a third run through a fresh pooled machine is a hit.
-	prog, err := s.Program("SOM")
+	b, err := s.lookup("SOM")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.decodedProgram(context.Background(), prog); err != nil { // explicit reuse: a hit
+	if _, err := s.decodedProgram(context.Background(), b); err != nil { // explicit reuse: a hit
 		t.Fatal(err)
 	}
 	c := func(name string) uint64 { return reg.Counter(name, "").Value() }
-	if got := c(MetricPredecoded); got != 1 {
-		t.Fatalf("programs predecoded = %d, want 1", got)
-	}
 	if got := c(MetricDecodeMisses); got != 1 {
 		t.Fatalf("decode misses = %d, want 1", got)
 	}
 	if got := c(MetricDecodeHits); got != 1 {
 		t.Fatalf("decode hits = %d, want 1", got)
 	}
-	dp, err := sim.Predecode(prog.Asm.Instructions)
+	dp, err := sim.Predecode(b.prog.Asm.Instructions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,17 +124,15 @@ func TestPredecodeCacheSingleflight(t *testing.T) {
 // zero heap allocations.
 func TestPredecodedWarmRunAllocationFree(t *testing.T) {
 	s := NewSuite(7)
-	prog, err := s.Program(dispatchBenchmark)
+	b, err := s.lookup(dispatchBenchmark)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := s.Config
-	cfg.Seed = s.Seed ^ 0xcafe
-	snap, err := s.preparedSnapshot(context.Background(), prog, cfg)
+	snap, err := s.preparedSnapshot(context.Background(), b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := sim.New(cfg)
+	m, err := sim.New(s.runConfig(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,9 +11,7 @@ package bench
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 
-	"cambricon/internal/codegen"
 	"cambricon/internal/reqtrace"
 	"cambricon/internal/sim"
 )
@@ -44,13 +42,9 @@ const defaultPoolMaxIdle = 64
 // geometry as it ever had concurrent holders — under camserve, the
 // admission run slots. The zero value is ready.
 type machinePool struct {
-	mu        sync.Mutex
-	entries   map[sim.Config]*poolEntry
-	byMem     map[memKey][]*poolEntry
-	builds    atomic.Int64
-	reuses    atomic.Int64
-	memShared atomic.Int64
-	drops     atomic.Int64
+	mu      sync.Mutex
+	entries map[sim.Config]*poolEntry
+	byMem   map[memKey][]*poolEntry
 }
 
 type poolEntry struct {
@@ -141,7 +135,6 @@ func (p *machinePool) acquire(cfg sim.Config) (m *sim.Machine, reused, shared bo
 	p.mu.Lock()
 	if m := e.pop(); m != nil {
 		p.mu.Unlock()
-		p.reuses.Add(1)
 		m.SetMaxCycles(cfg.MaxCycles)
 		return m, true, false, nil
 	}
@@ -159,8 +152,6 @@ func (p *machinePool) acquire(cfg sim.Config) (m *sim.Machine, reused, shared bo
 	p.mu.Unlock()
 	if stolen != nil {
 		if err := stolen.Reconfigure(cfg); err == nil {
-			p.reuses.Add(1)
-			p.memShared.Add(1)
 			return stolen, true, true, nil
 		}
 		// A same-memKey reconfigure can only fail on an invalid cfg,
@@ -170,7 +161,6 @@ func (p *machinePool) acquire(cfg sim.Config) (m *sim.Machine, reused, shared bo
 	if err != nil {
 		return nil, false, false, err
 	}
-	p.builds.Add(1)
 	return m, false, false, nil
 }
 
@@ -204,30 +194,10 @@ func (p *machinePool) release(m *sim.Machine) {
 	m.SetMetrics(nil)
 	key := poolKey(m.Config())
 	p.mu.Lock()
-	e := p.entries[key]
-	if e != nil && len(e.free) < cap(e.free) {
+	defer p.mu.Unlock()
+	if e := p.entries[key]; e != nil && len(e.free) < cap(e.free) {
 		e.free = append(e.free, m)
-		p.mu.Unlock()
-		return
 	}
-	p.mu.Unlock()
-	p.drops.Add(1)
-}
-
-// preparedEntry is the singleflight cell for one benchmark's post-Init
-// snapshot.
-type preparedEntry struct {
-	once sync.Once
-	snap *sim.Snapshot
-	err  error
-}
-
-// decodedEntry is the singleflight cell for one benchmark's pre-decoded
-// program (docs/PERF.md, Level 4).
-type decodedEntry struct {
-	once sync.Once
-	dp   *sim.DecodedProgram
-	err  error
 }
 
 // decodedProgram pre-decodes (once per benchmark) the program's
@@ -235,43 +205,30 @@ type decodedEntry struct {
 // are computed here and shared — via the prepared snapshot — by every
 // pooled machine and fault-campaign worker that runs the benchmark. A
 // request recorder on ctx gets a "decode.lookup" span with the cache
-// outcome.
-func (s *Suite) decodedProgram(ctx context.Context, prog *codegen.Program) (*sim.DecodedProgram, error) {
+// outcome: a miss for the caller that paid for the decode, a hit for
+// every caller served from (or blocked on) it.
+func (s *Suite) decodedProgram(ctx context.Context, b *benchmark) (*sim.DecodedProgram, error) {
 	rec := reqtrace.From(ctx)
 	sp := rec.Start(reqtrace.Root, "decode.lookup")
 	defer rec.End(sp)
-	s.decMu.Lock()
-	if s.decoded == nil {
-		s.decoded = map[string]*decodedEntry{}
-	}
-	de, hit := s.decoded[prog.Name]
-	if de == nil {
-		de = &decodedEntry{}
-		s.decoded[prog.Name] = de
-	}
-	s.decMu.Unlock()
-	if hit {
-		// Served from (or blocked on) an existing singleflight entry: the
-		// caller did not pay for a decode of its own.
-		s.sm().decodeCacheHit()
-	}
-	outcome := "miss"
-	if hit {
-		outcome = "hit"
-	}
-	rec.AnnotateStr(sp, "cache", outcome)
-	de.once.Do(func() {
-		de.dp, de.err = sim.Predecode(prog.Asm.Instructions)
-		if de.err == nil {
-			s.sm().predecoded(de.dp)
+	outcome := "hit"
+	b.decOnce.Do(func() {
+		outcome = "miss"
+		b.dp, b.decErr = sim.Predecode(b.prog.Asm.Instructions)
+		if b.decErr == nil {
+			s.sm().predecoded(b.dp)
 		}
 	})
-	return de.dp, de.err
+	if outcome == "hit" {
+		s.sm().decodeCacheHit()
+	}
+	rec.AnnotateStr(sp, "cache", outcome)
+	return b.dp, b.decErr
 }
 
-// loadProgram loads prog onto m from the suite's decode cache.
-func (s *Suite) loadProgram(ctx context.Context, m *sim.Machine, prog *codegen.Program) error {
-	dp, err := s.decodedProgram(ctx, prog)
+// loadProgram loads b's program onto m from its decode cell.
+func (s *Suite) loadProgram(ctx context.Context, m *sim.Machine, b *benchmark) error {
+	dp, err := s.decodedProgram(ctx, b)
 	if err != nil {
 		return err
 	}
@@ -284,44 +241,35 @@ func (s *Suite) loadProgram(ctx context.Context, m *sim.Machine, prog *codegen.P
 // loaded — the state every run of that benchmark starts from. The
 // requester that pays for the build gets a "snapshot.prepare" span; the
 // singleflight winners that merely wait record nothing.
-func (s *Suite) preparedSnapshot(ctx context.Context, prog *codegen.Program, cfg sim.Config) (*sim.Snapshot, error) {
-	s.prepMu.Lock()
-	if s.prepared == nil {
-		s.prepared = map[string]*preparedEntry{}
-	}
-	pe := s.prepared[prog.Name]
-	if pe == nil {
-		pe = &preparedEntry{}
-		s.prepared[prog.Name] = pe
-	}
-	s.prepMu.Unlock()
-	pe.once.Do(func() {
+func (s *Suite) preparedSnapshot(ctx context.Context, b *benchmark) (*sim.Snapshot, error) {
+	b.snapOnce.Do(func() {
 		rec := reqtrace.From(ctx)
 		sp := rec.Start(reqtrace.Root, "snapshot.prepare")
 		defer rec.End(sp)
-		m, reused, shared, err := s.pool.acquirePristine(poolKey(cfg))
+		m, reused, shared, err := s.pool.acquirePristine(s.runConfig(0))
 		if err != nil {
-			pe.err = err
+			b.snapErr = err
 			return
 		}
 		s.sm().poolAcquired(reused, shared)
-		if err := prog.Init(m); err != nil {
-			pe.err = err
+		if err := b.prog.Init(m); err != nil {
+			b.snapErr = err
 			return
 		}
-		if err := s.loadProgram(ctx, m, prog); err != nil {
-			pe.err = err
+		if err := s.loadProgram(ctx, m, b); err != nil {
+			b.snapErr = err
 			return
 		}
-		pe.snap = m.Snapshot()
-		s.sm().snapshotPrepared(pe.snap)
-		rec.AnnotateInt(sp, "resident_bytes", int64(pe.snap.Bytes()))
+		b.snap = m.Snapshot()
+		s.sm().snapshotPrepared(b.snap)
+		rec.AnnotateInt(sp, "resident_bytes", int64(b.snap.Bytes()))
 		s.pool.release(m)
 	})
-	return pe.snap, pe.err
+	return b.snap, b.snapErr
 }
 
-// preparedMachine returns a machine holding prog's post-Init state. Warm
+// preparedMachine returns a machine holding b's post-Init state, with
+// the run configuration (runConfig) and watchdog budget maxCycles. Warm
 // suites restore a pooled machine from the benchmark's snapshot and
 // report pooled=true — the caller must hand it back via releaseMachine
 // when done with the run. Cold suites build a fresh machine and replay
@@ -331,39 +279,52 @@ func (s *Suite) preparedSnapshot(ctx context.Context, prog *codegen.Program, cfg
 // A request recorder on ctx gets per-phase spans: machine.build /
 // program.init on the cold path, pool.acquire / snapshot.restore on the
 // warm path (docs/OBSERVABILITY.md, "Request tracing").
-func (s *Suite) preparedMachine(ctx context.Context, prog *codegen.Program, cfg sim.Config) (m *sim.Machine, pooled bool, err error) {
-	sm := s.sm()
-	rec := reqtrace.From(ctx)
+func (s *Suite) preparedMachine(ctx context.Context, b *benchmark, maxCycles int64) (m *sim.Machine, pooled bool, err error) {
 	if s.cold {
+		rec := reqtrace.From(ctx)
 		sp := rec.Start(reqtrace.Root, "machine.build")
-		m, err := sim.New(cfg)
+		m, err := sim.New(s.runConfig(maxCycles))
 		rec.End(sp)
 		if err != nil {
 			return nil, false, err
 		}
 		sp = rec.Start(reqtrace.Root, "program.init")
-		err = prog.Init(m)
+		err = b.prog.Init(m)
 		rec.End(sp)
 		if err != nil {
 			return nil, false, err
 		}
-		if err := s.loadProgram(ctx, m, prog); err != nil {
+		if err := s.loadProgram(ctx, m, b); err != nil {
 			return nil, false, err
 		}
-		m.SetMetrics(sm.simMetrics())
+		m.SetMetrics(s.sm().simMetrics())
 		return m, false, nil
 	}
-	snap, err := s.preparedSnapshot(ctx, prog, cfg)
+	snap, err := s.preparedSnapshot(ctx, b)
 	if err != nil {
 		return nil, false, err
 	}
+	m, err = s.restoredMachine(ctx, snap, maxCycles)
+	return m, err == nil, err
+}
+
+// restoredMachine acquires a pooled machine with the run configuration
+// and watchdog budget maxCycles and restores it to snap: a benchmark's
+// prepared snapshot (preparedMachine), or a mid-run checkpoint that a
+// fast-forwarding fault site restores directly, so consecutive sites
+// sharing a checkpoint take the cheap dirty-page-only restore path.
+// Warm suites only; release via releaseMachine with pooled=true. A
+// request recorder on ctx gets the pool.acquire and snapshot.restore
+// spans.
+func (s *Suite) restoredMachine(ctx context.Context, snap *sim.Snapshot, maxCycles int64) (*sim.Machine, error) {
+	sm := s.sm()
+	rec := reqtrace.From(ctx)
 	sp := rec.Start(reqtrace.Root, "pool.acquire")
-	s.Chaos.PoolAcquire()
-	m, reused, shared, err := s.pool.acquire(cfg)
+	m, reused, shared, err := s.pool.acquire(s.runConfig(maxCycles))
 	rec.AnnotateBool(sp, "reused", reused)
 	rec.End(sp)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	sm.poolAcquired(reused, shared)
 	sp = rec.Start(reqtrace.Root, "snapshot.restore")
@@ -373,49 +334,16 @@ func (s *Suite) preparedMachine(ctx context.Context, prog *codegen.Program, cfg 
 		// before running, so re-pooling it as-is is safe.
 		rec.End(sp)
 		s.pool.release(m)
-		return nil, false, cerr
-	}
-	err = m.Restore(snap)
-	if err != nil {
-		// A restore mismatch means the machine does not belong to this
-		// snapshot's configuration; drop it rather than re-pooling.
-		rec.End(sp)
-		return nil, false, err
-	}
-	rec.AnnotateInt(sp, "bytes", int64(m.LastRestoreBytes()))
-	rec.End(sp)
-	sm.restored(m.LastRestoreBytes())
-	m.SetMetrics(sm.simMetrics())
-	return m, true, nil
-}
-
-// checkpointMachine acquires a pooled machine restored directly to the
-// given snapshot — typically a mid-run checkpoint — skipping the
-// prepared-snapshot restore preparedMachine performs. A fast-forwarding
-// campaign overwrites that state with its own checkpoint anyway, and
-// going straight there lets consecutive sites sharing a checkpoint take
-// the cheap dirty-page-only restore path instead of paying two full
-// delta switches per site. Warm suites only (release via
-// releaseMachine with pooled=true).
-func (s *Suite) checkpointMachine(cfg sim.Config, snap *sim.Snapshot) (*sim.Machine, error) {
-	sm := s.sm()
-	s.Chaos.PoolAcquire()
-	m, reused, shared, err := s.pool.acquire(cfg)
-	if err != nil {
-		return nil, err
-	}
-	sm.poolAcquired(reused, shared)
-	if cerr := s.Chaos.SnapshotRestore(); cerr != nil {
-		// As in preparedMachine: the machine was never restored, so
-		// re-pooling it as-is is safe.
-		s.pool.release(m)
 		return nil, cerr
 	}
 	if err := m.Restore(snap); err != nil {
 		// A restore mismatch means the machine does not belong to this
 		// snapshot's configuration; drop it rather than re-pooling.
+		rec.End(sp)
 		return nil, err
 	}
+	rec.AnnotateInt(sp, "bytes", int64(m.LastRestoreBytes()))
+	rec.End(sp)
 	sm.restored(m.LastRestoreBytes())
 	m.SetMetrics(sm.simMetrics())
 	return m, nil
@@ -454,26 +382,13 @@ func (s *Suite) releaseMachine(m *sim.Machine, pooled bool) {
 	}
 }
 
-// PoolStats reports how many machines the warm-start layer built versus
-// recycled — the denominator of the warm-start win (and the
-// pool-leak/reuse check in tests).
-func (s *Suite) PoolStats() (builds, reuses int64) {
-	return s.pool.builds.Load(), s.pool.reuses.Load()
-}
-
-// PoolMemShared reports how many acquisitions were served by
-// reconfiguring a machine pooled under a different architectural
-// configuration with the same memory geometry — each one a main-memory
-// allocation the sweep did not have to make.
-func (s *Suite) PoolMemShared() int64 {
-	return s.pool.memShared.Load()
-}
-
-// serveConfig is the configuration run-path machines use (runBenchmark
-// and Profile): the suite's architectural config with the run seed
-// derived from the suite seed.
-func (s *Suite) serveConfig() sim.Config {
+// runConfig is the configuration of every benchmark run — Stats,
+// RunOnce, Profile, fault targets and their snapshots: the suite's
+// architectural config with the run seed derived from the suite seed
+// and the watchdog budget maxCycles (0 = none).
+func (s *Suite) runConfig(maxCycles int64) sim.Config {
 	cfg := s.Config
 	cfg.Seed = s.Seed ^ 0xcafe
+	cfg.MaxCycles = maxCycles
 	return cfg
 }

@@ -100,18 +100,16 @@ func TestRunOnceSpanTimeline(t *testing.T) {
 // bounded free list is deterministic.)
 func TestWarmRequestPathNoRecorderAllocationFree(t *testing.T) {
 	s := NewSuite(7)
-	prog, err := s.Program(dispatchBenchmark)
+	b, err := s.lookup(dispatchBenchmark)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := s.Config
-	cfg.Seed = s.Seed ^ 0xcafe
 	ctx := context.Background()
-	snap, err := s.preparedSnapshot(ctx, prog, cfg)
+	snap, err := s.preparedSnapshot(ctx, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := sim.New(cfg)
+	m, err := sim.New(s.runConfig(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +117,7 @@ func TestWarmRequestPathNoRecorderAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if dp, err := s.decodedProgram(ctx, prog); err != nil || dp == nil {
+		if dp, err := s.decodedProgram(ctx, b); err != nil || dp == nil {
 			t.Fatalf("decodedProgram: %v", err)
 		}
 		if err := m.Restore(snap); err != nil {
@@ -144,28 +142,30 @@ func TestWarmRequestPathNoRecorderAllocationFree(t *testing.T) {
 // ride along for free.
 func TestWarmPooledRequestPathAllocationFree(t *testing.T) {
 	s := NewSuite(7)
-	prog, err := s.Program(dispatchBenchmark)
+	b, err := s.lookup(dispatchBenchmark)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
 	// Prime the caches and the pool outside the measured loop: snapshot,
 	// decoded program, and one pooled machine.
-	m, pooled, err := s.preparedMachine(ctx, prog, s.serveConfig())
+	first, pooled, err := s.preparedMachine(ctx, b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := m.Run()
+	want, err := first.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.releaseMachine(m, pooled)
+	s.releaseMachine(first, pooled)
 
-	cfg := s.serveConfig()
 	allocs := testing.AllocsPerRun(10, func() {
-		m, pooled, err := s.preparedMachine(ctx, prog, cfg)
+		m, pooled, err := s.preparedMachine(ctx, b, 0)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if m != first {
+			t.Fatal("the pool handed out another machine instead of reusing the released one")
 		}
 		st, err := m.Run()
 		s.releaseMachine(m, pooled)
@@ -178,8 +178,5 @@ func TestWarmPooledRequestPathAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("pooled request path allocates %v times per run, want 0", allocs)
-	}
-	if builds, _ := s.PoolStats(); builds != 1 {
-		t.Fatalf("pool built %d machines across the loop, want 1", builds)
 	}
 }

@@ -32,7 +32,8 @@ import (
 // instead of building a fresh machine and replaying the memory image
 // (the warm-start layer, docs/PERF.md Level 3), and each benchmark's
 // program is pre-decoded and fusion-planned once and shared by every
-// machine that runs it (Level 4).
+// machine that runs it (Level 4). Everything the suite keeps for one
+// benchmark lives in one record (benchmark), built with the programs.
 type Suite struct {
 	// Seed drives weight/input generation and the RV stream.
 	Seed uint64
@@ -40,9 +41,9 @@ type Suite struct {
 	Config sim.Config
 	// Chaos, when non-nil, injects operational failures into the
 	// service path (docs/ROBUSTNESS.md, "Chaos for the service path"):
-	// failing/delayed snapshot restores, slow pool acquires, and runs
-	// that panic — each recovered into an ordinary error by the run
-	// path's existing isolation. nil (the default) injects nothing; the
+	// failing snapshot restores and runs that stall or panic — each
+	// recovered into an ordinary error by the run path's existing
+	// isolation. nil (the default) injects nothing; the
 	// hooks are nil-receiver no-ops, so the hot paths stay
 	// allocation-free with bit-identical simulated statistics, the same
 	// contract trace.Tracer and metrics.Registry honour. Set before the
@@ -66,22 +67,44 @@ type Suite struct {
 	progsOnce sync.Once
 	progs     []*codegen.Program
 	progsErr  error
+	// byName holds one record per generated program. It is built with
+	// the programs and never written after, so lookups take no lock.
+	byName map[string]*benchmark
 
 	metOnce sync.Once
 	met     *suiteMetrics
 
-	mu    sync.Mutex
-	stats map[string]*statsEntry
+	// mu guards each record's stats pointer.
+	mu sync.Mutex
 
-	pool     machinePool
-	prepMu   sync.Mutex
-	prepared map[string]*preparedEntry
-	// outputs holds each program's verified output, the record every
-	// later run is compared against (checkOutput). Guarded by prepMu.
-	outputs map[string]*outputRecord
+	pool machinePool
+}
 
-	decMu   sync.Mutex
-	decoded map[string]*decodedEntry
+// benchmark is everything the suite keeps for one program: its
+// pre-decoded instruction stream (docs/PERF.md, Level 4), the post-Init
+// snapshot every warm run restores (Level 3), the verified output later
+// runs compare against (checkOutput), and the Stats singleflight cell.
+// The decode and the snapshot are built once, by their first user.
+// Programs outside the suite's ten (the Section VI logistic pair, test
+// kernels) run through a record of their own that nothing keeps.
+type benchmark struct {
+	prog *codegen.Program
+
+	decOnce sync.Once
+	dp      *sim.DecodedProgram
+	decErr  error
+
+	snapOnce sync.Once
+	snap     *sim.Snapshot
+	snapErr  error
+
+	// out is the serialized output (codegen.Program.Output) of the
+	// first run that passed Verify, nil until one has.
+	out atomic.Pointer[[]byte]
+
+	// stats is the current Stats cell, guarded by Suite.mu; a cancelled
+	// run clears it so the next call retries.
+	stats *statsEntry
 }
 
 // statsEntry is the singleflight cell for one benchmark's simulation: the
@@ -95,7 +118,7 @@ type statsEntry struct {
 
 // NewSuite builds a suite over the Table II machine.
 func NewSuite(seed uint64) *Suite {
-	return &Suite{Seed: seed, Config: sim.DefaultConfig(), stats: map[string]*statsEntry{}}
+	return &Suite{Seed: seed, Config: sim.DefaultConfig()}
 }
 
 // sm resolves the suite's metric bundle once (nil when no registry is
@@ -113,20 +136,30 @@ func (s *Suite) sm() *suiteMetrics {
 func (s *Suite) Programs() ([]*codegen.Program, error) {
 	s.progsOnce.Do(func() {
 		s.progs, s.progsErr = codegen.All(s.Seed)
+		s.byName = make(map[string]*benchmark, len(s.progs))
+		for _, p := range s.progs {
+			s.byName[p.Name] = &benchmark{prog: p}
+		}
 	})
 	return s.progs, s.progsErr
 }
 
 // Program returns one named benchmark program.
 func (s *Suite) Program(name string) (*codegen.Program, error) {
-	progs, err := s.Programs()
+	b, err := s.lookup(name)
 	if err != nil {
 		return nil, err
 	}
-	for _, p := range progs {
-		if p.Name == name {
-			return p, nil
-		}
+	return b.prog, nil
+}
+
+// lookup returns one named benchmark's record.
+func (s *Suite) lookup(name string) (*benchmark, error) {
+	if _, err := s.Programs(); err != nil {
+		return nil, err
+	}
+	if b := s.byName[name]; b != nil {
+		return b, nil
 	}
 	return nil, fmt.Errorf("bench: no benchmark %q", name)
 }
@@ -141,19 +174,22 @@ func (s *Suite) Stats(name string) (sim.Stats, error) {
 // StatsCtx is Stats with cancellation. The singleflight contract holds:
 // the first caller's simulation is shared by everyone blocked on the
 // same benchmark. A run ended by cancellation is NOT cached — the entry
-// is dropped so a later call with a live context retries cleanly.
+// is dropped so a later call with a live context retries cleanly. An
+// unknown name is a failed run, and nothing is cached for it.
 func (s *Suite) StatsCtx(ctx context.Context, name string) (sim.Stats, error) {
-	s.mu.Lock()
-	if s.stats == nil {
-		s.stats = map[string]*statsEntry{}
+	b, err := s.lookup(name)
+	if err != nil {
+		return s.runBenchmark(ctx, name)
 	}
-	entry, ok := s.stats[name]
-	if !ok {
+	s.mu.Lock()
+	entry := b.stats
+	hit := entry != nil
+	if !hit {
 		entry = &statsEntry{}
-		s.stats[name] = entry
+		b.stats = entry
 	}
 	s.mu.Unlock()
-	if ok {
+	if hit {
 		// Served from (or blocked on) an existing singleflight entry: the
 		// caller did not pay for a simulation of its own.
 		s.sm().cacheHit()
@@ -163,8 +199,8 @@ func (s *Suite) StatsCtx(ctx context.Context, name string) (sim.Stats, error) {
 	})
 	if errors.Is(entry.err, context.Canceled) || errors.Is(entry.err, context.DeadlineExceeded) {
 		s.mu.Lock()
-		if s.stats[name] == entry {
-			delete(s.stats, name)
+		if b.stats == entry {
+			b.stats = nil
 		}
 		s.mu.Unlock()
 	}
@@ -175,11 +211,12 @@ func (s *Suite) StatsCtx(ctx context.Context, name string) (sim.Stats, error) {
 // snapshot-restored, or freshly built in a cold suite) and checks its
 // outputs (checkOutput). A panic anywhere in generation or simulation is
 // recovered into the returned error so one poisoned benchmark cannot take
-// down a whole campaign. A request recorder on ctx (reqtrace.With) gets
-// the per-phase span tree — machine preparation inside preparedMachine,
-// then a "sim.run" span annotated with the run's cycle counts, its
-// CPI-stack stall attribution and which output check it paid for — at
-// zero cost when no recorder is attached.
+// down a whole campaign; an unknown name is counted as a failed run. A
+// request recorder on ctx (reqtrace.With) gets the per-phase span tree —
+// machine preparation inside preparedMachine, then a "sim.run" span
+// annotated with the run's cycle counts, its CPI-stack stall attribution
+// and which output check it paid for — at zero cost when no recorder is
+// attached.
 func (s *Suite) runBenchmark(ctx context.Context, name string) (st sim.Stats, err error) {
 	sm := s.sm()
 	sm.runStarted()
@@ -190,12 +227,11 @@ func (s *Suite) runBenchmark(ctx context.Context, name string) (st sim.Stats, er
 		}
 		sm.runDone(name, st, time.Since(start), err)
 	}()
-	p, err := s.Program(name)
+	b, err := s.lookup(name)
 	if err != nil {
 		return sim.Stats{}, err
 	}
-	cfg := s.serveConfig()
-	m, pooled, err := s.preparedMachine(ctx, p, cfg)
+	m, pooled, err := s.preparedMachine(ctx, b, s.Config.MaxCycles)
 	if err != nil {
 		return sim.Stats{}, err
 	}
@@ -206,7 +242,7 @@ func (s *Suite) runBenchmark(ctx context.Context, name string) (st sim.Stats, er
 	s.Chaos.BeforeRun()
 	rec := reqtrace.From(ctx)
 	sp := rec.Start(reqtrace.Root, "sim.run")
-	st, check, err := s.runChecked(ctx, p, m)
+	st, check, err := b.runChecked(ctx, m)
 	if check != "" {
 		rec.AnnotateStr(sp, "output", check)
 	}
@@ -224,23 +260,16 @@ const (
 
 // runChecked runs a prepared machine to completion and checks its
 // outputs, reporting which check ran ("" when the run itself failed).
-func (s *Suite) runChecked(ctx context.Context, p *codegen.Program, m *sim.Machine) (sim.Stats, string, error) {
+func (b *benchmark) runChecked(ctx context.Context, m *sim.Machine) (sim.Stats, string, error) {
 	st, err := m.RunContext(ctx)
 	if err != nil {
-		return st, "", fmt.Errorf("bench: %s: %w", p.Name, err)
+		return st, "", fmt.Errorf("bench: %s: %w", b.prog.Name, err)
 	}
-	check, err := s.checkOutput(p, m)
+	check, err := b.checkOutput(m)
 	return st, check, err
 }
 
-// outputRecord is one program's verified output: the serialized bytes
-// (codegen.Program.Output) of the first run that passed Verify, nil
-// until one has.
-type outputRecord struct {
-	out atomic.Pointer[[]byte]
-}
-
-// checkOutput checks the outputs of a completed run of p on m and
+// checkOutput checks the outputs of a completed run of b on m and
 // reports which check ran. The first run of a program to pass
 // Program.Verify records its output; every later run compares its
 // declared regions in main memory with that record, in place and
@@ -250,9 +279,9 @@ type outputRecord struct {
 // — a stricter check than Verify's tolerances, without recomputing the
 // float64 reference. Concurrent first runs may each verify; exactly one
 // records. A run that fails its check records nothing.
-func (s *Suite) checkOutput(p *codegen.Program, m *sim.Machine) (string, error) {
-	rec := s.outputCell(p.Name)
-	if want := rec.out.Load(); want != nil {
+func (b *benchmark) checkOutput(m *sim.Machine) (string, error) {
+	p := b.prog
+	if want := b.out.Load(); want != nil {
 		return outputCompare, p.CompareOutput(m, *want)
 	}
 	out, err := p.Output(m, nil)
@@ -260,24 +289,9 @@ func (s *Suite) checkOutput(p *codegen.Program, m *sim.Machine) (string, error) 
 		err = p.VerifyOutput(out)
 	}
 	if err == nil {
-		rec.out.CompareAndSwap(nil, &out)
+		b.out.CompareAndSwap(nil, &out)
 	}
 	return outputVerify, err
-}
-
-// outputCell returns the named program's output record.
-func (s *Suite) outputCell(name string) *outputRecord {
-	s.prepMu.Lock()
-	defer s.prepMu.Unlock()
-	if s.outputs == nil {
-		s.outputs = map[string]*outputRecord{}
-	}
-	rec := s.outputs[name]
-	if rec == nil {
-		rec = &outputRecord{}
-		s.outputs[name] = rec
-	}
-	return rec
 }
 
 // annotateRun links the sim-side span to the run's simulated outcome:
@@ -321,12 +335,11 @@ func (s *Suite) RunOnce(ctx context.Context, name string) (sim.Stats, error) {
 // the same way, and the tracer contract guarantees its cycle counts
 // match the cached untraced run bit for bit.
 func (s *Suite) Profile(name string) (*trace.Report, error) {
-	p, err := s.Program(name)
+	b, err := s.lookup(name)
 	if err != nil {
 		return nil, err
 	}
-	cfg := s.serveConfig()
-	m, pooled, err := s.preparedMachine(context.Background(), p, cfg)
+	m, pooled, err := s.preparedMachine(context.Background(), b, s.Config.MaxCycles)
 	if err != nil {
 		return nil, err
 	}
@@ -334,7 +347,7 @@ func (s *Suite) Profile(name string) (*trace.Report, error) {
 	prof := trace.NewProfile()
 	prof.Label = name
 	m.SetTracer(prof)
-	if _, _, err := s.runChecked(context.Background(), p, m); err != nil {
+	if _, _, err := b.runChecked(context.Background(), m); err != nil {
 		return nil, err
 	}
 	return prof.Report(0), nil

@@ -11,6 +11,7 @@ import (
 	"context"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -100,13 +101,16 @@ func TestCampaignWarmColdByteIdentical(t *testing.T) {
 // machines once the pool is primed.
 func TestCampaignWorkersByteIdentical(t *testing.T) {
 	before := runtime.NumGoroutine()
+	reg := metrics.New()
 	s := NewSuite(7)
+	s.Metrics = reg
 	serial := campaignBytes(t, s, 1)
 	parallel := campaignBytes(t, s, 8)
 	if !bytes.Equal(serial, parallel) {
 		t.Fatal("workers=1 and workers=8 campaign reports differ")
 	}
-	builds, reuses := s.PoolStats()
+	builds := reg.Counter(MetricPoolMisses, "").Value()
+	reuses := reg.Counter(MetricPoolHits, "").Value()
 	if reuses == 0 {
 		t.Fatalf("pool never recycled a machine (builds=%d)", builds)
 	}
@@ -200,5 +204,88 @@ func TestWarmRestoreCopiesWrittenPages(t *testing.T) {
 		if got := restored.Value() - before; got == 0 || got > c.max {
 			t.Errorf("%s: third warm run restored %d bytes, want 1 to %d", c.name, got, c.max)
 		}
+	}
+}
+
+// TestConcurrentFirstUsePreparesOnce pins the record's once-only cells
+// under a cold start: Stats, RunOnce, Profile, a fault target's golden
+// run and its checkpoint preparation, started together three times over
+// on a fresh suite, decode the program once and prepare one snapshot,
+// and every call that reports cycles reports the same number.
+func TestConcurrentFirstUsePreparesOnce(t *testing.T) {
+	const name = "MLP"
+	reg := metrics.New()
+	s := NewSuite(7)
+	s.Metrics = reg
+	targets, err := s.FaultTargets()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var target fault.FastForwardTarget
+	for _, tgt := range targets {
+		if tgt.Name() == name {
+			target = tgt.(fault.FastForwardTarget)
+		}
+	}
+	calls := []func() (int64, error){
+		func() (int64, error) {
+			st, err := s.Stats(name)
+			return st.Cycles, err
+		},
+		func() (int64, error) {
+			st, err := s.RunOnce(context.Background(), name)
+			return st.Cycles, err
+		},
+		func() (int64, error) {
+			rep, err := s.Profile(name)
+			if err != nil {
+				return 0, err
+			}
+			return rep.Cycles, nil
+		},
+		func() (int64, error) {
+			obs := target.Run(nil, 0)
+			return obs.Cycles, obs.Err
+		},
+		func() (int64, error) { return 0, target.PrepareCheckpoints(8) },
+	}
+	const rounds = 3
+	cycles := make([]int64, rounds*len(calls))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range cycles {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			c, err := calls[i%len(calls)]()
+			if err != nil {
+				t.Error(err)
+			}
+			cycles[i] = c
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	var want int64
+	for i, c := range cycles {
+		if c == 0 {
+			continue
+		}
+		if want == 0 {
+			want = c
+		}
+		if c != want {
+			t.Errorf("call %d reported %d cycles, want %d", i, c, want)
+		}
+	}
+	if want == 0 {
+		t.Fatal("no call reported cycles")
+	}
+	if got := reg.Gauge(MetricSnapPrepared, "").Value(); got != 1 {
+		t.Errorf("%d snapshots prepared, want 1", got)
+	}
+	if got := reg.Counter(MetricDecodeMisses, "").Value(); got != 1 {
+		t.Errorf("%d decode misses, want 1", got)
 	}
 }

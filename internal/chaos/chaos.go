@@ -2,10 +2,10 @@
 // (docs/ROBUSTNESS.md, "Serving-layer robustness"). Where internal/fault
 // injects bit-flips into the simulated hardware, this package injects
 // operational failures into the serving stack around it: snapshot
-// restores that fail or stall, pool acquires that crawl, simulations
-// that panic mid-run, and WAL appends that tear mid-record — the
-// failure shapes a long-lived daemon must survive, produced on demand
-// so tests and the `camserve -chaos` flag can prove it does.
+// restores that fail, simulations that stall or panic mid-run, and WAL
+// appends that tear mid-record — the failure shapes a long-lived daemon
+// must survive, produced on demand so tests and the `camserve -chaos`
+// flag can prove it does.
 //
 // The contract mirrors trace.Tracer's and metrics.Registry's: chaos
 // must be free when absent. Every hook is safe on a nil *Chaos and does
@@ -15,13 +15,11 @@
 // A Chaos is built from a spec string — comma-separated key=value
 // pairs, e.g. "seed=7,restore-fail=0.2,panic=0.05,run-delay=50ms:0.5":
 //
-//	seed=N              splitmix64 seed for the probability rolls (default 1)
-//	restore-fail=P      fraction of snapshot restores that fail with ErrInjected
-//	restore-delay=D[:P] fraction P (default 1) of restores delayed by duration D
-//	acquire-delay=D[:P] fraction P of pool acquires delayed by D
-//	run-delay=D[:P]     fraction P of simulations delayed by D before running
-//	panic=P             fraction of simulations that panic mid-run
-//	wal-tear=N          the Nth WAL append (1-based) writes a torn record, once
+//	seed=N          splitmix64 seed for the probability rolls (default 1)
+//	restore-fail=P  fraction of snapshot restores that fail with ErrInjected
+//	run-delay=D[:P] fraction P (default 1) of simulations delayed by D before running
+//	panic=P         fraction of simulations that panic mid-run
+//	wal-tear=N      the Nth WAL append (1-based) writes a torn record, once
 //
 // All probability rolls draw from one seeded splitmix64 stream, so a
 // given (spec, request order) reproduces the same injections.
@@ -59,12 +57,10 @@ type delaySpec struct {
 type Chaos struct {
 	seed uint64
 
-	restoreFail  float64
-	restoreDelay delaySpec
-	acquireDelay delaySpec
-	runDelay     delaySpec
-	panicP       float64
-	walTearAt    int64
+	restoreFail float64
+	runDelay    delaySpec
+	panicP      float64
+	walTearAt   int64
 
 	walAppends atomic.Int64
 
@@ -96,10 +92,6 @@ func Parse(spec string) (*Chaos, error) {
 			c.seed, err = strconv.ParseUint(val, 10, 64)
 		case "restore-fail":
 			c.restoreFail, err = parseProb(val)
-		case "restore-delay":
-			c.restoreDelay, err = parseDelay(val)
-		case "acquire-delay":
-			c.acquireDelay, err = parseDelay(val)
 		case "run-delay":
 			c.runDelay, err = parseDelay(val)
 		case "panic":
@@ -194,26 +186,11 @@ func (c *Chaos) count(kind string) {
 		metrics.L("kind", kind)).Inc()
 }
 
-// PoolAcquire may stall a machine-pool acquire. Nil-safe.
-func (c *Chaos) PoolAcquire() {
-	if c == nil {
-		return
-	}
-	if c.acquireDelay.d > 0 && c.roll(c.acquireDelay.p) {
-		c.count("acquire-delay")
-		time.Sleep(c.acquireDelay.d)
-	}
-}
-
-// SnapshotRestore may stall and/or fail a snapshot restore. A non-nil
-// return wraps ErrInjected. Nil-safe.
+// SnapshotRestore may fail a snapshot restore. A non-nil return wraps
+// ErrInjected. Nil-safe.
 func (c *Chaos) SnapshotRestore() error {
 	if c == nil {
 		return nil
-	}
-	if c.restoreDelay.d > 0 && c.roll(c.restoreDelay.p) {
-		c.count("restore-delay")
-		time.Sleep(c.restoreDelay.d)
 	}
 	if c.roll(c.restoreFail) {
 		c.count("restore-fail")

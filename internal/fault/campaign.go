@@ -172,9 +172,6 @@ type Campaign struct {
 	// a pooled warm machine (<= 0 means GOMAXPROCS, capped at the target
 	// count). The report bytes are independent of both worker counts.
 	TargetWorkers int
-	// WatchdogFactor scales each benchmark's golden cycle count into the
-	// faulted runs' cycle budget (<= 0 means the default of 8x).
-	WatchdogFactor int64
 	// Metrics, when non-nil, receives campaign-level service metrics:
 	// per-classification outcome counters and a swept-target counter.
 	// nil (the default) is free, per the metrics package's nil contract.
@@ -188,10 +185,10 @@ const (
 	MetricFaultFastForward = "cambricon_fault_fastforward_runs_total"
 )
 
-// DefaultWatchdogFactor is the golden-cycles multiplier used when
-// Campaign.WatchdogFactor is unset: generous enough for any fault that
-// merely slows a run down, tight enough to classify real livelock fast.
-const DefaultWatchdogFactor = 8
+// watchdogFactor scales each benchmark's golden cycle count into the
+// faulted runs' cycle budget: generous enough for any fault that merely
+// slows a run down, tight enough to classify real livelock fast.
+const watchdogFactor = 8
 
 // Run executes the campaign: per target, one golden run, then Sites
 // faulted runs classified against it. Targets fan out across a
@@ -202,10 +199,6 @@ const DefaultWatchdogFactor = 8
 // cancels the sweep between runs; a canceled campaign returns the error
 // with a partial (but internally consistent) report discarded.
 func (c *Campaign) Run(ctx context.Context, targets []Target) (*Report, error) {
-	factor := c.WatchdogFactor
-	if factor <= 0 {
-		factor = DefaultWatchdogFactor
-	}
 	workers := c.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -221,7 +214,7 @@ func (c *Campaign) Run(ctx context.Context, targets []Target) (*Report, error) {
 		Schema:         Schema,
 		Seed:           c.Seed,
 		SitesPerBench:  c.Sites,
-		WatchdogFactor: factor,
+		WatchdogFactor: watchdogFactor,
 		Models:         c.Models,
 	}
 
@@ -239,7 +232,7 @@ func (c *Campaign) Run(ctx context.Context, targets []Target) (*Report, error) {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				reports[i], errs[i] = c.runTarget(sweepCtx, targets[i], factor, workers)
+				reports[i], errs[i] = c.runTarget(sweepCtx, targets[i], workers)
 				if errs[i] != nil {
 					cancel()
 				}
@@ -309,7 +302,7 @@ func (c *Campaign) outcomeCounters() [NumOutcomes]*metrics.Counter {
 // faulted runs across an inner worker pool. The returned report's Runs
 // are in site order and its Tally accumulated in site order, so the
 // bytes are independent of worker scheduling.
-func (c *Campaign) runTarget(ctx context.Context, t Target, factor int64, workers int) (*BenchmarkReport, error) {
+func (c *Campaign) runTarget(ctx context.Context, t Target, workers int) (*BenchmarkReport, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -324,7 +317,7 @@ func (c *Campaign) runTarget(ctx context.Context, t Target, factor int64, worker
 		return nil, fmt.Errorf("fault: golden run of %s failed: %w", t.Name(), golden.Err)
 	}
 	sites := SitesOf(BenchSeed(c.Seed, t.Name()), c.Sites, golden.Geometry, c.Models)
-	budget := golden.Cycles*factor + 1024
+	budget := golden.Cycles*watchdogFactor + 1024
 
 	br := &BenchmarkReport{
 		Name:               t.Name(),

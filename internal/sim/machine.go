@@ -213,12 +213,6 @@ func (m *Machine) ReadMainNums(addr, count int) ([]fixed.Num, error) {
 	return m.main.ReadNums(addr, count)
 }
 
-// ReadMainNumsInto reads len(dst) fixed-point elements from main memory
-// into dst without allocating (result retrieval on hot loops).
-func (m *Machine) ReadMainNumsInto(addr int, dst []fixed.Num) error {
-	return m.main.ReadNumsInto(addr, dst)
-}
-
 // ReadMainBytesInto copies len(dst) raw bytes from main memory into dst
 // without allocating. Fixed-point data is stored little-endian, so this
 // is also the allocation-free way to serialize a result region.

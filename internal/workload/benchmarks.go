@@ -50,9 +50,6 @@ type Benchmark struct {
 	Features Feature
 }
 
-// Has reports whether the benchmark requires feature f.
-func (b *Benchmark) Has(f Feature) bool { return b.Features&f != 0 }
-
 // MACs totals multiply-accumulates over all ops and repeats.
 func (b *Benchmark) MACs() int64 {
 	var s int64
