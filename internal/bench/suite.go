@@ -43,11 +43,10 @@ type Suite struct {
 	// service path (docs/ROBUSTNESS.md, "Chaos for the service path"):
 	// failing snapshot restores and runs that stall or panic — each
 	// recovered into an ordinary error by the run path's existing
-	// isolation. nil (the default) injects nothing; the
-	// hooks are nil-receiver no-ops, so the hot paths stay
-	// allocation-free with bit-identical simulated statistics, the same
-	// contract trace.Tracer and metrics.Registry honour. Set before the
-	// first run.
+	// isolation. nil (the default) injects nothing; the hooks are
+	// nil-receiver no-ops, so the hot paths stay allocation-free with
+	// bit-identical simulated statistics, the same contract trace.Tracer
+	// and metrics.Registry honour. Set before the first run.
 	Chaos *chaos.Chaos
 	// Metrics, when non-nil, receives service-level instrumentation
 	// (docs/OBSERVABILITY.md, "Service metrics"): run and cache counters,
