@@ -77,7 +77,7 @@ func main() {
 	hist := flag.Bool("hist", false, "print the dynamic opcode histogram")
 	jsonOut := flag.Bool("json", false, "print run statistics as JSON")
 	maxCycles := flag.Int64("max-cycles", 0, "watchdog: fail the run once the simulated clock passes this budget (0 = off)")
-	dumpDecoded := flag.Bool("dump-decoded", false, "print the pre-decoded listing with fusion decisions instead of running")
+	dumpDecoded := flag.Bool("dump-decoded", false, "print the pre-decoded listing (encoded words, operand registers) instead of running")
 	binFlag := flag.Bool("bin", false, "treat the program argument as a binary instruction image (8 bytes per instruction, little-endian), not assembly text")
 	ckptAt := flag.Int64("checkpoint-at", -1, "with a program file: capture a mid-run checkpoint at this dynamic instruction index, then continue (requires -checkpoint)")
 	ckptOut := flag.String("checkpoint", "", "write the CAMCKPT1 checkpoint captured by -checkpoint-at to this file")
@@ -393,15 +393,15 @@ func resumeCheckpoint(r io.Reader, maxCycles int64) (sim.Stats, error) {
 }
 
 // dumpDecodedProgram prints the program's pre-decoded listing — encoded
-// words, operand roles and the fusion plan — to stdout.
+// words and operand roles — to stdout.
 func dumpDecodedProgram(insts []core.Instruction) {
 	if err := writeDecodedListing(os.Stdout, insts); err != nil {
 		fatal(err)
 	}
 }
 
-// writeDecodedListing is the testable core of -dump-decoded: pre-decode,
-// plan fusion, and write the stable listing to w.
+// writeDecodedListing is the testable core of -dump-decoded: pre-decode
+// and write the stable listing to w.
 func writeDecodedListing(w io.Writer, insts []core.Instruction) error {
 	dp, err := sim.Predecode(insts)
 	if err != nil {

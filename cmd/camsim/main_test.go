@@ -21,10 +21,9 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files with current
 func TestMain(m *testing.M) { cmdtest.Main(m, "camsim", main) }
 
 // TestDumpDecodedGolden pins the -dump-decoded listing format: the
-// fixture program exercises all three fusion kinds (load->matvec,
-// matvec->act, vec-chain) plus unfused scalar/control tails, and the
-// listing — encoded words, operand roles, fusion markers, summary line —
-// must match testdata/dump_decoded.golden byte for byte. Regenerate with
+// fixture program mixes data-transfer, matrix, vector, scalar and control
+// instructions, and the listing — encoded words, operand roles, summary
+// line — must match testdata/dump_decoded.golden byte for byte. Regenerate with
 // `go test ./cmd/camsim -run TestDumpDecodedGolden -update` after a
 // deliberate format change.
 func TestDumpDecodedGolden(t *testing.T) {

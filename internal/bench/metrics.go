@@ -37,7 +37,6 @@ const (
 	MetricFFConverged   = "cambricon_fault_ff_converged_total"
 	MetricDecodeHits    = "cambricon_bench_decode_cache_hits_total"
 	MetricDecodeMisses  = "cambricon_bench_decode_cache_misses_total"
-	MetricFusedPairs    = "cambricon_bench_fused_pairs_total"
 )
 
 // suiteMetrics is the resolved bundle of suite instruments. A nil
@@ -162,27 +161,12 @@ func (sm *suiteMetrics) decodeCacheHit() {
 	}
 }
 
-// predecoded accounts one freshly pre-decoded program: the decode-cache
-// miss that paid for it, plus its static fusion plan broken out by pair
-// kind (docs/OBSERVABILITY.md, "Pre-decode and fusion").
-func (sm *suiteMetrics) predecoded(dp *sim.DecodedProgram) {
-	if sm == nil || dp == nil {
-		return
-	}
-	sm.decodeMisses.Inc()
-	f := dp.Fusion()
-	for _, p := range []struct {
-		kind sim.FuseKind
-		n    int
-	}{
-		{sim.FuseLoadMatVec, f.LoadMatVec},
-		{sim.FuseMatVecAct, f.MatVecAct},
-		{sim.FuseVecChain, f.VecChain},
-	} {
-		if p.n > 0 {
-			sm.reg.Counter(MetricFusedPairs, "statically fused instruction pairs, by kind",
-				metrics.L("kind", p.kind.String())).Add(int64(p.n))
-		}
+// decodeCacheMiss accounts one freshly pre-decoded program: the
+// decode-cache miss that paid for it (docs/OBSERVABILITY.md,
+// "Pre-decode").
+func (sm *suiteMetrics) decodeCacheMiss() {
+	if sm != nil {
+		sm.decodeMisses.Inc()
 	}
 }
 

@@ -1,10 +1,10 @@
 package bench
 
 // Tests pinning the pre-decoded dispatch layer's contract (docs/PERF.md,
-// Level 4): the tight fused loop the suite runs and the observing slow
-// loop agree on every Table III workload, fault-campaign reports keep
-// their pinned bytes, the decode cache singleflights across machines and
-// counts its traffic, and the warm decoded hot loop is allocation-free.
+// Level 4): observed and unobserved runs agree on every Table III
+// workload, fault-campaign reports keep their pinned bytes, the decode
+// cache singleflights across machines and counts its traffic, and a warm
+// decoded run is allocation-free.
 
 import (
 	"context"
@@ -18,24 +18,21 @@ import (
 	"cambricon/internal/sim"
 )
 
-// TestPredecodeBitIdenticalTableIII runs every Table III workload through
-// both run loops and requires identical statistics — cycles, stall
-// attribution, opcode histograms, everything: Suite.Stats runs the tight
-// fused loop (and verifies the outputs), and a machine prepared the same
-// way with an instruction trace attached runs the observing slow loop.
-// This is the acceptance check that fusion is a host-time optimization
-// only.
+// TestPredecodeBitIdenticalTableIII runs every Table III workload
+// unobserved and observed and requires identical statistics — cycles,
+// stall attribution, opcode histograms, everything: Suite.Stats runs
+// unobserved (and verifies the outputs), and a machine prepared the same
+// way runs with an instruction trace attached.
 func TestPredecodeBitIdenticalTableIII(t *testing.T) {
 	s := NewSuite(7)
 	progs, err := s.Programs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	fused := 0
 	for _, p := range progs {
-		tight, err := s.Stats(p.Name)
+		plain, err := s.Stats(p.Name)
 		if err != nil {
-			t.Fatalf("%s tight loop: %v", p.Name, err)
+			t.Fatalf("%s unobserved: %v", p.Name, err)
 		}
 		b := s.byName[p.Name]
 		m, pooled, err := s.preparedMachine(context.Background(), b, 0)
@@ -43,31 +40,21 @@ func TestPredecodeBitIdenticalTableIII(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.SetTrace(io.Discard)
-		slow, err := m.Run()
+		observed, err := m.Run()
 		m.SetTrace(nil)
 		s.releaseMachine(m, pooled)
 		if err != nil {
-			t.Fatalf("%s slow loop: %v", p.Name, err)
+			t.Fatalf("%s observed: %v", p.Name, err)
 		}
-		if !reflect.DeepEqual(tight, slow) {
-			t.Errorf("%s: stats diverge\ntight %+v\nslow  %+v", p.Name, tight, slow)
+		if !reflect.DeepEqual(plain, observed) {
+			t.Errorf("%s: stats diverge\nunobserved %+v\nobserved   %+v", p.Name, plain, observed)
 		}
-		dp, err := s.decodedProgram(context.Background(), b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fused += dp.Fusion().Total()
-	}
-	// The equivalence above is only meaningful if superinstructions
-	// actually fire somewhere in the suite.
-	if fused == 0 {
-		t.Error("no Table III workload fused any pairs; the fused path is untested")
 	}
 }
 
 // TestPredecodeCampaignReportsByteIdentical pins the bytes of a fault
-// campaign's report — golden run through the tight fused loop, faulted
-// runs through the observing slow loop — to the SHA-256 the report had
+// campaign's report — golden run unobserved, faulted runs observed by
+// their injector — to the SHA-256 the report had
 // when the per-step decode interpreter still existed to cross-check it
 // (the same with pre-decode on and off).
 func TestPredecodeCampaignReportsByteIdentical(t *testing.T) {
@@ -80,7 +67,7 @@ func TestPredecodeCampaignReportsByteIdentical(t *testing.T) {
 
 // TestPredecodeCacheSingleflight pins the decode cache: one miss (and
 // one pre-decoded program) per benchmark no matter how many machines run
-// it, hits for every reuse, and fused-pair counters published per kind.
+// it, and hits for every reuse.
 func TestPredecodeCacheSingleflight(t *testing.T) {
 	reg := metrics.New()
 	s := NewSuite(7)
@@ -105,23 +92,11 @@ func TestPredecodeCacheSingleflight(t *testing.T) {
 	if got := c(MetricDecodeHits); got != 1 {
 		t.Fatalf("decode hits = %d, want 1", got)
 	}
-	dp, err := sim.Predecode(b.prog.Asm.Instructions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var published uint64
-	for _, kind := range []string{"load->matvec", "matvec->act", "vec-chain"} {
-		published += reg.Counter(MetricFusedPairs, "", metrics.L("kind", kind)).Value()
-	}
-	if int(published) != dp.Fusion().Total() {
-		t.Fatalf("fused pairs published = %d, want %d", published, dp.Fusion().Total())
-	}
 }
 
 // TestPredecodedWarmRunAllocationFree pins the acceptance criterion that
-// the decoded hot loop allocates nothing: a warm iteration — snapshot
-// restore plus a full run through the tight fused dispatcher — performs
-// zero heap allocations.
+// the decoded run loop allocates nothing: a warm iteration — snapshot
+// restore plus a full unobserved run — performs zero heap allocations.
 func TestPredecodedWarmRunAllocationFree(t *testing.T) {
 	s := NewSuite(7)
 	b, err := s.lookup(dispatchBenchmark)

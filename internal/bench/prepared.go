@@ -201,8 +201,8 @@ func (p *machinePool) release(m *sim.Machine) {
 }
 
 // decodedProgram pre-decodes (once per benchmark) the program's
-// instruction stream: operand roles, encoded words and the fusion plan
-// are computed here and shared — via the prepared snapshot — by every
+// instruction stream: operand roles and encoded words are computed here
+// and shared — via the prepared snapshot — by every
 // pooled machine and fault-campaign worker that runs the benchmark. A
 // request recorder on ctx gets a "decode.lookup" span with the cache
 // outcome: a miss for the caller that paid for the decode, a hit for
@@ -216,7 +216,7 @@ func (s *Suite) decodedProgram(ctx context.Context, b *benchmark) (*sim.DecodedP
 		outcome = "miss"
 		b.dp, b.decErr = sim.Predecode(b.prog.Asm.Instructions)
 		if b.decErr == nil {
-			s.sm().predecoded(b.dp)
+			s.sm().decodeCacheMiss()
 		}
 	})
 	if outcome == "hit" {

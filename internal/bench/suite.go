@@ -31,8 +31,8 @@ import (
 // Runs draw pooled machines restored from per-benchmark snapshots
 // instead of building a fresh machine and replaying the memory image
 // (the warm-start layer, docs/PERF.md Level 3), and each benchmark's
-// program is pre-decoded and fusion-planned once and shared by every
-// machine that runs it (Level 4). Everything the suite keeps for one
+// program is pre-decoded once and shared by every machine that runs it
+// (Level 4). Everything the suite keeps for one
 // benchmark lives in one record (benchmark), built with the programs.
 type Suite struct {
 	// Seed drives weight/input generation and the RV stream.

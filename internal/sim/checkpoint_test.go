@@ -14,8 +14,9 @@ import (
 
 // ckptKernel exercises everything a mid-run checkpoint must carry: the
 // PRNG (RV), scalar state, vector-scratchpad and main-memory traffic
-// (dirty pages), a loop, and — via the VAV→VEXP chain — fused pairs, so
-// stop points that land inside a pair cover the split-vs-fused boundary.
+// (dirty pages), a loop, and a VAV→VEXP chain whose consumer re-reads
+// the vector its producer just wrote, so stop points between the two
+// cover a chain split across segments.
 const ckptKernel = `
 	SMOVE  $1, #32          // element count
 	SMOVE  $2, #0           // vspad region A
@@ -24,7 +25,7 @@ const ckptKernel = `
 l:	RV     $2, $1           // fresh random vector each iteration
 	VLOAD  $3, $1, #1000    // input from main
 	VAV    $3, $1, $2, $3   // input + random
-	VEXP   $3, $1, $3       // fused consumer of the VAV above
+	VEXP   $3, $1, $3       // consumer of the VAV above
 	VSTORE $3, $1, #2000    // result back to main
 	SADD   $10, $10, #7
 	SADD   $8, $8, #-1
@@ -33,10 +34,9 @@ l:	RV     $2, $1           // fresh random vector each iteration
 
 // ckptMachine builds a machine running ckptKernel. predecoded installs a
 // shared DecodedProgram, the way the bench decode cache does, and leaves
-// unobserved runs on the tight fused loop. Otherwise — the baseline — the
-// machine decodes its own copy in LoadProgram and an instruction trace
-// to io.Discard steers its runs down the observing slow loop, the oracle
-// the tight loop is checked against.
+// runs unobserved. Otherwise — the baseline — the machine decodes its
+// own copy in LoadProgram and an instruction trace to io.Discard
+// observes its runs.
 func ckptMachine(t testing.TB, cfg Config, predecoded bool) *Machine {
 	t.Helper()
 	m := mustNew(t, cfg)
@@ -72,12 +72,13 @@ func compareResumed(t *testing.T, label string, want, got *Machine, wantStats, g
 }
 
 // TestCheckpointResumeBitIdentical stops a run at a spread of dynamic
-// instruction boundaries — including ones that land inside fused pairs —
-// captures a checkpoint, restores it onto a fresh machine, and requires
-// the resumed remainder to be bit-identical to the uninterrupted run, on
-// both the baseline (slow loop) and the pre-decoded (tight loop) paths.
-// The fresh machine carries no trace, so on the baseline path a
-// checkpoint taken in the slow loop also resumes in the tight one.
+// instruction boundaries — including ones between a vector producer and
+// its consumer — captures a checkpoint, restores it onto a fresh machine,
+// and requires the resumed remainder to be bit-identical to the
+// uninterrupted run, on both the baseline (observed) and the pre-decoded
+// (unobserved) paths. The fresh machine carries no trace, so on the
+// baseline path a checkpoint taken in an observed run also resumes
+// unobserved.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	for _, path := range []struct {
 		name       string

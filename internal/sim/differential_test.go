@@ -372,8 +372,8 @@ func randDiffInst(rng *rand.Rand) core.Instruction {
 
 // TestDifferentialAgainstReferenceInterpreter runs random straight-line
 // programs on both implementations — the machine loads each through
-// LoadProgram and runs it in the tight fused loop — and compares every
-// architectural bit.
+// LoadProgram and runs it unobserved — and compares every architectural
+// bit. The reference interpreter is the run loop's oracle.
 func TestDifferentialAgainstReferenceInterpreter(t *testing.T) {
 	const (
 		trials  = 150
@@ -471,49 +471,49 @@ func compareRegion(t *testing.T, trial int, name string, m *Machine,
 	}
 }
 
-// comparePaths runs one program through both run loops under identical
+// comparePaths runs one program on two machines under identical
 // configurations and fails the test unless every architectural bit and
-// every statistic agrees. The reference machine has an instruction trace
-// attached (written to io.Discard) and a never-fired watchdog armed,
-// which steers it down the observing slow loop; the other runs the
-// shared decoded program through the tight fused loop.
+// every statistic agrees: observing a run must never perturb it. The
+// observed machine has an instruction trace attached (written to
+// io.Discard) and a never-fired watchdog armed; the other runs the shared
+// decoded program with nothing attached.
 func comparePaths(t *testing.T, label string, cfg Config, prog []core.Instruction,
 	setup func(set func(r uint8, v int32))) {
 	t.Helper()
-	slowCfg := cfg
-	slowCfg.MaxCycles = 1 << 40 // arms the watchdog without ever tripping it
-	slow := mustNew(t, slowCfg)
-	slow.SetTrace(io.Discard) // steers the run down the slow loop
-	tight := mustNew(t, cfg)
+	observedCfg := cfg
+	observedCfg.MaxCycles = 1 << 40 // arms the watchdog without ever tripping it
+	observed := mustNew(t, observedCfg)
+	observed.SetTrace(io.Discard)
+	plain := mustNew(t, cfg)
 	if setup != nil {
 		setup(func(r uint8, v int32) {
-			slow.SetGPR(r, uint32(v))
-			tight.SetGPR(r, uint32(v))
+			observed.SetGPR(r, uint32(v))
+			plain.SetGPR(r, uint32(v))
 		})
 	}
 	dp, err := Predecode(prog)
 	if err != nil {
 		t.Fatalf("%s: predecode: %v", label, err)
 	}
-	slow.LoadDecoded(dp)
-	tight.LoadDecoded(dp)
+	observed.LoadDecoded(dp)
+	plain.LoadDecoded(dp)
 
-	wantStats, wantErr := slow.Run()
-	gotStats, gotErr := tight.Run()
+	wantStats, wantErr := observed.Run()
+	gotStats, gotErr := plain.Run()
 	if (wantErr == nil) != (gotErr == nil) ||
 		(wantErr != nil && wantErr.Error() != gotErr.Error()) {
-		t.Fatalf("%s: errors diverge: slow %v, tight %v", label, wantErr, gotErr)
+		t.Fatalf("%s: errors diverge: observed %v, unobserved %v", label, wantErr, gotErr)
 	}
 	if !reflect.DeepEqual(wantStats, gotStats) {
-		t.Fatalf("%s: stats diverge:\nslow  %+v\ntight %+v", label, wantStats, gotStats)
+		t.Fatalf("%s: stats diverge:\nobserved   %+v\nunobserved %+v", label, wantStats, gotStats)
 	}
 	for r := 0; r < core.NumGPRs; r++ {
-		if slow.GPR(uint8(r)) != tight.GPR(uint8(r)) {
-			t.Fatalf("%s: $%d = %d, slow loop %d", label, r,
-				int32(tight.GPR(uint8(r))), int32(slow.GPR(uint8(r))))
+		if observed.GPR(uint8(r)) != plain.GPR(uint8(r)) {
+			t.Fatalf("%s: $%d = %d, observed run %d", label, r,
+				int32(plain.GPR(uint8(r))), int32(observed.GPR(uint8(r))))
 		}
 	}
-	compareMachineSpaces(t, label, slow, tight)
+	compareMachineSpaces(t, label, observed, plain)
 }
 
 // compareMachineSpaces checks every byte of both scratchpads and the
@@ -550,28 +550,18 @@ func compareMachineSpaces(t *testing.T, label string, want, got *Machine) {
 	}
 }
 
-// TestPredecodedISATour runs the 43-instruction ISA tour through both
-// run loops and demands bit-identical results. The tour's vector section
-// contains back-to-back vector ops and an MMV, so the fusion plan is
-// non-trivial — superinstruction execution, not just flat decoded
-// dispatch, is under test.
+// TestPredecodedISATour runs the 43-instruction ISA tour observed and
+// unobserved and demands bit-identical results.
 func TestPredecodedISATour(t *testing.T) {
 	p := mustAssemble(t, tourSrc)
-	dp, err := Predecode(p.Instructions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dp.Fusion().Total() == 0 {
-		t.Fatal("ISA tour fused no pairs; the superinstruction path is untested")
-	}
 	comparePaths(t, "isa-tour", DefaultConfig(), p.Instructions, nil)
 }
 
 // TestPredecodedDifferentialCorpus replays the random straight-line
-// corpus of TestDifferentialAgainstReferenceInterpreter through both run
-// loops. The tight loop is already proven against the naive reference
-// interpreter above, so agreement here extends the differential chain to
-// the observing slow loop.
+// corpus of TestDifferentialAgainstReferenceInterpreter observed and
+// unobserved. The unobserved run is already proven against the naive
+// reference interpreter above, so agreement here extends the
+// differential chain to observed runs.
 func TestPredecodedDifferentialCorpus(t *testing.T) {
 	const (
 		trials  = 60
@@ -621,11 +611,9 @@ func TestPredecodedDifferentialCorpus(t *testing.T) {
 	}
 }
 
-// TestPredecodedControlFlow runs random counter-controlled loops through
-// both run loops. Backward branches land on arbitrary body instructions,
-// so this is the test that catches a fusion plan pairing across a branch
-// target (a jump into the middle of a superinstruction must still
-// execute the consumer half exactly once).
+// TestPredecodedControlFlow runs random counter-controlled loops observed
+// and unobserved. Backward branches land on arbitrary body instructions,
+// so the instruction trace and the watchdog see taken branches.
 func TestPredecodedControlFlow(t *testing.T) {
 	const trials = 40
 	for trial := 0; trial < trials; trial++ {

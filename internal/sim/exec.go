@@ -201,19 +201,6 @@ func (m *Machine) corruptDMA(data []byte) {
 	}
 }
 
-// vecView resolves a vector-scratchpad input operand. On the baseline
-// path (and everywhere outside a fused pair) it is Scratchpad.NumsView
-// plus one length check; during the consumer half of a fused pair a view
-// of exactly the region the producer just wrote resolves to the
-// producer's still-live output buffer, which holds bit-identical data
-// (the scratchpad write is never skipped).
-func (m *Machine) vecView(addr, n int, spill *[]fixed.Num) ([]fixed.Num, error) {
-	if len(m.fusedSrc) > 0 && addr == m.fusedAddr && n == len(m.fusedSrc) {
-		return m.fusedSrc, nil
-	}
-	return m.vspad.NumsView(addr, n, spill)
-}
-
 // execInto functionally executes inst against the architectural state
 // and writes its timing effect into a caller-owned buffer (*e must be
 // reset on entry).
@@ -451,7 +438,7 @@ func (m *Machine) execMatVec(inst core.Instruction, e *effect) error {
 	vinAddr := m.regAddr(inst.R[3])
 	voutAddr := m.regAddr(inst.R[0])
 
-	vin, err := m.vecView(vinAddr, inN, &m.bufA)
+	vin, err := m.vspad.NumsView(vinAddr, inN, &m.bufA)
 	if err != nil {
 		return err
 	}
@@ -530,11 +517,11 @@ func (m *Machine) execOuter(inst core.Instruction, e *effect) error {
 		return err
 	}
 	dst := m.regAddr(inst.R[0])
-	v0, err := m.vecView(m.regAddr(inst.R[1]), rows, &m.bufA)
+	v0, err := m.vspad.NumsView(m.regAddr(inst.R[1]), rows, &m.bufA)
 	if err != nil {
 		return err
 	}
-	v1, err := m.vecView(m.regAddr(inst.R[3]), cols, &m.bufB)
+	v1, err := m.vspad.NumsView(m.regAddr(inst.R[3]), cols, &m.bufB)
 	if err != nil {
 		return err
 	}
@@ -607,11 +594,11 @@ func (m *Machine) execVecBinary(inst core.Instruction, e *effect) error {
 		return err
 	}
 	dst := m.regAddr(inst.R[0])
-	a, err := m.vecView(m.regAddr(inst.R[2]), n, &m.bufA)
+	a, err := m.vspad.NumsView(m.regAddr(inst.R[2]), n, &m.bufA)
 	if err != nil {
 		return err
 	}
-	b, err := m.vecView(m.regAddr(inst.R[3]), n, &m.bufB)
+	b, err := m.vspad.NumsView(m.regAddr(inst.R[3]), n, &m.bufB)
 	if err != nil {
 		return err
 	}
@@ -683,7 +670,7 @@ func (m *Machine) execVAS(inst core.Instruction, e *effect) error {
 		return err
 	}
 	dst := m.regAddr(inst.R[0])
-	a, err := m.vecView(m.regAddr(inst.R[2]), n, &m.bufA)
+	a, err := m.vspad.NumsView(m.regAddr(inst.R[2]), n, &m.bufA)
 	if err != nil {
 		return err
 	}
@@ -712,7 +699,7 @@ func (m *Machine) execVecUnary(inst core.Instruction, e *effect) error {
 		return err
 	}
 	dst := m.regAddr(inst.R[0])
-	a, err := m.vecView(m.regAddr(inst.R[2]), n, &m.bufA)
+	a, err := m.vspad.NumsView(m.regAddr(inst.R[2]), n, &m.bufA)
 	if err != nil {
 		return err
 	}
@@ -755,11 +742,11 @@ func (m *Machine) execVDOT(inst core.Instruction, e *effect) error {
 	if err != nil {
 		return err
 	}
-	a, err := m.vecView(m.regAddr(inst.R[2]), n, &m.bufA)
+	a, err := m.vspad.NumsView(m.regAddr(inst.R[2]), n, &m.bufA)
 	if err != nil {
 		return err
 	}
-	b, err := m.vecView(m.regAddr(inst.R[3]), n, &m.bufB)
+	b, err := m.vspad.NumsView(m.regAddr(inst.R[3]), n, &m.bufB)
 	if err != nil {
 		return err
 	}
@@ -809,7 +796,7 @@ func (m *Machine) execVReduce(inst core.Instruction, e *effect) error {
 	if n == 0 {
 		return fmt.Errorf("%v of an empty vector", inst.Op)
 	}
-	a, err := m.vecView(m.regAddr(inst.R[2]), n, &m.bufA)
+	a, err := m.vspad.NumsView(m.regAddr(inst.R[2]), n, &m.bufA)
 	if err != nil {
 		return err
 	}

@@ -1,14 +1,39 @@
 package sim
 
-// Hooks for the external tests (package sim_test), which build the Table
-// III programs through internal/bench and so cannot live in package sim.
+// Test-only state accessors, and hooks for the external tests (package
+// sim_test), which build the Table III programs through internal/bench
+// and so cannot live in package sim.
 
 import (
 	"bytes"
 	"slices"
 
+	"cambricon/internal/fixed"
 	"cambricon/internal/mem"
 )
+
+// GPR reads a register.
+func (m *Machine) GPR(r uint8) uint32 { return m.gpr[r] }
+
+// WriteMainWord stores a 32-bit scalar in main memory.
+func (m *Machine) WriteMainWord(addr int, v uint32) error {
+	return m.main.WriteWord(addr, v)
+}
+
+// ReadMainWord reads a 32-bit scalar from main memory.
+func (m *Machine) ReadMainWord(addr int) (uint32, error) {
+	return m.main.ReadWord(addr)
+}
+
+// ReadVectorSpad reads elements directly from the vector scratchpad.
+func (m *Machine) ReadVectorSpad(addr, count int) ([]fixed.Num, error) {
+	return m.vspad.ReadNums(addr, count)
+}
+
+// ReadMatrixSpad reads elements directly from the matrix scratchpad.
+func (m *Machine) ReadMatrixSpad(addr, count int) ([]fixed.Num, error) {
+	return m.mspad.ReadNums(addr, count)
+}
 
 // MemoryNames names the memories a Snapshot images, indexed like its
 // images.

@@ -63,14 +63,13 @@ func FuzzRunDecodedProgram(f *testing.F) {
 	})
 }
 
-// FuzzPredecodedEquivalence feeds arbitrary binary images through both
-// run loops — the observing slow loop (steered there by an instruction
-// trace to io.Discard) and the tight fused loop — and requires identical
-// outcomes: same statistics, same cycles, same registers, and the same
-// error (or clean termination) for every program the decoder accepts,
-// invalid instructions included. The watchdog is armed, so the fuzz
-// covers the tight loop's in-loop watchdog (including mid-fused-pair
-// trips) against the slow loop's.
+// FuzzPredecodedEquivalence feeds arbitrary binary images to two
+// machines — one observed by an instruction trace to io.Discard, one
+// unobserved — and requires identical outcomes: same statistics, same
+// cycles, same registers, and the same error (or clean termination) for
+// every program the decoder accepts, invalid instructions included. The
+// watchdog is armed on both, so the fuzz covers watchdog trips with and
+// without the instruction trace.
 func FuzzPredecodedEquivalence(f *testing.F) {
 	f.Add(fuzzSeedImage(f, "\tSMOVE $1, #5\n"))
 	f.Add(fuzzSeedImage(f, "\tSMOVE $1, #3\nspin:\tSADD $1, $1, #-1\n\tCB #spin, $1\n"))
@@ -88,31 +87,31 @@ func FuzzPredecodedEquivalence(f *testing.F) {
 		if err != nil {
 			return
 		}
-		slow, err := New(cfg)
+		observed, err := New(cfg)
 		if err != nil {
 			t.Fatalf("default config rejected: %v", err)
 		}
-		slow.SetTrace(io.Discard)
-		slow.LoadProgram(prog)
-		wantStats, wantErr := slow.Run()
+		observed.SetTrace(io.Discard)
+		observed.LoadProgram(prog)
+		wantStats, wantErr := observed.Run()
 
-		tight, err := New(cfg)
+		plain, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tight.LoadProgram(prog)
-		gotStats, gotErr := tight.Run()
+		plain.LoadProgram(prog)
+		gotStats, gotErr := plain.Run()
 		if (wantErr == nil) != (gotErr == nil) ||
 			(wantErr != nil && wantErr.Error() != gotErr.Error()) {
-			t.Fatalf("errors diverge: slow %v, tight %v", wantErr, gotErr)
+			t.Fatalf("errors diverge: observed %v, unobserved %v", wantErr, gotErr)
 		}
 		if !reflect.DeepEqual(wantStats, gotStats) {
-			t.Fatalf("stats diverge:\nslow  %+v\ntight %+v", wantStats, gotStats)
+			t.Fatalf("stats diverge:\nobserved   %+v\nunobserved %+v", wantStats, gotStats)
 		}
 		for r := 0; r < core.NumGPRs; r++ {
-			if slow.GPR(uint8(r)) != tight.GPR(uint8(r)) {
-				t.Fatalf("$%d = %d, slow loop %d", r,
-					int32(tight.GPR(uint8(r))), int32(slow.GPR(uint8(r))))
+			if observed.GPR(uint8(r)) != plain.GPR(uint8(r)) {
+				t.Fatalf("$%d = %d, observed run %d", r,
+					int32(plain.GPR(uint8(r))), int32(observed.GPR(uint8(r))))
 			}
 		}
 	})

@@ -53,8 +53,7 @@ type accessRec struct {
 
 // AccessTrace records the architectural reads and writes of one complete
 // run, dynamic instruction by dynamic instruction. Attach it with
-// Machine.SetAccessTrace before a full run (from index 0); recording
-// routes execution through the general observing loop, so the recorded
+// Machine.SetAccessTrace before a full run (from index 0); the recorded
 // run's statistics stay bit-identical to an unobserved run. An
 // AccessTrace is not safe for concurrent use while recording; once
 // condensed into a Liveness it is no longer needed.
@@ -73,9 +72,9 @@ type AccessTrace struct {
 func NewAccessTrace() *AccessTrace { return &AccessTrace{} }
 
 // SetAccessTrace attaches an access-trace recorder (nil detaches it).
-// While attached, runs take the general observing loop and append one
-// record per committed instruction; like tracers and injectors, the
-// recorder never changes simulated statistics, cycles or behaviour.
+// While attached, runs append one record per committed instruction;
+// like tracers and injectors, the recorder never changes simulated
+// statistics, cycles or behaviour.
 func (m *Machine) SetAccessTrace(t *AccessTrace) { m.rec = t }
 
 // record appends one committed instruction. idx is its dynamic index

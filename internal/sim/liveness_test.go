@@ -32,9 +32,9 @@ func recordGolden(t *testing.T, cfg Config, predecoded bool) (*Machine, *Snapsho
 
 // TestAccessTraceBehaviourNeutral: a recorded run's statistics are
 // bit-identical to a run without the recorder, on both ckptMachine paths
-// (the recorded run always takes the slow loop; the plain one takes the
-// slow loop on the baseline path, the tight loop otherwise), and the
-// trace covers exactly the run's dynamic instructions.
+// (the plain run is observed by an instruction trace on the baseline
+// path and unobserved otherwise), and the trace covers exactly the run's
+// dynamic instructions.
 func TestAccessTraceBehaviourNeutral(t *testing.T) {
 	for _, path := range []struct {
 		name       string

@@ -34,17 +34,11 @@ type Machine struct {
 	// loaded). LoadProgram and LoadDecoded set it, and Restore propagates
 	// whatever the snapshot carried.
 	dec *DecodedProgram
-	// eff is the run loops' reusable effect buffer.
+	// eff is the run loop's reusable effect buffer.
 	eff effect
-	// fusedSrc/fusedAddr arm the fused-pair read short-circuit: while
-	// non-empty, vector-scratchpad operand views of exactly
-	// [fusedAddr, len(fusedSrc)) resolve to fusedSrc — the vector the
-	// fused producer just wrote there — instead of re-reading the
-	// scratchpad. bufFuse is the second output buffer that keeps a fused
-	// consumer from clobbering the intermediate it is reading.
-	fusedSrc  []fixed.Num
-	fusedAddr int
-	bufFuse   []fixed.Num
+	// fetched is the decode of an instruction word the injector corrupted
+	// at fetch, which the run loop executes in place of the program's.
+	fetched core.DecodedInst
 
 	// tracer receives the observability event stream (nil = untraced;
 	// the hot path then makes no trace calls and allocates nothing). ev
@@ -62,8 +56,7 @@ type Machine struct {
 
 	// rec, when non-nil, records each committed instruction's operand
 	// registers and memory access regions (see AccessTrace). Like inj it
-	// routes runs through the general observing loop and is
-	// behaviour-neutral.
+	// is behaviour-neutral.
 	rec *AccessTrace
 
 	// lastSnap remembers which Snapshot this machine's memory dirty
@@ -79,7 +72,7 @@ type Machine struct {
 	// grown.
 	pageBuf, wordBuf []int
 
-	// stopAt, when >= 0, makes the run loops return cleanly (no error) at
+	// stopAt, when >= 0, makes the run loop return cleanly (no error) at
 	// the first instruction boundary where stats.Instructions reaches it —
 	// the RunUntil mechanism behind mid-run checkpoints and fault-site
 	// fast-forwarding. -1 (set by every Run/Resume entry point) disables
@@ -200,9 +193,6 @@ func (m *Machine) SetGPR(r uint8, v uint32) {
 	m.gpr[r] = v
 }
 
-// GPR reads a register (result retrieval after Run).
-func (m *Machine) GPR(r uint8) uint32 { return m.gpr[r] }
-
 // WriteMainNums places fixed-point data in main memory (workload images).
 func (m *Machine) WriteMainNums(addr int, ns []fixed.Num) error {
 	return m.main.WriteNums(addr, ns)
@@ -226,27 +216,6 @@ func (m *Machine) ReadMainBytesInto(addr int, dst []byte) error {
 // runs).
 func (m *Machine) DiffMain(addr int, want []byte) (int, error) {
 	return m.main.Diff(addr, want)
-}
-
-// WriteMainWord stores a 32-bit scalar in main memory.
-func (m *Machine) WriteMainWord(addr int, v uint32) error {
-	return m.main.WriteWord(addr, v)
-}
-
-// ReadMainWord reads a 32-bit scalar from main memory.
-func (m *Machine) ReadMainWord(addr int) (uint32, error) {
-	return m.main.ReadWord(addr)
-}
-
-// ReadVectorSpad reads elements directly from the vector scratchpad
-// (debugging and tests).
-func (m *Machine) ReadVectorSpad(addr, count int) ([]fixed.Num, error) {
-	return m.vspad.ReadNums(addr, count)
-}
-
-// ReadMatrixSpad reads elements directly from the matrix scratchpad.
-func (m *Machine) ReadMatrixSpad(addr, count int) ([]fixed.Num, error) {
-	return m.mspad.ReadNums(addr, count)
 }
 
 // Stats returns the statistics of the last Run.
@@ -478,11 +447,8 @@ func (m *Machine) RunUntilContext(ctx context.Context, n int64) (Stats, bool, er
 	return stats, err == nil && !m.stopped, err
 }
 
-// resume dispatches the current run segment to one of the two run
-// loops: the tight fused loop when nothing observes the run, the general
-// observing loop when a tracer, instruction trace, injector or access
-// trace is attached. Both produce bit-identical statistics, cycles and
-// architectural state.
+// resume runs the current run segment through the run loop, observed
+// or not.
 func (m *Machine) resume(ctx context.Context) (Stats, error) {
 	m.stopped = false
 	switch {
@@ -490,10 +456,8 @@ func (m *Machine) resume(ctx context.Context) (Stats, error) {
 		return m.stats, nil // no program loaded: nothing to run
 	case m.dec.err != nil:
 		return m.stats, m.dec.err
-	case m.tracer == nil && m.trace == nil && m.inj == nil && m.rec == nil:
-		return m.runDecodedTight(ctx)
 	}
-	return m.runDecodedSlow(ctx)
+	return m.runDecoded(ctx)
 }
 
 // regInt reads a GPR as a signed 32-bit integer.

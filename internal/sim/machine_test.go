@@ -9,6 +9,9 @@ import (
 	"cambricon/internal/core"
 )
 
+// TestTraceOutput pins the instruction trace line by line — dynamic
+// index, commit cycle, pc, disassembly and the taken-branch note — and
+// that SetTrace(nil) stops it.
 func TestTraceOutput(t *testing.T) {
 	p := mustAssemble(t, `
 	SMOVE $1, #2
@@ -22,16 +25,14 @@ top:	SADD  $1, $1, #-1
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	if !strings.Contains(out, "SMOVE $1, #2") {
-		t.Errorf("trace missing first instruction:\n%s", out)
-	}
-	if !strings.Contains(out, "; taken -> 1") {
-		t.Errorf("trace missing branch annotation:\n%s", out)
-	}
-	lines := strings.Count(out, "\n")
-	if lines != 6 { // SMOVE + 2x(SADD+CB) ... SADD,CB,SADD,CB = 5 total
-		t.Logf("trace:\n%s", out)
+	const want = "" +
+		"       0  cyc=4        pc=0      SMOVE $1, #2\n" +
+		"       1  cyc=7        pc=1      SADD $1, $1, #-1\n" +
+		"       2  cyc=10       pc=2      CB $1, #-1  ; taken -> 1\n" +
+		"       3  cyc=17       pc=1      SADD $1, $1, #-1\n" +
+		"       4  cyc=20       pc=2      CB $1, #-1\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("trace:\n%s\nwant:\n%s", got, want)
 	}
 	// Disabling tracing stops output.
 	m.SetTrace(nil)
@@ -39,6 +40,9 @@ top:	SADD  $1, $1, #-1
 	m.LoadProgram(p.Instructions)
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if got := buf.String(); got != want {
+		t.Fatalf("trace grew after SetTrace(nil):\n%s", got)
 	}
 }
 
