@@ -30,6 +30,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 
 	"cambricon"
@@ -193,9 +194,10 @@ func emitHostJSON(seed uint64, path string) error {
 }
 
 // runHostCheck is the perf-regression gate (`make check-host`): it
-// re-measures the host benchmarks with the baseline's seed and compares
-// the host-portable signals (cold/warm ratios, warm-row allocation
-// counts) against the committed record within
+// re-measures the host benchmarks with the baseline's seed and at the
+// baseline's GOMAXPROCS (the host's when the record has none) and
+// compares the host-portable signals (cold/warm ratios, warm-row
+// allocation counts) against the committed record within
 // bench.DefaultHostTolerance.
 func runHostCheck(path string, seed uint64) ([]string, error) {
 	f, err := os.Open(path)
@@ -210,6 +212,9 @@ func runHostCheck(path string, seed uint64) ([]string, error) {
 	if baseline.Seed != 0 {
 		// Measure what the baseline measured, whatever -seed says.
 		seed = baseline.Seed
+	}
+	if baseline.GOMAXPROCS > 0 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(baseline.GOMAXPROCS))
 	}
 	fresh, err := bench.RunHostBenchmarks(seed, checkRuns, 32)
 	if err != nil {
