@@ -21,11 +21,13 @@ import (
 )
 
 // TestCheckpointResumeAcrossProcesses drives the checkpoint round trip
-// through three camsim processes: a plain -json run, a run interrupted
-// by -checkpoint-at 12 -checkpoint that finishes anyway, and a -resume
-// of the file it wrote must print identical statistics. The file stores
-// only nonzero scratchpad pages, and a version-1 file (dense
-// scratchpads) is refused, naming both versions.
+// through camsim processes: a plain -json run, a run interrupted by
+// -checkpoint-at 12 -checkpoint that finishes anyway, and a -resume of
+// the file it wrote must print identical statistics. A -resume with
+// -itrace must print the plain run's -itrace lines from index 12 on,
+// then the same statistics. The file stores only nonzero scratchpad
+// pages, and a version-1 file (dense scratchpads) is refused, naming
+// both versions.
 func TestCheckpointResumeAcrossProcesses(t *testing.T) {
 	prog := filepath.Join("..", "..", "testdata", "sum_loop.cam")
 	ckpt := filepath.Join(t.TempDir(), "sum_loop.ckpt")
@@ -47,6 +49,22 @@ func TestCheckpointResumeAcrossProcesses(t *testing.T) {
 		if got != plain {
 			t.Fatalf("%s diverges from the plain run:\n--- plain ---\n%s\n--- %s ---\n%s", c.name, plain, c.name, got)
 		}
+	}
+
+	traced, stderr, err := cmdtest.Run(t, "camsim", "-itrace", "-json", prog)
+	if err != nil {
+		t.Fatalf("traced run: %v\n%s", err, stderr)
+	}
+	lines := strings.SplitAfter(traced, "\n")
+	if len(lines) < 13 || !strings.HasPrefix(lines[12], "      12  cyc=") {
+		t.Fatalf("traced run does not trace instruction 12 on its 13th line:\n%s", traced)
+	}
+	got, stderr, err := cmdtest.Run(t, "camsim", "-resume", ckpt, "-itrace", "-json")
+	if err != nil {
+		t.Fatalf("traced resume: %v\n%s", err, stderr)
+	}
+	if want := strings.Join(lines[12:], ""); got != want {
+		t.Fatalf("traced resume diverges from the traced run's lines from index 12 on:\n--- want ---\n%s\n--- got ---\n%s", want, got)
 	}
 
 	raw, err := os.ReadFile(ckpt)
@@ -110,7 +128,11 @@ func TestCheckpointResumeCLI(t *testing.T) {
 		if !reflect.DeepEqual(st, full) {
 			t.Fatalf("at=%d: checkpointed run stats diverge:\n got  %+v\n want %+v", at, st, full)
 		}
-		resumed, err := resumeCheckpoint(bytes.NewReader(buf.Bytes()), 0)
+		m, err := restoreCheckpoint(bytes.NewReader(buf.Bytes()), 0)
+		if err != nil {
+			t.Fatalf("at=%d: restore: %v", at, err)
+		}
+		resumed, err := m.Resume()
 		if err != nil {
 			t.Fatalf("at=%d: resume: %v", at, err)
 		}
@@ -138,10 +160,10 @@ func TestResumeCorruptedCheckpointRejected(t *testing.T) {
 	}
 	data := bytes.Clone(buf.Bytes())
 	data[len(data)-1] ^= 1 // CRC trailer
-	if _, err := resumeCheckpoint(bytes.NewReader(data), 0); err == nil {
+	if _, err := restoreCheckpoint(bytes.NewReader(data), 0); err == nil {
 		t.Fatal("expected corrupted checkpoint to be rejected")
 	}
-	if _, err := resumeCheckpoint(bytes.NewReader(data[:len(data)/2]), 0); err == nil {
+	if _, err := restoreCheckpoint(bytes.NewReader(data[:len(data)/2]), 0); err == nil {
 		t.Fatal("expected truncated checkpoint to be rejected")
 	}
 }

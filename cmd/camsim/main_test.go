@@ -3,9 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"cambricon/internal/asm"
@@ -149,22 +152,33 @@ func chromeEvents(t *testing.T, path string) []chromeEvent {
 	return doc.TraceEvents
 }
 
-// TestTraceAndProfileFiles runs the real camsim with its observability
-// outputs attached. A benchmark run's -trace file must be a Chrome
-// Trace document declaring the pipeline tracks, whose "run end" marker
-// carries the Cycles -json printed, and its -profile-json stall
-// attribution must sum to those Cycles. A run the -max-cycles watchdog
-// stops must exit non-zero and still leave a complete trace document.
+// TestTraceAndProfileFiles runs the real camsim with all three of its
+// observability sinks teed onto one run. A benchmark run's -itrace must
+// print one line per committed instruction before the -json
+// statistics, its -trace file must be a Chrome Trace document declaring
+// the pipeline tracks, whose "run end" marker carries the Cycles -json
+// printed, and its -profile-json stall attribution must sum to those
+// Cycles. A run the -max-cycles watchdog stops must exit non-zero and
+// still leave a complete trace document.
 func TestTraceAndProfileFiles(t *testing.T) {
 	dir := t.TempDir()
 	tracePath, profilePath := filepath.Join(dir, "trace.json"), filepath.Join(dir, "profile.json")
-	stdout, stderr, err := cmdtest.Run(t, "camsim", "-benchmark", "MLP", "-trace", tracePath, "-profile-json", profilePath, "-json")
+	stdout, stderr, err := cmdtest.Run(t, "camsim", "-benchmark", "MLP", "-itrace", "-trace", tracePath, "-profile-json", profilePath, "-json")
 	if err != nil {
 		t.Fatalf("traced run: %v\n%s", err, stderr)
 	}
+	itrace, statsJSON, ok := strings.Cut(stdout, "\n{")
+	if !ok {
+		t.Fatalf("stdout holds no -json statistics:\n%s", stdout)
+	}
 	var stats sim.Stats
-	if err := json.Unmarshal([]byte(stdout), &stats); err != nil || stats.Cycles <= 0 {
-		t.Fatalf("-json printed %q (%v), want the run statistics", stdout, err)
+	if err := json.Unmarshal([]byte("{"+statsJSON), &stats); err != nil || stats.Cycles <= 0 {
+		t.Fatalf("-json printed %q (%v), want the run statistics", statsJSON, err)
+	}
+	if lines := strings.Split(itrace, "\n"); int64(len(lines)) != stats.Instructions {
+		t.Errorf("-itrace printed %d lines, want one per committed instruction (%d)", len(lines), stats.Instructions)
+	} else if !strings.HasPrefix(lines[0], "       0  cyc=") {
+		t.Errorf("-itrace first line = %q, want instruction 0", lines[0])
 	}
 
 	tracks := map[string]bool{}
@@ -209,5 +223,43 @@ func TestTraceAndProfileFiles(t *testing.T) {
 	}
 	if evs := chromeEvents(t, failedPath); len(evs) == 0 {
 		t.Error("trace of the failed run holds no events")
+	}
+}
+
+// TestBenchmarkAllRejectsPerRunFlags pins that -benchmark all refuses
+// each flag that observes or bounds a single run, with exit status 2 and
+// a message naming the flag, instead of ignoring it.
+func TestBenchmarkAllRejectsPerRunFlags(t *testing.T) {
+	dir := t.TempDir()
+	for _, args := range [][]string{
+		{"-trace", filepath.Join(dir, "trace.json")},
+		{"-profile"},
+		{"-profile-json", filepath.Join(dir, "profile.json")},
+		{"-dump-decoded"},
+		{"-itrace"},
+		{"-max-cycles", "100"},
+		{"-hist"},
+		{"-v"},
+	} {
+		t.Run(args[0], func(t *testing.T) {
+			stdout, stderr, err := cmdtest.Run(t, "camsim", append([]string{"-benchmark", "all"}, args...)...)
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("exit = %v, want status 2; stdout %q", err, stdout)
+			}
+			if !strings.Contains(stderr, args[0]+" needs a single run") {
+				t.Errorf("stderr %q does not name %s", stderr, args[0])
+			}
+			if stdout != "" {
+				t.Errorf("rejected run printed %q", stdout)
+			}
+		})
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Errorf("rejected runs left %d files behind", len(entries))
 	}
 }

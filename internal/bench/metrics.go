@@ -9,6 +9,8 @@ package bench
 // trace.Tracer and fault.Injector honour.
 
 import (
+	"context"
+	"errors"
 	"time"
 
 	"cambricon/internal/metrics"
@@ -32,7 +34,6 @@ const (
 	MetricSnapPrepared  = "cambricon_snapshot_prepared"
 	MetricSnapResident  = "cambricon_snapshot_resident_bytes"
 	MetricSnapDense     = "cambricon_snapshot_dense_bytes"
-	MetricWatchdogTrips = "cambricon_sim_watchdog_trips_total"
 	MetricCancellations = "cambricon_sim_cancellations_total"
 	MetricFFConverged   = "cambricon_fault_ff_converged_total"
 	MetricDecodeHits    = "cambricon_bench_decode_cache_hits_total"
@@ -47,6 +48,7 @@ type suiteMetrics struct {
 	runsStarted   *metrics.Counter
 	runsCompleted *metrics.Counter
 	runsFailed    *metrics.Counter
+	cancellations *metrics.Counter
 	cacheHits     *metrics.Counter
 
 	poolHits      *metrics.Counter
@@ -62,10 +64,6 @@ type suiteMetrics struct {
 	snapPrepared *metrics.Gauge
 	snapResident *metrics.Gauge
 	snapDense    *metrics.Gauge
-
-	// simM is handed to every machine the suite prepares, so watchdog
-	// trips and cancellations are counted fleet-wide.
-	simM sim.Metrics
 }
 
 // cycleBuckets spans MLP's few thousand cycles up through multi-billion
@@ -82,6 +80,7 @@ func newSuiteMetrics(reg *metrics.Registry) *suiteMetrics {
 		runsStarted:   reg.Counter(MetricRunsStarted, "benchmark simulations started"),
 		runsCompleted: reg.Counter(MetricRunsCompleted, "benchmark simulations completed successfully"),
 		runsFailed:    reg.Counter(MetricRunsFailed, "benchmark simulations that returned an error"),
+		cancellations: reg.Counter(MetricCancellations, "runs ended by context cancellation"),
 		cacheHits:     reg.Counter(MetricCacheHits, "Stats calls served from the suite's singleflight cache"),
 		poolHits:      reg.Counter(MetricPoolHits, "machine acquisitions served by recycling a pooled machine"),
 		poolMisses:    reg.Counter(MetricPoolMisses, "machine acquisitions that built a fresh machine"),
@@ -95,10 +94,6 @@ func newSuiteMetrics(reg *metrics.Registry) *suiteMetrics {
 		snapResident:  reg.Gauge(MetricSnapResident, "resident bytes of the prepared snapshots (page-sparse memory images)"),
 		snapDense:     reg.Gauge(MetricSnapDense, "bytes the prepared snapshots would occupy with dense main-memory images"),
 	}
-	sm.simM = sim.Metrics{
-		WatchdogTrips: reg.Counter(MetricWatchdogTrips, "runs ended by the MaxCycles watchdog"),
-		Cancellations: reg.Counter(MetricCancellations, "runs ended by context cancellation"),
-	}
 	return sm
 }
 
@@ -108,14 +103,18 @@ func (sm *suiteMetrics) runStarted() {
 	}
 }
 
-// runDone records one finished run: outcome counter plus the
-// per-benchmark cycle and wall-time histograms.
+// runDone records one finished run: outcome counters plus the
+// per-benchmark cycle and wall-time histograms. A run that ended by
+// context cancellation or deadline is a failed run and a cancellation.
 func (sm *suiteMetrics) runDone(name string, st sim.Stats, wall time.Duration, err error) {
 	if sm == nil {
 		return
 	}
 	if err != nil {
 		sm.runsFailed.Inc()
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			sm.cancellations.Inc()
+		}
 		return
 	}
 	sm.runsCompleted.Inc()
@@ -188,13 +187,4 @@ func (sm *suiteMetrics) snapshotPrepared(snap *sim.Snapshot) {
 	sm.snapPrepared.Add(1)
 	sm.snapResident.Add(int64(snap.Bytes()))
 	sm.snapDense.Add(int64(snap.DenseBytes()))
-}
-
-// simMetrics returns the machine-level counter bundle (nil when
-// unmetered, which Machine.SetMetrics treats as detach).
-func (sm *suiteMetrics) simMetrics() *sim.Metrics {
-	if sm == nil {
-		return nil
-	}
-	return &sm.simM
 }

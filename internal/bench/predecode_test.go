@@ -16,13 +16,14 @@ import (
 
 	"cambricon/internal/metrics"
 	"cambricon/internal/sim"
+	"cambricon/internal/trace"
 )
 
 // TestPredecodeBitIdenticalTableIII runs every Table III workload
 // unobserved and observed and requires identical statistics — cycles,
 // stall attribution, opcode histograms, everything: Suite.Stats runs
 // unobserved (and verifies the outputs), and a machine prepared the same
-// way runs with an instruction trace attached.
+// way runs with a text trace attached.
 func TestPredecodeBitIdenticalTableIII(t *testing.T) {
 	s := NewSuite(7)
 	progs, err := s.Programs()
@@ -39,9 +40,8 @@ func TestPredecodeBitIdenticalTableIII(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.SetTrace(io.Discard)
+		m.SetTracer(trace.NewText(io.Discard))
 		observed, err := m.Run()
-		m.SetTrace(nil)
 		s.releaseMachine(m, pooled)
 		if err != nil {
 			t.Fatalf("%s observed: %v", p.Name, err)

@@ -182,16 +182,14 @@ func (p *machinePool) acquirePristine(cfg sim.Config) (*sim.Machine, bool, bool,
 	return m, reused, shared, nil
 }
 
-// release detaches the machine's observers and returns it to its
-// entry's free list; a full list (or an entry the pool never built,
+// release detaches the machine's tracer and injector and returns it to
+// its entry's free list; a full list (or an entry the pool never built,
 // which cannot happen through acquire) drops the machine instead. The
 // free list is preallocated, so the append never allocates and the warm
 // request path stays 0-alloc.
 func (p *machinePool) release(m *sim.Machine) {
 	m.SetTracer(nil)
 	m.SetInjector(nil)
-	m.SetTrace(nil)
-	m.SetMetrics(nil)
 	key := poolKey(m.Config())
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -297,7 +295,6 @@ func (s *Suite) preparedMachine(ctx context.Context, b *benchmark, maxCycles int
 		if err := s.loadProgram(ctx, m, b); err != nil {
 			return nil, false, err
 		}
-		m.SetMetrics(s.sm().simMetrics())
 		return m, false, nil
 	}
 	snap, err := s.preparedSnapshot(ctx, b)
@@ -345,7 +342,6 @@ func (s *Suite) restoredMachine(ctx context.Context, snap *sim.Snapshot, maxCycl
 	rec.AnnotateInt(sp, "bytes", int64(m.LastRestoreBytes()))
 	rec.End(sp)
 	sm.restored(m.LastRestoreBytes())
-	m.SetMetrics(sm.simMetrics())
 	return m, nil
 }
 
@@ -355,21 +351,15 @@ func (s *Suite) restoredMachine(ctx context.Context, snap *sim.Snapshot, maxCycl
 // (pooled=true, release via releaseMachine); cold suites build fresh
 // ones.
 func (s *Suite) kernelMachine(cfg sim.Config) (*sim.Machine, bool, error) {
-	sm := s.sm()
 	if s.cold {
 		m, err := sim.New(cfg)
-		if err != nil {
-			return nil, false, err
-		}
-		m.SetMetrics(sm.simMetrics())
-		return m, false, nil
+		return m, false, err
 	}
 	m, reused, shared, err := s.pool.acquirePristine(cfg)
 	if err != nil {
 		return nil, false, err
 	}
-	sm.poolAcquired(reused, shared)
-	m.SetMetrics(sm.simMetrics())
+	s.sm().poolAcquired(reused, shared)
 	return m, true, nil
 }
 

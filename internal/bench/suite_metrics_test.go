@@ -7,6 +7,7 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -38,8 +39,8 @@ func TestMeteredStatsBitIdentical(t *testing.T) {
 }
 
 // TestSuiteMetricsCountRuns pins the counter semantics end to end: runs,
-// cache hits, pool traffic, snapshot gauges and restore counters all
-// reflect the work the suite actually did.
+// cache hits, pool traffic, snapshot gauges, restore counters and
+// cancellations all reflect the work the suite actually did.
 func TestSuiteMetricsCountRuns(t *testing.T) {
 	reg := metrics.New()
 	s := NewSuite(7)
@@ -90,12 +91,27 @@ func TestSuiteMetricsCountRuns(t *testing.T) {
 	if got := h.Count(); got != 2 {
 		t.Fatalf("cycle histogram count = %d, want 2", got)
 	}
-	// A failed run lands in the failure counter, not the histograms.
+	// A failed run lands in the failure counter, not the histograms,
+	// and only a run its context ended is a cancellation.
 	if _, err := s.RunOnce(context.Background(), "no-such-benchmark"); err == nil {
 		t.Fatal("expected error for unknown benchmark")
 	}
 	if got := c(MetricRunsFailed); got != 1 {
 		t.Fatalf("runs failed = %d, want 1", got)
+	}
+	if got := c(MetricCancellations); got != 0 {
+		t.Fatalf("cancellations = %d after an unknown-name failure, want 0", got)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.RunOnce(ctx, "MLP"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunOnce on a cancelled context: err = %v, want context.Canceled", err)
+	}
+	if got := c(MetricCancellations); got != 1 {
+		t.Fatalf("cancellations = %d, want 1", got)
+	}
+	if got := c(MetricRunsFailed); got != 2 {
+		t.Fatalf("runs failed = %d, want 2", got)
 	}
 }
 
@@ -109,15 +125,13 @@ func TestSuiteMetricsNilHooksZeroAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		sm.runStarted()
 		sm.runDone("MLP", sim.Stats{Cycles: 1}, time.Microsecond, nil)
+		sm.runDone("MLP", sim.Stats{}, time.Microsecond, context.Canceled)
 		sm.cacheHit()
 		sm.poolAcquired(true, false)
 		sm.poolAcquired(true, true)
 		sm.poolAcquired(false, false)
 		sm.restored(4096)
 		sm.snapshotPrepared(snap)
-		if sm.simMetrics() != nil {
-			t.Fatal("nil suiteMetrics returned a sim.Metrics bundle")
-		}
 	})
 	if allocs != 0 {
 		t.Fatalf("nil instrumentation hooks allocated %v per run, want 0", allocs)

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"cambricon/internal/core"
+	"cambricon/internal/trace"
 )
 
 // ckptKernel exercises everything a mid-run checkpoint must carry: the
@@ -35,8 +36,8 @@ l:	RV     $2, $1           // fresh random vector each iteration
 // ckptMachine builds a machine running ckptKernel. predecoded installs a
 // shared DecodedProgram, the way the bench decode cache does, and leaves
 // runs unobserved. Otherwise — the baseline — the machine decodes its
-// own copy in LoadProgram and an instruction trace to io.Discard
-// observes its runs.
+// own copy in LoadProgram and a text trace to io.Discard observes its
+// runs.
 func ckptMachine(t testing.TB, cfg Config, predecoded bool) *Machine {
 	t.Helper()
 	m := mustNew(t, cfg)
@@ -49,7 +50,7 @@ func ckptMachine(t testing.TB, cfg Config, predecoded bool) *Machine {
 		m.LoadDecoded(dp)
 	} else {
 		m.LoadProgram(prog)
-		m.SetTrace(io.Discard)
+		m.SetTracer(trace.NewText(io.Discard))
 	}
 	snapInit(t, m)
 	return m
@@ -133,21 +134,21 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 }
 
 // TestCheckpointSegmentedTraceIdentical runs the kernel as a chain of
-// RunUntil segments with an instruction trace attached and requires the
+// RunUntil segments with a text trace attached and requires the
 // concatenated segment traces to equal the uninterrupted run's byte for
 // byte — indices, cycle numbers and PCs all carry across the stops.
 func TestCheckpointSegmentedTraceIdentical(t *testing.T) {
 	cfg := DefaultConfig()
 	ref := ckptMachine(t, cfg, true)
 	var want bytes.Buffer
-	ref.SetTrace(&want)
+	ref.SetTracer(trace.NewText(&want))
 	if _, err := ref.Run(); err != nil {
 		t.Fatal(err)
 	}
 
 	m := ckptMachine(t, cfg, true)
 	var got bytes.Buffer
-	m.SetTrace(&got)
+	m.SetTracer(trace.NewText(&got))
 	for k := int64(3); ; k += 7 {
 		_, done, err := m.RunUntil(k)
 		if err != nil {

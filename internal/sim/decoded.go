@@ -82,12 +82,12 @@ func (m *Machine) LoadDecoded(dp *DecodedProgram) {
 }
 
 // runDecoded is the run loop: one instruction per iteration, operand
-// roles from the decode. Every observation hook — the injector's fetch
-// corruption (of the decode's cached 64-bit word) and pre-execute hook,
-// the access-trace record, the tracer's per-instruction event, the
-// instruction trace line and the watchdog — is called at its instruction
-// boundary and costs one nil check or flag test when nothing is
-// attached. Only the injector's hooks change what the run computes.
+// roles from the decode. Every hook — the injector's fetch corruption
+// (of the decode's cached 64-bit word) and pre-execute hook, the
+// access-trace record, the tracer's per-instruction event and the
+// watchdog — is called at its instruction boundary and costs one nil
+// check or flag test when nothing is attached. Only the injector's hooks
+// change what the run computes.
 func (m *Machine) runDecoded(ctx context.Context) (Stats, error) {
 	dec := m.dec.dec
 	limit := m.cfg.MaxDynamicInstructions
@@ -118,7 +118,6 @@ func (m *Machine) runDecoded(ctx context.Context) (Stats, error) {
 			select {
 			case <-done:
 				m.stats.Cycles = m.pipe.lastCommit
-				m.metCancel.Inc()
 				return m.stats, ctx.Err()
 			default:
 			}
@@ -169,23 +168,17 @@ func (m *Machine) runDecoded(ctx context.Context) (Stats, error) {
 		if tracing {
 			m.ev.Index = n
 			m.ev.PC = m.pc
-			m.ev.Op = d.Inst.Op
+			m.ev.Inst = d.Inst
 			m.ev.BranchTaken = m.eff.branchTaken
+			if m.eff.branchTaken {
+				m.ev.Target = m.pc + m.eff.branchOffset
+			}
 			m.ev.IsDMA = m.eff.isDMA
 			m.ev.DMABytes = m.eff.dmaBytes
 			m.tracer.Instruction(&m.ev)
 		}
-		if m.trace != nil {
-			note := ""
-			if m.eff.branchTaken {
-				note = fmt.Sprintf("  ; taken -> %d", m.pc+m.eff.branchOffset)
-			}
-			fmt.Fprintf(m.trace, "%8d  cyc=%-8d pc=%-6d %s%s\n",
-				n, commit, m.pc, d.Inst, note)
-		}
 		if watchdog && commit > m.cfg.MaxCycles {
 			m.stats.Cycles = m.pipe.lastCommit
-			m.metWatchdog.Inc()
 			return m.stats, &WatchdogError{
 				PC:    m.pc,
 				Inst:  d.Inst,

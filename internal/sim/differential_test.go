@@ -9,6 +9,7 @@ import (
 
 	"cambricon/internal/core"
 	"cambricon/internal/fixed"
+	"cambricon/internal/trace"
 )
 
 // refInterp is an independently-written, deliberately naive interpreter for
@@ -474,7 +475,7 @@ func compareRegion(t *testing.T, trial int, name string, m *Machine,
 // comparePaths runs one program on two machines under identical
 // configurations and fails the test unless every architectural bit and
 // every statistic agrees: observing a run must never perturb it. The
-// observed machine has an instruction trace attached (written to
+// observed machine has a text trace attached (written to
 // io.Discard) and a never-fired watchdog armed; the other runs the shared
 // decoded program with nothing attached.
 func comparePaths(t *testing.T, label string, cfg Config, prog []core.Instruction,
@@ -483,7 +484,7 @@ func comparePaths(t *testing.T, label string, cfg Config, prog []core.Instructio
 	observedCfg := cfg
 	observedCfg.MaxCycles = 1 << 40 // arms the watchdog without ever tripping it
 	observed := mustNew(t, observedCfg)
-	observed.SetTrace(io.Discard)
+	observed.SetTracer(trace.NewText(io.Discard))
 	plain := mustNew(t, cfg)
 	if setup != nil {
 		setup(func(r uint8, v int32) {
@@ -613,7 +614,7 @@ func TestPredecodedDifferentialCorpus(t *testing.T) {
 
 // TestPredecodedControlFlow runs random counter-controlled loops observed
 // and unobserved. Backward branches land on arbitrary body instructions,
-// so the instruction trace and the watchdog see taken branches.
+// so the text trace and the watchdog see taken branches.
 func TestPredecodedControlFlow(t *testing.T) {
 	const trials = 40
 	for trial := 0; trial < trials; trial++ {

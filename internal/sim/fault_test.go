@@ -12,6 +12,7 @@ import (
 	"cambricon/internal/core"
 	"cambricon/internal/fault"
 	"cambricon/internal/fixed"
+	"cambricon/internal/trace"
 )
 
 // faultVectorProgram streams four elements through the vector unit:
@@ -223,7 +224,9 @@ func TestFetchBitFaultDetected(t *testing.T) {
 // instruction replaced statically by the corrupted decode. The flipped
 // bit turns SADD's source $5, ready long before, into $4, which the VDOT
 // just before it is still computing, so the corrupted SADD waits longer
-// at issue and the cycles differ from the uncorrupted run's.
+// at issue and the cycles differ from the uncorrupted run's. A text
+// trace of the faulted run must also match the swapped run's byte for
+// byte: the trace shows the instruction that ran, not the program's.
 func TestFetchBitFaultRunsCorruptedDecode(t *testing.T) {
 	p := mustAssemble(t, `
 .data 100: 1, 2, 3, 4, 5, 6, 7, 8
@@ -251,7 +254,7 @@ func TestFetchBitFaultRunsCorruptedDecode(t *testing.T) {
 	swapped := slices.Clone(p.Instructions)
 	swapped[at] = corrupted
 
-	runProg := func(prog []core.Instruction, inj fault.Injector) (*Machine, Stats) {
+	runProg := func(prog []core.Instruction, inj fault.Injector) (*Machine, Stats, string) {
 		t.Helper()
 		m := mustNew(t, DefaultConfig())
 		for _, c := range p.Data {
@@ -259,17 +262,19 @@ func TestFetchBitFaultRunsCorruptedDecode(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		var text strings.Builder
+		m.SetTracer(trace.NewText(&text))
 		m.SetInjector(inj)
 		m.LoadProgram(prog)
 		st, err := m.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m, st
+		return m, st, text.String()
 	}
-	_, clean := runProg(p.Instructions, nil)
-	wantM, want := runProg(swapped, nil)
-	gotM, got := runProg(p.Instructions, fault.New(fault.Fault{Model: fault.ModelFetchBit, At: at, Bit: bit}))
+	_, clean, _ := runProg(p.Instructions, nil)
+	wantM, want, wantText := runProg(swapped, nil)
+	gotM, got, gotText := runProg(p.Instructions, fault.New(fault.Fault{Model: fault.ModelFetchBit, At: at, Bit: bit}))
 
 	if want.Cycles == clean.Cycles {
 		t.Fatalf("corrupting the source register left the cycles at %d; the site does not test operand roles", clean.Cycles)
@@ -285,6 +290,12 @@ func TestFetchBitFaultRunsCorruptedDecode(t *testing.T) {
 		if gotM.GPR(r) != wantM.GPR(r) {
 			t.Fatalf("$%d = %d, swapped program %d", r, int32(gotM.GPR(r)), int32(wantM.GPR(r)))
 		}
+	}
+	if gotText != wantText {
+		t.Fatalf("text trace of the faulted run:\n%s\nswapped program's:\n%s", gotText, wantText)
+	}
+	if lines := strings.Split(gotText, "\n"); len(lines) <= at || !strings.HasSuffix(lines[at], "SADD $6, $4, #1") {
+		t.Fatalf("faulted trace does not show the corrupted SADD $6, $4, #1 on line %d:\n%s", at, gotText)
 	}
 }
 

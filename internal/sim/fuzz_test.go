@@ -9,6 +9,7 @@ import (
 
 	"cambricon/internal/asm"
 	"cambricon/internal/core"
+	"cambricon/internal/trace"
 )
 
 // fuzzSeedImage encodes src into a binary program image for the fuzz
@@ -64,12 +65,12 @@ func FuzzRunDecodedProgram(f *testing.F) {
 }
 
 // FuzzPredecodedEquivalence feeds arbitrary binary images to two
-// machines — one observed by an instruction trace to io.Discard, one
+// machines — one observed by a text trace to io.Discard, one
 // unobserved — and requires identical outcomes: same statistics, same
 // cycles, same registers, and the same error (or clean termination) for
 // every program the decoder accepts, invalid instructions included. The
 // watchdog is armed on both, so the fuzz covers watchdog trips with and
-// without the instruction trace.
+// without the text trace.
 func FuzzPredecodedEquivalence(f *testing.F) {
 	f.Add(fuzzSeedImage(f, "\tSMOVE $1, #5\n"))
 	f.Add(fuzzSeedImage(f, "\tSMOVE $1, #3\nspin:\tSADD $1, $1, #-1\n\tCB #spin, $1\n"))
@@ -91,7 +92,7 @@ func FuzzPredecodedEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatalf("default config rejected: %v", err)
 		}
-		observed.SetTrace(io.Discard)
+		observed.SetTracer(trace.NewText(io.Discard))
 		observed.LoadProgram(prog)
 		wantStats, wantErr := observed.Run()
 

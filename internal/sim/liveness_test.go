@@ -32,7 +32,7 @@ func recordGolden(t *testing.T, cfg Config, predecoded bool) (*Machine, *Snapsho
 
 // TestAccessTraceBehaviourNeutral: a recorded run's statistics are
 // bit-identical to a run without the recorder, on both ckptMachine paths
-// (the plain run is observed by an instruction trace on the baseline
+// (the plain run is observed by a text trace on the baseline
 // path and unobserved otherwise), and the trace covers exactly the run's
 // dynamic instructions.
 func TestAccessTraceBehaviourNeutral(t *testing.T) {

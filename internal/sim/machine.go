@@ -3,13 +3,11 @@ package sim
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"cambricon/internal/core"
 	"cambricon/internal/fault"
 	"cambricon/internal/fixed"
 	"cambricon/internal/mem"
-	"cambricon/internal/metrics"
 	"cambricon/internal/trace"
 )
 
@@ -28,7 +26,6 @@ type Machine struct {
 	rng   uint64
 	stats Stats
 	pipe  pipeline
-	trace io.Writer
 
 	// dec is the installed program in pre-decoded form (nil = none
 	// loaded). LoadProgram and LoadDecoded set it, and Restore propagates
@@ -42,12 +39,9 @@ type Machine struct {
 
 	// tracer receives the observability event stream (nil = untraced;
 	// the hot path then makes no trace calls and allocates nothing). ev
-	// is the single reusable event buffer handed to the tracer. fobs is
-	// the tracer's optional fault-event extension, resolved once in
-	// SetTracer.
+	// is the single reusable event buffer handed to the tracer.
 	tracer trace.Tracer
 	ev     trace.InstEvent
-	fobs   trace.FaultObserver
 
 	// inj receives the fault-injection hooks (nil = fault-free; the hot
 	// path then makes no injector calls, allocates nothing, and produces
@@ -80,12 +74,6 @@ type Machine struct {
 	// boundary rather than at program completion.
 	stopAt  int64
 	stopped bool
-
-	// metWatchdog/metCancel receive service-level event counts (nil —
-	// the default — is a no-op per the metrics package's nil contract,
-	// so the unmetered hot path costs a nil check and nothing else).
-	metWatchdog *metrics.Counter
-	metCancel   *metrics.Counter
 
 	// Reusable operand buffers for the execution hot path (one execInto call
 	// uses at most one of each). bufA/bufB/bufMat are spill targets for
@@ -221,30 +209,23 @@ func (m *Machine) DiffMain(addr int, want []byte) (int, error) {
 // Stats returns the statistics of the last Run.
 func (m *Machine) Stats() Stats { return m.stats }
 
-// SetTrace directs a per-instruction execution trace to w (nil disables
-// tracing). Each committed instruction emits one line with its dynamic
-// index, commit cycle, program counter and disassembly; taken branches are
-// annotated. This is the software analogue of the paper's VCD-based
-// inspection flow.
-func (m *Machine) SetTrace(w io.Writer) { m.trace = w }
-
-// SetTracer attaches an observability sink (see internal/trace): per
-// committed instruction the tracer receives fetch-to-commit stage
+// SetTracer attaches an observability sink (see internal/trace), the
+// one way a run is observed: per committed instruction the tracer
+// receives the instruction that ran, its fetch-to-commit stage
 // timestamps, functional-unit and DMA spans, and the stall attribution
-// of the instruction's commit window; scratchpad crossbar serialization
-// is reported as bank-conflict events. nil (the default) disables
-// tracing; the untraced hot path makes no trace calls and stays
-// allocation-free, and attaching a tracer never changes simulated cycle
-// counts.
+// of its commit window; scratchpad crossbar serialization is reported as
+// bank-conflict events and injected faults as fault events. Combine
+// sinks with trace.Tee; trace.NewText is the per-instruction text trace.
+// nil (the default) disables tracing; the untraced hot path makes no
+// trace calls and stays allocation-free, and attaching a tracer never
+// changes simulated cycle counts.
 func (m *Machine) SetTracer(t trace.Tracer) {
 	m.tracer = t
 	if t == nil {
-		m.fobs = nil
 		m.vspad.SetConflictHook(nil)
 		m.mspad.SetConflictHook(nil)
 		return
 	}
-	m.fobs, _ = t.(trace.FaultObserver)
 	m.vspad.SetConflictHook(func(bank, extra int) {
 		t.BankConflict(m.vspad.Name(), bank, int64(extra), m.pipe.lastCommit)
 	})
@@ -262,28 +243,6 @@ func (m *Machine) runMeta() trace.RunMeta {
 		MACsPerBlock: m.cfg.MACsPerBlock,
 		SpadBanks:    m.cfg.SpadBanks,
 	}
-}
-
-// Metrics bundles the service-level event counters a machine reports
-// into (see internal/metrics): terminal events that aggregate across a
-// fleet of runs rather than within one. Nil fields are no-ops.
-type Metrics struct {
-	// WatchdogTrips counts runs ended by the Config.MaxCycles watchdog.
-	WatchdogTrips *metrics.Counter
-	// Cancellations counts runs ended by context cancellation.
-	Cancellations *metrics.Counter
-}
-
-// SetMetrics attaches service-level event counters (nil detaches them).
-// Like SetTracer and SetInjector, the unmetered path makes no metric
-// calls beyond nil checks, allocates nothing, and metering never
-// changes simulated cycle counts.
-func (m *Machine) SetMetrics(mt *Metrics) {
-	if mt == nil {
-		m.metWatchdog, m.metCancel = nil, nil
-		return
-	}
-	m.metWatchdog, m.metCancel = mt.WatchdogTrips, mt.Cancellations
 }
 
 // SetInjector attaches a fault injector (see internal/fault): the
@@ -317,12 +276,11 @@ func (m *Machine) FlipSpadBit(space fault.Space, word int, bit uint8) bool {
 }
 
 // noteFault records one applied fault in the run's statistics and
-// forwards it to the tracer's fault track, if the tracer observes
-// faults.
+// reports it to the tracer, if one is attached.
 func (m *Machine) noteFault(kind string) {
 	m.stats.FaultsInjected++
-	if m.fobs != nil {
-		m.fobs.Fault(kind, m.pc, m.pipe.lastCommit)
+	if m.tracer != nil {
+		m.tracer.Fault(kind, m.pc, m.pipe.lastCommit)
 	}
 }
 

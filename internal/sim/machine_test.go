@@ -7,11 +7,12 @@ import (
 	"testing"
 
 	"cambricon/internal/core"
+	"cambricon/internal/trace"
 )
 
-// TestTraceOutput pins the instruction trace line by line — dynamic
+// TestTraceOutput pins the text trace sink line by line — dynamic
 // index, commit cycle, pc, disassembly and the taken-branch note — and
-// that SetTrace(nil) stops it.
+// that detaching the tracer stops it.
 func TestTraceOutput(t *testing.T) {
 	p := mustAssemble(t, `
 	SMOVE $1, #2
@@ -20,7 +21,7 @@ top:	SADD  $1, $1, #-1
 `)
 	m := mustNew(t, DefaultConfig())
 	var buf strings.Builder
-	m.SetTrace(&buf)
+	m.SetTracer(trace.NewText(&buf))
 	m.LoadProgram(p.Instructions)
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -35,14 +36,14 @@ top:	SADD  $1, $1, #-1
 		t.Fatalf("trace:\n%s\nwant:\n%s", got, want)
 	}
 	// Disabling tracing stops output.
-	m.SetTrace(nil)
+	m.SetTracer(nil)
 	m.Reset()
 	m.LoadProgram(p.Instructions)
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if got := buf.String(); got != want {
-		t.Fatalf("trace grew after SetTrace(nil):\n%s", got)
+		t.Fatalf("trace grew after SetTracer(nil):\n%s", got)
 	}
 }
 

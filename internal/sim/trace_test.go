@@ -95,6 +95,7 @@ func (r *statsRecorder) Instruction(ev *trace.InstEvent) {
 }
 func (r *statsRecorder) BankConflict(spad string, bank int, extraCycles, atCycle int64) {}
 func (r *statsRecorder) EndRun(totalCycles int64)                                       { r.total = totalCycles }
+func (r *statsRecorder) Fault(kind string, pc int, atCycle int64)                       {}
 
 // TestTracedRunBitIdentical is the tracer contract: attaching any
 // tracer must not change a single statistic of the run.
@@ -238,6 +239,7 @@ func (nullTracer) BeginRun(trace.RunMeta)                 {}
 func (nullTracer) Instruction(*trace.InstEvent)           {}
 func (nullTracer) BankConflict(string, int, int64, int64) {}
 func (nullTracer) EndRun(int64)                           {}
+func (nullTracer) Fault(string, int, int64)               {}
 
 func benchmarkRun(b *testing.B, tr trace.Tracer) {
 	p, err := asm.Assemble(traceTestPrograms["mlp-layer"])

@@ -107,7 +107,7 @@ func fuTid(ev *InstEvent) int {
 // Instruction emits the instruction's frontend span, execution span,
 // commit instant, and advances the stall counter track.
 func (c *Chrome) Instruction(ev *InstEvent) {
-	op := ev.Op.String()
+	op := ev.Inst.Op.String()
 	// Frontend: fetch through issue.
 	c.doc.Event(`{"ph":"X","pid":0,"tid":%d,"ts":%d,"dur":%d,"name":%q,"args":{"pc":%d,"idx":%d}}`,
 		tidFrontend, ev.Fetch, ev.Issue-ev.Fetch, op, ev.PC, ev.Index)

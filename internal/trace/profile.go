@@ -56,7 +56,7 @@ type FaultCount struct {
 	Count int64  `json:"count"`
 }
 
-// Fault counts an injected-fault event (FaultObserver extension).
+// Fault counts an injected-fault event.
 func (p *Profile) Fault(kind string, pc int, atCycle int64) {
 	for i := range p.faults {
 		if p.faults[i].Kind == kind {
@@ -81,7 +81,7 @@ func (p *Profile) Instruction(ev *InstEvent) {
 	for i, v := range ev.Attr {
 		p.causes[i] += v
 	}
-	op := int(ev.Op)
+	op := int(ev.Inst.Op)
 	if op >= len(p.opCycles) {
 		op = 0 // defensive: unknown opcodes pool at index 0
 	}

@@ -15,14 +15,14 @@ func feedProfile() *Profile {
 	p.Label = "synthetic"
 	p.BeginRun(RunMeta{ClockHz: 1e9, VectorLanes: 32, SpadBanks: 4})
 	events := []InstEvent{
-		{Index: 0, Op: core.SADD, FU: FUScalar, ExecCycles: 1, Gap: 5,
+		{Index: 0, Inst: core.Instruction{Op: core.SADD}, FU: FUScalar, ExecCycles: 1, Gap: 5,
 			Attr: Breakdown{CauseCompute: 3, CauseFrontend: 2}, RegWait: 1},
-		{Index: 1, Op: core.SADD, FU: FUScalar, ExecCycles: 1, Gap: 1,
+		{Index: 1, Inst: core.Instruction{Op: core.SADD}, FU: FUScalar, ExecCycles: 1, Gap: 1,
 			Attr: Breakdown{CauseCompute: 1}},
-		{Index: 2, Op: core.VLOAD, FU: FUVector, IsDMA: true, DMABytes: 128,
+		{Index: 2, Inst: core.Instruction{Op: core.VLOAD}, FU: FUVector, IsDMA: true, DMABytes: 128,
 			ExecCycles: 10, Gap: 12, Attr: Breakdown{CauseCompute: 10, CauseMemDep: 2},
 			MemDepWait: 2},
-		{Index: 3, Op: core.VAV, FU: FUVector, ExecCycles: 4, Gap: 6,
+		{Index: 3, Inst: core.Instruction{Op: core.VAV}, FU: FUVector, ExecCycles: 4, Gap: 6,
 			Attr: Breakdown{CauseCompute: 4, CauseFUBusy: 2}, FUBusyWait: 2,
 			BranchTaken: true},
 	}
@@ -146,7 +146,7 @@ func TestProfileReportJSON(t *testing.T) {
 func TestProfileUnknownOpcodePools(t *testing.T) {
 	p := NewProfile()
 	p.BeginRun(RunMeta{})
-	ev := InstEvent{Op: core.Opcode(250), FU: FU(250), Gap: 3, Attr: Breakdown{CauseCompute: 3}}
+	ev := InstEvent{Inst: core.Instruction{Op: core.Opcode(250)}, FU: FU(250), Gap: 3, Attr: Breakdown{CauseCompute: 3}}
 	p.Instruction(&ev)
 	p.EndRun(3)
 	rep := p.Report(0)

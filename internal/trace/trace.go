@@ -1,8 +1,8 @@
 // Package trace is the observability layer of the Cambricon-ACC
 // simulator: a low-overhead event stream threaded through the seven-stage
 // pipeline of internal/sim, with sinks that turn it into a Chrome Trace
-// Event / Perfetto timeline (Chrome) or a streaming stall-attribution
-// profile (Profile).
+// Event / Perfetto timeline (Chrome), a streaming stall-attribution
+// profile (Profile) or a plain per-instruction text trace (Text).
 //
 // The contract with the simulator's hot path is strict: a Machine with a
 // nil Tracer makes no trace calls at all and allocates nothing, and a
@@ -36,6 +36,11 @@ type Tracer interface {
 	BankConflict(spad string, bank int, extraCycles, atCycle int64)
 	// EndRun closes a run with the total simulated cycle count.
 	EndRun(totalCycles int64)
+	// Fault reports one injected fault (see internal/fault): its model
+	// kind (e.g. "gpr-bit"), the program counter of the instruction it
+	// hit, and the approximate simulated cycle (the last commit when the
+	// fault was applied). Fault-free runs never call it.
+	Fault(kind string, pc int, atCycle int64)
 }
 
 // RunMeta describes the machine a run executes on.
@@ -204,10 +209,11 @@ func appendInt(buf []byte, v int64) []byte {
 // All times are simulated cycles.
 type InstEvent struct {
 	// Index is the dynamic instruction index (0-based) and PC the static
-	// program counter.
+	// program counter. Inst is the instruction that ran: under a fetch
+	// fault the corrupted one, not the program's.
 	Index int64
 	PC    int
-	Op    core.Opcode
+	Inst  core.Instruction
 	FU    FU
 
 	// Stage timestamps: the cycle each pipeline milestone was reached.
@@ -218,7 +224,9 @@ type InstEvent struct {
 	// ExecCycles is the functional-unit occupancy (ExecDone - ExecStart).
 	ExecCycles int64
 
+	// BranchTaken marks a taken branch and Target its destination pc.
 	BranchTaken bool
+	Target      int
 
 	// IsDMA marks scratchpad<->main-memory transfers (VLOAD, VSTORE,
 	// MLOAD, MSTORE); DMABytes is the transfer size.
@@ -241,21 +249,9 @@ type InstEvent struct {
 	RegWait, ROBWait, MemQueueWait, MemDepWait, FUBusyWait int64
 }
 
-// FaultObserver is an optional Tracer extension for fault-injection
-// runs: a sink that also implements it receives one event per injected
-// fault (see internal/fault). Keeping it a separate interface means
-// existing Tracer implementations stay valid; the simulator discovers
-// support with a type assertion when the tracer is attached.
-type FaultObserver interface {
-	// Fault reports one injected fault: its model kind (e.g. "gpr-bit"),
-	// the program counter of the instruction it hit, and the approximate
-	// simulated cycle (the last commit when the fault was applied).
-	Fault(kind string, pc int, atCycle int64)
-}
-
-// Tee fans one event stream out to several sinks. Nil entries are
-// dropped; with zero live sinks it returns nil so the simulator keeps
-// its untraced fast path.
+// Tee fans one event stream out to several sinks, calling each in
+// argument order. Nil entries are dropped; with zero live sinks it
+// returns nil, so a machine it is attached to stays unobserved.
 func Tee(ts ...Tracer) Tracer {
 	live := make([]Tracer, 0, len(ts))
 	for _, t := range ts {
@@ -298,13 +294,8 @@ func (t tee) EndRun(totalCycles int64) {
 	}
 }
 
-// Fault forwards to the members that observe faults. A tee always
-// satisfies FaultObserver; forwarding to zero interested members is a
-// no-op, so the assertion in the simulator stays correct either way.
 func (t tee) Fault(kind string, pc int, atCycle int64) {
 	for _, s := range t {
-		if fo, ok := s.(FaultObserver); ok {
-			fo.Fault(kind, pc, atCycle)
-		}
+		s.Fault(kind, pc, atCycle)
 	}
 }

@@ -117,7 +117,8 @@ func (r *recorder) Instruction(ev *InstEvent) { r.insts = append(r.insts, *ev) }
 func (r *recorder) BankConflict(spad string, bank int, extraCycles, atCycle int64) {
 	r.conflicts++
 }
-func (r *recorder) EndRun(totalCycles int64) { r.total = totalCycles }
+func (r *recorder) EndRun(totalCycles int64)                 { r.total = totalCycles }
+func (r *recorder) Fault(kind string, pc int, atCycle int64) {}
 
 func TestTee(t *testing.T) {
 	if Tee() != nil {
