@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
 	"cambricon/internal/asm"
+	"cambricon/internal/trace"
 )
 
 // mixedFUProgram alternates independent vector and matrix operations, the
@@ -60,6 +62,85 @@ func TestMemQueueCapacityLimitsOverlap(t *testing.T) {
 	if sd.MemQueueFullStallCycles != 0 {
 		t.Errorf("deep queue should not fill on 32 in-flight ops, got %d stall cycles",
 			sd.MemQueueFullStallCycles)
+	}
+}
+
+// randomEffect is a seeded random instruction effect for driving the
+// timing model directly: any functional unit, 1 to 300 execution
+// cycles, up to four accesses of 0 to 256 bytes over the three spaces in
+// a 1 KiB range with random write flags, and now and then a taken branch.
+func randomEffect(rng *rand.Rand) effect {
+	var e effect
+	e.fu = fuKind(rng.Intn(4))
+	e.execCycles = 1 + rng.Int63n(300)
+	for k := rng.Intn(5); k > 0; k-- {
+		e.touch(space(rng.Intn(3)), rng.Intn(1024), rng.Intn(257), rng.Intn(2) == 0)
+	}
+	e.branchTaken = rng.Intn(8) == 0
+	return e
+}
+
+// TestMemQueueScanMatchesFullScan pins the memory-queue dependence scan,
+// which walks back from the newest entry and stops early, to the rule
+// it implements: a memory instruction leaves the queue at the largest
+// done time among the live entries that conflict with it
+// (overlapsConflicting), or at its entry time when none is later.
+// Random streams on shallow queues wrap the ring on nearly every
+// instruction, and halfway through, the pipeline is captured and the
+// run continues on a fresh pipeline restored from it.
+func TestMemQueueScanMatchesFullScan(t *testing.T) {
+	const n = 20000
+	for _, depth := range []int{1, 2, 3, 32} {
+		for _, width := range []int{1, 2} {
+			cfg := DefaultConfig()
+			cfg.MemQueueDepth, cfg.IssueWidth = depth, width
+			if err := cfg.validate(); err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(10*depth + width)))
+			var stats Stats
+			p := &pipeline{}
+			p.init(&cfg, &stats)
+			var live []mqEntry
+			waits := 0
+			for i := 0; i < n; i++ {
+				if i == n/2 {
+					fresh := &pipeline{}
+					fresh.restoreState(p.capture(), &cfg, &stats)
+					p = fresh
+				}
+				e := randomEffect(rng)
+				src := []uint8{uint8(rng.Intn(4))}
+				dst, hasDst := uint8(rng.Intn(4)), rng.Intn(2) == 0
+				// mqPos is memCount modulo the ring size, so until the
+				// ring wraps the live entries are its first memCount
+				// slots, and after that all of them.
+				live = append(live[:0], p.mq[:min(p.memCount, int64(len(p.mq)))]...)
+				var ev trace.InstEvent
+				p.advanceWith(src, dst, hasDst, &e, &ev)
+				if e.fu == fuScalar {
+					continue
+				}
+				want := ev.Issue + 2
+				for k := range live {
+					if ent := &live[k]; ent.done > want && overlapsConflicting(ent.acc(), e.acc()) {
+						want = ent.done
+					}
+				}
+				if got := ev.Issue + 2 + ev.MemDepWait; got != want {
+					t.Fatalf("depth %d width %d, instruction %d: dependence wait ends at %d, full scan says %d",
+						depth, width, i, got, want)
+				}
+				if ev.MemDepWait > 0 {
+					waits++
+				}
+			}
+			// A one-entry queue issues each memory instruction only after
+			// the previous one retires, so it never waits on a dependence.
+			if depth > 1 && waits == 0 {
+				t.Errorf("depth %d width %d: no memory instruction waited on a dependence", depth, width)
+			}
+		}
 	}
 }
 

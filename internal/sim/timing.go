@@ -41,10 +41,14 @@ type pipeline struct {
 	lastCommit  int64
 
 	// Memory queue ring (memory-touching instructions only). mqPos is
-	// memCount modulo the ring size; mqMaxDone is an upper bound on the
-	// done time of every entry ever inserted, letting the dependence scan
-	// prove "no entry can move the dependence time" without touching the
-	// ring.
+	// memCount modulo the ring size. mqRetire[j] is the running maximum
+	// of done over every entry inserted up to and including slot j: the
+	// cycle slot j retires by, in order, and so an upper bound on the done
+	// time of slot j and of every older entry. The dependence scan relies
+	// on that bound to stop at the first slot, walking back from the
+	// newest, that cannot move the dependence time. mqMaxDone is the bound
+	// over every entry ever inserted, letting the scan be skipped without
+	// touching the ring.
 	memCount  int64
 	mqPos     int
 	mqMaxDone int64
@@ -395,27 +399,30 @@ func (p *pipeline) advanceWith(src []uint8, dst uint8, hasDst bool, e *effect, e
 		entry := s + 2 // register read + AGU
 		regReadEnd = entry
 		dep := entry
-		// Scan the in-flight window for overlapping earlier accesses.
-		// Entries whose done time does not exceed the entry time cannot
-		// move the dependence point, so when the queue-wide done bound is
-		// already behind there is nothing to scan.
+		acc := e.acc()
+		wmask, amask := accessMasks(acc)
+		// Scan the in-flight window, newest first, for overlapping
+		// earlier accesses. Only an entry whose done time exceeds dep can
+		// move it, so the walk stops at the first slot whose mqRetire
+		// bound is at or below dep. dep ends as the largest done time
+		// among the conflicting entries whatever the visiting order.
 		if p.mqMaxDone > dep {
-			wmask, amask := accessMasks(e.acc())
 			span := p.memCount
 			if span > int64(len(p.mq)) {
 				span = int64(len(p.mq))
 			}
-			pos := p.mqPos - int(span)
-			if pos < 0 {
-				pos += len(p.mq)
-			}
-			for k := int64(0); k < span; k++ {
-				ent := &p.mq[pos]
-				if pos++; pos == len(p.mq) {
-					pos = 0
+			pos := p.mqPos
+			for ; span > 0; span-- {
+				if pos == 0 {
+					pos = len(p.mq)
 				}
+				pos--
+				if p.mqRetire[pos] <= dep {
+					break
+				}
+				ent := &p.mq[pos]
 				if ent.done > dep && ent.wmask&amask|ent.amask&wmask != 0 &&
-					overlapsConflicting(ent.acc(), e.acc()) {
+					overlapsConflicting(ent.acc(), acc) {
 					dep = ent.done
 				}
 			}
@@ -452,9 +459,9 @@ func (p *pipeline) advanceWith(src []uint8, dst uint8, hasDst bool, e *effect, e
 		idx := p.mqPos
 		ent := &p.mq[idx]
 		ent.done = done
-		copy(ent.accBuf[:e.nAccess], e.accessBuf[:e.nAccess])
-		ent.nAcc = e.nAccess
-		ent.wmask, ent.amask = accessMasks(ent.acc())
+		copy(ent.accBuf[:], acc)
+		ent.nAcc = len(acc)
+		ent.wmask, ent.amask = wmask, amask
 		if done > p.mqMaxDone {
 			p.mqMaxDone = done
 		}
