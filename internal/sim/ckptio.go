@@ -412,5 +412,19 @@ func readPipeState(r *ckptReader, cfg *Config) (*pipeState, error) {
 			len(p.iqIssued), len(p.robCommit), len(p.mq), len(p.mqRetire),
 			cfg.IssueQueueDepth, cfg.ROBDepth, cfg.MemQueueDepth)
 	}
+	// The timing model indexes each ring at its position, so a position
+	// past its ring would panic the resumed run.
+	for _, ring := range []struct {
+		name   string
+		pos, n int
+	}{
+		{"issue-queue", p.iqPos, len(p.iqIssued)},
+		{"reorder-buffer", p.robPos, len(p.robCommit)},
+		{"memory-queue", p.mqPos, len(p.mq)},
+	} {
+		if ring.pos >= ring.n {
+			return nil, fmt.Errorf("sim: checkpoint: %s position %d is outside its %d-entry ring", ring.name, ring.pos, ring.n)
+		}
+	}
 	return p, nil
 }

@@ -218,12 +218,49 @@ func TestCraftedCheckpointCountFailsBeforeSizing(t *testing.T) {
 	}
 }
 
+// craftPipePos is a valid-CRC mid-run checkpoint of the checkpoint
+// kernel on cfg, with its pipeline state changed by set.
+func craftPipePos(tb testing.TB, cfg Config, set func(*pipeState)) []byte {
+	tb.Helper()
+	m := ckptMachine(tb, cfg, true)
+	if _, _, err := m.RunUntil(17); err != nil {
+		tb.Fatal(err)
+	}
+	snap := m.Checkpoint()
+	set(snap.pipe)
+	return encodeCheckpoint(tb, snap)
+}
+
+// TestCraftedCheckpointPositionFails pins that a ring position past its
+// ring fails the read, naming the ring. Such a file used to read back
+// and restore, and then `Resume` panicked with an index out of range.
+func TestCraftedCheckpointPositionFails(t *testing.T) {
+	for _, c := range []struct {
+		ring string
+		set  func(*pipeState)
+	}{
+		{"issue-queue", func(p *pipeState) { p.iqPos = 1000 }},
+		{"reorder-buffer", func(p *pipeState) { p.robPos = 1000 }},
+		{"memory-queue", func(p *pipeState) { p.mqPos = 1000 }},
+	} {
+		t.Run(c.ring, func(t *testing.T) {
+			raw := craftPipePos(t, DefaultConfig(), c.set)
+			_, err := ReadCheckpoint(bytes.NewReader(raw))
+			if err == nil || !strings.Contains(err.Error(), c.ring+" position 1000 ") {
+				t.Fatalf("error = %v, want the %s position rejected", err, c.ring)
+			}
+		})
+	}
+}
+
 // FuzzReadCheckpoint feeds arbitrary bytes to the CAMCKPT1 reader. Each
 // input is framed with the magic and a valid CRC so it reaches the
 // parser. A read must never panic (or die sizing a buffer from a
 // crafted count); a successful read must build a machine from its
 // configuration (what `camsim -resume` does next) and must re-encode,
 // and that encoding must read back and re-encode to the same bytes.
+// Then the checkpoint must restore onto that machine, and resuming it
+// under a watchdog may fail but must not panic.
 func FuzzReadCheckpoint(f *testing.F) {
 	// Small memories keep the seeds, and so the mutations, short.
 	cfg := DefaultConfig()
@@ -239,6 +276,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 		encodeCheckpoint(f, fresh.Snapshot()),
 		encodeCheckpoint(f, midRun.Checkpoint()),
 		craftPageCount(f, cfg, 2),
+		craftPipePos(f, cfg, func(p *pipeState) { p.mqPos = 1000 }),
 	} {
 		f.Add(raw[len(ckptMagic) : len(raw)-4])
 	}
@@ -249,7 +287,8 @@ func FuzzReadCheckpoint(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if _, err := New(snap.Config()); err != nil {
+		m, err := New(snap.Config())
+		if err != nil {
 			t.Fatalf("a checkpoint that reads back builds no machine: %v", err)
 		}
 		first := encodeCheckpoint(t, snap)
@@ -260,5 +299,11 @@ func FuzzReadCheckpoint(f *testing.F) {
 		if second := encodeCheckpoint(t, again); !bytes.Equal(first, second) {
 			t.Fatal("re-encoding a read-back checkpoint changed the bytes")
 		}
+		if err := m.Restore(snap); err != nil {
+			t.Fatalf("a checkpoint that reads back does not restore onto its own machine: %v", err)
+		}
+		m.SetMaxCycles(100000)
+		// A crafted state may end the run in an error; only a panic fails.
+		_, _ = m.Resume()
 	})
 }
