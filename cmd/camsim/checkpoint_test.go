@@ -8,8 +8,10 @@ package main
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -25,7 +27,8 @@ import (
 // -checkpoint-at 12 -checkpoint that finishes anyway, and a -resume of
 // the file it wrote must print identical statistics. A -resume with
 // -itrace must print the plain run's -itrace lines from index 12 on,
-// then the same statistics. The file stores only nonzero scratchpad
+// then the same statistics, and a -resume with -dump must print what
+// -dump prints after the plain run. The file stores only nonzero scratchpad
 // pages, and a version-1 file (dense scratchpads) is refused, naming
 // both versions.
 func TestCheckpointResumeAcrossProcesses(t *testing.T) {
@@ -67,6 +70,18 @@ func TestCheckpointResumeAcrossProcesses(t *testing.T) {
 		t.Fatalf("traced resume diverges from the traced run's lines from index 12 on:\n--- want ---\n%s\n--- got ---\n%s", want, got)
 	}
 
+	dumped, stderr, err := cmdtest.Run(t, "camsim", "-dump", "200:1", prog)
+	if err != nil || !strings.Contains(dumped, "\n[200:1] ") {
+		t.Fatalf("plain run with -dump 200:1: %v, stdout %q\n%s", err, dumped, stderr)
+	}
+	got, stderr, err = cmdtest.Run(t, "camsim", "-resume", ckpt, "-dump", "200:1")
+	if err != nil {
+		t.Fatalf("resume with -dump: %v\n%s", err, stderr)
+	}
+	if got != dumped {
+		t.Fatalf("resume with -dump diverges from the plain run:\n--- want ---\n%s\n--- got ---\n%s", dumped, got)
+	}
+
 	raw, err := os.ReadFile(ckpt)
 	if err != nil {
 		t.Fatal(err)
@@ -86,6 +101,42 @@ func TestCheckpointResumeAcrossProcesses(t *testing.T) {
 	if _, stderr, err := cmdtest.Run(t, "camsim", "-resume", v1, "-json"); err == nil ||
 		!strings.Contains(stderr, "unsupported version 1 (want 2)") {
 		t.Fatalf("version-1 resume: err = %v, stderr %q; want it refused naming both versions", err, stderr)
+	}
+}
+
+// TestResumeRejectsProgramFlags pins that -resume refuses each flag
+// that loads, seeds or prints a program, with exit status 2 and a
+// message naming the flag, instead of ignoring it: the checkpoint
+// carries the program and the machine state.
+func TestResumeRejectsProgramFlags(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := runCheckpointed(loadSumLoop(t), 12, &buf); err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(t.TempDir(), "sum_loop.ckpt")
+	if err := os.WriteFile(ckpt, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-gpr", "1=5"},
+		{"-poke", "100=1.5"},
+		{"-bin"},
+		{"-v"},
+		{"-dump-decoded"},
+	} {
+		t.Run(args[0], func(t *testing.T) {
+			stdout, stderr, err := cmdtest.Run(t, "camsim", append([]string{"-resume", ckpt}, args...)...)
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("exit = %v, want status 2; stdout %q", err, stdout)
+			}
+			if !strings.Contains(stderr, args[0]+" does not apply to -resume") {
+				t.Errorf("stderr %q does not name %s", stderr, args[0])
+			}
+			if stdout != "" {
+				t.Errorf("rejected run printed %q", stdout)
+			}
+		})
 	}
 }
 

@@ -36,7 +36,7 @@
 // uninterrupted run's:
 //
 //	camsim -checkpoint-at 500 -checkpoint c.bin prog.cam
-//	camsim -resume c.bin
+//	camsim -resume c.bin [-dump addr:count ...]
 package main
 
 import (
@@ -108,6 +108,15 @@ func main() {
 			fmt.Fprintln(os.Stderr, "camsim: -resume replaces the program; drop -benchmark, -checkpoint-at and file arguments")
 			os.Exit(2)
 		}
+		// These flags load, seed or print a program; the checkpoint
+		// carries the program and the machine state.
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "gpr", "poke", "bin", "v", "dump-decoded":
+				fmt.Fprintf(os.Stderr, "camsim: -%s does not apply to -resume; the checkpoint carries the program and its state\n", f.Name)
+				os.Exit(2)
+			}
+		})
 		f, err := os.Open(*resumeFile)
 		if err != nil {
 			fatal(fmt.Errorf("-resume: %w", err))
@@ -124,6 +133,7 @@ func main() {
 			fatal(err)
 		}
 		printStats(&stats, *jsonOut, *hist)
+		printDumps(m, dumps)
 		return
 	}
 
@@ -257,6 +267,11 @@ func main() {
 		fatal(err)
 	}
 	printStats(&stats, *jsonOut, *hist)
+	printDumps(m, dumps)
+}
+
+// printDumps prints each -dump region of main memory after a run.
+func printDumps(m *sim.Machine, dumps []string) {
 	for _, d := range dumps {
 		addr, count, err := parsePair(strings.Replace(d, ":", "=", 1))
 		if err != nil {
