@@ -43,7 +43,7 @@ perfbench-test:
 # They cover the simulator's instruction kernels, the scratchpad views,
 # and the fixed-point and float64 matrix-vector kernels under them.
 bench:
-	$(GO) test -run '^$$' -bench 'Kernel|AccessCycles|NumsView|ReadNumsInto' -benchmem -benchtime 50x ./internal/sim ./internal/mem ./internal/fixed ./internal/nn
+	$(GO) test -run '^$$' -bench 'Kernel|AccessCycles|NumsView' -benchmem -benchtime 50x ./internal/sim ./internal/mem ./internal/fixed ./internal/nn
 	$(GO) test -run '^$$' -bench 'SuiteSerial|SuiteParallel' -benchmem -benchtime 2x ./internal/bench
 
 # Host-benchmark regression gate: re-measure the warm-start layer and

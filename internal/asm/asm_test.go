@@ -279,7 +279,7 @@ func TestBuilder(t *testing.T) {
 	b.Label(top)
 	b.Opc(core.SADD, "decrement", R(1), R(1), Imm(-1))
 	b.Op(core.CB, Lbl(top), R(1))
-	p, err := b.Assemble()
+	p, err := Assemble(b.Source())
 	if err != nil {
 		t.Fatalf("%v\n%s", err, b.Source())
 	}

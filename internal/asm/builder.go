@@ -64,6 +64,3 @@ func (b *Builder) NewLabel(prefix string) string {
 
 // Source returns the accumulated assembly text.
 func (b *Builder) Source() string { return strings.Join(b.lines, "\n") + "\n" }
-
-// Assemble assembles the accumulated source.
-func (b *Builder) Assemble() (*Program, error) { return Assemble(b.Source()) }

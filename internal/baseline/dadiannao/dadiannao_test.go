@@ -154,68 +154,3 @@ func TestUnsupportedErrorMessage(t *testing.T) {
 		}
 	}
 }
-
-func TestVLIWEncodingRoundTrip(t *testing.T) {
-	for _, name := range []string{"MLP", "CNN", "RBM"} {
-		b, _ := workload.ByName(name)
-		p, err := Compile(&b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		words, err := EncodeProgram(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(words) != p.Len() {
-			t.Fatalf("%s: %d words for %d instructions", name, len(words), p.Len())
-		}
-		for i, w := range words {
-			back, err := Decode(w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := p.Instructions[i]
-			if want.Repeat <= 0 {
-				want.Repeat = 1
-			}
-			if back != want {
-				t.Errorf("%s[%d]: %+v != %+v", name, i, back, want)
-			}
-		}
-	}
-}
-
-func TestVLIWEncodingRejectsMalformed(t *testing.T) {
-	if _, err := Encode(Instruction{Kind: 9}); err == nil {
-		t.Error("bad kind accepted")
-	}
-	if _, err := Encode(Instruction{MACs: -1}); err == nil {
-		t.Error("negative work accepted")
-	}
-	if _, err := Encode(Instruction{Repeat: 1000}); err == nil {
-		t.Error("oversize repeat accepted")
-	}
-	var w Word
-	w[0] = 200
-	if _, err := Decode(w); err == nil {
-		t.Error("bad kind word decoded")
-	}
-	w[0] = 0
-	w[7] = 1
-	if _, err := Decode(w); err == nil {
-		t.Error("dirty reserved lane decoded")
-	}
-}
-
-func TestVLIWCodeSizeContrast(t *testing.T) {
-	// A DaDianNao instruction is 64 bytes; a Cambricon instruction is 8.
-	// The MLP needs 3 VLIW words (192 bytes) vs 49 Cambricon instructions
-	// (392 bytes) — few instructions, but each one enormously wide, which
-	// is exactly the decoder-complexity trade the paper argues about.
-	b, _ := workload.ByName("MLP")
-	p, _ := Compile(&b)
-	words, _ := EncodeProgram(p)
-	if got := len(words) * 64; got != 192 {
-		t.Errorf("MLP VLIW image = %d bytes", got)
-	}
-}

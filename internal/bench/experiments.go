@@ -17,8 +17,6 @@ import (
 type Experiment struct {
 	// ID is the short identifier used by cmd/camrepro (-exp flag).
 	ID string
-	// Title names the paper artifact.
-	Title string
 	// Run executes the experiment over the shared suite.
 	Run func(s *Suite) (*Table, error)
 }
@@ -26,18 +24,18 @@ type Experiment struct {
 // Experiments lists every reproduced table and figure in paper order.
 func Experiments() []Experiment {
 	return []Experiment{
-		{"tab1", "Table I: overview of Cambricon instructions", RunTableI},
-		{"tab2", "Table II: prototype accelerator parameters", RunTableII},
-		{"tab3", "Table III: benchmark networks", RunTableIII},
-		{"flex", "Section V-B1: flexibility (DaDianNao 3/10 vs Cambricon 10/10)", RunFlexibility},
-		{"fig10", "Figure 10: code-length reduction vs GPU, x86, MIPS", RunFig10},
-		{"fig11", "Figure 11: instruction-type percentages", RunFig11},
-		{"fig12", "Figure 12: speedup vs x86, GPU, DaDianNao", RunFig12},
-		{"fig13", "Figure 13: energy reduction vs GPU, DaDianNao", RunFig13},
-		{"tab4", "Table IV: layout characteristics", RunTableIV},
-		{"logreg", "Section VI: logistic-regression extension", RunLogistic},
-		{"ablate", "Design-choice ablations (extension)", RunAblations},
-		{"sweep", "MMV utilization sweep (extension)", RunMMVSweep},
+		{"tab1", RunTableI},
+		{"tab2", RunTableII},
+		{"tab3", RunTableIII},
+		{"flex", RunFlexibility},
+		{"fig10", RunFig10},
+		{"fig11", RunFig11},
+		{"fig12", RunFig12},
+		{"fig13", RunFig13},
+		{"tab4", RunTableIV},
+		{"logreg", RunLogistic},
+		{"ablate", RunAblations},
+		{"sweep", RunMMVSweep},
 	}
 }
 

@@ -45,10 +45,10 @@ type faultTarget struct {
 	// index 0 is the run-start (prepared) snapshot. lv is the golden
 	// run's liveness (last-read schedule) and golden its observation,
 	// both recorded during the same preparation pass — together they let
-	// RunSiteBuf prove mid-run convergence and return the golden result
-	// without simulating a faulted run's suffix. All three are immutable
-	// and shared by every campaign worker; lv/golden may be nil (the
-	// early exit then simply never triggers).
+	// RunSiteBuf predict a dma-bit fault's firing index, prove mid-run
+	// convergence and return the golden result without simulating a
+	// faulted run's suffix. All three are immutable and shared by every
+	// campaign worker, and set together or not at all.
 	ckptMu  sync.Mutex
 	ckptK   int
 	ckpts   []*sim.Snapshot
@@ -125,18 +125,13 @@ func (t *faultTarget) finish(m *sim.Machine, stats sim.Stats, err error, golden 
 	return obs
 }
 
-// ffDMAHop is the observed-segment length RunSiteBuf hops in while
-// waiting for a windowed dma-bit fault (first transfer at or after At)
-// to land: short enough that the observed fraction of the run stays
-// negligible, long enough that segment overhead does not.
-const ffDMAHop = 256
-
 // PrepareCheckpoints captures k evenly spaced mid-run checkpoints of the
 // fault-free run (plus the run-start snapshot), for RunSiteBuf to
 // fast-forward from. Requires the suite's warm-start layer — without
 // pooled machines and prepared snapshots there is nothing to restore
-// onto — and reports any simulation failure, which the campaign treats
-// as "fall back to the ordinary path".
+// onto — and reports any simulation failure, a golden output that fails
+// its check, or a run whose liveness cannot be derived, all of which
+// the campaign treats as "fall back to the ordinary path".
 func (t *faultTarget) PrepareCheckpoints(k int) error {
 	if k <= 0 {
 		return fmt.Errorf("bench: %s: checkpoint count %d must be positive", t.b.prog.Name, k)
@@ -173,16 +168,13 @@ func (t *faultTarget) buildCheckpoints(k int) ([]*sim.Snapshot, *sim.Liveness, *
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	gobs := t.finish(m, st, nil, true, nil)
-	golden := &gobs
-	if gobs.Err != nil {
-		golden = nil
+	golden := t.finish(m, st, nil, true, nil)
+	if golden.Err != nil {
+		return nil, nil, nil, fmt.Errorf("bench: %s: golden run: %w", t.b.prog.Name, golden.Err)
 	}
-	lv, lverr := rec.Liveness(t.suite.runConfig(0))
-	if lverr != nil {
-		// Convergence exits are an optimization: without a usable trace
-		// the checkpoints still fast-forward the fault-free prefix.
-		lv = nil
+	lv, err := rec.Liveness(t.suite.runConfig(0))
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("bench: %s: golden liveness: %w", t.b.prog.Name, err)
 	}
 	n := st.Instructions
 	start, err := t.suite.preparedSnapshot(ctx, t.b)
@@ -210,7 +202,7 @@ func (t *faultTarget) buildCheckpoints(k int) ([]*sim.Snapshot, *sim.Liveness, *
 		ckpts = append(ckpts, m.Checkpoint())
 		last = at
 	}
-	return ckpts, lv, golden, nil
+	return ckpts, lv, &golden, nil
 }
 
 // RunSiteBuf is RunBuf for one fault site, fast-forwarded: restore the
@@ -242,20 +234,18 @@ func (t *faultTarget) RunSiteBuf(f fault.Fault, maxCycles int64, buf []byte) (ob
 	}()
 	// target is the dynamic index of the firing instruction: At for the
 	// point models; for dma-bit — which fires at the first offered
-	// payload at or after At — the golden run's first transfer there.
+	// payload at or after At — the golden run's first transfer there,
+	// which the fault-free prefix offers identically.
 	target := f.At
-	haveOffer := false
-	if f.Model == fault.ModelDMABit && lv != nil {
+	if f.Model == fault.ModelDMABit {
 		offer, ok := lv.DMAOfferAfter(f.At)
-		if !ok && golden != nil {
+		if !ok {
 			// The golden run offers no DMA payload at or after the site:
 			// the fault can never fire, so the run is the golden run.
 			t.suite.sm().ffConverged()
 			return goldenObservation(golden, buf)
 		}
-		if ok {
-			target, haveOffer = offer, true
-		}
+		target = offer
 	}
 	// Nearest checkpoint at or before the firing index (ckpts ascend).
 	best := ckpts[0]
@@ -280,33 +270,20 @@ func (t *faultTarget) RunSiteBuf(f fault.Fault, maxCycles int64, buf []byte) (ob
 	if target > stats.Instructions {
 		stats, done, err = m.RunUntil(target)
 	}
-	// Phase 2: the firing window, observed. Every resumed segment re-arms
-	// the injector (BeginRun), so detaching promptly once the fault has
+	// Phase 2: the firing instruction, observed. Every resumed segment
+	// re-arms the injector (BeginRun), so detaching it once the fault has
 	// fired is what keeps one-shot semantics identical to RunBuf's single
 	// attached run.
 	if err == nil && !done {
-		inj := fault.New(f)
-		m.SetInjector(inj)
-		// spad/gpr/fetch fire exactly at At, dma-bit with a known offer at
-		// the offer: one observed instruction. Without a liveness trace the
-		// dma firing index is unknown — hop forward in short observed
-		// segments until the fault lands or the run ends (also the
-		// defensive fallback should a predicted offer not fire).
-		if f.Model != fault.ModelDMABit || haveOffer {
-			stats, done, err = m.RunUntil(target + 1)
-		}
-		if f.Model == fault.ModelDMABit {
-			for err == nil && !done && !inj.Fired() {
-				stats, done, err = m.RunUntil(stats.Instructions + ffDMAHop)
-			}
-		}
+		m.SetInjector(fault.New(f))
+		stats, done, err = m.RunUntil(target + 1)
 		m.SetInjector(nil)
 	}
 	// Phase 3: faulted remainder, unobserved. At each later checkpoint
 	// boundary, try to prove convergence with the golden run; the proof's
 	// retry hint skips boundaries where a still-live location is known to
 	// keep the check failing, and a hard divergence stops checking.
-	if err == nil && !done && lv != nil && golden != nil {
+	if err == nil && !done {
 		retryAt := int64(0)
 		for _, s := range ckpts {
 			j := s.Instructions()

@@ -3,13 +3,14 @@ package bench
 // Tests pinning the checkpoint fast-forwarding contract (docs/PERF.md,
 // Level 5): a campaign with Checkpoints set produces a report
 // byte-identical to the ordinary full-replay campaign — across all five
-// fault models, so the stuck-lane fallback and the windowed dma-bit hop
-// path are exercised too — and degrades cleanly when checkpoints cannot
-// be prepared.
+// fault models, so the stuck-lane fallback and the predicted dma-bit
+// firing index are exercised too — and degrades cleanly when checkpoints
+// cannot be prepared.
 
 import (
 	"bytes"
 	"context"
+	"strings"
 	"testing"
 
 	"cambricon/internal/asm"
@@ -127,6 +128,24 @@ func TestCampaignFastForwardColdFallback(t *testing.T) {
 	}
 	if got := reg.Counter(fault.MetricFaultFastForward, "").Value(); got != 0 {
 		t.Fatalf("cold suite fast-forwarded %d runs, want 0", got)
+	}
+}
+
+// TestPrepareCheckpointsRefusesWrongGolden pins that fast-forwarding
+// has one mode: a preparation pass whose golden output fails its check
+// fails PrepareCheckpoints, so the campaign replays the target instead
+// of fast-forwarding without a golden observation to converge to.
+func TestPrepareCheckpointsRefusesWrongGolden(t *testing.T) {
+	s := NewSuite(7)
+	targets, err := s.FaultTargets()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgt := targets[0].(*faultTarget)
+	wrong := []byte("not the recorded output")
+	tgt.b.out.Store(&wrong)
+	if err := tgt.PrepareCheckpoints(4); err == nil || !strings.Contains(err.Error(), "golden run") {
+		t.Fatalf("PrepareCheckpoints with a wrong golden output: err = %v, want a golden-run error", err)
 	}
 }
 

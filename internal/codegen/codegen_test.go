@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"cambricon/internal/core"
 	"cambricon/internal/fixed"
 	"cambricon/internal/sim"
 )
@@ -449,55 +448,6 @@ func TestGenLogisticTrainingMatchesReference(t *testing.T) {
 	execute(t, p, err)
 	if p.Name != "Logistic-Training" {
 		t.Errorf("name %q", p.Name)
-	}
-}
-
-func TestTiledElementwiseBeyondScratchpadCapacity(t *testing.T) {
-	// 100,000 elements = 200 KB per operand, far past the 64 KB vector
-	// scratchpad: the generated program must stream tiles and still match
-	// the reference, including the 1,696-element remainder tile.
-	ops := []core.Opcode{core.VAV, core.VSV, core.VMV, core.VGTM}
-	for _, op := range ops {
-		op := op
-		t.Run(op.String(), func(t *testing.T) {
-			p, err := GenTiledElementwise(op, 100_000, 8192, 13)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m := newSim(t, sim.DefaultConfig())
-			stats, err := p.Execute(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// 3 streams x 200 KB of DMA traffic.
-			if stats.DMABytes < 3*200_000 {
-				t.Errorf("DMA bytes = %d", stats.DMABytes)
-			}
-		})
-	}
-}
-
-func TestTiledElementwiseRejectsBadShapes(t *testing.T) {
-	if _, err := GenTiledElementwise(core.VEXP, 100, 10, 1); err == nil {
-		t.Error("unary op should be rejected")
-	}
-	if _, err := GenTiledElementwise(core.VAV, 0, 10, 1); err == nil {
-		t.Error("zero length should be rejected")
-	}
-	if _, err := GenTiledElementwise(core.VAV, 100, 20000, 1); err == nil {
-		t.Error("tile exceeding scratchpad should be rejected")
-	}
-}
-
-func TestTiledExactTileMultiple(t *testing.T) {
-	// No remainder path.
-	p, err := GenTiledElementwise(core.VAV, 4096, 1024, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := newSim(t, sim.DefaultConfig())
-	if _, err := p.Execute(m); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -229,16 +229,3 @@ var nameToOp = func() map[string]Opcode {
 
 // IsBranch reports whether op can redirect control flow.
 func (op Opcode) IsBranch() bool { return op == JUMP || op == CB }
-
-// AccessesMemory reports whether op touches main memory or a scratchpad and
-// therefore flows through the AGU and memory queue of the prototype pipeline
-// (Section IV): data transfer instructions plus every vector/matrix
-// computational or logical instruction.
-func (op Opcode) AccessesMemory() bool {
-	switch op.Type() {
-	case TypeDataTransfer, TypeVector, TypeMatrix:
-		return true
-	default:
-		return false
-	}
-}

@@ -104,19 +104,6 @@ func TestIsBranch(t *testing.T) {
 	}
 }
 
-func TestAccessesMemory(t *testing.T) {
-	cases := map[Opcode]bool{
-		VLOAD: true, MMV: true, VAV: true, VGTM: true, RV: true,
-		SADD: false, JUMP: false, CB: false, SGT: false,
-		SLOAD: true, // scalar load goes through the L1 cache via the AGU
-	}
-	for op, want := range cases {
-		if got := op.AccessesMemory(); got != want {
-			t.Errorf("%v.AccessesMemory() = %v, want %v", op, got, want)
-		}
-	}
-}
-
 func TestTypesOrderMatchesFig11(t *testing.T) {
 	ts := Types()
 	want := []Type{TypeDataTransfer, TypeControl, TypeMatrix, TypeVector, TypeScalar}

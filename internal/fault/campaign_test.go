@@ -271,7 +271,7 @@ func TestCampaignDispatchOrderInvisible(t *testing.T) {
 	const seed, n = 5, 25
 	tgt := &scriptedTarget{name: "fake"}
 	golden := tgt.Run(nil, 0)
-	sites := Sites(BenchSeed(seed, tgt.name), n, golden.Geometry)
+	sites := SitesOf(BenchSeed(seed, tgt.name), n, golden.Geometry, nil)
 	sorted := true
 	for i := 1; i < len(sites); i++ {
 		if sites[i].At < sites[i-1].At {

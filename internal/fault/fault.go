@@ -250,13 +250,6 @@ func (s *Single) Fault() Fault { return s.f }
 // BeginRun re-arms the transient fault.
 func (s *Single) BeginRun() { s.fired = false }
 
-// Fired reports whether the transient fault has been applied this run.
-// Fast-forward targets poll it to learn when a windowed model (dma-bit
-// fires at the first transfer at or after At) has landed, so they can
-// detach the injector and resume the remainder on the unobserved hot
-// path.
-func (s *Single) Fired() bool { return s.fired }
-
 // BeforeExec applies state-resident transients (GPR and scratchpad
 // flips) when their dynamic instruction arrives.
 func (s *Single) BeforeExec(idx int64, st State) {

@@ -107,12 +107,12 @@ func TestSitesDeterministicAndBounded(t *testing.T) {
 		VectorLanes:     32,
 		MatrixLanes:     1024,
 	}
-	a := Sites(42, 50, geo)
-	b := Sites(42, 50, geo)
+	a := SitesOf(42, 50, geo, nil)
+	b := SitesOf(42, 50, geo, nil)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same seed produced different sites")
 	}
-	c := Sites(43, 50, geo)
+	c := SitesOf(43, 50, geo, nil)
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds produced identical sites")
 	}

@@ -38,19 +38,11 @@ func (r *rng) intn(n int) int {
 	return int(r.next() % uint64(n))
 }
 
-// Sites derives n deterministic fault sites from seed, bounded by geo.
-// Models rotate round-robin so every sweep covers the whole taxonomy;
-// coordinates are drawn from the seeded stream. The same (seed, n, geo)
+// SitesOf derives n deterministic fault sites from seed, bounded by geo.
+// Models rotate round-robin over models, or over the whole taxonomy when
+// models is nil or empty, so every sweep covers the subset; coordinates
+// are drawn from the seeded stream. The same (seed, n, geo, models)
 // always yields the same slice.
-func Sites(seed uint64, n int, geo Geometry) []Fault {
-	return SitesOf(seed, n, geo, nil)
-}
-
-// SitesOf is Sites restricted to a model subset: sites rotate round-robin
-// over models instead of the full taxonomy, drawing coordinates from the
-// same seeded stream. A nil or empty subset means all models,
-// byte-identical to Sites; the same (seed, n, geo, models) always yields
-// the same slice.
 func SitesOf(seed uint64, n int, geo Geometry, models []Model) []Fault {
 	if n <= 0 {
 		return nil

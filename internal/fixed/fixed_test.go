@@ -274,28 +274,7 @@ func TestQuickBytesRoundTrip(t *testing.T) {
 }
 
 // Property: Sat clamps exactly to [Min, Max].
-func TestQuickAccSat(t *testing.T) {
-	f := func(v int64) bool {
-		a := Acc(v)
-		s := a.Sat()
-		switch {
-		case v > int64(Max):
-			return s == Max
-		case v < int64(Min):
-			return s == Min
-		default:
-			return s == Num(v)
-		}
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestAccFloat(t *testing.T) {
-	if got := Acc(512).Float(); got != 2 {
-		t.Errorf("Acc.Float = %v", got)
-	}
+func TestMulAccSat(t *testing.T) {
 	if got := MulAcc(FromFloat(2), FromFloat(3)); AccSat(got) != FromFloat(6) {
 		t.Errorf("MulAcc/AccSat = %v", AccSat(got).Float())
 	}

@@ -513,17 +513,6 @@ func (l *Ledger) Get(id int64) (Row, bool) {
 	return st.row, true
 }
 
-// Segments reports the on-disk segment count (incl. active); 0 for a
-// memory-only ledger.
-func (l *Ledger) Segments() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return 0
-	}
-	return len(l.sealed) + 1
-}
-
 // Close syncs and seals the active segment. Further appends fail.
 func (l *Ledger) Close() error {
 	l.mu.Lock()

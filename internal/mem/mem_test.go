@@ -26,13 +26,13 @@ func TestScratchpadReadWriteRoundTrip(t *testing.T) {
 
 func TestScratchpadBoundsChecks(t *testing.T) {
 	s := newPad(t, "vector", 128, 4, 64)
-	if _, err := s.ReadBytes(120, 16); err == nil {
+	if err := s.ReadBytesInto(120, make([]byte, 16)); err == nil {
 		t.Error("read past end must fail")
 	}
-	if _, err := s.ReadBytes(-1, 4); err == nil {
+	if err := s.ReadBytesInto(-1, make([]byte, 4)); err == nil {
 		t.Error("negative address must fail")
 	}
-	if _, err := s.ReadBytes(0, -4); err == nil {
+	if err := s.Check(0, -4); err == nil {
 		t.Error("negative size must fail")
 	}
 	if err := s.WriteBytes(126, []byte{1, 2, 3}); err == nil {
@@ -68,26 +68,20 @@ func TestScratchpadFlipBit(t *testing.T) {
 	if !s.FlipBit(10, 3) {
 		t.Fatal("in-range flip reported out of range")
 	}
-	b, err := s.ReadBytes(10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b[0] != 1<<3 {
-		t.Fatalf("byte after flip: %#x", b[0])
+	if b := s.data[10]; b != 1<<3 {
+		t.Fatalf("byte after flip: %#x", b)
 	}
 	// Flipping again restores the original value.
 	s.FlipBit(10, 3)
-	b, _ = s.ReadBytes(10, 1)
-	if b[0] != 0 {
-		t.Fatalf("double flip not identity: %#x", b[0])
+	if b := s.data[10]; b != 0 {
+		t.Fatalf("double flip not identity: %#x", b)
 	}
 	// Bit indices reduce mod 8; out-of-range addresses are rejected.
 	if !s.FlipBit(10, 11) {
 		t.Fatal("bit 11 should reduce to bit 3")
 	}
-	b, _ = s.ReadBytes(10, 1)
-	if b[0] != 1<<3 {
-		t.Fatalf("bit reduced flip: %#x", b[0])
+	if b := s.data[10]; b != 1<<3 {
+		t.Fatalf("bit reduced flip: %#x", b)
 	}
 	if s.FlipBit(-1, 0) || s.FlipBit(128, 0) {
 		t.Fatal("out-of-range flip must report false")
@@ -234,7 +228,7 @@ func TestQuickScratchpadRoundTrip(t *testing.T) {
 		for i, v := range vals {
 			ns[i] = fixed.Num(v)
 		}
-		if fixed.Bytes(len(ns)) > s.Size()-a {
+		if fixed.Bytes(len(ns)) > len(s.data)-a {
 			return true // out of range by construction; skip
 		}
 		if err := s.WriteNums(a, ns); err != nil {
@@ -258,21 +252,20 @@ func TestQuickScratchpadRoundTrip(t *testing.T) {
 
 func TestAccessors(t *testing.T) {
 	s := newPad(t, "vector", 1024, 4, 64)
-	if s.Name() != "vector" || s.Size() != 1024 || s.Banks() != 4 {
+	if s.Name() != "vector" || len(s.data) != 1024 || s.banks != 4 {
 		t.Error("accessors wrong")
 	}
 	m := newMainMem(t, 256)
-	if m.Size() != 256 {
+	if len(m.data) != 256 {
 		t.Error("main size wrong")
 	}
-	b, err := m.ReadBytes(0, 8)
-	if err != nil || len(b) != 8 {
-		t.Error("main ReadBytes")
+	if err := m.ReadBytesInto(0, make([]byte, 8)); err != nil {
+		t.Error("main ReadBytesInto")
 	}
 	if err := m.WriteBytes(4, []byte{1, 2}); err != nil {
 		t.Error(err)
 	}
-	if _, err := m.ReadBytes(250, 16); err == nil {
+	if err := m.ReadBytesInto(250, make([]byte, 16)); err == nil {
 		t.Error("out-of-range read must fail")
 	}
 	if err := m.WriteBytes(-1, []byte{1}); err == nil {

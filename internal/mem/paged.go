@@ -37,9 +37,6 @@ type paged struct {
 	dirty []uint64
 }
 
-// Size returns the capacity in bytes.
-func (t *paged) Size() int { return len(t.data) }
-
 // pageSpan returns the byte range of page p, clamped to the capacity
 // (the last page may be short), and whether p is a page of the memory.
 func (t *paged) pageSpan(p int) (lo, hi int, ok bool) {
@@ -63,16 +60,6 @@ func (t *paged) Check(addr, n int) error {
 		return fmt.Errorf("mem: %s: access [%d, %d) outside capacity %d", t.name, addr, addr+n, len(t.data))
 	}
 	return nil
-}
-
-// ReadBytes copies n bytes starting at addr.
-func (t *paged) ReadBytes(addr, n int) ([]byte, error) {
-	if err := t.Check(addr, n); err != nil {
-		return nil, err
-	}
-	out := make([]byte, n)
-	copy(out, t.data[addr:addr+n])
-	return out, nil
 }
 
 // ReadBytesInto copies len(dst) bytes starting at addr into dst without
@@ -103,17 +90,6 @@ func (t *paged) ReadNums(addr, count int) ([]fixed.Num, error) {
 		return nil, err
 	}
 	return fixed.FromBytes(t.data[addr:addr+n], count), nil
-}
-
-// ReadNumsInto reads len(dst) elements at byte address addr into dst
-// without allocating.
-func (t *paged) ReadNumsInto(addr int, dst []fixed.Num) error {
-	n := fixed.Bytes(len(dst))
-	if err := t.Check(addr, n); err != nil {
-		return err
-	}
-	fixed.FromBytesInto(t.data[addr:addr+n], dst)
-	return nil
 }
 
 // WriteNums stores fixed-point elements at byte address addr.
@@ -152,9 +128,6 @@ type SparseImage struct {
 
 // Size returns the capacity of the memory the image was captured from.
 func (s *SparseImage) Size() int { return s.size }
-
-// Pages returns the number of stored (nonzero) pages.
-func (s *SparseImage) Pages() int { return len(s.pos) }
 
 // Bytes returns the resident size of the image — the bytes actually
 // stored, what a dense copy of len Size() collapses to.

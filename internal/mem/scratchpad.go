@@ -48,9 +48,6 @@ func NewScratchpad(name string, size, banks, lineBytes int) (*Scratchpad, error)
 // Name returns the scratchpad's diagnostic name.
 func (s *Scratchpad) Name() string { return s.name }
 
-// Banks returns the number of banks.
-func (s *Scratchpad) Banks() int { return s.banks }
-
 // SetConflictHook registers fn to observe bank conflicts: whenever an
 // AccessCycles access set serializes through the crossbar beyond its
 // ideal streaming cost, fn receives the busiest bank and the extra

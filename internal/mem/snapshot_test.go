@@ -83,13 +83,13 @@ func TestMainRestoreWithoutTrackingCopiesAll(t *testing.T) {
 	if err := m.WriteBytes(2*PageBytes+50, []byte{9, 9, 9}); err != nil {
 		t.Fatal(err)
 	}
-	img := ZeroSparseImage(m.Size())
+	img := ZeroSparseImage(len(m.data))
 	copied, err := m.RestoreFromSparse(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if copied != m.Size() {
-		t.Fatalf("untracked restore copied %d bytes, want full %d", copied, m.Size())
+	if copied != len(m.data) {
+		t.Fatalf("untracked restore copied %d bytes, want full %d", copied, len(m.data))
 	}
 	if !m.Tracking() {
 		t.Fatal("untracked restore should begin tracking")
@@ -105,7 +105,7 @@ func TestMainRestoreWithoutTrackingCopiesAll(t *testing.T) {
 	if copied != 100 {
 		t.Fatalf("partial-page restore copied %d bytes, want 100", copied)
 	}
-	if !bytes.Equal(m.data, make([]byte, m.Size())) {
+	if !bytes.Equal(m.data, make([]byte, len(m.data))) {
 		t.Fatal("restored contents differ from image")
 	}
 }
@@ -128,11 +128,11 @@ func TestSparseImageRoundTrip(t *testing.T) {
 	}
 	dense := contents(&m.paged)
 	img := m.SparseImage()
-	if img.Size() != m.Size() {
-		t.Fatalf("SparseImage.Size() = %d, want %d", img.Size(), m.Size())
+	if img.Size() != len(m.data) {
+		t.Fatalf("SparseImage.Size() = %d, want %d", img.Size(), len(m.data))
 	}
-	if img.Pages() != 2 {
-		t.Fatalf("SparseImage.Pages() = %d, want 2 (pages 1 and 4)", img.Pages())
+	if len(img.pos) != 2 {
+		t.Fatalf("SparseImage stores %d pages, want 2 (pages 1 and 4)", len(img.pos))
 	}
 	if want := PageBytes + 100; img.Bytes() != want {
 		t.Fatalf("SparseImage.Bytes() = %d, want %d (one full + the short last page)", img.Bytes(), want)
@@ -140,7 +140,7 @@ func TestSparseImageRoundTrip(t *testing.T) {
 
 	// Untracked restore onto scribbled memory rebuilds everything,
 	// including zero pages the image does not store.
-	for i := 0; i < m.Size(); i += 37 {
+	for i := 0; i < len(m.data); i += 37 {
 		m.data[i] = 0xAA
 	}
 	m.DropDirtyTracking()
@@ -148,8 +148,8 @@ func TestSparseImageRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if written != m.Size() {
-		t.Fatalf("untracked sparse restore wrote %d bytes, want full %d", written, m.Size())
+	if written != len(m.data) {
+		t.Fatalf("untracked sparse restore wrote %d bytes, want full %d", written, len(m.data))
 	}
 	if !bytes.Equal(m.data, dense) {
 		t.Fatal("sparse restore does not reproduce the dense image")
@@ -249,7 +249,7 @@ func TestScratchpadDirtyTracking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if copied != s.Size() {
-		t.Fatalf("untracked restore copied %d bytes, want %d", copied, s.Size())
+	if copied != len(s.data) {
+		t.Fatalf("untracked restore copied %d bytes, want %d", copied, len(s.data))
 	}
 }

@@ -191,18 +191,3 @@ func BenchmarkNumsView(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkReadNumsInto is the copying baseline NumsView replaces on the
-// simulator's matrix path.
-func BenchmarkReadNumsInto(b *testing.B) {
-	s := newPad(b, "bench", 1<<20, 4, 64)
-	const count = 256 * 256
-	dst := make([]fixed.Num, count)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.ReadNumsInto(0, dst); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

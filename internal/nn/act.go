@@ -34,33 +34,3 @@ func SigmoidVec(v Vec) Vec {
 	}
 	return out
 }
-
-// Tanh applies the hyperbolic tangent.
-func Tanh(a float64) float64 { return math.Tanh(a) }
-
-// TanhVec applies Tanh element-wise.
-func TanhVec(v Vec) Vec {
-	out := make(Vec, len(v))
-	for i, x := range v {
-		out[i] = math.Tanh(x)
-	}
-	return out
-}
-
-// ReLU is max(0, a), one of the comparison-based activations of
-// Section III-C.
-func ReLU(a float64) float64 {
-	if a > 0 {
-		return a
-	}
-	return 0
-}
-
-// ReLUVec applies ReLU element-wise.
-func ReLUVec(v Vec) Vec {
-	out := make(Vec, len(v))
-	for i, x := range v {
-		out[i] = ReLU(x)
-	}
-	return out
-}

@@ -46,30 +46,11 @@ func (b *BM) QuantizeParams() *BM {
 	return b
 }
 
-// HiddenProb computes p = sigmoid(W v + L h + b).
-func (b *BM) HiddenProb(v, h Vec) Vec { return b.HiddenProbWv(b.W.MulVec(v), h) }
-
-// HiddenProbWv is HiddenProb given the visible term wv = W v, which stays
-// fixed along a Gibbs chain that only resamples h, so a chain computes it
-// once rather than on every step.
+// HiddenProbWv computes p = sigmoid(W v + L h + b) given the visible
+// term wv = W v, which stays fixed along a Gibbs chain that only resamples
+// h, so a chain computes it once rather than on every step.
 func (b *BM) HiddenProbWv(wv, h Vec) Vec {
 	return SigmoidVec(Add(Add(wv, b.L.MulVec(h)), b.B))
-}
-
-// GibbsStep samples a new hidden state given probabilities p and uniform
-// draws r (pass the same r the accelerator's RV produced to compare
-// bit-exactly): h'[i] = (r[i] > p[i]) ? 1 : 0, the Fig. 7 convention.
-func GibbsStep(p, r Vec) Vec {
-	if len(p) != len(r) {
-		panic("nn: GibbsStep length mismatch")
-	}
-	out := make(Vec, len(p))
-	for i := range p {
-		if r[i] > p[i] {
-			out[i] = 1
-		}
-	}
-	return out
 }
 
 // RBM is the restricted Boltzmann machine benchmark (V(500) - H(500),
@@ -110,16 +91,4 @@ func (r *RBM) HiddenProb(v Vec) Vec {
 // the accelerator.
 func (r *RBM) VisibleProb(h Vec) Vec {
 	return SigmoidVec(Add(r.W.VecMul(h), r.BV))
-}
-
-// CDUpdate applies one contrastive-divergence weight update
-// W += eta * (h0 v0^T - h1 v1^T), the MSM/OP/MMS/MAM sequence of
-// Section III-A ("Cambricon also provides a Matrix-Subtract-Matrix
-// instruction to support the weight updating in RBM").
-func (r *RBM) CDUpdate(v0, h0, v1, h1 Vec, eta float64) {
-	for i := 0; i < r.H; i++ {
-		for j := 0; j < r.V; j++ {
-			r.W.Data[i*r.V+j] += eta * (h0[i]*v0[j] - h1[i]*v1[j])
-		}
-	}
 }

@@ -113,22 +113,11 @@ func TestBMHiddenProbManualTinyCase(t *testing.T) {
 		W: Mat{Rows: 2, Cols: 2, Data: []float64{1, -1, 0.5, 0.5}},
 		L: Mat{Rows: 2, Cols: 2, Data: []float64{0, 0.25, 0.25, 0}},
 		B: Vec{0.1, -0.1}}
-	p := b.HiddenProb(Vec{1, 0}, Vec{0, 1})
+	p := b.HiddenProbWv(b.W.MulVec(Vec{1, 0}), Vec{0, 1})
 	want0 := Sigmoid(1*1 + -1*0 + 0*0 + 0.25*1 + 0.1)
 	want1 := Sigmoid(0.5*1 + 0.5*0 + 0.25*0 + 0*1 - 0.1)
 	if math.Abs(p[0]-want0) > 1e-12 || math.Abs(p[1]-want1) > 1e-12 {
 		t.Errorf("p = %v, want [%v %v]", p, want0, want1)
-	}
-}
-
-func TestSOMNeighborhoodSymmetry(t *testing.T) {
-	s := NewSOM(8, 4, 4, 3)
-	for a := 0; a < s.Neurons(); a++ {
-		for b := 0; b < s.Neurons(); b++ {
-			if math.Abs(s.Neighborhood(a, b, 1.3)-s.Neighborhood(b, a, 1.3)) > 1e-15 {
-				t.Fatalf("neighborhood not symmetric at (%d,%d)", a, b)
-			}
-		}
 	}
 }
 

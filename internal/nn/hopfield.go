@@ -68,32 +68,6 @@ func (h *HNN) Step(s Vec) Vec {
 	return out
 }
 
-// Recall iterates Step until a fixed point or maxIters, returning the final
-// state and the iteration count.
-func (h *HNN) Recall(s Vec, maxIters int) (Vec, int) {
-	cur := append(Vec(nil), s...)
-	for it := 0; it < maxIters; it++ {
-		next := h.Step(cur)
-		same := true
-		for i := range next {
-			if next[i] != cur[i] {
-				same = false
-				break
-			}
-		}
-		cur = next
-		if same {
-			return cur, it + 1
-		}
-	}
-	return cur, maxIters
-}
-
-// Energy returns the Hopfield energy -1/2 s^T W s.
-func (h *HNN) Energy(s Vec) float64 {
-	return -0.5 * Dot(s, h.W.MulVec(s))
-}
-
 // Corrupt flips the first k components of pattern p (for recall tests).
 func (h *HNN) Corrupt(p, k int) Vec {
 	v := append(Vec(nil), h.Patterns[p]...)

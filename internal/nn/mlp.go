@@ -54,30 +54,3 @@ func (m *MLP) Forward(x Vec) Vec {
 	}
 	return x
 }
-
-// BackwardDelta computes the hidden-layer error term delta_l = (W_{l}^T
-// delta_{l+1}) .* y_l .* (1 - y_l) given the next layer's delta and this
-// layer's activations — the vector-times-matrix contraction that motivates
-// the VMM instruction (Section III-A).
-func (m *MLP) BackwardDelta(l int, deltaNext, y Vec) Vec {
-	back := m.W[l].VecMul(deltaNext)
-	out := make(Vec, len(back))
-	for i := range out {
-		out[i] = back[i] * y[i] * (1 - y[i])
-	}
-	return out
-}
-
-// UpdateLayer applies the outer-product weight update W += eta * delta x^T,
-// b += eta * delta — the OP/MMS/MAM sequence of Section III-A.
-func (m *MLP) UpdateLayer(l int, delta, x Vec, eta float64) {
-	w := m.W[l]
-	for i := 0; i < w.Rows; i++ {
-		for j := 0; j < w.Cols; j++ {
-			w.Data[i*w.Cols+j] += eta * delta[i] * x[j]
-		}
-	}
-	for i := range m.B[l] {
-		m.B[l][i] += eta * delta[i]
-	}
-}

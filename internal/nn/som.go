@@ -1,7 +1,5 @@
 package nn
 
-import "math"
-
 // SOM is the Table III self-organizing map benchmark (input data(64) -
 // neurons(36), seasonal-flu data mining [48]): a 6x6 grid of 64-dimensional
 // prototype vectors trained by best-matching-unit search plus a
@@ -41,40 +39,4 @@ func (s *SOM) Distances(x Vec) Vec {
 		out[i] = Dist2(s.W.Row(i), x)
 	}
 	return out
-}
-
-// BMU returns the index of the best-matching unit (smallest distance,
-// lowest index on ties — the accelerator's VMIN + scan does the same).
-func (s *SOM) BMU(x Vec) int {
-	d := s.Distances(x)
-	best := 0
-	for i, v := range d {
-		if v < d[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// Neighborhood returns the Gaussian lattice weight between neurons a and b:
-// exp(-dist2/(2 sigma^2)).
-func (s *SOM) Neighborhood(a, b int, sigma float64) float64 {
-	ax, ay := a%s.GridW, a/s.GridW
-	bx, by := b%s.GridW, b/s.GridW
-	d2 := float64((ax-bx)*(ax-bx) + (ay-by)*(ay-by))
-	return math.Exp(-d2 / (2 * sigma * sigma))
-}
-
-// TrainStep updates every prototype toward x with neighborhood-scaled
-// learning rate: W[i] += eta * theta(bmu, i) * (x - W[i]). Returns the BMU.
-func (s *SOM) TrainStep(x Vec, eta, sigma float64) int {
-	bmu := s.BMU(x)
-	for i := 0; i < s.Neurons(); i++ {
-		theta := s.Neighborhood(bmu, i, sigma)
-		row := s.W.Row(i)
-		for j := range row {
-			row[j] += eta * theta * (x[j] - row[j])
-		}
-	}
-	return bmu
 }

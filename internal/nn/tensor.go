@@ -116,18 +116,6 @@ func Add(a, b Vec) Vec {
 	return out
 }
 
-// Sub returns a-b element-wise.
-func Sub(a, b Vec) Vec {
-	if len(a) != len(b) {
-		panic("nn: Sub length mismatch")
-	}
-	out := make(Vec, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
 // Hadamard returns a*b element-wise.
 func Hadamard(a, b Vec) Vec {
 	if len(a) != len(b) {

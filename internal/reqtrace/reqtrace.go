@@ -353,14 +353,6 @@ type Bundle struct {
 	Spans   []Span    `json:"spans"`
 }
 
-// Duration is the root span's extent.
-func (b *Bundle) Duration() time.Duration {
-	if b == nil || len(b.Spans) == 0 {
-		return 0
-	}
-	return b.Spans[0].Duration()
-}
-
 // IntAttr returns the first int64 attribute key on a span named span.
 func (b *Bundle) IntAttr(span, key string) (int64, bool) {
 	v, ok := b.attr(span, key)

@@ -113,8 +113,8 @@ func TestRecorderSpanTree(t *testing.T) {
 	if _, ok := b.IntAttr("sim.run", "absent"); ok {
 		t.Fatal("IntAttr found an absent key")
 	}
-	if d := b.Duration(); d != root.End {
-		t.Fatalf("Duration() = %v, want %v", d, root.End)
+	if d := b.Spans[0].Duration(); d != root.End {
+		t.Fatalf("root span Duration() = %v, want %v", d, root.End)
 	}
 	// The outgoing traceparent keeps the trace id but swaps in our span id.
 	out := r.Traceparent()

@@ -106,9 +106,9 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 					t.Fatalf("RunUntil(%d) stopped at instruction %d", k, partial.Instructions)
 				}
 				ckpt := m.Checkpoint()
-				if ckpt.MidRun() != true || ckpt.Instructions() != partial.Instructions {
+				if ckpt.stats == nil || ckpt.Instructions() != partial.Instructions {
 					t.Fatalf("checkpoint at %d reports midrun=%v instructions=%d",
-						k, ckpt.MidRun(), ckpt.Instructions())
+						k, ckpt.stats != nil, ckpt.Instructions())
 				}
 
 				// Resume on the same machine.
@@ -233,8 +233,8 @@ func TestCheckpointSerializationRoundTrip(t *testing.T) {
 	if ckpt.Config() != cfg {
 		t.Fatalf("config round trip: got %+v want %+v", ckpt.Config(), cfg)
 	}
-	if !ckpt.MidRun() || ckpt.Instructions() != 17 {
-		t.Fatalf("read checkpoint reports midrun=%v instructions=%d", ckpt.MidRun(), ckpt.Instructions())
+	if ckpt.stats == nil || ckpt.Instructions() != 17 {
+		t.Fatalf("read checkpoint reports midrun=%v instructions=%d", ckpt.stats != nil, ckpt.Instructions())
 	}
 	var again bytes.Buffer
 	if err := WriteCheckpoint(&again, ckpt); err != nil {
@@ -317,8 +317,8 @@ func TestCheckpointRunBoundarySnapshotUnchanged(t *testing.T) {
 	cfg := DefaultConfig()
 	m := ckptMachine(t, cfg, true)
 	snap := m.Snapshot()
-	if snap.MidRun() || snap.Instructions() != 0 {
-		t.Fatalf("run-boundary snapshot reports midrun=%v instructions=%d", snap.MidRun(), snap.Instructions())
+	if snap.stats != nil || snap.Instructions() != 0 {
+		t.Fatalf("run-boundary snapshot reports midrun=%v instructions=%d", snap.stats != nil, snap.Instructions())
 	}
 	want, err := m.Run()
 	if err != nil {

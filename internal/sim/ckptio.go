@@ -19,8 +19,9 @@ import (
 // Layout, all integers little-endian:
 //
 //	magic   [8]byte  "CAMCKPT1"
-//	version uint32   (currently 2; version 1 stored the scratchpads
-//	                 densely and is no longer read)
+//	version uint32   (currently 3; version 2 also stored the memory
+//	                 queue's maximum done time, version 1 stored the
+//	                 scratchpads densely; neither is read)
 //	flags   uint32   bit 0: mid-run, bit 1: program pre-decoded (set
 //	                 whenever a program is loaded; the reader pre-decodes
 //	                 the program whether it is set or not)
@@ -39,7 +40,7 @@ import (
 // bit-flipped file is an error, never a silently wrong machine state.
 const (
 	ckptMagic   = "CAMCKPT1"
-	ckptVersion = 2
+	ckptVersion = 3
 
 	ckptFlagMidRun    = 1 << 0
 	ckptFlagPredecode = 1 << 1
@@ -136,7 +137,6 @@ func writePipeState(buf *bytes.Buffer, p *pipeState) {
 	w64(p.lastCommit)
 	w64(p.memCount)
 	w32(p.mqPos)
-	w64(p.mqMaxDone)
 	w32(len(p.mq))
 	for i := range p.mq {
 		q := &p.mq[i]
@@ -373,7 +373,6 @@ func readPipeState(r *ckptReader, cfg *Config) (*pipeState, error) {
 	p.lastCommit = r.i64()
 	p.memCount = r.i64()
 	p.mqPos = r.cint()
-	p.mqMaxDone = r.i64()
 	nMQ := r.count(mqEntryWireBytes)
 	if r.err == nil && nMQ > maxRing {
 		return nil, fmt.Errorf("sim: checkpoint: memory queue length %d exceeds limit %d", nMQ, maxRing)

@@ -76,9 +76,6 @@ func (e *effect) reset() {
 	e.dmaBytes = 0
 }
 
-// overlapsConflicting reports whether two instructions' access sets contain
-// a pair in the same space, overlapping, with at least one write — the
-// paper's memory-dependence rule (footnote 2).
 // accessMasks summarizes an access set as two space bitmasks: bit sp set
 // in wmask when the set writes space sp, in amask when it touches it at
 // all. overlapsConflicting(a, b) can only hold when a's write mask meets
@@ -95,6 +92,9 @@ func accessMasks(a []access) (wmask, amask uint8) {
 	return wmask, amask
 }
 
+// overlapsConflicting reports whether two instructions' access sets contain
+// a pair in the same space, overlapping, with at least one write — the
+// paper's memory-dependence rule (footnote 2).
 func overlapsConflicting(a, b []access) bool {
 	for _, x := range a {
 		for _, y := range b {

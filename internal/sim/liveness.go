@@ -188,9 +188,6 @@ func (t *AccessTrace) Liveness(cfg Config) (*Liveness, error) {
 	return lv, nil
 }
 
-// Instructions returns the recorded run's dynamic instruction count.
-func (lv *Liveness) Instructions() int64 { return lv.n }
-
 // DMAOfferAfter returns the dynamic index of the golden run's first DMA
 // payload offer at or after at, and whether one exists. A dma-bit fault
 // site whose At has no offer at or after it can never fire: the faulted

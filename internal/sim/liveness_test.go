@@ -51,8 +51,8 @@ func TestAccessTraceBehaviourNeutral(t *testing.T) {
 			if !reflect.DeepEqual(want, recorded) {
 				t.Fatalf("recorded run diverged from unobserved run:\nunobserved %+v\nrecorded   %+v", want, recorded)
 			}
-			if lv.Instructions() != want.Instructions {
-				t.Fatalf("liveness covers %d instructions, run executed %d", lv.Instructions(), want.Instructions)
+			if lv.n != want.Instructions {
+				t.Fatalf("liveness covers %d instructions, run executed %d", lv.n, want.Instructions)
 			}
 		})
 	}

@@ -206,9 +206,6 @@ func (m *Machine) DiffMain(addr int, want []byte) (int, error) {
 	return m.main.Diff(addr, want)
 }
 
-// Stats returns the statistics of the last Run.
-func (m *Machine) Stats() Stats { return m.stats }
-
 // SetTracer attaches an observability sink (see internal/trace), the
 // one way a run is observed: per committed instruction the tracer
 // receives the instruction that ran, its fetch-to-commit stage

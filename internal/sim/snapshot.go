@@ -41,10 +41,6 @@ type Snapshot struct {
 // Config returns the configuration the snapshot was captured under.
 func (s *Snapshot) Config() Config { return s.cfg }
 
-// MidRun reports whether the snapshot was captured mid-run (by
-// Checkpoint) rather than at a run boundary (by Snapshot).
-func (s *Snapshot) MidRun() bool { return s.stats != nil }
-
 // Instructions returns the dynamic instruction index the snapshot was
 // captured at (0 for run-boundary snapshots).
 func (s *Snapshot) Instructions() int64 {

@@ -78,10 +78,6 @@ type Stats struct {
 	Stalls trace.Breakdown `json:"StallBreakdown"`
 }
 
-// StallBreakdown returns the attributed CPI stack: cycles per stall
-// cause, disjoint, summing to Cycles for a completed run.
-func (s *Stats) StallBreakdown() trace.Breakdown { return s.Stalls }
-
 // CheckConsistency verifies the run's cycle accounting invariants:
 // the attributed stall breakdown must cover every cycle exactly once,
 // and no single-resource busy counter can exceed the run length. It

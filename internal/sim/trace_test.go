@@ -152,7 +152,7 @@ func TestStallAttributionConsistency(t *testing.T) {
 				if err := stats.CheckConsistency(); err != nil {
 					t.Error(err)
 				}
-				bd := stats.StallBreakdown()
+				bd := stats.Stalls
 				if got := bd.Sum(); got != stats.Cycles {
 					t.Errorf("breakdown sums to %d, want %d", got, stats.Cycles)
 				}

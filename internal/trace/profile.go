@@ -132,12 +132,6 @@ func (p *Profile) BankConflict(spad string, bank int, extraCycles, atCycle int64
 // EndRun records the total cycle count.
 func (p *Profile) EndRun(totalCycles int64) { p.total = totalCycles }
 
-// TotalCycles returns the run length seen by the profile.
-func (p *Profile) TotalCycles() int64 { return p.total }
-
-// Instructions returns the committed dynamic instruction count.
-func (p *Profile) Instructions() int64 { return p.insts }
-
 // Causes returns the accumulated CPI stack.
 func (p *Profile) Causes() Breakdown { return p.causes }
 

@@ -37,8 +37,8 @@ func feedProfile() *Profile {
 
 func TestProfileRollup(t *testing.T) {
 	p := feedProfile()
-	if p.TotalCycles() != 24 || p.Instructions() != 4 {
-		t.Fatalf("total=%d insts=%d", p.TotalCycles(), p.Instructions())
+	if p.total != 24 || p.insts != 4 {
+		t.Fatalf("total=%d insts=%d", p.total, p.insts)
 	}
 	causes := p.Causes()
 	if causes.Sum() != 24 {

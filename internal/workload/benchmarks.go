@@ -59,24 +59,6 @@ func (b *Benchmark) MACs() int64 {
 	return s
 }
 
-// VectorElems totals element-wise vector work.
-func (b *Benchmark) VectorElems() int64 {
-	var s int64
-	for _, o := range b.Ops {
-		s += o.VectorElems() * int64(o.Times())
-	}
-	return s
-}
-
-// TranscendentalElems totals exp/log evaluations.
-func (b *Benchmark) TranscendentalElems() int64 {
-	var s int64
-	for _, o := range b.Ops {
-		s += o.TranscendentalElems() * int64(o.Times())
-	}
-	return s
-}
-
 // ParamBytes totals unique parameter bytes (repeats share weights).
 func (b *Benchmark) ParamBytes() int64 {
 	var s int64
