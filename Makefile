@@ -1,7 +1,8 @@
 # Build/verify entry points for the Cambricon reproduction. `make ci` is
 # the gate every PR must pass: formatting, vet, build, the full test suite
 # under the race detector, vet and unit tests of the separate perfbench
-# module, a short run of the hot-kernel microbenchmarks (docs/PERF.md),
+# module, the tests of internal/fixed's portable kernels, a short run of
+# the hot-kernel microbenchmarks (docs/PERF.md),
 # and the host-benchmark regression gate against BENCH_host.json. The
 # race run includes the tests that start the real camsim, camrepro and
 # camserve as child processes: a traced and profiled benchmark run, a
@@ -10,9 +11,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race perfbench-test bench bench-host repro check-host fault-json
+.PHONY: ci fmt vet build test race perfbench-test portable bench bench-host repro check-host fault-json
 
-ci: fmt vet build race perfbench-test bench check-host
+ci: fmt vet build race perfbench-test portable bench check-host
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -37,6 +38,13 @@ race:
 # benchmark.
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# internal/fixed computes MMV, VMM and VDOT in amd64 assembly, and in
+# plain Go on every other GOARCH. Run the Go form's tests as a 386
+# binary, which an amd64 host can execute, and vet the package for arm64.
+portable:
+	GOARCH=386 $(GO) test ./internal/fixed
+	GOARCH=arm64 $(GO) vet ./internal/fixed
 
 # Short-benchtime kernel microbenchmarks: enough iterations to catch an
 # allocation or order-of-magnitude regression without taking minutes.

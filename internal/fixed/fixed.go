@@ -128,58 +128,28 @@ func Dot(a, b []Num) Num {
 	if len(a) != len(b) {
 		panic("fixed: dot product length mismatch")
 	}
-	var sum Acc
-	for i := range a {
-		sum += MulAcc(a[i], b[i])
-	}
-	return AccSat(sum)
+	return AccSat(dotAcc(a, b))
 }
 
 // MatVec computes out = M x vin for the row-major len(out) x len(vin)
-// matrix held in mat (the MMV contraction). It sweeps vin once per four
-// rows with four independent accumulators; rows left over after the last
-// group of four go through Dot. Each output is the same sum of the same
-// products as Dot over its row, and integer addition does not depend on
-// order, so the result equals len(out) calls of Dot bit for bit.
+// matrix held in mat (the MMV contraction): one exact dotAcc per row,
+// so each output equals Dot over its row bit for bit.
 func MatVec(out, mat, vin []Num) {
 	cols := len(vin)
 	if len(mat) < len(out)*cols {
 		panic("fixed: MatVec matrix too small")
 	}
-	i := 0
-	for ; i+4 <= len(out); i += 4 {
-		row := mat[i*cols:]
-		s0, s1, s2, s3 := dot4(vin, row, row[cols:], row[2*cols:], row[3*cols:])
-		out[i], out[i+1], out[i+2], out[i+3] = AccSat(s0), AccSat(s1), AccSat(s2), AccSat(s3)
+	for i := range out {
+		out[i] = AccSat(dotAcc(mat[i*cols:(i+1)*cols], vin))
 	}
-	for ; i < len(out); i++ {
-		out[i] = Dot(mat[i*cols:(i+1)*cols], vin)
-	}
-}
-
-// dot4 returns the raw sums of x against the first len(x) elements of
-// each of four rows. It is a function of its own so that its loop has
-// few enough live values to keep the four accumulators in registers;
-// inside MatVec they spill to the stack on every element.
-func dot4(x, r0, r1, r2, r3 []Num) (s0, s1, s2, s3 Acc) {
-	// Reslicing each row to len(x) lets the compiler drop the
-	// per-element bounds checks in the sweep.
-	r0, r1, r2, r3 = r0[:len(x)], r1[:len(x)], r2[:len(x)], r3[:len(x)]
-	for j, v := range x {
-		s0 += MulAcc(r0[j], v)
-		s1 += MulAcc(r1[j], v)
-		s2 += MulAcc(r2[j], v)
-		s3 += MulAcc(r3[j], v)
-	}
-	return s0, s1, s2, s3
 }
 
 // VecMat computes out = vin x M for the row-major len(vin) x len(out)
 // matrix held in mat (the VMM contraction over rows), using acc (at least
 // len(out) long) as the wide accumulators. It walks the matrix once in
-// storage order and folds four rows into each accumulator update, so acc
-// is loaded and stored once per four rows rather than once per row. The
-// sums are exact integers, so the result does not depend on the grouping.
+// storage order, two rows per axpy2Acc pass; an odd last row is paired
+// with itself at weight 0. The sums are exact integers, so the result
+// does not depend on the grouping.
 func VecMat(out, vin, mat []Num, acc []Acc) {
 	cols := len(out)
 	if len(mat) < len(vin)*cols {
@@ -187,23 +157,13 @@ func VecMat(out, vin, mat []Num, acc []Acc) {
 	}
 	acc = acc[:cols]
 	clear(acc)
-	i := 0
-	for ; i+4 <= len(vin); i += 4 {
-		v0, v1, v2, v3 := Acc(vin[i]), Acc(vin[i+1]), Acc(vin[i+2]), Acc(vin[i+3])
-		r0 := mat[i*cols:][:len(acc)]
-		r1 := mat[(i+1)*cols:][:len(acc)]
-		r2 := mat[(i+2)*cols:][:len(acc)]
-		r3 := mat[(i+3)*cols:][:len(acc)]
-		for j := range acc {
-			acc[j] += v0*Acc(r0[j]) + v1*Acc(r1[j]) + v2*Acc(r2[j]) + v3*Acc(r3[j])
+	for i := 0; i < len(vin); i += 2 {
+		r0 := mat[i*cols : (i+1)*cols]
+		r1, v1 := r0, Num(0)
+		if i+1 < len(vin) {
+			r1, v1 = mat[(i+1)*cols:(i+2)*cols], vin[i+1]
 		}
-	}
-	for ; i < len(vin); i++ {
-		v := vin[i]
-		row := mat[i*cols:][:len(acc)]
-		for j, mv := range row {
-			acc[j] += MulAcc(v, mv)
-		}
+		axpy2Acc(acc, r0, r1, vin[i], v1)
 	}
 	out = out[:len(acc)]
 	for j, sum := range acc {

@@ -7,17 +7,27 @@ import (
 	"testing"
 )
 
-// oneRowMatVec is the one-row MMV loop MatVec replaced: one Dot per row.
-// It is the oracle the blocked kernel must match bit for bit.
+// scalarSum is the exact sum of a[i]·b[i], one MulAcc at a time. It is
+// the oracle for dotAcc, so it must not call it.
+func scalarSum(a, b []Num) Acc {
+	var sum Acc
+	for i := range a {
+		sum += MulAcc(a[i], b[i])
+	}
+	return sum
+}
+
+// oneRowMatVec is the one-row MMV loop: a scalar sum per row. It is the
+// oracle MatVec must match bit for bit.
 func oneRowMatVec(out, mat, vin []Num) {
 	cols := len(vin)
 	for i := range out {
-		out[i] = Dot(mat[i*cols:(i+1)*cols], vin)
+		out[i] = AccSat(scalarSum(mat[i*cols:(i+1)*cols], vin))
 	}
 }
 
-// oneRowVecMat is the one-row VMM sweep VecMat replaced: every matrix row
-// is added into the accumulators on its own pass.
+// oneRowVecMat is the one-row VMM sweep: every matrix row is added into
+// the accumulators on its own pass.
 func oneRowVecMat(out, vin, mat []Num) {
 	cols := len(out)
 	acc := make([]Acc, cols)
@@ -69,9 +79,10 @@ func checkKernels(t *testing.T, rows, cols int, mat, colVec, rowVec []Num) []Num
 	return got
 }
 
-// TestBlockedKernelsMatchOneRowOracles covers every remainder of rows
-// modulo the four-row block, empty, short and Table III-wide rows, and
-// inputs that drive AccSat into saturation in both directions.
+// TestBlockedKernelsMatchOneRowOracles covers odd and even row counts,
+// empty, short and Table III-wide rows, widths on each side of the
+// eight-lane blocks, inputs that drive AccSat into saturation in both
+// directions, and all-Min operands, whose pair sums wrap int32.
 func TestBlockedKernelsMatchOneRowOracles(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	extremes := []Num{Max, -Max, Min, 0, 1, -1}
@@ -82,7 +93,7 @@ func TestBlockedKernelsMatchOneRowOracles(t *testing.T) {
 		return Num(rng.Intn(1 << 16))
 	}
 	for _, rows := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 13, 14} {
-		for _, cols := range []int{0, 1, 3, 500} {
+		for _, cols := range []int{0, 1, 3, 7, 8, 9, 15, 16, 17, 500} {
 			t.Run(fmt.Sprintf("%dx%d", rows, cols), func(t *testing.T) {
 				checkKernels(t, rows, cols, fill(rows*cols, random), fill(cols, random), fill(rows, random))
 
@@ -90,15 +101,58 @@ func TestBlockedKernelsMatchOneRowOracles(t *testing.T) {
 				mins := func() Num { return Min }
 				pos := checkKernels(t, rows, cols, fill(rows*cols, maxes), fill(cols, maxes), fill(rows, maxes))
 				neg := checkKernels(t, rows, cols, fill(rows*cols, mins), fill(cols, maxes), fill(rows, maxes))
+				minMin := checkKernels(t, rows, cols, fill(rows*cols, mins), fill(cols, mins), fill(rows, mins))
 				if cols >= 3 {
 					for i := range pos {
-						if pos[i] != Max || neg[i] != Min {
-							t.Fatalf("row %d: got %d and %d, want saturation to %d and %d",
-								i, pos[i], neg[i], Max, Min)
+						if pos[i] != Max || neg[i] != Min || minMin[i] != Max {
+							t.Fatalf("row %d: got %d, %d and %d, want saturation to %d, %d and %d",
+								i, pos[i], neg[i], minMin[i], Max, Min, Max)
 						}
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestPrimitivesMatchScalarLoops holds dotAcc, Dot and axpy2Acc to
+// scalar loops at every length from 0 to 40, which covers each tail
+// length after zero to five eight-lane blocks. It compares raw sums, so
+// a lane miscounted anywhere shows even where AccSat would saturate.
+func TestPrimitivesMatchScalarLoops(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	random := func() Num { return Num(rng.Intn(1 << 16)) }
+	mins := func() Num { return Min }
+	alternate := func() Num {
+		if rng.Intn(2) == 0 {
+			return Min
+		}
+		return Max
+	}
+	for n := 0; n <= 40; n++ {
+		for _, gen := range []func() Num{random, mins, alternate} {
+			a, b := fill(n, gen), fill(n, gen)
+			want := scalarSum(a, b)
+			if got := dotAcc(a, b); got != want {
+				t.Fatalf("n=%d: dotAcc = %d, scalar sum %d (a=%v b=%v)", n, got, want, a, b)
+			}
+			if got := Dot(a, b); got != AccSat(want) {
+				t.Fatalf("n=%d: Dot = %d, scalar %d", n, got, AccSat(want))
+			}
+
+			v0, v1 := gen(), gen()
+			acc := make([]Acc, n)
+			wantAcc := make([]Acc, n)
+			for j := range acc {
+				acc[j] = Acc(rng.Int63n(1<<40) - 1<<39)
+				wantAcc[j] = acc[j] + MulAcc(a[j], v0) + MulAcc(b[j], v1)
+			}
+			axpy2Acc(acc, a, b, v0, v1)
+			for j := range acc {
+				if acc[j] != wantAcc[j] {
+					t.Fatalf("n=%d: axpy2Acc acc[%d] = %d, scalar %d (v0=%d v1=%d)", n, j, acc[j], wantAcc[j], v0, v1)
+				}
+			}
 		}
 	}
 }

@@ -56,7 +56,7 @@ func BenchmarkMMVKernel(b *testing.B) {
 }
 
 // BenchmarkVMMKernel: Vout = Vin x M, the transpose-free backward-pass
-// contraction, as fixed.VecMat's four-row accumulator sweep.
+// contraction, as fixed.VecMat's two-row accumulator sweep (axpy2Acc).
 func BenchmarkVMMKernel(b *testing.B) {
 	benchKernel(b, fmt.Sprintf(`
 	SMOVE $1, #%d

@@ -566,10 +566,13 @@ func (m *Machine) execMatElem(inst core.Instruction, e *effect) error {
 		return err
 	}
 	out := scratch(&m.bufOut, n)
-	for i := range out {
-		if inst.Op == core.MAM {
+	// Test the opcode once per instruction, not once per element.
+	if inst.Op == core.MAM {
+		for i := range out {
 			out[i] = fixed.Add(a[i], b[i])
-		} else {
+		}
+	} else {
+		for i := range out {
 			out[i] = fixed.Sub(a[i], b[i])
 		}
 	}

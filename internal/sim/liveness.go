@@ -114,7 +114,6 @@ type pageWrite struct {
 // identical remainder. A Liveness is immutable and safe to share across
 // campaign workers.
 type Liveness struct {
-	n         int64 // recorded run length in dynamic instructions
 	gprLast   [core.NumGPRs]int64
 	vspadLast []int64 // per 16-bit word
 	mspadLast []int64
@@ -133,7 +132,6 @@ func (t *AccessTrace) Liveness(cfg Config) (*Liveness, error) {
 		return nil, err
 	}
 	lv := &Liveness{
-		n:         int64(len(t.recs)),
 		vspadLast: make([]int64, cfg.VectorSpadBytes/2),
 		mspadLast: make([]int64, cfg.MatrixSpadBytes/2),
 		dma:       t.dma,

@@ -11,7 +11,8 @@ import (
 )
 
 // recordGolden runs ckptKernel once with an access trace attached and
-// returns the run-start snapshot, the final stats and the liveness.
+// returns the run-start snapshot, the final stats and the liveness. It
+// fails unless the trace holds one record per executed instruction.
 func recordGolden(t *testing.T, cfg Config, predecoded bool) (*Machine, *Snapshot, Stats, *Liveness) {
 	t.Helper()
 	m := ckptMachine(t, cfg, predecoded)
@@ -22,6 +23,9 @@ func recordGolden(t *testing.T, cfg Config, predecoded bool) (*Machine, *Snapsho
 	m.SetAccessTrace(nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := int64(len(rec.recs)); n != st.Instructions {
+		t.Fatalf("access trace covers %d instructions, run executed %d", n, st.Instructions)
 	}
 	lv, err := rec.Liveness(cfg)
 	if err != nil {
@@ -34,7 +38,7 @@ func recordGolden(t *testing.T, cfg Config, predecoded bool) (*Machine, *Snapsho
 // bit-identical to a run without the recorder, on both ckptMachine paths
 // (the plain run is observed by a text trace on the baseline
 // path and unobserved otherwise), and the trace covers exactly the run's
-// dynamic instructions.
+// dynamic instructions (recordGolden checks the count).
 func TestAccessTraceBehaviourNeutral(t *testing.T) {
 	for _, path := range []struct {
 		name       string
@@ -42,7 +46,7 @@ func TestAccessTraceBehaviourNeutral(t *testing.T) {
 	}{{"baseline", false}, {"predecoded", true}} {
 		t.Run(path.name, func(t *testing.T) {
 			cfg := DefaultConfig()
-			_, _, recorded, lv := recordGolden(t, cfg, path.predecoded)
+			_, _, recorded, _ := recordGolden(t, cfg, path.predecoded)
 			plain := ckptMachine(t, cfg, path.predecoded)
 			want, err := plain.Run()
 			if err != nil {
@@ -50,9 +54,6 @@ func TestAccessTraceBehaviourNeutral(t *testing.T) {
 			}
 			if !reflect.DeepEqual(want, recorded) {
 				t.Fatalf("recorded run diverged from unobserved run:\nunobserved %+v\nrecorded   %+v", want, recorded)
-			}
-			if lv.n != want.Instructions {
-				t.Fatalf("liveness covers %d instructions, run executed %d", lv.n, want.Instructions)
 			}
 		})
 	}
