@@ -1,6 +1,7 @@
 package cambricon
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -56,24 +57,20 @@ func BenchmarkFig13Energy(b *testing.B)         { benchExperiment(b, "fig13") }
 func BenchmarkTableIVLayout(b *testing.B)       { benchExperiment(b, "tab4") }
 func BenchmarkLogisticExtension(b *testing.B)   { benchExperiment(b, "logreg") }
 
-// Per-benchmark end-to-end simulations: generate once, then measure a full
-// verified accelerator run per iteration.
+// Per-benchmark served runs, as camserve serves them: one untimed run
+// prepares the program's decode and snapshot and verifies its outputs
+// against the float64 reference, then each iteration is a warm
+// Suite.RunOnce — a pooled machine restored from the snapshot, the
+// simulation, and a byte comparison of the outputs.
 func benchSimulate(b *testing.B, name string) {
-	p, err := GenerateBenchmark(name, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := NewMachine(DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := p.Execute(m); err != nil {
+	s := sharedSuite(b)
+	ctx := context.Background()
+	if _, err := s.RunOnce(ctx, name); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Reset()
-		if _, err := p.Execute(m); err != nil {
+		if _, err := s.RunOnce(ctx, name); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -29,8 +29,8 @@ import (
 // -itrace must print the plain run's -itrace lines from index 12 on,
 // then the same statistics, and a -resume with -dump must print what
 // -dump prints after the plain run. The file stores only nonzero scratchpad
-// pages, and a version-2 file (which also stored the memory queue's
-// maximum done time) is refused, naming both versions.
+// pages, and a version-3 file (which also had a flags word) is refused,
+// naming both versions.
 func TestCheckpointResumeAcrossProcesses(t *testing.T) {
 	prog := filepath.Join("..", "..", "testdata", "sum_loop.cam")
 	ckpt := filepath.Join(t.TempDir(), "sum_loop.ckpt")
@@ -92,15 +92,15 @@ func TestCheckpointResumeAcrossProcesses(t *testing.T) {
 	}
 	// The version word follows the 8-byte magic; reseal the CRC so the
 	// version check, not the integrity check, rejects the file.
-	binary.LittleEndian.PutUint32(raw[8:], 2)
+	binary.LittleEndian.PutUint32(raw[8:], 3)
 	binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(raw[:len(raw)-4]))
-	v2 := filepath.Join(t.TempDir(), "v2.ckpt")
-	if err := os.WriteFile(v2, raw, 0o644); err != nil {
+	v3 := filepath.Join(t.TempDir(), "v3.ckpt")
+	if err := os.WriteFile(v3, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, stderr, err := cmdtest.Run(t, "camsim", "-resume", v2, "-json"); err == nil ||
-		!strings.Contains(stderr, "unsupported version 2 (want 3)") {
-		t.Fatalf("version-2 resume: err = %v, stderr %q; want it refused naming both versions", err, stderr)
+	if _, stderr, err := cmdtest.Run(t, "camsim", "-resume", v3, "-json"); err == nil ||
+		!strings.Contains(stderr, "unsupported version 3 (want 4)") {
+		t.Fatalf("version-3 resume: err = %v, stderr %q; want it refused naming both versions", err, stderr)
 	}
 }
 

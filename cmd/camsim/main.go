@@ -372,7 +372,7 @@ func runCheckpointed(m *sim.Machine, at int64, w io.Writer) (sim.Stats, error) {
 	if done {
 		return stats, fmt.Errorf("-checkpoint-at %d: program ended after %d instructions", at, stats.Instructions)
 	}
-	if err := sim.WriteCheckpoint(w, m.Checkpoint()); err != nil {
+	if err := sim.WriteCheckpoint(w, m.Snapshot()); err != nil {
 		return stats, fmt.Errorf("-checkpoint: %w", err)
 	}
 	return m.Resume()

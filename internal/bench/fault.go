@@ -199,7 +199,7 @@ func (t *faultTarget) buildCheckpoints(k int) ([]*sim.Snapshot, *sim.Liveness, *
 		if done {
 			break
 		}
-		ckpts = append(ckpts, m.Checkpoint())
+		ckpts = append(ckpts, m.Snapshot())
 		last = at
 	}
 	return ckpts, lv, &golden, nil

@@ -2,8 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/crc32"
 	"io"
 	"reflect"
 	"strings"
@@ -105,10 +103,9 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 				if !done && partial.Instructions != k {
 					t.Fatalf("RunUntil(%d) stopped at instruction %d", k, partial.Instructions)
 				}
-				ckpt := m.Checkpoint()
-				if ckpt.stats == nil || ckpt.Instructions() != partial.Instructions {
-					t.Fatalf("checkpoint at %d reports midrun=%v instructions=%d",
-						k, ckpt.stats != nil, ckpt.Instructions())
+				ckpt := m.Snapshot()
+				if ckpt.Instructions() != partial.Instructions {
+					t.Fatalf("checkpoint at %d reports instructions=%d", k, ckpt.Instructions())
 				}
 
 				// Resume on the same machine.
@@ -159,7 +156,7 @@ func TestCheckpointSegmentedTraceIdentical(t *testing.T) {
 		}
 		// Hop through a checkpoint restore mid-trace to prove restores
 		// do not perturb the observed run either.
-		ckpt := m.Checkpoint()
+		ckpt := m.Snapshot()
 		if err := m.Restore(ckpt); err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +188,7 @@ func TestCheckpointWatchdogIdentical(t *testing.T) {
 		t.Fatalf("RunUntil(5): done=%v err=%v", done, err)
 	}
 	fresh := mustNew(t, cfg)
-	if err := fresh.Restore(m.Checkpoint()); err != nil {
+	if err := fresh.Restore(m.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	gotStats, gotErr := fresh.Resume()
@@ -222,7 +219,7 @@ func TestCheckpointSerializationRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var file bytes.Buffer
-	if err := WriteCheckpoint(&file, m.Checkpoint()); err != nil {
+	if err := WriteCheckpoint(&file, m.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -233,8 +230,8 @@ func TestCheckpointSerializationRoundTrip(t *testing.T) {
 	if ckpt.Config() != cfg {
 		t.Fatalf("config round trip: got %+v want %+v", ckpt.Config(), cfg)
 	}
-	if ckpt.stats == nil || ckpt.Instructions() != 17 {
-		t.Fatalf("read checkpoint reports midrun=%v instructions=%d", ckpt.stats != nil, ckpt.Instructions())
+	if ckpt.Instructions() != 17 {
+		t.Fatalf("read checkpoint reports instructions=%d", ckpt.Instructions())
 	}
 	var again bytes.Buffer
 	if err := WriteCheckpoint(&again, ckpt); err != nil {
@@ -272,53 +269,17 @@ func TestCheckpointSerializationRoundTrip(t *testing.T) {
 			t.Error("trailing garbage accepted")
 		}
 	})
-
-	// The writer sets flag bit 1 (pre-decoded) for a loaded program. A
-	// file with the bit clear — what writers running the per-step
-	// interpreter produced — still reads, pre-decodes its program and
-	// resumes bit-identically; re-encoding it gives back the default
-	// writer's exact bytes.
-	t.Run("predecode-flag-clear", func(t *testing.T) {
-		const flagsOff = len(ckptMagic) + 4
-		raw := append([]byte(nil), file.Bytes()...)
-		flags := binary.LittleEndian.Uint32(raw[flagsOff:])
-		if flags&ckptFlagPredecode == 0 {
-			t.Fatalf("flags %#x: bit 1 clear for a loaded program", flags)
-		}
-		binary.LittleEndian.PutUint32(raw[flagsOff:], flags&^ckptFlagPredecode)
-		binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(raw[:len(raw)-4]))
-		ckpt, err := ReadCheckpoint(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh := mustNew(t, cfg)
-		if err := fresh.Restore(ckpt); err != nil {
-			t.Fatal(err)
-		}
-		gotStats, err := fresh.Resume()
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareResumed(t, "flag-bit-1-clear", ref, fresh, wantStats, gotStats)
-		var again bytes.Buffer
-		if err := WriteCheckpoint(&again, ckpt); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(again.Bytes(), file.Bytes()) {
-			t.Fatal("re-encoding a bit-1-clear checkpoint does not give the default writer's bytes")
-		}
-	})
 }
 
-// TestCheckpointRunBoundarySnapshotUnchanged pins that run-boundary
-// snapshots still restore to reset timing state (stats zero), i.e. the
-// mid-run machinery did not change the long-standing Snapshot contract.
+// TestCheckpointRunBoundarySnapshotUnchanged pins that a snapshot taken
+// before a run restores to reset timing state (stats zero), so a Run
+// after the restore repeats the first run exactly.
 func TestCheckpointRunBoundarySnapshotUnchanged(t *testing.T) {
 	cfg := DefaultConfig()
 	m := ckptMachine(t, cfg, true)
 	snap := m.Snapshot()
-	if snap.stats != nil || snap.Instructions() != 0 {
-		t.Fatalf("run-boundary snapshot reports midrun=%v instructions=%d", snap.stats != nil, snap.Instructions())
+	if snap.Instructions() != 0 {
+		t.Fatalf("run-boundary snapshot reports instructions=%d", snap.Instructions())
 	}
 	want, err := m.Run()
 	if err != nil {
@@ -438,7 +399,7 @@ func FuzzMidRunSnapshot(f *testing.F) {
 		}
 
 		var file bytes.Buffer
-		if err := WriteCheckpoint(&file, m.Checkpoint()); err != nil {
+		if err := WriteCheckpoint(&file, m.Snapshot()); err != nil {
 			t.Fatal(err)
 		}
 		ckpt, err := ReadCheckpoint(bytes.NewReader(file.Bytes()))

@@ -14,17 +14,15 @@ import (
 )
 
 // Checkpoint file format ("CAMCKPT1"): a versioned, integrity-checked
-// serialization of a Snapshot — run-boundary or mid-run — so a machine
-// state can cross process boundaries (camsim -checkpoint / -resume).
-// Layout, all integers little-endian:
+// serialization of a Snapshot, so a machine state can cross process
+// boundaries (camsim -checkpoint / -resume). Layout, all integers
+// little-endian:
 //
 //	magic   [8]byte  "CAMCKPT1"
-//	version uint32   (currently 3; version 2 also stored the memory
-//	                 queue's maximum done time, version 1 stored the
-//	                 scratchpads densely; neither is read)
-//	flags   uint32   bit 0: mid-run, bit 1: program pre-decoded (set
-//	                 whenever a program is loaded; the reader pre-decodes
-//	                 the program whether it is set or not)
+//	version uint32   (currently 4; version 3 also had a flags word and
+//	                 stored all four access slots of every memory-queue
+//	                 entry, version 2 also the memory queue's maximum
+//	                 done time, version 1 dense scratchpads; none is read)
 //	config  uint32 length + JSON        (Config, all exported fields)
 //	gpr     core.NumGPRs × uint32
 //	pc      int64
@@ -33,17 +31,19 @@ import (
 //	images  vector scratchpad, matrix scratchpad, main memory, each:
 //	        uint64 size, uint32 pages, then per nonzero page ascending:
 //	        uint32 index + uint32 length + bytes
-//	mid-run only: Stats (fixed-size, binary.Write) + pipeState fields
+//	stats   Stats, fixed-size (binary.Write)
+//	scalars pipeScalars, fixed-size (binary.Write)
+//	rings   iqIssued, robCommit, mq, mqRetire, each a uint32 length and
+//	        its entries: int64 times, except that an mq entry is its
+//	        int64 done time, a uint8 access count, then per access a
+//	        uint8 space, a uint8 write flag, int64 address, int64 length
 //	crc     uint32   IEEE CRC-32 of everything above
 //
 // The CRC and the per-field validation on read mean a truncated or
 // bit-flipped file is an error, never a silently wrong machine state.
 const (
 	ckptMagic   = "CAMCKPT1"
-	ckptVersion = 3
-
-	ckptFlagMidRun    = 1 << 0
-	ckptFlagPredecode = 1 << 1
+	ckptVersion = 4
 )
 
 // ckptImages is the order the memory images appear in a checkpoint, with
@@ -61,14 +61,6 @@ func WriteCheckpoint(w io.Writer, s *Snapshot) error {
 	w32 := func(v uint32) { binary.Write(&buf, binary.LittleEndian, v) }
 	w64 := func(v uint64) { binary.Write(&buf, binary.LittleEndian, v) }
 	w32(ckptVersion)
-	var flags uint32
-	if s.stats != nil {
-		flags |= ckptFlagMidRun
-	}
-	if s.dec != nil {
-		flags |= ckptFlagPredecode
-	}
-	w32(flags)
 
 	cfgJSON, err := json.Marshal(s.cfg)
 	if err != nil {
@@ -103,64 +95,41 @@ func WriteCheckpoint(w io.Writer, s *Snapshot) error {
 		}
 	}
 
-	if s.stats != nil {
-		binary.Write(&buf, binary.LittleEndian, s.stats)
-		writePipeState(&buf, s.pipe)
-	}
+	binary.Write(&buf, binary.LittleEndian, &s.stats)
+	writePipeState(&buf, &s.pipe)
 
 	w32(crc32.ChecksumIEEE(buf.Bytes()))
 	_, err = w.Write(buf.Bytes())
 	return err
 }
 
+// writePipeState appends the pipeline state's scalars and rings. A
+// memory-queue entry is written with its live accesses only.
 func writePipeState(buf *bytes.Buffer, p *pipeState) {
 	le := binary.LittleEndian
-	w64 := func(v int64) { binary.Write(buf, le, v) }
-	w32 := func(v int) { binary.Write(buf, le, uint32(v)) }
-	ws := func(vs []int64) {
-		w32(len(vs))
+	binary.Write(buf, le, &p.pipeScalars)
+	ring := func(vs []int64) {
+		binary.Write(buf, le, uint32(len(vs)))
 		binary.Write(buf, le, vs)
 	}
-	w64(p.count)
-	w32(p.iqPos)
-	w32(p.robPos)
-	w64(p.fetchCycle)
-	w32(p.fetchSlot)
-	w64(p.redirect)
-	ws(p.iqIssued)
-	w64(p.issueCycle)
-	w32(p.issueSlot)
-	w64(p.lastIssueTime)
-	ws(p.robCommit)
-	w64(p.commitCycle)
-	w32(p.commitSlot)
-	w64(p.lastCommit)
-	w64(p.memCount)
-	w32(p.mqPos)
-	w32(len(p.mq))
+	ring(p.iqIssued)
+	ring(p.robCommit)
+	binary.Write(buf, le, uint32(len(p.mq)))
 	for i := range p.mq {
 		q := &p.mq[i]
-		w64(q.done)
-		w32(q.nAcc)
-		buf.WriteByte(q.wmask)
-		buf.WriteByte(q.amask)
-		for _, a := range q.accBuf {
-			buf.WriteByte(byte(a.sp))
+		binary.Write(buf, le, q.done)
+		buf.WriteByte(q.acc.n)
+		for _, a := range q.acc.list() {
+			var write byte
 			if a.write {
-				buf.WriteByte(1)
-			} else {
-				buf.WriteByte(0)
+				write = 1
 			}
-			w64(int64(a.reg.Addr))
-			w64(int64(a.reg.N))
+			buf.WriteByte(byte(a.sp))
+			buf.WriteByte(write)
+			binary.Write(buf, le, [2]int64{int64(a.reg.Addr), int64(a.reg.N)})
 		}
 	}
-	ws(p.mqRetire)
-	w64(p.scalarNext)
-	w64(p.l1Next)
-	w64(p.vectorFree)
-	w64(p.matrixFree)
-	binary.Write(buf, le, p.regReady[:])
+	ring(p.mqRetire)
 }
 
 // ckptReader parses the checkpoint byte stream with bounds checking; the
@@ -201,6 +170,15 @@ func (r *ckptReader) u64() uint64 {
 }
 
 func (r *ckptReader) i64() int64 { return int64(r.u64()) }
+
+// fixed reads a fixed-size value that binary.Write laid out.
+func (r *ckptReader) fixed(v any) {
+	if b := r.take(binary.Size(v)); b != nil {
+		if err := binary.Read(bytes.NewReader(b), binary.LittleEndian, v); err != nil {
+			r.err = fmt.Errorf("sim: checkpoint: %w", err)
+		}
+	}
+}
 
 func (r *ckptReader) cint() int {
 	v := r.u32()
@@ -250,14 +228,13 @@ func (r *ckptReader) i64s(maxLen int) []int64 {
 
 // ReadCheckpoint deserializes a checkpoint written by WriteCheckpoint.
 // The CRC, magic, version and every structural invariant are verified,
-// and the program is pre-decoded whatever flag bit 1 says, so the
-// restored machine runs through the same loops as the one checkpointed.
+// and the program is pre-decoded, as LoadProgram would.
 func ReadCheckpoint(src io.Reader) (*Snapshot, error) {
 	raw, err := io.ReadAll(src)
 	if err != nil {
 		return nil, fmt.Errorf("sim: checkpoint: read: %w", err)
 	}
-	if len(raw) < len(ckptMagic)+12 {
+	if len(raw) < len(ckptMagic)+8 {
 		return nil, fmt.Errorf("sim: checkpoint: file too short (%d bytes)", len(raw))
 	}
 	if string(raw[:len(ckptMagic)]) != ckptMagic {
@@ -272,7 +249,6 @@ func ReadCheckpoint(src io.Reader) (*Snapshot, error) {
 	if v := r.u32(); r.err == nil && v != ckptVersion {
 		return nil, fmt.Errorf("sim: checkpoint: unsupported version %d (want %d)", v, ckptVersion)
 	}
-	flags := r.u32()
 
 	var cfg Config
 	cfgJSON := r.take(r.cint())
@@ -321,19 +297,9 @@ func ReadCheckpoint(src io.Reader) (*Snapshot, error) {
 		}
 	}
 
-	if flags&ckptFlagMidRun != 0 && r.err == nil {
-		var st Stats
-		if err := binary.Read(bytes.NewReader(r.take(int(statsWireSize))), binary.LittleEndian, &st); err != nil && r.err == nil {
-			return nil, fmt.Errorf("sim: checkpoint: read stats: %w", err)
-		}
-		s.stats = &st
-		if s.pipe, err = readPipeState(r, &cfg); err != nil {
-			return nil, err
-		}
-	}
-
-	if r.err != nil {
-		return nil, r.err
+	r.fixed(&s.stats)
+	if err := readPipeState(r, &cfg, &s.pipe); err != nil {
+		return nil, err
 	}
 	if r.off != len(body) {
 		return nil, fmt.Errorf("sim: checkpoint: %d trailing bytes", len(body)-r.off)
@@ -341,89 +307,62 @@ func ReadCheckpoint(src io.Reader) (*Snapshot, error) {
 	return s, nil
 }
 
-// statsWireSize is the serialized size of Stats — fixed because every
-// field is an int64 or an int64 array (binary.Write lays it out with no
-// padding).
-var statsWireSize = int64(binary.Size(Stats{}))
+// mqEntryMinBytes is the wire size of a memory-queue entry without
+// accesses: its done time and access count.
+const mqEntryMinBytes = 8 + 1
 
-// mqEntryWireBytes is the serialized size of one memory-queue entry:
-// done, nAcc, the two masks, then every access slot (space, write flag,
-// address, length).
-const mqEntryWireBytes = 8 + 4 + 2 + len(mqEntry{}.accBuf)*(2+8+8)
-
-func readPipeState(r *ckptReader, cfg *Config) (*pipeState, error) {
+// readPipeState reads the pipeline state into p and checks it against
+// the configuration.
+func readPipeState(r *ckptReader, cfg *Config, p *pipeState) error {
 	// Ring lengths are bounded by the configuration and, through count,
 	// by the bytes left, so a corrupted length cannot force a huge
 	// allocation even under a crafted configuration.
 	maxRing := cfg.IssueQueueDepth + cfg.ROBDepth + cfg.MemQueueDepth
-	p := &pipeState{}
-	p.count = r.i64()
-	p.iqPos = r.cint()
-	p.robPos = r.cint()
-	p.fetchCycle = r.i64()
-	p.fetchSlot = r.cint()
-	p.redirect = r.i64()
+	r.fixed(&p.pipeScalars)
 	p.iqIssued = r.i64s(maxRing)
-	p.issueCycle = r.i64()
-	p.issueSlot = r.cint()
-	p.lastIssueTime = r.i64()
 	p.robCommit = r.i64s(maxRing)
-	p.commitCycle = r.i64()
-	p.commitSlot = r.cint()
-	p.lastCommit = r.i64()
-	p.memCount = r.i64()
-	p.mqPos = r.cint()
-	nMQ := r.count(mqEntryWireBytes)
+	nMQ := r.count(mqEntryMinBytes)
 	if r.err == nil && nMQ > maxRing {
-		return nil, fmt.Errorf("sim: checkpoint: memory queue length %d exceeds limit %d", nMQ, maxRing)
+		return fmt.Errorf("sim: checkpoint: memory queue length %d exceeds limit %d", nMQ, maxRing)
 	}
 	p.mq = make([]mqEntry, nMQ)
 	for i := 0; i < nMQ && r.err == nil; i++ {
 		q := &p.mq[i]
 		q.done = r.i64()
-		q.nAcc = r.cint()
-		if r.err == nil && (q.nAcc < 0 || q.nAcc > len(q.accBuf)) {
-			return nil, fmt.Errorf("sim: checkpoint: memory queue entry has %d accesses", q.nAcc)
+		n := int(r.byte())
+		if r.err == nil && n > len(q.acc.regs) {
+			return fmt.Errorf("sim: checkpoint: memory queue entry has %d accesses", n)
 		}
-		q.wmask = r.byte()
-		q.amask = r.byte()
-		for j := range q.accBuf {
-			q.accBuf[j].sp = space(r.byte())
-			q.accBuf[j].write = r.byte() != 0
-			q.accBuf[j].reg.Addr = int(r.i64())
-			q.accBuf[j].reg.N = int(r.i64())
+		for j := 0; j < n && r.err == nil; j++ {
+			a := access{sp: space(r.byte()), write: r.byte() != 0}
+			a.reg.Addr, a.reg.N = int(r.i64()), int(r.i64())
+			q.acc.add(a)
 		}
 	}
 	p.mqRetire = r.i64s(maxRing)
-	p.scalarNext = r.i64()
-	p.l1Next = r.i64()
-	p.vectorFree = r.i64()
-	p.matrixFree = r.i64()
-	for i := range p.regReady {
-		p.regReady[i] = r.i64()
-	}
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if len(p.iqIssued) != cfg.IssueQueueDepth || len(p.robCommit) != cfg.ROBDepth ||
 		len(p.mq) != cfg.MemQueueDepth || len(p.mqRetire) != cfg.MemQueueDepth {
-		return nil, fmt.Errorf("sim: checkpoint: pipeline ring sizes %d/%d/%d/%d do not match config %d/%d/%d",
+		return fmt.Errorf("sim: checkpoint: pipeline ring sizes %d/%d/%d/%d do not match config %d/%d/%d",
 			len(p.iqIssued), len(p.robCommit), len(p.mq), len(p.mqRetire),
 			cfg.IssueQueueDepth, cfg.ROBDepth, cfg.MemQueueDepth)
 	}
 	// The timing model indexes each ring at its position, so a position
-	// past its ring would panic the resumed run.
+	// outside its ring would panic the resumed run.
 	for _, ring := range []struct {
-		name   string
-		pos, n int
+		name string
+		pos  int64
+		n    int
 	}{
-		{"issue-queue", p.iqPos, len(p.iqIssued)},
-		{"reorder-buffer", p.robPos, len(p.robCommit)},
-		{"memory-queue", p.mqPos, len(p.mq)},
+		{"issue-queue", p.IQPos, len(p.iqIssued)},
+		{"reorder-buffer", p.ROBPos, len(p.robCommit)},
+		{"memory-queue", p.MQPos, len(p.mq)},
 	} {
-		if ring.pos >= ring.n {
-			return nil, fmt.Errorf("sim: checkpoint: %s position %d is outside its %d-entry ring", ring.name, ring.pos, ring.n)
+		if ring.pos < 0 || ring.pos >= int64(ring.n) {
+			return fmt.Errorf("sim: checkpoint: %s position %d is outside its %d-entry ring", ring.name, ring.pos, ring.n)
 		}
 	}
-	return p, nil
+	return nil
 }

@@ -2,8 +2,11 @@ package sim
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"runtime"
@@ -28,15 +31,24 @@ func encodeCheckpoint(tb testing.TB, s *Snapshot) []byte {
 	return buf.Bytes()
 }
 
+// stateBytes is the length of the statistics and pipeline state that
+// close the body of s's checkpoint.
+func stateBytes(s *Snapshot) int {
+	var pipe bytes.Buffer
+	writePipeState(&pipe, &s.pipe)
+	return binary.Size(&s.stats) + pipe.Len()
+}
+
 // craftPageCount is a fresh machine's checkpoint whose page count for
 // one memory image — image indexes ckptImages: vector scratchpad,
 // matrix scratchpad, main memory — claims 2^31-1 pages. A fresh machine
-// stores no pages, so the body ends with the three images' 12-byte size
-// and count pairs.
+// stores no pages, so the images end with their three 12-byte size and
+// count pairs, just before the statistics and pipeline state.
 func craftPageCount(tb testing.TB, cfg Config, image int) []byte {
 	tb.Helper()
-	raw := encodeCheckpoint(tb, mustNew(tb, cfg).Snapshot())
-	off := len(raw) - 4 - 12*(len(ckptImages)-image) + 8
+	snap := mustNew(tb, cfg).Snapshot()
+	raw := encodeCheckpoint(tb, snap)
+	off := len(raw) - 4 - stateBytes(snap) - 12*(len(ckptImages)-image) + 8
 	binary.LittleEndian.PutUint32(raw[off:], math.MaxInt32)
 	return resealCheckpoint(raw)
 }
@@ -62,26 +74,24 @@ func readAlloc(raw []byte) (uint64, error) {
 // craftPipeCount is a mid-run checkpoint whose config claims the deepest
 // issue queue validate allows, far deeper than the file holds, so the
 // ring-length limit is as loose as it gets, and whose pipeline-state
-// list count claims 2^31-1 entries. fromEnd locates that count word: its
-// distance from the end of the body, given the pipeline state and its
-// wire length.
-func craftPipeCount(t *testing.T, fromEnd func(p *pipeState, wireLen int) int) []byte {
+// list count claims 2^31-1 entries. at locates that count word: its
+// offset in the pipeline state, which closes the body.
+func craftPipeCount(t *testing.T, at func(p *pipeState) int) []byte {
 	t.Helper()
 	m := ckptMachine(t, DefaultConfig(), true)
 	if _, _, err := m.RunUntil(17); err != nil {
 		t.Fatal(err)
 	}
-	snap := m.Checkpoint()
+	snap := m.Snapshot()
 	raw := encodeCheckpoint(t, snap)
 
 	cfg := snap.Config()
 	cfg.IssueQueueDepth = maxEntries
 	out := swapConfig(t, raw, cfg)
 
-	// The pipeline state closes the body.
 	var pipe bytes.Buffer
-	writePipeState(&pipe, snap.pipe)
-	off := len(out) - 4 - fromEnd(snap.pipe, pipe.Len())
+	writePipeState(&pipe, &snap.pipe)
+	off := len(out) - 4 - pipe.Len() + at(&snap.pipe)
 	binary.LittleEndian.PutUint32(out[off:], math.MaxInt32)
 	return resealCheckpoint(out)
 }
@@ -90,7 +100,7 @@ func craftPipeCount(t *testing.T, fromEnd func(p *pipeState, wireLen int) int) [
 // leaving the CRC for the caller to reseal.
 func swapConfig(t *testing.T, raw []byte, cfg Config) []byte {
 	t.Helper()
-	cfgOff := len(ckptMagic) + 8
+	cfgOff := len(ckptMagic) + 4
 	cfgLen := int(binary.LittleEndian.Uint32(raw[cfgOff:]))
 	cfgJSON, err := json.Marshal(cfg)
 	if err != nil {
@@ -105,15 +115,17 @@ func swapConfig(t *testing.T, raw []byte, cfg Config) []byte {
 
 // craftConfig is a fresh machine's run-boundary checkpoint whose config
 // is DefaultConfig changed by mod, with the main-image size word (just
-// before the body's last word, the empty page count) kept consistent,
-// so nothing but the configuration's own bounds can reject it.
+// before the image's empty page count, the last word ahead of the
+// statistics and pipeline state) kept consistent, so nothing but the
+// configuration's own bounds can reject it.
 func craftConfig(t *testing.T, mod func(*Config)) []byte {
 	t.Helper()
 	cfg := DefaultConfig()
-	raw := encodeCheckpoint(t, mustNew(t, cfg).Snapshot())
+	snap := mustNew(t, cfg).Snapshot()
+	raw := encodeCheckpoint(t, snap)
 	mod(&cfg)
 	out := swapConfig(t, raw, cfg)
-	binary.LittleEndian.PutUint64(out[len(out)-16:], uint64(cfg.MainMemBytes))
+	binary.LittleEndian.PutUint64(out[len(out)-4-stateBytes(snap)-12:], uint64(cfg.MainMemBytes))
 	return resealCheckpoint(out)
 }
 
@@ -195,15 +207,14 @@ func TestCraftedCheckpointCountFailsBeforeSizing(t *testing.T) {
 		{"page count", craftPageCount(t, DefaultConfig(), 2)},
 		{"vector-pad page count", craftPageCount(t, DefaultConfig(), 0)},
 		{"matrix-pad page count", craftPageCount(t, DefaultConfig(), 1)},
-		// The issue-queue length follows count, iqPos, robPos,
-		// fetchCycle, fetchSlot and redirect.
-		{"ring length", craftPipeCount(t, func(_ *pipeState, wireLen int) int {
-			return wireLen - (8 + 4 + 4 + 8 + 4 + 8)
+		// The issue-queue length follows the scalars.
+		{"ring length", craftPipeCount(t, func(*pipeState) int {
+			return binary.Size(pipeScalars{})
 		})},
-		// The memory-queue length precedes the entries, mqRetire, four
-		// unit clocks and regReady.
-		{"memory-queue length", craftPipeCount(t, func(p *pipeState, _ int) int {
-			return 4 + len(p.mq)*mqEntryWireBytes + 4 + 8*len(p.mqRetire) + 4*8 + 8*len(p.regReady)
+		// The memory-queue length follows the issue-queue and
+		// reorder-buffer rings.
+		{"memory-queue length", craftPipeCount(t, func(p *pipeState) int {
+			return binary.Size(pipeScalars{}) + 4 + 8*len(p.iqIssued) + 4 + 8*len(p.robCommit)
 		})},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -226,28 +237,32 @@ func craftPipePos(tb testing.TB, cfg Config, set func(*pipeState)) []byte {
 	if _, _, err := m.RunUntil(17); err != nil {
 		tb.Fatal(err)
 	}
-	snap := m.Checkpoint()
-	set(snap.pipe)
+	snap := m.Snapshot()
+	set(&snap.pipe)
 	return encodeCheckpoint(tb, snap)
 }
 
-// TestCraftedCheckpointPositionFails pins that a ring position past its
-// ring fails the read, naming the ring. Such a file used to read back
-// and restore, and then `Resume` panicked with an index out of range.
+// TestCraftedCheckpointPositionFails pins that a ring position outside
+// its ring, past its end or negative, fails the read, naming the ring.
+// A position past the end used to read back and restore, and then
+// `Resume` panicked with an index out of range; positions are int64 on
+// the wire, so a file can also hold a negative one.
 func TestCraftedCheckpointPositionFails(t *testing.T) {
 	for _, c := range []struct {
 		ring string
-		set  func(*pipeState)
+		set  func(*pipeState, int64)
 	}{
-		{"issue-queue", func(p *pipeState) { p.iqPos = 1000 }},
-		{"reorder-buffer", func(p *pipeState) { p.robPos = 1000 }},
-		{"memory-queue", func(p *pipeState) { p.mqPos = 1000 }},
+		{"issue-queue", func(p *pipeState, v int64) { p.IQPos = v }},
+		{"reorder-buffer", func(p *pipeState, v int64) { p.ROBPos = v }},
+		{"memory-queue", func(p *pipeState, v int64) { p.MQPos = v }},
 	} {
 		t.Run(c.ring, func(t *testing.T) {
-			raw := craftPipePos(t, DefaultConfig(), c.set)
-			_, err := ReadCheckpoint(bytes.NewReader(raw))
-			if err == nil || !strings.Contains(err.Error(), c.ring+" position 1000 ") {
-				t.Fatalf("error = %v, want the %s position rejected", err, c.ring)
+			for _, pos := range []int64{1000, -1} {
+				raw := craftPipePos(t, DefaultConfig(), func(p *pipeState) { c.set(p, pos) })
+				_, err := ReadCheckpoint(bytes.NewReader(raw))
+				if want := fmt.Sprintf("%s position %d ", c.ring, pos); err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("error = %v, want the %s position %d rejected", err, c.ring, pos)
+				}
 			}
 		})
 	}
@@ -274,9 +289,10 @@ func FuzzReadCheckpoint(f *testing.F) {
 	}
 	for _, raw := range [][]byte{
 		encodeCheckpoint(f, fresh.Snapshot()),
-		encodeCheckpoint(f, midRun.Checkpoint()),
+		encodeCheckpoint(f, midRun.Snapshot()),
 		craftPageCount(f, cfg, 2),
-		craftPipePos(f, cfg, func(p *pipeState) { p.mqPos = 1000 }),
+		craftPipePos(f, cfg, func(p *pipeState) { p.MQPos = 1000 }),
+		craftPipePos(f, cfg, func(p *pipeState) { p.ROBPos = -1 }),
 	} {
 		f.Add(raw[len(ckptMagic) : len(raw)-4])
 	}
@@ -306,4 +322,37 @@ func FuzzReadCheckpoint(f *testing.F) {
 		// A crafted state may end the run in an error; only a panic fails.
 		_, _ = m.Resume()
 	})
+}
+
+// TestCheckpointLayoutPinned pins the CAMCKPT1 encoding of a pristine
+// snapshot under a small fixed configuration by its length and SHA-256.
+// The encoding does not depend on the timing model, but it changes
+// whenever Config, Stats or the pipeline state change shape, and a
+// reader built for one shape misreads a file of another. Such a change
+// must bump ckptVersion, so that old files are refused by name, and
+// then update the constants here.
+func TestCheckpointLayoutPinned(t *testing.T) {
+	cfg := Config{
+		IssueWidth: 2, IssueQueueDepth: 3, MemQueueDepth: 2, ROBDepth: 4,
+		VectorSpadBytes: 4 << 10, MatrixSpadBytes: 4 << 10, BankBytes: 64, SpadBanks: 4,
+		VectorLanes: 32, MatrixBlocks: 32, MACsPerBlock: 32, HTreeOverhead: 6,
+		CordicBeatCycles: 4, DivBeatCycles: 4,
+		MainMemBytes: 8 << 10, DMAStartupCycles: 24, DMABytesPerCycle: 32,
+		BranchPenaltyCycles: 4, ClockHz: 1e9, Seed: 7,
+		MaxDynamicInstructions: 1 << 20, MaxCycles: 1 << 20,
+	}
+	snap, err := PristineSnapshot(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := encodeCheckpoint(t, snap)
+	const (
+		wantLen    = 2133
+		wantSHA256 = "ac277c0a2341733484980a2b2393b5e14e67cb8cfecf2fce078f4409c0bf24d6"
+	)
+	if sum := sha256.Sum256(raw); len(raw) != wantLen || hex.EncodeToString(sum[:]) != wantSHA256 {
+		t.Fatalf("a pristine snapshot now encodes to %d bytes with SHA-256 %x, not %d bytes with %s: "+
+			"the CAMCKPT1 layout changed, so bump ckptVersion (now %d) and update the constants",
+			len(raw), sum, wantLen, wantSHA256, ckptVersion)
+	}
 }

@@ -96,7 +96,7 @@ func (m *Machine) runDecoded(ctx context.Context) (Stats, error) {
 	tracing := m.tracer != nil
 	if tracing {
 		m.tracer.BeginRun(m.runMeta())
-		defer func() { m.tracer.EndRun(m.pipe.lastCommit) }()
+		defer func() { m.tracer.EndRun(m.pipe.LastCommit) }()
 	}
 	if inj != nil {
 		inj.BeginRun()
@@ -111,19 +111,19 @@ func (m *Machine) runDecoded(ctx context.Context) (Stats, error) {
 		n := m.stats.Instructions
 		if stopAt >= 0 && n >= stopAt {
 			m.stopped = true
-			m.stats.Cycles = m.pipe.lastCommit
+			m.stats.Cycles = m.pipe.LastCommit
 			return m.stats, nil
 		}
 		if done != nil && n&1023 == 0 {
 			select {
 			case <-done:
-				m.stats.Cycles = m.pipe.lastCommit
+				m.stats.Cycles = m.pipe.LastCommit
 				return m.stats, ctx.Err()
 			default:
 			}
 		}
 		if n >= limit {
-			m.stats.Cycles = m.pipe.lastCommit
+			m.stats.Cycles = m.pipe.LastCommit
 			return m.stats, &RuntimeError{PC: m.pc, Inst: dec[m.pc].Inst,
 				Err: fmt.Errorf("dynamic instruction limit %d exceeded", limit)}
 		}
@@ -133,7 +133,7 @@ func (m *Machine) runDecoded(ctx context.Context) (Stats, error) {
 				m.noteFault("fetch-bit")
 				inst, err := core.Decode(cw)
 				if err != nil {
-					m.stats.Cycles = m.pipe.lastCommit
+					m.stats.Cycles = m.pipe.LastCommit
 					return m.stats, &RuntimeError{PC: m.pc, Inst: d.Inst, Err: err}
 				}
 				// The corrupted instruction is not the decoded one: it
@@ -148,7 +148,7 @@ func (m *Machine) runDecoded(ctx context.Context) (Stats, error) {
 		}
 		m.eff.reset()
 		if err := m.execInto(d.Inst, &m.eff); err != nil {
-			m.stats.Cycles = m.pipe.lastCommit
+			m.stats.Cycles = m.pipe.LastCommit
 			return m.stats, &RuntimeError{PC: m.pc, Inst: d.Inst, Err: err}
 		}
 		m.stats.Instructions++
@@ -178,7 +178,7 @@ func (m *Machine) runDecoded(ctx context.Context) (Stats, error) {
 			m.tracer.Instruction(&m.ev)
 		}
 		if watchdog && commit > m.cfg.MaxCycles {
-			m.stats.Cycles = m.pipe.lastCommit
+			m.stats.Cycles = m.pipe.LastCommit
 			return m.stats, &WatchdogError{
 				PC:    m.pc,
 				Inst:  d.Inst,
@@ -195,7 +195,7 @@ func (m *Machine) runDecoded(ctx context.Context) (Stats, error) {
 			m.pc++
 		}
 	}
-	m.stats.Cycles = m.pipe.lastCommit
+	m.stats.Cycles = m.pipe.LastCommit
 	if m.pc != len(dec) && len(dec) > 0 {
 		return m.stats, fmt.Errorf("sim: control flow left the program (pc=%d, len=%d)", m.pc, len(dec))
 	}

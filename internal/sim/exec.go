@@ -21,9 +21,48 @@ const (
 
 // access is one memory region touched by an instruction.
 type access struct {
-	sp    space
 	reg   mem.Region
+	sp    space
 	write bool
+}
+
+// accessSet is the memory regions one instruction touches, at most four,
+// kept in a fixed array so recording a set never allocates. wmask and
+// amask summarize it: bit sp of wmask is set when the set writes space
+// sp, of amask when it touches space sp at all. add keeps them current.
+type accessSet struct {
+	regs  [4]access
+	n     uint8
+	wmask uint8
+	amask uint8
+}
+
+// add appends one access to the set.
+func (s *accessSet) add(a access) {
+	s.regs[s.n] = a
+	s.n++
+	bit := uint8(1) << a.sp
+	s.amask |= bit
+	if a.write {
+		s.wmask |= bit
+	}
+}
+
+// list views the set's accesses.
+func (s *accessSet) list() []access { return s.regs[:s.n] }
+
+// conflicts reports whether two access sets contain a pair in the same
+// space, overlapping, with at least one write — the paper's
+// memory-dependence rule (footnote 2).
+func (s *accessSet) conflicts(t *accessSet) bool {
+	for _, x := range s.list() {
+		for _, y := range t.list() {
+			if x.sp == y.sp && (x.write || y.write) && x.reg.Overlaps(y.reg) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // fuKind routes an instruction to its execution resource (Fig. 8).
@@ -36,15 +75,12 @@ const (
 	fuMatrix                  // matrix functional unit (and its DMAs)
 )
 
-// effect is what one executed instruction reports to the timing model. The
-// access set is backed by a fixed array indexed by nAccess (no instruction
-// touches more than four regions), keeping the execution loop
-// allocation-free and the struct copyable by value.
+// effect is what one executed instruction reports to the timing model.
+// It is copyable by value and keeps the execution loop allocation-free.
 type effect struct {
 	fu           fuKind
 	execCycles   int64
-	accessBuf    [4]access
-	nAccess      int
+	acc          accessSet
 	branchTaken  bool
 	branchOffset int
 	// isDMA marks scratchpad<->main-memory transfers (load/store DMAs);
@@ -55,55 +91,22 @@ type effect struct {
 }
 
 func (e *effect) touch(sp space, addr, n int, write bool) {
-	e.accessBuf[e.nAccess] = access{sp: sp, reg: mem.Region{Addr: addr, N: n}, write: write}
-	e.nAccess++
+	e.acc.add(access{reg: mem.Region{Addr: addr, N: n}, sp: sp, write: write})
 }
 
-// acc views the access set.
-func (e *effect) acc() []access { return e.accessBuf[:e.nAccess] }
-
-// reset clears the effect for reuse. accessBuf is deliberately left
-// dirty: it is only ever read through acc(), which views [:nAccess], so
-// zeroing its 96 bytes per dynamic instruction would be pure overhead —
-// the reason the decoded loops call reset instead of assigning effect{}.
+// reset clears the effect for reuse. The access regions are deliberately
+// left dirty: they are only ever read through list(), which views the
+// first n, so zeroing them per dynamic instruction would be pure
+// overhead — the reason the decoded loops call reset instead of
+// assigning effect{}.
 func (e *effect) reset() {
 	e.fu = 0
 	e.execCycles = 0
-	e.nAccess = 0
+	e.acc.n, e.acc.wmask, e.acc.amask = 0, 0, 0
 	e.branchTaken = false
 	e.branchOffset = 0
 	e.isDMA = false
 	e.dmaBytes = 0
-}
-
-// accessMasks summarizes an access set as two space bitmasks: bit sp set
-// in wmask when the set writes space sp, in amask when it touches it at
-// all. overlapsConflicting(a, b) can only hold when a's write mask meets
-// b's access mask or vice versa, so the masks are a cheap pre-filter for
-// the memory-queue dependence scan.
-func accessMasks(a []access) (wmask, amask uint8) {
-	for _, x := range a {
-		bit := uint8(1) << x.sp
-		amask |= bit
-		if x.write {
-			wmask |= bit
-		}
-	}
-	return wmask, amask
-}
-
-// overlapsConflicting reports whether two instructions' access sets contain
-// a pair in the same space, overlapping, with at least one write — the
-// paper's memory-dependence rule (footnote 2).
-func overlapsConflicting(a, b []access) bool {
-	for _, x := range a {
-		for _, y := range b {
-			if x.sp == y.sp && (x.write || y.write) && x.reg.Overlaps(y.reg) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // ceilDiv rounds a/b up. b is always positive here by construction:
@@ -412,7 +415,7 @@ func (m *Machine) execMove(inst core.Instruction, e *effect) error {
 	e.touch(sp, src, bytes, false)
 	e.touch(sp, dst, bytes, true)
 	if sp == spaceVec {
-		e.execCycles = m.vecCycles(n, 1, e.acc())
+		e.execCycles = m.vecCycles(n, 1, e.acc.list())
 	} else {
 		e.execCycles = m.matElemCycles(n)
 	}
@@ -659,7 +662,7 @@ func (m *Machine) execVecBinary(inst core.Instruction, e *effect) error {
 	e.touch(spaceVec, m.regAddr(inst.R[2]), fixed.Bytes(n), false)
 	e.touch(spaceVec, m.regAddr(inst.R[3]), fixed.Bytes(n), false)
 	e.touch(spaceVec, dst, fixed.Bytes(n), true)
-	e.execCycles = m.vecCycles(n, beatCost, e.acc())
+	e.execCycles = m.vecCycles(n, beatCost, e.acc.list())
 	m.stats.VectorElems += int64(n)
 	m.stats.SpadBytes += int64(3 * fixed.Bytes(n))
 	return nil
@@ -688,7 +691,7 @@ func (m *Machine) execVAS(inst core.Instruction, e *effect) error {
 	}
 	e.touch(spaceVec, m.regAddr(inst.R[2]), fixed.Bytes(n), false)
 	e.touch(spaceVec, dst, fixed.Bytes(n), true)
-	e.execCycles = m.vecCycles(n, 1, e.acc())
+	e.execCycles = m.vecCycles(n, 1, e.acc.list())
 	m.stats.VectorElems += int64(n)
 	m.stats.SpadBytes += int64(2 * fixed.Bytes(n))
 	return nil
@@ -732,7 +735,7 @@ func (m *Machine) execVecUnary(inst core.Instruction, e *effect) error {
 	}
 	e.touch(spaceVec, m.regAddr(inst.R[2]), fixed.Bytes(n), false)
 	e.touch(spaceVec, dst, fixed.Bytes(n), true)
-	e.execCycles = m.vecCycles(n, beatCost, e.acc())
+	e.execCycles = m.vecCycles(n, beatCost, e.acc.list())
 	m.stats.VectorElems += int64(n)
 	m.stats.SpadBytes += int64(2 * fixed.Bytes(n))
 	return nil
@@ -756,7 +759,7 @@ func (m *Machine) execVDOT(inst core.Instruction, e *effect) error {
 	m.gpr[inst.R[0]] = uint32(int32(fixed.Dot(a, b)))
 	e.touch(spaceVec, m.regAddr(inst.R[2]), fixed.Bytes(n), false)
 	e.touch(spaceVec, m.regAddr(inst.R[3]), fixed.Bytes(n), false)
-	e.execCycles = m.vecCycles(n, 1, e.acc()) + reduceCycles(m.cfg.VectorLanes)
+	e.execCycles = m.vecCycles(n, 1, e.acc.list()) + reduceCycles(m.cfg.VectorLanes)
 	m.stats.VectorElems += int64(n)
 	m.stats.SpadBytes += int64(2 * fixed.Bytes(n))
 	return nil
@@ -783,7 +786,7 @@ func (m *Machine) execRV(inst core.Instruction, e *effect) error {
 		return err
 	}
 	e.touch(spaceVec, dst, fixed.Bytes(n), true)
-	e.execCycles = m.vecCycles(n, 1, e.acc())
+	e.execCycles = m.vecCycles(n, 1, e.acc.list())
 	m.stats.VectorElems += int64(n)
 	m.stats.SpadBytes += int64(fixed.Bytes(n))
 	return nil
@@ -811,7 +814,7 @@ func (m *Machine) execVReduce(inst core.Instruction, e *effect) error {
 	}
 	m.gpr[inst.R[0]] = uint32(int32(best))
 	e.touch(spaceVec, m.regAddr(inst.R[2]), fixed.Bytes(n), false)
-	e.execCycles = m.vecCycles(n, 1, e.acc()) + reduceCycles(m.cfg.VectorLanes)
+	e.execCycles = m.vecCycles(n, 1, e.acc.list()) + reduceCycles(m.cfg.VectorLanes)
 	m.stats.VectorElems += int64(n)
 	m.stats.SpadBytes += int64(fixed.Bytes(n))
 	return nil

@@ -43,12 +43,11 @@ import (
 // source/destination scalar registers and its memory access regions,
 // exactly as reported to the timing model.
 type accessRec struct {
-	nAcc   uint8
+	acc    accessSet
 	nSrc   uint8
 	dst    uint8
 	hasDst bool
 	src    [6]uint8
-	acc    [4]access
 }
 
 // AccessTrace records the architectural reads and writes of one complete
@@ -84,9 +83,7 @@ func (t *AccessTrace) record(idx int64, src []uint8, dst uint8, hasDst bool, e *
 		t.bad = true
 		return
 	}
-	var r accessRec
-	r.nAcc = uint8(e.nAccess)
-	copy(r.acc[:], e.accessBuf[:e.nAccess])
+	r := accessRec{acc: e.acc}
 	r.nSrc = uint8(len(src))
 	copy(r.src[:], src)
 	r.dst, r.hasDst = dst, hasDst
@@ -151,7 +148,7 @@ func (t *AccessTrace) Liveness(cfg Config) (*Liveness, error) {
 		for _, s := range r.src[:r.nSrc] {
 			lv.gprLast[int(s)%core.NumGPRs] = idx
 		}
-		for _, a := range r.acc[:r.nAcc] {
+		for _, a := range r.acc.list() {
 			if a.reg.N <= 0 {
 				continue
 			}
@@ -244,7 +241,7 @@ const maxDiffWords = 64
 
 // ConvergedWith reports whether this machine — stopped at a RunUntil
 // boundary — has provably converged with the golden run represented by
-// the checkpoint s (captured at the same dynamic instruction boundary)
+// the snapshot s (captured at the same dynamic instruction boundary)
 // and the liveness lv of the same run: the PC, PRNG, statistics (modulo
 // the FaultsInjected counter), pipeline timing state and all main-memory
 // pages that can differ are equal, and every register or scratchpad word
@@ -258,13 +255,12 @@ const maxDiffWords = 64
 // the earliest dynamic index at which every currently blocking location
 // becomes dead, so checks before it cannot succeed.
 //
-// The machine must have been restored from a checkpoint of the same
+// The machine must have been restored from a snapshot of the same
 // golden run (its memories' dirty tracking bounds the pages that can
-// differ); s must be a mid-run checkpoint at the machine's current
-// instruction index. A proof allocates nothing once the machine's page
-// and word buffers have grown.
+// differ). A proof allocates nothing once the machine's page and word
+// buffers have grown.
 func (m *Machine) ConvergedWith(s *Snapshot, lv *Liveness) (converged bool, retryAt int64) {
-	if s == nil || s.stats == nil || s.pipe == nil || lv == nil || m.lastSnap == nil {
+	if m.lastSnap == nil {
 		return false, 0
 	}
 	j := m.stats.Instructions
@@ -274,12 +270,12 @@ func (m *Machine) ConvergedWith(s *Snapshot, lv *Liveness) (converged bool, retr
 	// Statistics must match exactly, except that the faulted run counts
 	// the fault it applied; FaultsInjected never feeds back into timing
 	// or results.
-	a, b := m.stats, *s.stats
+	a, b := m.stats, s.stats
 	a.FaultsInjected, b.FaultsInjected = 0, 0
 	if a != b {
 		return false, 0
 	}
-	if !m.pipe.stateEqual(s.pipe) {
+	if !m.pipe.equal(&s.pipe) {
 		return false, 0
 	}
 	retry := int64(-1)

@@ -105,9 +105,9 @@ func TestConvergedWith(t *testing.T) {
 		}
 	}
 	mustRunUntil(golden, j1)
-	ck1 := golden.Checkpoint()
+	ck1 := golden.Snapshot()
 	mustRunUntil(golden, j2)
-	ck2 := golden.Checkpoint()
+	ck2 := golden.Snapshot()
 
 	m := ckptMachine(t, cfg, true)
 	if err := m.Restore(ck1); err != nil {
@@ -165,11 +165,11 @@ func TestConvergedWithAllocationFree(t *testing.T) {
 	if _, _, err := golden.RunUntil(j1); err != nil {
 		t.Fatal(err)
 	}
-	ck1 := golden.Checkpoint()
+	ck1 := golden.Snapshot()
 	if _, _, err := golden.RunUntil(j2); err != nil {
 		t.Fatal(err)
 	}
-	ck2 := golden.Checkpoint()
+	ck2 := golden.Snapshot()
 
 	m := ckptMachine(t, cfg, true)
 	if err := m.Restore(ck1); err != nil {

@@ -224,10 +224,10 @@ func (m *Machine) SetTracer(t trace.Tracer) {
 		return
 	}
 	m.vspad.SetConflictHook(func(bank, extra int) {
-		t.BankConflict(m.vspad.Name(), bank, int64(extra), m.pipe.lastCommit)
+		t.BankConflict(m.vspad.Name(), bank, int64(extra), m.pipe.LastCommit)
 	})
 	m.mspad.SetConflictHook(func(bank, extra int) {
-		t.BankConflict(m.mspad.Name(), bank, int64(extra), m.pipe.lastCommit)
+		t.BankConflict(m.mspad.Name(), bank, int64(extra), m.pipe.LastCommit)
 	})
 }
 
@@ -277,7 +277,7 @@ func (m *Machine) FlipSpadBit(space fault.Space, word int, bit uint8) bool {
 func (m *Machine) noteFault(kind string) {
 	m.stats.FaultsInjected++
 	if m.tracer != nil {
-		m.tracer.Fault(kind, m.pc, m.pipe.lastCommit)
+		m.tracer.Fault(kind, m.pc, m.pipe.LastCommit)
 	}
 }
 
@@ -363,11 +363,11 @@ func (m *Machine) RunContext(ctx context.Context) (Stats, error) {
 }
 
 // Resume continues execution from the machine's current state — after a
-// RunUntil stop or a Restore of a mid-run checkpoint — until the program
-// ends, returning the accumulated run statistics. Resuming a completed
-// run returns immediately. The resumed remainder is bit-identical (in
-// statistics, cycles, traces and fault behaviour) to the uninterrupted
-// run.
+// RunUntil stop or a Restore of a snapshot taken mid-run — until the
+// program ends, returning the accumulated run statistics. Resuming a
+// completed run returns immediately. The resumed remainder is
+// bit-identical (in statistics, cycles, traces and fault behaviour) to
+// the uninterrupted run.
 func (m *Machine) Resume() (Stats, error) {
 	return m.ResumeContext(context.Background())
 }
@@ -382,10 +382,10 @@ func (m *Machine) ResumeContext(ctx context.Context) (Stats, error) {
 // the accumulated dynamic instruction count reaches n (returning at that
 // exact instruction boundary with done=false) or the program ends first
 // (done=true). Stopping never perturbs simulated state: any interleaving
-// of RunUntil segments, Checkpoint captures and Resume produces the same
+// of RunUntil segments, Snapshot captures and Resume produces the same
 // statistics, cycles and traces as one uninterrupted run. Start from PC 0
-// by calling it on a machine that was Reset or restored to a run-boundary
-// snapshot.
+// by calling it on a machine that was Reset or restored to a snapshot
+// taken before a run.
 func (m *Machine) RunUntil(n int64) (Stats, bool, error) {
 	return m.RunUntilContext(context.Background(), n)
 }

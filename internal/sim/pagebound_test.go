@@ -59,7 +59,7 @@ func TestCheckpointPageDiffsWithinRecordedWrites(t *testing.T) {
 			if _, done, err := m.RunUntil(at); err != nil || done {
 				t.Fatalf("%s: RunUntil(%d): done=%v err=%v", p.Name, at, done, err)
 			}
-			ckpts = append(ckpts, m.Checkpoint())
+			ckpts = append(ckpts, m.Snapshot())
 		}
 		for i, a := range ckpts {
 			for _, b := range ckpts[i+1:] {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cambricon/internal/asm"
+	"cambricon/internal/mem"
 	"cambricon/internal/trace"
 )
 
@@ -81,10 +82,11 @@ func randomEffect(rng *rand.Rand) effect {
 }
 
 // TestMemQueueScanMatchesFullScan pins the memory-queue dependence scan,
-// which walks back from the newest entry and stops early, to the rule
-// it implements: a memory instruction leaves the queue at the largest
-// done time among the live entries that conflict with it
-// (overlapsConflicting), or at its entry time when none is later.
+// which walks back from the newest entry, stops early and filters
+// entries by their access masks, to the rule it implements: a memory
+// instruction leaves the queue at the largest done time among the live
+// entries that conflict with it (accessSet.conflicts), or at its entry
+// time when none is later.
 // Random streams on shallow queues wrap the ring on nearly every
 // instruction, and halfway through, the pipeline is captured and the
 // run continues on a fresh pipeline restored from it.
@@ -105,17 +107,18 @@ func TestMemQueueScanMatchesFullScan(t *testing.T) {
 			waits := 0
 			for i := 0; i < n; i++ {
 				if i == n/2 {
-					fresh := &pipeline{}
-					fresh.restoreState(p.capture(), &cfg, &stats)
+					snap := p.capture()
+					fresh := &pipeline{cfg: &cfg, stats: &stats}
+					fresh.restore(&snap)
 					p = fresh
 				}
 				e := randomEffect(rng)
 				src := []uint8{uint8(rng.Intn(4))}
 				dst, hasDst := uint8(rng.Intn(4)), rng.Intn(2) == 0
-				// mqPos is memCount modulo the ring size, so until the
-				// ring wraps the live entries are its first memCount
+				// MQPos is MemCount modulo the ring size, so until the
+				// ring wraps the live entries are its first MemCount
 				// slots, and after that all of them.
-				live = append(live[:0], p.mq[:min(p.memCount, int64(len(p.mq)))]...)
+				live = append(live[:0], p.mq[:min(p.MemCount, int64(len(p.mq)))]...)
 				var ev trace.InstEvent
 				p.advanceWith(src, dst, hasDst, &e, &ev)
 				if e.fu == fuScalar {
@@ -123,7 +126,7 @@ func TestMemQueueScanMatchesFullScan(t *testing.T) {
 				}
 				want := ev.Issue + 2
 				for k := range live {
-					if ent := &live[k]; ent.done > want && overlapsConflicting(ent.acc(), e.acc()) {
+					if ent := &live[k]; ent.done > want && ent.acc.conflicts(&e.acc) {
 						want = ent.done
 					}
 				}
@@ -140,6 +143,32 @@ func TestMemQueueScanMatchesFullScan(t *testing.T) {
 			if depth > 1 && waits == 0 {
 				t.Errorf("depth %d width %d: no memory instruction waited on a dependence", depth, width)
 			}
+		}
+	}
+}
+
+// TestPipeStateIgnoresStaleAccesses pins that an instruction's unused
+// access slots never reach the timing state that equal compares: two
+// pipelines fed the same effects, one of them with garbage in every
+// unused slot, stay equal, so a convergence proof never fails on bytes
+// the dependence scan does not read.
+func TestPipeStateIgnoresStaleAccesses(t *testing.T) {
+	cfg := DefaultConfig()
+	var sa, sb Stats
+	a, b := &pipeline{}, &pipeline{}
+	a.init(&cfg, &sa)
+	b.init(&cfg, &sb)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		e := randomEffect(rng)
+		stale := e
+		for k := int(e.acc.n); k < len(e.acc.regs); k++ {
+			stale.acc.regs[k] = access{reg: mem.Region{Addr: i, N: k + 1}, sp: spaceVec, write: true}
+		}
+		a.advanceWith(nil, 0, false, &e, nil)
+		b.advanceWith(nil, 0, false, &stale, nil)
+		if !a.equal(&b.pipeState) {
+			t.Fatalf("instruction %d: the states differ only in unused access slots, and equal says they differ", i)
 		}
 	}
 }

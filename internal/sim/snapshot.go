@@ -7,11 +7,13 @@ import (
 	"cambricon/internal/mem"
 )
 
-// Snapshot is a captured machine state: registers, PC, PRNG, the loaded
-// program and memory images. Capturing one right after Program.Init
-// turns every later run of the same prepared workload into a Restore —
-// a handful of dirty-page copies — instead of a 16 MiB machine rebuild
-// plus image replay. All three memories are held page-sparse (only
+// Snapshot is a captured machine state at a dynamic instruction
+// boundary: registers, PC, PRNG, the loaded program, memory images,
+// statistics and pipeline timing state. Capturing one right after
+// Program.Init turns every later run of the same prepared workload into
+// a Restore — a handful of dirty-page copies — instead of a 16 MiB
+// machine rebuild plus image replay; capturing one mid-run lets the run
+// resume elsewhere. All three memories are held page-sparse (only
 // nonzero 4 KiB pages are resident; benchmarks touch well under 1 MiB of
 // the 16 MiB main memory and a few pages of each scratchpad), so a suite
 // holding all ten prepared benchmarks keeps a small fraction of the
@@ -29,35 +31,22 @@ type Snapshot struct {
 	// and both scratchpads, each page-sparse.
 	img [3]*mem.SparseImage
 
-	// stats/pipe are set only for mid-run captures (Checkpoint): the
-	// accumulated statistics and pipeline timing state at the capture
-	// boundary. Restore reinstates them instead of resetting, so resuming
-	// is bit-identical to never having stopped. Run-boundary snapshots
-	// (Snapshot) leave them nil and restore to reset state as before.
-	stats *Stats
-	pipe  *pipeState
+	// stats and pipe are the accumulated statistics and the pipeline
+	// timing state at the capture boundary. Restore reinstates them, so
+	// resuming is bit-identical to never having stopped.
+	stats Stats
+	pipe  pipeState
 }
 
 // Config returns the configuration the snapshot was captured under.
 func (s *Snapshot) Config() Config { return s.cfg }
 
 // Instructions returns the dynamic instruction index the snapshot was
-// captured at (0 for run-boundary snapshots).
-func (s *Snapshot) Instructions() int64 {
-	if s.stats == nil {
-		return 0
-	}
-	return s.stats.Instructions
-}
+// captured at.
+func (s *Snapshot) Instructions() int64 { return s.stats.Instructions }
 
-// Stats returns a copy of the statistics captured with a mid-run
-// snapshot (the zero Stats for run-boundary snapshots).
-func (s *Snapshot) Stats() Stats {
-	if s.stats == nil {
-		return Stats{}
-	}
-	return *s.stats
-}
+// Stats returns the statistics accumulated up to the capture.
+func (s *Snapshot) Stats() Stats { return s.stats }
 
 // Bytes returns the resident size of the captured memory images: only
 // the nonzero pages of main memory and of both scratchpads.
@@ -113,45 +102,32 @@ func archEqual(a, b Config) bool {
 	return a == b
 }
 
-// Snapshot captures the machine's current architectural state and arms
-// dirty tracking on its memories, so a later Restore to this snapshot
-// copies only regions written in between. Timing state (stats, pipeline
-// rings) is not captured: Restore resets it exactly like a fresh machine,
-// and the attached tracer/injector are left untouched.
-func (m *Machine) Snapshot() *Snapshot {
-	return m.capture(false)
-}
-
-// Checkpoint captures the machine mid-run, at its current dynamic
-// instruction boundary: everything Snapshot captures plus the
-// accumulated statistics (including the CPI-stack stall counters) and
-// the full pipeline timing state (stage clocks, in-flight memory-queue
-// entries, functional-unit availability). Restoring the checkpoint —
+// Snapshot captures the machine at its current dynamic instruction
+// boundary: registers, PC, PRNG, the loaded program, the memory images,
+// the accumulated statistics (including the CPI-stack stall counters)
+// and the full pipeline timing state (stage clocks, in-flight
+// memory-queue entries, functional-unit availability). Restoring it —
 // onto this machine or any machine with an archEqual configuration —
 // and resuming (Resume, RunUntil) produces statistics, cycles, traces
-// and fault behaviour bit-identical to the uninterrupted run. Like
-// Snapshot, the call arms dirty tracking so a later Restore to this
-// checkpoint copies only memory written in between.
-func (m *Machine) Checkpoint() *Snapshot {
-	return m.capture(true)
-}
-
-func (m *Machine) capture(midRun bool) *Snapshot {
+// and fault behaviour bit-identical to the uninterrupted run; a
+// snapshot taken before a run, such as right after Program.Init, holds
+// the reset timing state, so a Run after restoring it matches a fresh
+// machine's. The call arms dirty tracking on the memories, so a later
+// Restore to this snapshot copies only memory written in between; the
+// attached tracer and injector are left untouched.
+func (m *Machine) Snapshot() *Snapshot {
 	s := &Snapshot{
-		cfg: m.cfg,
-		gpr: m.gpr,
-		pc:  m.pc,
-		rng: m.rng,
-		dec: m.dec,
+		cfg:   m.cfg,
+		gpr:   m.gpr,
+		pc:    m.pc,
+		rng:   m.rng,
+		dec:   m.dec,
+		stats: m.stats,
+		pipe:  m.pipe.capture(),
 	}
 	for sp, mm := range m.memories() {
 		s.img[sp] = mm.SparseImage()
 		mm.BeginDirtyTracking()
-	}
-	if midRun {
-		st := m.stats
-		s.stats = &st
-		s.pipe = m.pipe.capture()
 	}
 	m.lastSnap = s
 	return s
@@ -159,10 +135,11 @@ func (m *Machine) capture(midRun bool) *Snapshot {
 
 // PristineSnapshot synthesizes the snapshot of a freshly constructed
 // machine for cfg — zero registers, PC 0, seeded PRNG, no program, all
-// memory zero — without building one. Restoring it onto any archEqual
-// machine resets it to post-construction state; the bench pool uses this
-// to recycle machines across configurations (and, with all-zero sparse
-// images, the restore touches only pages that were dirtied).
+// memory zero, zero statistics and the reset pipeline — without building
+// one. Restoring it onto any archEqual machine resets it to
+// post-construction state; the bench pool uses this to recycle machines
+// across configurations (and, with all-zero sparse images, the restore
+// touches only pages that were dirtied).
 func PristineSnapshot(cfg Config) (*Snapshot, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -172,6 +149,7 @@ func PristineSnapshot(cfg Config) (*Snapshot, error) {
 		rng = 1
 	}
 	s := &Snapshot{cfg: cfg, rng: rng}
+	s.pipe.reset(&cfg)
 	for sp := range s.img {
 		s.img[sp] = mem.ZeroSparseImage(cfg.memBytes(space(sp)))
 	}
@@ -179,10 +157,9 @@ func PristineSnapshot(cfg Config) (*Snapshot, error) {
 }
 
 // Restore reinstates a snapshot by copying into the machine's existing
-// buffers: registers, PC and PRNG come back exactly, statistics and
-// pipeline state reset as in a fresh machine (run-boundary snapshots) or
-// come back exactly as captured (mid-run checkpoints, see Checkpoint),
-// and the snapshot's program is (re)loaded. When the machine's last
+// buffers: registers, PC, PRNG, statistics and pipeline timing state
+// come back exactly as captured, and the snapshot's program is
+// (re)loaded. When the machine's last
 // Snapshot/Restore used the same snapshot, only memory dirtied since is
 // copied back; when it used a different known snapshot with tracking
 // still live, the switch costs only the pages resident in either image
@@ -233,16 +210,8 @@ func (m *Machine) Restore(s *Snapshot) error {
 	m.pc = s.pc
 	m.rng = s.rng
 	m.dec = s.dec
-	if s.stats != nil {
-		// Mid-run snapshot: resume where the capture stopped — statistics
-		// and pipeline timing state come back exactly, so the remainder of
-		// the run is bit-identical to never having stopped.
-		m.stats = *s.stats
-		m.pipe.restoreState(s.pipe, &m.cfg, &m.stats)
-	} else {
-		m.stats = Stats{}
-		m.pipe.init(&m.cfg, &m.stats)
-	}
+	m.stats = s.stats
+	m.pipe.restore(&s.pipe)
 	return nil
 }
 

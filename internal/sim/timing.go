@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"slices"
+
 	"cambricon/internal/core"
 	"cambricon/internal/trace"
 )
@@ -13,257 +15,121 @@ import (
 type pipeline struct {
 	cfg   *Config
 	stats *Stats
+	pipeState
+}
 
-	count int64 // dynamic instruction index
-	// iqPos/robPos are count modulo the respective ring sizes, maintained
-	// incrementally so the per-instruction ring accesses avoid int64
-	// division.
-	iqPos, robPos int
+// pipeState is the pipeline's timing state at a dynamic instruction
+// boundary: every value advanceWith reads or writes. Two pipelines in
+// equal states time any identical instruction remainder identically, so
+// a snapshot carrying a captured state resumes bit-identically to the
+// uninterrupted run, and a convergence proof compares states with equal.
+type pipeState struct {
+	pipeScalars
 
-	// Fetch bandwidth and branch redirect.
-	fetchCycle int64
-	fetchSlot  int
-	redirect   int64
-
-	// Issue queue: time each of the last IssueQueueDepth instructions
-	// left the queue (ring indexed by dynamic index).
-	iqIssued []int64
-	// In-order issue with IssueWidth bandwidth.
-	issueCycle    int64
-	issueSlot     int
-	lastIssueTime int64
-
-	// Reorder buffer: commit time ring.
+	// iqIssued is the time each of the last IssueQueueDepth instructions
+	// left the issue queue, robCommit the commit time of each of the last
+	// ROBDepth; both rings are indexed by dynamic index.
+	iqIssued  []int64
 	robCommit []int64
-	// In-order commit with IssueWidth bandwidth.
-	commitCycle int64
-	commitSlot  int
-	lastCommit  int64
-
-	// Memory queue ring (memory-touching instructions only). mqPos is
-	// memCount modulo the ring size. mqRetire[j] is the running maximum
-	// of done over every entry inserted up to and including slot j: the
-	// cycle slot j retires by, in order, and so an upper bound on the done
-	// time of slot j and of every older entry. The dependence scan relies
-	// on that bound to stop at the first slot, walking back from the
-	// newest, that cannot move the dependence time.
-	memCount int64
-	mqPos    int
+	// mq is the memory-queue ring (memory-touching instructions only).
+	// mqRetire[j] is the running maximum of done over every entry
+	// inserted up to and including slot j: the cycle slot j retires by,
+	// in order, and so an upper bound on the done time of slot j and of
+	// every older entry. The dependence scan relies on that bound to stop
+	// at the first slot, walking back from the newest, that cannot move
+	// the dependence time.
 	mq       []mqEntry
 	mqRetire []int64
+}
 
+// pipeScalars is the timing state outside the rings. Every field is an
+// int64, so the struct compares with == and binary.Write lays it out
+// without padding; the names are exported for encoding/binary only.
+type pipeScalars struct {
+	// Count is the dynamic instruction index. IQPos and ROBPos are Count
+	// modulo the issue-queue and reorder-buffer ring sizes, maintained
+	// incrementally so the per-instruction ring accesses avoid int64
+	// division.
+	Count, IQPos, ROBPos int64
+	// Fetch bandwidth and branch redirect.
+	FetchCycle, FetchSlot, Redirect int64
+	// In-order issue with IssueWidth bandwidth.
+	IssueCycle, IssueSlot, LastIssueTime int64
+	// In-order commit with IssueWidth bandwidth.
+	CommitCycle, CommitSlot, LastCommit int64
+	// MemCount counts memory-touching instructions; MQPos is MemCount
+	// modulo the memory-queue ring size.
+	MemCount, MQPos int64
 	// Functional-unit availability. The scalar unit and L1 port are
 	// pipelined (one new op per cycle); the vector and matrix units are
 	// occupied for an operation's whole duration, which is what creates
 	// the inter-instruction bubbles discussed in Section V-B3.
-	scalarNext int64
-	l1Next     int64
-	vectorFree int64
-	matrixFree int64
-
-	regReady [core.NumGPRs]int64
+	ScalarNext, L1Next, VectorFree, MatrixFree int64
+	RegReady                                   [core.NumGPRs]int64
 }
 
-// mqEntry is one in-flight memory-queue entry. The access set is a fixed
-// array (no instruction touches more than four regions, see effect), so
-// recording an entry and scanning the queue for dependences never
-// allocates. wmask/amask summarize the set (bit i set when space i has a
-// written / any access): two entries can only conflict when one's write
-// mask intersects the other's access mask, so the dependence scan skips
-// the region-overlap test for the common disjoint-space case.
+// mqEntry is one in-flight memory-queue entry: when the instruction is
+// done, and what it accesses. An entry holds only its live accesses,
+// with the rest of the set zero, so entries compare with ==.
 type mqEntry struct {
-	done   int64
-	accBuf [4]access
-	nAcc   int
-	wmask  uint8
-	amask  uint8
+	done int64
+	acc  accessSet
 }
 
-// acc views the entry's access set.
-func (q *mqEntry) acc() []access { return q.accBuf[:q.nAcc] }
-
-// resizeInt64 returns buf cleared and resized to n, reusing its backing
-// array when possible so Machine.Reset allocates nothing in steady state.
-func resizeInt64(buf []int64, n int) []int64 {
+// resized returns buf resized to n zero elements, reusing its backing
+// array when possible so Machine.Reset allocates nothing in steady
+// state.
+func resized[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]int64, n)
+		return make([]T, n)
 	}
 	buf = buf[:n]
-	for i := range buf {
-		buf[i] = 0
-	}
+	clear(buf)
 	return buf
 }
 
 func (p *pipeline) init(cfg *Config, stats *Stats) {
 	p.cfg = cfg
 	p.stats = stats
-	p.count = 0
-	p.iqPos, p.robPos = 0, 0
-	p.fetchCycle, p.fetchSlot, p.redirect = 0, 0, 0
-	p.iqIssued = resizeInt64(p.iqIssued, cfg.IssueQueueDepth)
-	p.issueCycle, p.issueSlot, p.lastIssueTime = 0, 0, 0
-	p.robCommit = resizeInt64(p.robCommit, cfg.ROBDepth)
-	p.commitCycle, p.commitSlot, p.lastCommit = 0, 0, 0
-	p.memCount, p.mqPos = 0, 0
-	if cap(p.mq) < cfg.MemQueueDepth {
-		p.mq = make([]mqEntry, cfg.MemQueueDepth)
-	} else {
-		p.mq = p.mq[:cfg.MemQueueDepth]
-		for i := range p.mq {
-			p.mq[i] = mqEntry{}
-		}
-	}
-	p.mqRetire = resizeInt64(p.mqRetire, cfg.MemQueueDepth)
-	p.scalarNext, p.l1Next, p.vectorFree, p.matrixFree = 0, 0, 0, 0
-	p.regReady = [core.NumGPRs]int64{}
+	p.reset(cfg)
 }
 
-// pipeState is a deep copy of the pipeline's timing state at a dynamic
-// instruction boundary — every field advanceWith reads or writes, with
-// the rings copied out of the live pipeline. Mid-run snapshots carry one
-// so a restored machine resumes with exactly the stage clocks, in-flight
-// memory-queue entries and functional-unit availability the capturing
-// machine had, making the resumed remainder bit-identical to the
-// uninterrupted run. A pipeState is immutable once captured.
-type pipeState struct {
-	count         int64
-	iqPos, robPos int
-	fetchCycle    int64
-	fetchSlot     int
-	redirect      int64
-	iqIssued      []int64
-	issueCycle    int64
-	issueSlot     int
-	lastIssueTime int64
-	robCommit     []int64
-	commitCycle   int64
-	commitSlot    int
-	lastCommit    int64
-	memCount      int64
-	mqPos         int
-	mq            []mqEntry
-	mqRetire      []int64
-	scalarNext    int64
-	l1Next        int64
-	vectorFree    int64
-	matrixFree    int64
-	regReady      [core.NumGPRs]int64
+// reset sets the state to a freshly built pipeline's under cfg.
+func (p *pipeState) reset(cfg *Config) {
+	p.pipeScalars = pipeScalars{}
+	p.iqIssued = resized(p.iqIssued, cfg.IssueQueueDepth)
+	p.robCommit = resized(p.robCommit, cfg.ROBDepth)
+	p.mq = resized(p.mq, cfg.MemQueueDepth)
+	p.mqRetire = resized(p.mqRetire, cfg.MemQueueDepth)
 }
 
-// capture copies the pipeline's current timing state.
-func (p *pipeline) capture() *pipeState {
-	return &pipeState{
-		count:         p.count,
-		iqPos:         p.iqPos,
-		robPos:        p.robPos,
-		fetchCycle:    p.fetchCycle,
-		fetchSlot:     p.fetchSlot,
-		redirect:      p.redirect,
-		iqIssued:      append([]int64(nil), p.iqIssued...),
-		issueCycle:    p.issueCycle,
-		issueSlot:     p.issueSlot,
-		lastIssueTime: p.lastIssueTime,
-		robCommit:     append([]int64(nil), p.robCommit...),
-		commitCycle:   p.commitCycle,
-		commitSlot:    p.commitSlot,
-		lastCommit:    p.lastCommit,
-		memCount:      p.memCount,
-		mqPos:         p.mqPos,
-		mq:            append([]mqEntry(nil), p.mq...),
-		mqRetire:      append([]int64(nil), p.mqRetire...),
-		scalarNext:    p.scalarNext,
-		l1Next:        p.l1Next,
-		vectorFree:    p.vectorFree,
-		matrixFree:    p.matrixFree,
-		regReady:      p.regReady,
+// capture returns a deep copy of the state; it shares no ring with p.
+func (p *pipeState) capture() pipeState {
+	return pipeState{
+		pipeScalars: p.pipeScalars,
+		iqIssued:    slices.Clone(p.iqIssued),
+		robCommit:   slices.Clone(p.robCommit),
+		mq:          slices.Clone(p.mq),
+		mqRetire:    slices.Clone(p.mqRetire),
 	}
 }
 
-// restoreState reinstates a captured timing state, re-pointing the
-// pipeline at the owning machine's configuration and statistics (the
-// captured ring sizes match any archEqual configuration by construction).
-// Ring buffers are copied into the pipeline's existing backing arrays
-// when capacity allows, so restoring allocates nothing in steady state.
-func (p *pipeline) restoreState(s *pipeState, cfg *Config, stats *Stats) {
-	p.cfg = cfg
-	p.stats = stats
-	p.count = s.count
-	p.iqPos, p.robPos = s.iqPos, s.robPos
-	p.fetchCycle, p.fetchSlot, p.redirect = s.fetchCycle, s.fetchSlot, s.redirect
-	p.iqIssued = resizeInt64(p.iqIssued, len(s.iqIssued))
-	copy(p.iqIssued, s.iqIssued)
-	p.issueCycle, p.issueSlot, p.lastIssueTime = s.issueCycle, s.issueSlot, s.lastIssueTime
-	p.robCommit = resizeInt64(p.robCommit, len(s.robCommit))
-	copy(p.robCommit, s.robCommit)
-	p.commitCycle, p.commitSlot, p.lastCommit = s.commitCycle, s.commitSlot, s.lastCommit
-	p.memCount, p.mqPos = s.memCount, s.mqPos
-	if cap(p.mq) < len(s.mq) {
-		p.mq = make([]mqEntry, len(s.mq))
-	} else {
-		p.mq = p.mq[:len(s.mq)]
-	}
-	copy(p.mq, s.mq)
-	p.mqRetire = resizeInt64(p.mqRetire, len(s.mqRetire))
-	copy(p.mqRetire, s.mqRetire)
-	p.scalarNext, p.l1Next = s.scalarNext, s.l1Next
-	p.vectorFree, p.matrixFree = s.vectorFree, s.matrixFree
-	p.regReady = s.regReady
+// restore copies s into p. The rings are copied into p's existing
+// backing arrays when capacity allows, so restoring allocates nothing in
+// steady state.
+func (p *pipeState) restore(s *pipeState) {
+	p.pipeScalars = s.pipeScalars
+	p.iqIssued = append(p.iqIssued[:0], s.iqIssued...)
+	p.robCommit = append(p.robCommit[:0], s.robCommit...)
+	p.mq = append(p.mq[:0], s.mq...)
+	p.mqRetire = append(p.mqRetire[:0], s.mqRetire...)
 }
 
-// int64sEqual reports element-wise equality of two int64 slices.
-func int64sEqual(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if v != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// stateEqual reports whether the pipeline's live timing state matches a
-// captured one: two pipelines in equal states produce identical timing
-// for any identical instruction remainder. Memory-queue entries are
-// compared semantically — done time, masks and the first nAcc access
-// regions — because ring inserts copy only the live access prefix,
-// leaving stale bytes in accBuf tails that the dependence scan (which
-// reads acc() = accBuf[:nAcc]) never sees.
-func (p *pipeline) stateEqual(s *pipeState) bool {
-	if s == nil {
-		return false
-	}
-	if p.count != s.count || p.iqPos != s.iqPos || p.robPos != s.robPos ||
-		p.fetchCycle != s.fetchCycle || p.fetchSlot != s.fetchSlot || p.redirect != s.redirect ||
-		p.issueCycle != s.issueCycle || p.issueSlot != s.issueSlot || p.lastIssueTime != s.lastIssueTime ||
-		p.commitCycle != s.commitCycle || p.commitSlot != s.commitSlot || p.lastCommit != s.lastCommit ||
-		p.memCount != s.memCount || p.mqPos != s.mqPos ||
-		p.scalarNext != s.scalarNext || p.l1Next != s.l1Next ||
-		p.vectorFree != s.vectorFree || p.matrixFree != s.matrixFree ||
-		p.regReady != s.regReady {
-		return false
-	}
-	if !int64sEqual(p.iqIssued, s.iqIssued) || !int64sEqual(p.robCommit, s.robCommit) ||
-		!int64sEqual(p.mqRetire, s.mqRetire) {
-		return false
-	}
-	if len(p.mq) != len(s.mq) {
-		return false
-	}
-	for i := range p.mq {
-		a, b := &p.mq[i], &s.mq[i]
-		if a.done != b.done || a.nAcc != b.nAcc || a.wmask != b.wmask || a.amask != b.amask {
-			return false
-		}
-		for k := 0; k < a.nAcc; k++ {
-			if a.accBuf[k] != b.accBuf[k] {
-				return false
-			}
-		}
-	}
-	return true
+// equal reports whether two states are the same.
+func (p *pipeState) equal(s *pipeState) bool {
+	return p.pipeScalars == s.pipeScalars &&
+		slices.Equal(p.iqIssued, s.iqIssued) && slices.Equal(p.robCommit, s.robCommit) &&
+		slices.Equal(p.mq, s.mq) && slices.Equal(p.mqRetire, s.mqRetire)
 }
 
 // advanceWith threads one executed instruction through the timing model
@@ -282,27 +148,27 @@ func (p *pipeline) stateEqual(s *pipeState) bool {
 // When ev is non-nil the same timestamps and attribution are recorded for
 // the tracer; passing nil adds no work beyond the always-on statistics.
 func (p *pipeline) advanceWith(src []uint8, dst uint8, hasDst bool, e *effect, ev *trace.InstEvent) int64 {
-	i := p.count
-	p.count++
-	iqPos, robPos := p.iqPos, p.robPos
-	if p.iqPos++; p.iqPos == len(p.iqIssued) {
-		p.iqPos = 0
+	i := p.Count
+	p.Count++
+	iqPos, robPos := p.IQPos, p.ROBPos
+	if p.IQPos++; p.IQPos == int64(len(p.iqIssued)) {
+		p.IQPos = 0
 	}
-	if p.robPos++; p.robPos == len(p.robCommit) {
-		p.robPos = 0
+	if p.ROBPos++; p.ROBPos == int64(len(p.robCommit)) {
+		p.ROBPos = 0
 	}
-	width := p.cfg.IssueWidth
-	prevCommit := p.lastCommit
+	width := int64(p.cfg.IssueWidth)
+	prevCommit := p.LastCommit
 
 	// Fetch: bounded by the redirect of an earlier taken branch, fetch
 	// bandwidth, and issue-queue space (the instruction IssueQueueDepth
 	// back must have left the queue). fetchCause remembers which of the
 	// three gated the fetch, for attributing the window's pre-fetch
 	// cycles.
-	f := p.redirect
+	f := p.Redirect
 	fetchCause := trace.CauseBranch
-	if p.fetchCycle >= f {
-		f = p.fetchCycle
+	if p.FetchCycle >= f {
+		f = p.FetchCycle
 		fetchCause = trace.CauseFrontend
 	}
 	if i >= int64(len(p.iqIssued)) {
@@ -312,31 +178,31 @@ func (p *pipeline) advanceWith(src []uint8, dst uint8, hasDst bool, e *effect, e
 		}
 	}
 	// Fetch bandwidth: at most IssueWidth fetches per cycle.
-	if f > p.fetchCycle {
-		p.fetchCycle = f
-		p.fetchSlot = 0
+	if f > p.FetchCycle {
+		p.FetchCycle = f
+		p.FetchSlot = 0
 	} else {
-		f = p.fetchCycle
+		f = p.FetchCycle
 	}
-	p.fetchSlot++
-	if p.fetchSlot >= width {
-		p.fetchCycle++
-		p.fetchSlot = 0
+	p.FetchSlot++
+	if p.FetchSlot >= width {
+		p.FetchCycle++
+		p.FetchSlot = 0
 	}
 
 	// Decode, then in-order issue behind the previous instruction.
 	d := f + 1
 	s0 := d
-	if s0 < p.lastIssueTime {
-		s0 = p.lastIssueTime
+	if s0 < p.LastIssueTime {
+		s0 = p.LastIssueTime
 	}
 
 	// Issue: in order, after source registers are read from the scalar
 	// register file, with ROB and memory-queue space available.
 	rr := s0
 	for _, r := range src {
-		if p.regReady[r] > rr {
-			rr = p.regReady[r]
+		if p.RegReady[r] > rr {
+			rr = p.RegReady[r]
 		}
 	}
 	p.stats.RegStallCycles += rr - s0
@@ -349,26 +215,26 @@ func (p *pipeline) advanceWith(src []uint8, dst uint8, hasDst bool, e *effect, e
 	}
 	isMem := e.fu == fuVector || e.fu == fuMatrix || e.fu == fuScalarMem
 	sMQ := sROB
-	if isMem && p.memCount >= int64(len(p.mqRetire)) {
-		if t := p.mqRetire[p.mqPos]; t > sMQ {
+	if isMem && p.MemCount >= int64(len(p.mqRetire)) {
+		if t := p.mqRetire[p.MQPos]; t > sMQ {
 			p.stats.MemQueueFullStallCycles += t - sMQ
 			sMQ = t
 		}
 	}
 	// Issue bandwidth: at most IssueWidth issues per cycle.
 	s := sMQ
-	if s > p.issueCycle {
-		p.issueCycle = s
-		p.issueSlot = 0
+	if s > p.IssueCycle {
+		p.IssueCycle = s
+		p.IssueSlot = 0
 	} else {
-		s = p.issueCycle
+		s = p.IssueCycle
 	}
-	p.issueSlot++
-	if p.issueSlot >= width {
-		p.issueCycle++
-		p.issueSlot = 0
+	p.IssueSlot++
+	if p.IssueSlot >= width {
+		p.IssueCycle++
+		p.IssueSlot = 0
 	}
-	p.lastIssueTime = s
+	p.LastIssueTime = s
 	p.iqIssued[iqPos] = s
 
 	// Execute. regReadEnd closes the fixed post-issue pipeline stages
@@ -381,41 +247,43 @@ func (p *pipeline) advanceWith(src []uint8, dst uint8, hasDst bool, e *effect, e
 		regReadEnd = s + 1 // register-read stage
 		depEnd = regReadEnd
 		start = regReadEnd
-		if p.scalarNext > start {
-			p.stats.FUBusyStallCycles += p.scalarNext - start
-			start = p.scalarNext
+		if p.ScalarNext > start {
+			p.stats.FUBusyStallCycles += p.ScalarNext - start
+			start = p.ScalarNext
 		}
 		done = start + e.execCycles
-		p.scalarNext = start + 1
+		p.ScalarNext = start + 1
 	default:
 		// Memory-touching instructions pass the AGU and wait in the
 		// memory queue for earlier overlapping accesses.
 		entry := s + 2 // register read + AGU
 		regReadEnd = entry
 		dep := entry
-		acc := e.acc()
-		wmask, amask := accessMasks(acc)
 		// Scan the in-flight window, newest first, for overlapping
 		// earlier accesses. Only an entry whose done time exceeds dep can
 		// move it, so the walk stops at the first slot whose mqRetire
 		// bound is at or below dep. dep ends as the largest done time
-		// among the conflicting entries whatever the visiting order.
-		span := p.memCount
+		// among the conflicting entries whatever the visiting order. A
+		// conflict needs one set's write mask to meet the other's access
+		// mask, which settles most disjoint-space entries without
+		// comparing regions.
+		wmask, amask := e.acc.wmask, e.acc.amask
+		span := p.MemCount
 		if span > int64(len(p.mq)) {
 			span = int64(len(p.mq))
 		}
-		pos := p.mqPos
+		pos := p.MQPos
 		for ; span > 0; span-- {
 			if pos == 0 {
-				pos = len(p.mq)
+				pos = int64(len(p.mq))
 			}
 			pos--
 			if p.mqRetire[pos] <= dep {
 				break
 			}
 			ent := &p.mq[pos]
-			if ent.done > dep && ent.wmask&amask|ent.amask&wmask != 0 &&
-				overlapsConflicting(ent.acc(), acc) {
+			if ent.done > dep && ent.acc.wmask&amask|ent.acc.amask&wmask != 0 &&
+				ent.acc.conflicts(&e.acc) {
 				dep = ent.done
 			}
 		}
@@ -424,83 +292,83 @@ func (p *pipeline) advanceWith(src []uint8, dst uint8, hasDst bool, e *effect, e
 		start = dep
 		switch e.fu {
 		case fuVector:
-			if p.vectorFree > start {
-				p.stats.FUBusyStallCycles += p.vectorFree - start
-				start = p.vectorFree
+			if p.VectorFree > start {
+				p.stats.FUBusyStallCycles += p.VectorFree - start
+				start = p.VectorFree
 			}
 			done = start + e.execCycles
-			p.vectorFree = done
+			p.VectorFree = done
 			p.stats.VectorBusyCycles += e.execCycles
 		case fuMatrix:
-			if p.matrixFree > start {
-				p.stats.FUBusyStallCycles += p.matrixFree - start
-				start = p.matrixFree
+			if p.MatrixFree > start {
+				p.stats.FUBusyStallCycles += p.MatrixFree - start
+				start = p.MatrixFree
 			}
 			done = start + e.execCycles
-			p.matrixFree = done
+			p.MatrixFree = done
 			p.stats.MatrixBusyCycles += e.execCycles
 		case fuScalarMem:
-			if p.l1Next > start {
-				p.stats.FUBusyStallCycles += p.l1Next - start
-				start = p.l1Next
+			if p.L1Next > start {
+				p.stats.FUBusyStallCycles += p.L1Next - start
+				start = p.L1Next
 			}
 			done = start + e.execCycles
-			p.l1Next = start + 1
+			p.L1Next = start + 1
 		}
-		// Record the memory-queue entry; retirement is in order.
-		idx := p.mqPos
+		// Record the memory-queue entry, zeroing the accesses past the
+		// live ones; retirement is in order.
+		idx := p.MQPos
 		ent := &p.mq[idx]
 		ent.done = done
-		copy(ent.accBuf[:], acc)
-		ent.nAcc = len(acc)
-		ent.wmask, ent.amask = wmask, amask
+		ent.acc = e.acc
+		clear(ent.acc.regs[ent.acc.n:])
 		retire := done
-		if p.memCount > 0 {
+		if p.MemCount > 0 {
 			prevIdx := idx - 1
 			if prevIdx < 0 {
-				prevIdx = len(p.mqRetire) - 1
+				prevIdx = int64(len(p.mqRetire)) - 1
 			}
 			if prev := p.mqRetire[prevIdx]; prev > retire {
 				retire = prev
 			}
 		}
 		p.mqRetire[idx] = retire
-		p.memCount++
-		if p.mqPos++; p.mqPos == len(p.mq) {
-			p.mqPos = 0
+		p.MemCount++
+		if p.MQPos++; p.MQPos == int64(len(p.mq)) {
+			p.MQPos = 0
 		}
 	}
 
 	// Write back.
 	if hasDst {
-		p.regReady[dst] = done + 1
+		p.RegReady[dst] = done + 1
 	}
 
 	// Commit: in order, IssueWidth per cycle.
 	c := done + 1
-	if c < p.lastCommit {
-		c = p.lastCommit
+	if c < p.LastCommit {
+		c = p.LastCommit
 	}
 	// Commit bandwidth: at most IssueWidth commits per cycle.
-	if c > p.commitCycle {
-		p.commitCycle = c
-		p.commitSlot = 0
+	if c > p.CommitCycle {
+		p.CommitCycle = c
+		p.CommitSlot = 0
 	} else {
-		c = p.commitCycle
+		c = p.CommitCycle
 	}
-	p.commitSlot++
-	if p.commitSlot >= width {
-		p.commitCycle++
-		p.commitSlot = 0
+	p.CommitSlot++
+	if p.CommitSlot >= width {
+		p.CommitCycle++
+		p.CommitSlot = 0
 	}
-	p.lastCommit = c
+	p.LastCommit = c
 	p.robCommit[robPos] = c
 
 	// Branch redirect.
 	if e.branchTaken {
 		r := done + int64(p.cfg.BranchPenaltyCycles)
-		if r > p.redirect {
-			p.redirect = r
+		if r > p.Redirect {
+			p.Redirect = r
 		}
 	}
 
