@@ -76,14 +76,16 @@ func benchSimulate(b *testing.B, name string) {
 	}
 }
 
-func BenchmarkSimulateMLP(b *testing.B)  { benchSimulate(b, "MLP") }
-func BenchmarkSimulateCNN(b *testing.B)  { benchSimulate(b, "CNN") }
-func BenchmarkSimulateRNN(b *testing.B)  { benchSimulate(b, "RNN") }
-func BenchmarkSimulateLSTM(b *testing.B) { benchSimulate(b, "LSTM") }
-func BenchmarkSimulateBM(b *testing.B)   { benchSimulate(b, "BM") }
-func BenchmarkSimulateRBM(b *testing.B)  { benchSimulate(b, "RBM") }
-func BenchmarkSimulateSOM(b *testing.B)  { benchSimulate(b, "SOM") }
-func BenchmarkSimulateHNN(b *testing.B)  { benchSimulate(b, "HNN") }
+func BenchmarkSimulateMLP(b *testing.B)               { benchSimulate(b, "MLP") }
+func BenchmarkSimulateCNN(b *testing.B)               { benchSimulate(b, "CNN") }
+func BenchmarkSimulateRNN(b *testing.B)               { benchSimulate(b, "RNN") }
+func BenchmarkSimulateLSTM(b *testing.B)              { benchSimulate(b, "LSTM") }
+func BenchmarkSimulateAutoencoder(b *testing.B)       { benchSimulate(b, "Autoencoder") }
+func BenchmarkSimulateSparseAutoencoder(b *testing.B) { benchSimulate(b, "Sparse Autoencoder") }
+func BenchmarkSimulateBM(b *testing.B)                { benchSimulate(b, "BM") }
+func BenchmarkSimulateRBM(b *testing.B)               { benchSimulate(b, "RBM") }
+func BenchmarkSimulateSOM(b *testing.B)               { benchSimulate(b, "SOM") }
+func BenchmarkSimulateHNN(b *testing.B)               { benchSimulate(b, "HNN") }
 
 // Micro-benchmarks of the toolchain itself.
 

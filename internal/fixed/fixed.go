@@ -171,10 +171,59 @@ func VecMat(out, vin, mat []Num, acc []Acc) {
 	}
 }
 
+// VecAdd sets out[i] = Add(a[i], b[i]) for every i < len(out) (VAV and
+// MAM). a and b must be at least as long as out; out may be a or b.
+func VecAdd(out, a, b []Num) { vadd(out, a[:len(out)], b[:len(out)]) }
+
+// VecSub sets out[i] = Sub(a[i], b[i]) for every i < len(out) (VSV and
+// MSM). a and b must be at least as long as out; out may be a or b.
+func VecSub(out, a, b []Num) { vsub(out, a[:len(out)], b[:len(out)]) }
+
+// VecMul sets out[i] = Mul(a[i], b[i]) for every i < len(out) (VMV). a
+// and b must be at least as long as out; out may be a or b.
+func VecMul(out, a, b []Num) { vmul(out, a[:len(out)], b[:len(out)]) }
+
+// VecMax sets out[i] to the larger of a[i] and b[i] for every
+// i < len(out) (VGTM). a and b must be at least as long as out; out may
+// be a or b.
+func VecMax(out, a, b []Num) { vmax(out, a[:len(out)], b[:len(out)]) }
+
+// VecAddScalar sets out[i] = Add(a[i], s) for every i < len(out) (VAS).
+// a must be at least as long as out; out may be a.
+func VecAddScalar(out, a []Num, s Num) { vaddScalar(out, a[:len(out)], s) }
+
+// VecMulScalar sets out[i] = Mul(a[i], s) for every i < len(out) (MMS,
+// and one row of OP). a must be at least as long as out; out may be a.
+func VecMulScalar(out, a []Num, s Num) { vmulScalar(out, a[:len(out)], s) }
+
+// expLo and expHi bound the inputs whose e^n is neither 0 nor Max: every
+// n below expLo rounds to 0, and every n above expHi saturates to Max.
+const (
+	expLo = -1597
+	expHi = 1242
+)
+
+// expTable holds FromFloat(e^n) for expLo <= n <= expHi.
+var expTable = func() (t [expHi - expLo + 1]Num) {
+	for i := range t {
+		t[i] = FromFloat(math.Exp(Num(expLo + i).Float()))
+	}
+	return t
+}()
+
 // Exp returns e^n. The hardware computes transcendentals with a CORDIC
 // functional block; we model its result as the correctly-rounded fixed-point
-// value (CORDIC error is below the Q8.8 quantization step).
-func Exp(n Num) Num { return FromFloat(math.Exp(n.Float())) }
+// value (CORDIC error is below the Q8.8 quantization step), read from a
+// table built once from math.Exp.
+func Exp(n Num) Num {
+	switch {
+	case n < expLo:
+		return 0
+	case n > expHi:
+		return Max
+	}
+	return expTable[int(n)-expLo]
+}
 
 // Log returns the natural logarithm of n. Non-positive inputs saturate to
 // Min, modelling a clamped hardware flag.

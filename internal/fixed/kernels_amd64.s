@@ -123,3 +123,248 @@ tail:
 
 done:
 	RET
+
+// The element-wise kernels below set out[i] for every i < len(out) from
+// a[i] and b[i], or from a[i] and a scalar s broadcast to every word.
+// They take eight words per step while eight remain, then one word per
+// step: that word is loaded alone into the low word of a register and
+// goes through the same instructions, so the tail computes what the
+// body does and no load passes a slice's end. A step loads both
+// operands before it stores, so out may be a or b.
+//
+// LOADW(src, x) zero-extends the word at src into the low word of x;
+// STOREW(x, dst) stores the low word of x at dst. Both use AX.
+#define LOADW(src, x) \
+	MOVWQZX src, AX; \
+	MOVQ    AX, x
+
+#define STOREW(x, dst) \
+	MOVQ x, AX; \
+	MOVW AX, dst
+
+// BROADCAST(src, x) copies the word at src into all eight words of x.
+#define BROADCAST(src, x) \
+	LOADW(src, x); \
+	PSHUFLW $0, x, x; \
+	PSHUFD  $0, x, x
+
+// MULQ(x, y, t, u) sets each word of x to Mul(x, y): PMULLW and PMULHW
+// give the low and high halves of the eight int32 products, which lie
+// in [-2^30+2^15, 2^30], so adding 128 (X7 holds it in every int32
+// lane) cannot wrap; PSRAL is Go's arithmetic >> 8 on int32, and
+// PACKSSLW saturates each result to int16 as sat32 does. t and u are
+// scratch.
+#define MULQ(x, y, t, u) \
+	MOVO      x, t; \
+	PMULLW    y, x; \
+	PMULHW    y, t; \
+	MOVO      x, u; \
+	PUNPCKLWL t, x; \
+	PUNPCKHWL t, u; \
+	PADDL     X7, x; \
+	PADDL     X7, u; \
+	PSRAL     $8, x; \
+	PSRAL     $8, u; \
+	PACKSSLW  u, x
+
+// ROUND128 puts 128, half of one Q8.8 step, in every int32 lane of X7.
+#define ROUND128 \
+	MOVL   $128, AX; \
+	MOVQ   AX, X7; \
+	PSHUFD $0, X7, X7
+
+// func vadd(out, a, b []Num)
+TEXT ·vadd(SB), NOSPLIT, $0-72
+	MOVQ out_base+0(FP), DI
+	MOVQ out_len+8(FP), CX
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), R10
+	XORQ DX, DX
+	MOVQ CX, BX
+	ANDQ $-8, BX
+	JZ   tail
+
+loop:
+	MOVOU  (SI)(DX*2), X0
+	MOVOU  (R10)(DX*2), X1
+	PADDSW X1, X0
+	MOVOU  X0, (DI)(DX*2)
+	ADDQ   $8, DX
+	CMPQ   DX, BX
+	JNE    loop
+
+tail:
+	CMPQ   DX, CX
+	JEQ    done
+	LOADW((SI)(DX*2), X0)
+	LOADW((R10)(DX*2), X1)
+	PADDSW X1, X0
+	STOREW(X0, (DI)(DX*2))
+	INCQ   DX
+	JMP    tail
+
+done:
+	RET
+
+// func vsub(out, a, b []Num)
+TEXT ·vsub(SB), NOSPLIT, $0-72
+	MOVQ out_base+0(FP), DI
+	MOVQ out_len+8(FP), CX
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), R10
+	XORQ DX, DX
+	MOVQ CX, BX
+	ANDQ $-8, BX
+	JZ   tail
+
+loop:
+	MOVOU  (SI)(DX*2), X0
+	MOVOU  (R10)(DX*2), X1
+	PSUBSW X1, X0
+	MOVOU  X0, (DI)(DX*2)
+	ADDQ   $8, DX
+	CMPQ   DX, BX
+	JNE    loop
+
+tail:
+	CMPQ   DX, CX
+	JEQ    done
+	LOADW((SI)(DX*2), X0)
+	LOADW((R10)(DX*2), X1)
+	PSUBSW X1, X0
+	STOREW(X0, (DI)(DX*2))
+	INCQ   DX
+	JMP    tail
+
+done:
+	RET
+
+// func vmax(out, a, b []Num)
+TEXT ·vmax(SB), NOSPLIT, $0-72
+	MOVQ out_base+0(FP), DI
+	MOVQ out_len+8(FP), CX
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), R10
+	XORQ DX, DX
+	MOVQ CX, BX
+	ANDQ $-8, BX
+	JZ   tail
+
+loop:
+	MOVOU  (SI)(DX*2), X0
+	MOVOU  (R10)(DX*2), X1
+	PMAXSW X1, X0
+	MOVOU  X0, (DI)(DX*2)
+	ADDQ   $8, DX
+	CMPQ   DX, BX
+	JNE    loop
+
+tail:
+	CMPQ   DX, CX
+	JEQ    done
+	LOADW((SI)(DX*2), X0)
+	LOADW((R10)(DX*2), X1)
+	PMAXSW X1, X0
+	STOREW(X0, (DI)(DX*2))
+	INCQ   DX
+	JMP    tail
+
+done:
+	RET
+
+// func vmul(out, a, b []Num)
+TEXT ·vmul(SB), NOSPLIT, $0-72
+	MOVQ out_base+0(FP), DI
+	MOVQ out_len+8(FP), CX
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), R10
+	ROUND128
+	XORQ DX, DX
+	MOVQ CX, BX
+	ANDQ $-8, BX
+	JZ   tail
+
+loop:
+	MOVOU (SI)(DX*2), X0
+	MOVOU (R10)(DX*2), X1
+	MULQ(X0, X1, X2, X3)
+	MOVOU X0, (DI)(DX*2)
+	ADDQ  $8, DX
+	CMPQ  DX, BX
+	JNE   loop
+
+tail:
+	CMPQ DX, CX
+	JEQ  done
+	LOADW((SI)(DX*2), X0)
+	LOADW((R10)(DX*2), X1)
+	MULQ(X0, X1, X2, X3)
+	STOREW(X0, (DI)(DX*2))
+	INCQ DX
+	JMP  tail
+
+done:
+	RET
+
+// func vaddScalar(out, a []Num, s Num)
+TEXT ·vaddScalar(SB), NOSPLIT, $0-50
+	MOVQ out_base+0(FP), DI
+	MOVQ out_len+8(FP), CX
+	MOVQ a_base+24(FP), SI
+	BROADCAST(s+48(FP), X1)
+	XORQ DX, DX
+	MOVQ CX, BX
+	ANDQ $-8, BX
+	JZ   tail
+
+loop:
+	MOVOU  (SI)(DX*2), X0
+	PADDSW X1, X0
+	MOVOU  X0, (DI)(DX*2)
+	ADDQ   $8, DX
+	CMPQ   DX, BX
+	JNE    loop
+
+tail:
+	CMPQ   DX, CX
+	JEQ    done
+	LOADW((SI)(DX*2), X0)
+	PADDSW X1, X0
+	STOREW(X0, (DI)(DX*2))
+	INCQ   DX
+	JMP    tail
+
+done:
+	RET
+
+// func vmulScalar(out, a []Num, s Num)
+TEXT ·vmulScalar(SB), NOSPLIT, $0-50
+	MOVQ out_base+0(FP), DI
+	MOVQ out_len+8(FP), CX
+	MOVQ a_base+24(FP), SI
+	BROADCAST(s+48(FP), X1)
+	ROUND128
+	XORQ DX, DX
+	MOVQ CX, BX
+	ANDQ $-8, BX
+	JZ   tail
+
+loop:
+	MOVOU (SI)(DX*2), X0
+	MULQ(X0, X1, X2, X3)
+	MOVOU X0, (DI)(DX*2)
+	ADDQ  $8, DX
+	CMPQ  DX, BX
+	JNE   loop
+
+tail:
+	CMPQ DX, CX
+	JEQ  done
+	LOADW((SI)(DX*2), X0)
+	MULQ(X0, X1, X2, X3)
+	STOREW(X0, (DI)(DX*2))
+	INCQ DX
+	JMP  tail
+
+done:
+	RET

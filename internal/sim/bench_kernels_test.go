@@ -84,6 +84,26 @@ c:	VAV   $4, $1, $2, $3
 `)
 }
 
+// BenchmarkWeightUpdateKernel: one Autoencoder weight update on its
+// largest tile (200 hidden × 320 inputs): the OP outer product, the MMS
+// learning-rate scaling and the MSM subtraction, 64,000 elements each.
+func BenchmarkWeightUpdateKernel(b *testing.B) {
+	benchKernel(b, `
+	SMOVE $1, #200
+	SMOVE $2, #320
+	SMOVE $3, #64000
+	SMOVE $4, #0
+	SMOVE $5, #400
+	SMOVE $6, #0
+	SMOVE $7, #128000
+	RV    $4, $1
+	RV    $5, $2
+	OP    $7, $4, $1, $5, $2
+	MMS   $7, $3, $7, #16
+	MSM   $6, $3, $6, $7
+`)
+}
+
 // TestHotKernelsAllocationFree pins the allocation-free property directly:
 // steady-state Reset+Run of matrix and vector kernels must not allocate at
 // all (views instead of copies, fixed-size access sets, reused pipeline
@@ -93,6 +113,7 @@ func TestHotKernelsAllocationFree(t *testing.T) {
 		"MMV": "\tSMOVE $1, #64\n\tSMOVE $4, #0\n\tSMOVE $5, #0\n\tSMOVE $6, #8192\n\tRV $4, $1\n\tMMV $6, $1, $5, $4, $1\n",
 		"VMM": "\tSMOVE $1, #64\n\tSMOVE $4, #0\n\tSMOVE $5, #0\n\tSMOVE $6, #8192\n\tRV $4, $1\n\tVMM $6, $1, $5, $4, $1\n",
 		"VAV": "\tSMOVE $1, #128\n\tSMOVE $2, #0\n\tSMOVE $3, #4096\n\tRV $2, $1\n\tVAV $3, $1, $2, $2\n",
+		"OP":  "\tSMOVE $1, #64\n\tSMOVE $4, #0\n\tSMOVE $6, #0\n\tRV $4, $1\n\tOP $6, $4, $1, $4, $1\n",
 	}
 	for name, src := range srcs {
 		p, err := asm.Assemble(src)

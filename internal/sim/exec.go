@@ -493,9 +493,7 @@ func (m *Machine) execMMS(inst core.Instruction, e *effect) error {
 		return err
 	}
 	out := scratch(&m.bufOut, n)
-	for i, v := range in {
-		out[i] = fixed.Mul(v, s)
-	}
+	fixed.VecMulScalar(out, in, s)
 	m.applyStuck(fault.UnitMatrix, out)
 	if err := m.mspad.WriteNums(dst, out); err != nil {
 		return err
@@ -534,10 +532,8 @@ func (m *Machine) execOuter(inst core.Instruction, e *effect) error {
 		return err
 	}
 	out := scratch(&m.bufMat, rows*cols)
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			out[i*cols+j] = fixed.Mul(v0[i], v1[j])
-		}
+	for i, v := range v0 {
+		fixed.VecMulScalar(out[i*cols:(i+1)*cols], v1, v)
 	}
 	m.applyStuck(fault.UnitMatrix, out)
 	if err := m.mspad.WriteNums(dst, out); err != nil {
@@ -569,15 +565,10 @@ func (m *Machine) execMatElem(inst core.Instruction, e *effect) error {
 		return err
 	}
 	out := scratch(&m.bufOut, n)
-	// Test the opcode once per instruction, not once per element.
 	if inst.Op == core.MAM {
-		for i := range out {
-			out[i] = fixed.Add(a[i], b[i])
-		}
+		fixed.VecAdd(out, a, b)
 	} else {
-		for i := range out {
-			out[i] = fixed.Sub(a[i], b[i])
-		}
+		fixed.VecSub(out, a, b)
 	}
 	m.applyStuck(fault.UnitMatrix, out)
 	if err := m.mspad.WriteNums(dst, out); err != nil {
@@ -610,21 +601,16 @@ func (m *Machine) execVecBinary(inst core.Instruction, e *effect) error {
 	}
 	out := scratch(&m.bufOut, n)
 	beatCost := 1
-	// One switch per instruction, not per element: the per-opcode loops
-	// keep the lane arithmetic branch-free on the hot path.
+	// One switch per instruction, not per element: VAV, VSV, VMV and VGTM
+	// are one call each to an element-wise kernel of internal/fixed, and
+	// the rarely run division and compares keep per-opcode loops.
 	switch inst.Op {
 	case core.VAV:
-		for i := range out {
-			out[i] = fixed.Add(a[i], b[i])
-		}
+		fixed.VecAdd(out, a, b)
 	case core.VSV:
-		for i := range out {
-			out[i] = fixed.Sub(a[i], b[i])
-		}
+		fixed.VecSub(out, a, b)
 	case core.VMV:
-		for i := range out {
-			out[i] = fixed.Mul(a[i], b[i])
-		}
+		fixed.VecMul(out, a, b)
 	case core.VDV:
 		for i := range out {
 			out[i] = fixed.Div(a[i], b[i])
@@ -647,13 +633,7 @@ func (m *Machine) execVecBinary(inst core.Instruction, e *effect) error {
 			out[i] = boolNum(a[i] != 0 || b[i] != 0)
 		}
 	case core.VGTM:
-		for i := range out {
-			if a[i] > b[i] {
-				out[i] = a[i]
-			} else {
-				out[i] = b[i]
-			}
-		}
+		fixed.VecMax(out, a, b)
 	}
 	m.applyStuck(fault.UnitVector, out)
 	if err := m.vspad.WriteNums(dst, out); err != nil {
@@ -682,9 +662,7 @@ func (m *Machine) execVAS(inst core.Instruction, e *effect) error {
 	}
 	s := fixed.Num(m.tailInt(inst, 3))
 	out := scratch(&m.bufOut, n)
-	for i := range out {
-		out[i] = fixed.Add(a[i], s)
-	}
+	fixed.VecAddScalar(out, a, s)
 	m.applyStuck(fault.UnitVector, out)
 	if err := m.vspad.WriteNums(dst, out); err != nil {
 		return err
