@@ -43,12 +43,13 @@ type faultTarget struct {
 	// ckpts are the interval checkpoints of the fault-free run prepared
 	// by PrepareCheckpoints, ascending by dynamic instruction index;
 	// index 0 is the run-start (prepared) snapshot. lv is the golden
-	// run's liveness (last-read schedule) and golden its observation,
-	// both recorded during the same preparation pass — together they let
-	// RunSiteBuf predict a dma-bit fault's firing index, prove mid-run
-	// convergence and return the golden result without simulating a
-	// faulted run's suffix. All three are immutable and shared by every
-	// campaign worker, and set together or not at all.
+	// run's liveness (last-read, DMA-offer and lane-reach schedules) and
+	// golden its observation, both recorded during the same preparation
+	// pass — together they let RunSiteBuf predict where a dma-bit or
+	// stuck-lane fault first acts, prove mid-run convergence and return
+	// the golden result without simulating a faulted run's suffix. All
+	// three are immutable and shared by every campaign worker, and set
+	// together or not at all.
 	ckptMu  sync.Mutex
 	ckptK   int
 	ckpts   []*sim.Snapshot
@@ -206,24 +207,29 @@ func (t *faultTarget) buildCheckpoints(k int) ([]*sim.Snapshot, *sim.Liveness, *
 }
 
 // RunSiteBuf is RunBuf for one fault site, fast-forwarded: restore the
-// nearest prepared checkpoint at or before the site's firing index,
-// simulate the fault-free prefix on the unobserved hot path, attach an
-// injector only for the firing window, and run the faulted remainder
-// unobserved — stopping at the first checkpoint boundary where the run
-// provably converges with the golden run (ConvergedWith), whose stored
-// observation is then the result. The observation is bit-identical to
-// RunBuf with the same site — the simulator guarantees any interleaving
-// of restores and run segments matches the uninterrupted run, the
-// transient models by construction do nothing before their site index,
-// and a proven convergence implies an identical remainder (same
-// instructions, timing and outputs).
+// nearest prepared checkpoint at or before the first instruction the
+// fault can change, simulate the fault-free prefix on the unobserved hot
+// path, attach the injector — for the firing instruction of a transient
+// model, for the rest of the run of a stuck lane — and run the faulted
+// remainder unobserved, stopping at the first checkpoint boundary where
+// the run provably converges with the golden run (ConvergedWith), whose
+// stored observation is then the result. The observation is
+// bit-identical to RunBuf with the same site: the simulator guarantees
+// any interleaving of restores and run segments matches the
+// uninterrupted run, a fault changes nothing before that first
+// instruction (a transient's site index, a dma-bit fault's next golden
+// DMA offer, a stuck lane's first golden output reach), and a proven
+// convergence implies an identical remainder (same instructions, timing
+// and outputs) — for a stuck lane only at a boundary past the lane's
+// last golden output reach, after which the stuck lane is inert in that
+// remainder.
 func (t *faultTarget) RunSiteBuf(f fault.Fault, maxCycles int64, buf []byte) (obs fault.Observation) {
 	t.ckptMu.Lock()
 	ckpts, lv, golden := t.ckpts, t.lv, t.golden
 	t.ckptMu.Unlock()
-	if f.Model == fault.ModelStuckLane || len(ckpts) == 0 {
-		// Whole-run faults have no fault-free prefix to skip (and without
-		// prepared checkpoints there is nothing to fast-forward from).
+	if len(ckpts) == 0 {
+		// Without prepared checkpoints there is nothing to fast-forward
+		// from.
 		return t.RunBuf(fault.New(f), maxCycles, buf)
 	}
 	defer func() {
@@ -232,12 +238,17 @@ func (t *faultTarget) RunSiteBuf(f fault.Fault, maxCycles int64, buf []byte) (ob
 			obs.Err = fmt.Errorf("bench: %s: panic: %v", t.b.prog.Name, r)
 		}
 	}()
-	// target is the dynamic index of the firing instruction: At for the
-	// point models; for dma-bit — which fires at the first offered
-	// payload at or after At — the golden run's first transfer there,
-	// which the fault-free prefix offers identically.
-	target := f.At
-	if f.Model == fault.ModelDMABit {
+	// target is the dynamic index of the first instruction the fault can
+	// change: At for the point models; for dma-bit — which fires at the
+	// first offered payload at or after At — the golden run's first
+	// transfer there, which the fault-free prefix offers identically; for
+	// a stuck lane the golden run's first output that reaches the lane.
+	// floor is the earliest checkpoint boundary a convergence proof may
+	// be tried at: past a stuck lane's last golden reach, where the
+	// golden remainder gives the lane nothing to change.
+	target, floor := f.At, int64(0)
+	switch f.Model {
+	case fault.ModelDMABit:
 		offer, ok := lv.DMAOfferAfter(f.At)
 		if !ok {
 			// The golden run offers no DMA payload at or after the site:
@@ -246,6 +257,15 @@ func (t *faultTarget) RunSiteBuf(f fault.Fault, maxCycles int64, buf []byte) (ob
 			return goldenObservation(golden, buf)
 		}
 		target = offer
+	case fault.ModelStuckLane:
+		first, last, ok := lv.LaneReach(f.Unit, f.Lane)
+		if !ok {
+			// No golden output reaches the lane: the stuck bit is never
+			// applied, so the run is the golden run.
+			t.suite.sm().ffConverged()
+			return goldenObservation(golden, buf)
+		}
+		target, floor = first, last+1
 	}
 	// Nearest checkpoint at or before the firing index (ckpts ascend).
 	best := ckpts[0]
@@ -270,21 +290,25 @@ func (t *faultTarget) RunSiteBuf(f fault.Fault, maxCycles int64, buf []byte) (ob
 	if target > stats.Instructions {
 		stats, done, err = m.RunUntil(target)
 	}
-	// Phase 2: the firing instruction, observed. Every resumed segment
-	// re-arms the injector (BeginRun), so detaching it once the fault has
-	// fired is what keeps one-shot semantics identical to RunBuf's single
-	// attached run.
+	// Phase 2: attach the injector. A stuck lane stays attached to the
+	// end of the run. A transient is observed for its firing instruction
+	// only: every resumed segment re-arms the injector (BeginRun), so
+	// detaching it once the fault has fired is what keeps one-shot
+	// semantics identical to RunBuf's single attached run.
 	if err == nil && !done {
 		m.SetInjector(fault.New(f))
-		stats, done, err = m.RunUntil(target + 1)
-		m.SetInjector(nil)
+		if f.Model != fault.ModelStuckLane {
+			stats, done, err = m.RunUntil(target + 1)
+			m.SetInjector(nil)
+		}
 	}
-	// Phase 3: faulted remainder, unobserved. At each later checkpoint
-	// boundary, try to prove convergence with the golden run; the proof's
-	// retry hint skips boundaries where a still-live location is known to
-	// keep the check failing, and a hard divergence stops checking.
+	// Phase 3: faulted remainder, unobserved. At each checkpoint boundary
+	// from floor on, try to prove convergence with the golden run; the
+	// proof's retry hint skips boundaries where a still-live location is
+	// known to keep the check failing (it never lowers floor), and a hard
+	// divergence stops checking.
 	if err == nil && !done {
-		retryAt := int64(0)
+		retryAt := floor
 		for _, s := range ckpts {
 			j := s.Instructions()
 			if j <= stats.Instructions || j < retryAt {
@@ -302,7 +326,7 @@ func (t *faultTarget) RunSiteBuf(f fault.Fault, maxCycles int64, buf []byte) (ob
 			if retry == 0 {
 				break
 			}
-			retryAt = retry
+			retryAt = max(retryAt, retry)
 		}
 	}
 	if err == nil && !done {

@@ -3,9 +3,9 @@ package bench
 // Tests pinning the checkpoint fast-forwarding contract (docs/PERF.md,
 // Level 5): a campaign with Checkpoints set produces a report
 // byte-identical to the ordinary full-replay campaign — across all five
-// fault models, so the stuck-lane fallback and the predicted dma-bit
-// firing index are exercised too — and degrades cleanly when checkpoints
-// cannot be prepared.
+// fault models, so the predicted dma-bit firing index and the stuck-lane
+// reach schedule are exercised too, and over every target for stuck
+// lanes — and degrades cleanly when checkpoints cannot be prepared.
 
 import (
 	"bytes"
@@ -64,9 +64,7 @@ func TestCampaignFastForwardByteIdentical(t *testing.T) {
 			t.Fatalf("workers=%d: fast-forwarded report differs from full replay:\n--- replay ---\n%s\n--- fastforward ---\n%s",
 				workers, slow, fast)
 		}
-		// All 30 sites dispatch through the fast-forward path (stuck-lane
-		// sites fall back to full replay inside the target, but they are
-		// still dispatched through it).
+		// All 30 sites dispatch through the fast-forward path.
 		if got := reg.Counter(fault.MetricFaultFastForward, "").Value(); got != 30 {
 			t.Fatalf("workers=%d: fast-forward dispatches = %d, want 30", workers, got)
 		}
@@ -110,6 +108,47 @@ func TestCampaignFastForwardByteIdenticalSOM(t *testing.T) {
 		}
 		if got := reg.Counter(MetricFFConverged, "").Value(); got == 0 {
 			t.Fatalf("seed %d: no site completed through a convergence proof", seed)
+		}
+	}
+}
+
+// TestCampaignFastForwardStuckLane pins the stuck-lane fast-forward on
+// every target: stuck-lane-only campaigns, checkpointed and replayed,
+// produce byte-identical reports across seeds. Some sites must complete
+// without simulating their remainder — no golden output reaches the
+// lane, or a proof succeeds past the lane's last reach — so a silent
+// fallback to full replay fails too.
+func TestCampaignFastForwardStuckLane(t *testing.T) {
+	for _, seed := range []uint64{3, 7, 11} {
+		reg := metrics.New()
+		s := NewSuite(seed)
+		s.Metrics = reg
+		targets, err := s.FaultTargets()
+		if err != nil {
+			t.Fatal(err)
+		}
+		report := func(checkpoints int) []byte {
+			t.Helper()
+			c := fault.Campaign{Seed: seed, Sites: 100, Workers: 2, Checkpoints: checkpoints,
+				Models: []fault.Model{fault.ModelStuckLane}}
+			rep, err := c.Run(context.Background(), targets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := rep.Write(&buf); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
+		}
+		slow := report(0)
+		fast := report(8)
+		if !bytes.Equal(slow, fast) {
+			t.Fatalf("seed %d: stuck-lane fast-forwarded report differs from full replay:\n--- replay ---\n%s\n--- fastforward ---\n%s",
+				seed, slow, fast)
+		}
+		if got := reg.Counter(MetricFFConverged, "").Value(); got == 0 {
+			t.Fatalf("seed %d: no stuck-lane site completed without simulating its remainder", seed)
 		}
 	}
 }
@@ -256,4 +295,131 @@ func TestConvergedWithSeesSkippedGoldenPadWrite(t *testing.T) {
 	if replay != fault.OutcomeSDC || fast != replay {
 		t.Fatalf("site %v: replayed %v, fast-forwarded %v; want sdc for both", f, replay, fast)
 	}
+}
+
+// stuckReachKernel reaches vector lane 0 twice: with a VAV whose output
+// (pad word 64) nothing reads again, at dynamic index 5, and with a VAV
+// at index 607 whose output the VSTORE then stores. The delay loops
+// place that last reach on the fourth of 8 checkpoints of the
+// 1,366-instruction run (607) and the VSTORE before the fifth (758).
+const stuckReachKernel = `
+	SMOVE  $1, #1
+	SMOVE  $2, #0
+	SMOVE  $3, #64
+	SMOVE  $4, #128
+	VLOAD  $2, $1, #0
+	VAV    $4, $1, $2, $2
+	SMOVE  $8, #300
+a:	SADD   $8, $8, #-1
+	CB     #a, $8
+	VAV    $3, $1, $2, $2
+	VSTORE $3, $1, #4096
+	SMOVE  $8, #378
+b:	SADD   $8, $8, #-1
+	CB     #b, $8
+`
+
+// TestStuckLaneProofWaitsPastLastReach pins the floor of stuck-lane
+// convergence proofs. A stuck bit on lane 0 corrupts the output, so the
+// site is SDC. Yet at boundary 607, before the last reach has executed,
+// the faulted machine differs from the golden one only in the dead pad
+// word the first reach wrote: a proof tried there succeeds, and
+// returning the golden observation on it would report the site masked.
+// Proofs therefore start at the boundary after the lane's last reach.
+func TestStuckLaneProofWaitsPastLastReach(t *testing.T) {
+	src, err := asm.Assemble(stuckReachKernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := &codegen.Program{
+		Name:    "stuck-reach",
+		Source:  stuckReachKernel,
+		Asm:     src,
+		Chunks:  []codegen.Chunk{{Addr: 0, Data: fixed.FromFloats([]float64{1})}},
+		Results: []codegen.Result{{Name: "out", Addr: 4096, N: 1}},
+	}
+	s := NewSuite(7)
+	tgt := &faultTarget{suite: s, b: &benchmark{prog: prog}}
+	golden := tgt.Run(nil, 0)
+	if golden.Err != nil {
+		t.Fatal(golden.Err)
+	}
+	if err := tgt.PrepareCheckpoints(8); err != nil {
+		t.Fatal(err)
+	}
+	const last = 607
+	var atLast *sim.Snapshot
+	for _, c := range tgt.ckpts {
+		if c.Instructions() == last {
+			atLast = c
+		}
+	}
+	first, l, ok := tgt.lv.LaneReach(fault.UnitVector, 0)
+	if golden.Instructions != 1366 || atLast == nil || !ok || first != 5 || l != last {
+		t.Fatalf("kernel layout moved: %d instructions, checkpoint at %d: %v, lane 0 reached over [%d, %d] (%v)",
+			golden.Instructions, last, atLast != nil, first, l, ok)
+	}
+	f := fault.Fault{Model: fault.ModelStuckLane, Unit: fault.UnitVector, Lane: 0, Bit: 0, Val: 1}
+
+	// The premise: a proof at the last reach's boundary succeeds.
+	m, err := sim.New(s.runConfig(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Restore(tgt.ckpts[0]); err != nil {
+		t.Fatal(err)
+	}
+	m.SetInjector(fault.New(f))
+	if _, _, err := m.RunUntil(last); err != nil {
+		t.Fatal(err)
+	}
+	if conv, _ := m.ConvergedWith(atLast, tgt.lv); !conv {
+		t.Fatal("no proof at the last reach's boundary: the kernel no longer tests the floor")
+	}
+
+	budget := 8 * golden.Cycles
+	replay := fault.Classify(golden, tgt.RunBuf(fault.New(f), budget, nil))
+	fast := fault.Classify(golden, tgt.RunSiteBuf(f, budget, nil))
+	if replay != fault.OutcomeSDC || fast != replay {
+		t.Fatalf("site %v: replayed %v, fast-forwarded %v; want sdc for both", f, replay, fast)
+	}
+}
+
+// BenchmarkStuckLaneSites times stuck-lane-only campaigns over CNN and
+// SOM, whose stuck-lane sites cost the most to replay, fast-forwarded
+// from 8 checkpoints and the golden run's lane-reach schedule
+// (checkpointed) and replayed from instruction 0 (replay). Each
+// iteration is one campaign, golden runs included; ns/site divides its
+// time by the sites it classified.
+func BenchmarkStuckLaneSites(b *testing.B) {
+	const sites = 40
+	run := func(b *testing.B, checkpoints int) {
+		s := NewSuite(7)
+		all, err := s.FaultTargets()
+		if err != nil {
+			b.Fatal(err)
+		}
+		var targets []fault.Target
+		for _, t := range all {
+			if t.Name() == "CNN" || t.Name() == "SOM" {
+				targets = append(targets, t)
+			}
+		}
+		c := fault.Campaign{Seed: s.Seed, Sites: sites, Workers: 1, TargetWorkers: 1,
+			Checkpoints: checkpoints, Models: []fault.Model{fault.ModelStuckLane}}
+		// Untimed: generation, snapshots, checkpoints.
+		if _, err := c.Run(context.Background(), targets); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := c.Run(context.Background(), targets); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sites*len(targets)), "ns/site")
+	}
+	b.Run("replay", func(b *testing.B) { run(b, 0) })
+	b.Run("checkpointed", func(b *testing.B) { run(b, 8) })
 }

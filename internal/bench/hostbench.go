@@ -284,9 +284,9 @@ func RunHostBenchmarks(seed uint64, runs, sites int) (*HostReport, error) {
 
 	// Checkpoint fast-forwarding (docs/PERF.md, Level 5): a warm
 	// campaign over the loop-heavy dispatch benchmark, restricted to the
-	// transient fault models — whole-run stuck-lane faults cannot
-	// fast-forward (every cycle is faulted) and would dilute the
-	// measurement — with and without prepared checkpoints.
+	// transient fault models the row's recorded ratio was measured on
+	// (BenchmarkStuckLaneSites times stuck-lane sites), with and without
+	// prepared checkpoints.
 	// Reports are byte-identical either way (pinned by differential
 	// tests); only the wall clock moves.
 	ffModels := []fault.Model{fault.ModelSpadBit, fault.ModelGPRBit, fault.ModelFetchBit, fault.ModelDMABit}

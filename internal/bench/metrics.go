@@ -87,7 +87,7 @@ func newSuiteMetrics(reg *metrics.Registry) *suiteMetrics {
 		poolMemShared: reg.Counter(MetricPoolMemShared, "pool acquisitions that reconfigured a machine from another configuration with the same memory geometry, reusing its main-memory allocation"),
 		restores:      reg.Counter(MetricRestores, "snapshot restores performed by the warm-start layer"),
 		restoreBytes:  reg.Counter(MetricRestoreBytes, "bytes copied by snapshot restores (dirty pages only on the warm path)"),
-		ffConvergedC:  reg.Counter(MetricFFConverged, "fast-forwarded fault runs completed early by a convergence proof (golden observation returned without simulating the remainder)"),
+		ffConvergedC:  reg.Counter(MetricFFConverged, "fast-forwarded fault runs completed early by a convergence proof or a schedule showing the fault never acts (golden observation returned without simulating the remainder)"),
 		decodeHits:    reg.Counter(MetricDecodeHits, "decoded-program requests served from the suite's singleflight cache"),
 		decodeMisses:  reg.Counter(MetricDecodeMisses, "decoded-program requests that paid for a fresh pre-decode"),
 		snapPrepared:  reg.Gauge(MetricSnapPrepared, "prepared per-benchmark snapshots held"),

@@ -124,9 +124,10 @@ type BufferedTarget interface {
 
 // FastForwardTarget is an optional Target extension for O(sites)
 // campaigns: the target keeps interval checkpoints of its golden run and
-// services each transient fault site by restoring the nearest checkpoint
-// at or before the site's dynamic index and simulating only the delta,
-// instead of replaying the whole prefix on the observed (injected) path.
+// services each fault site by restoring the nearest checkpoint at or
+// before the first instruction the fault can change and simulating only
+// the delta, instead of replaying the whole prefix on the observed
+// (injected) path.
 // Implementations must keep RunSiteBuf observationally identical to
 // RunBuf with a retargeted injector — the campaign pins this with
 // differential tests, and silently falls back to the buffered path when
@@ -140,9 +141,10 @@ type FastForwardTarget interface {
 	// to RunBuf).
 	PrepareCheckpoints(k int) error
 	// RunSiteBuf is RunBuf for one fault site, free to fast-forward from
-	// a prepared checkpoint. Whole-run models (stuck-lane) and any other
-	// site the target cannot fast-forward must produce their observation
-	// by the ordinary path internally.
+	// a prepared checkpoint: transient sites from their firing index,
+	// stuck-lane sites from the first instruction whose output reaches
+	// the lane. Any site the target cannot fast-forward must produce its
+	// observation by the ordinary path internally.
 	RunSiteBuf(f Fault, maxCycles int64, buf []byte) Observation
 }
 

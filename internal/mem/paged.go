@@ -82,6 +82,28 @@ func (t *paged) WriteBytes(addr int, b []byte) error {
 	return nil
 }
 
+// BytesView returns the n bytes at addr as a view of the storage,
+// without copying: the source of a transfer. The view must not be
+// written, and it sees later writes to the region.
+func (t *paged) BytesView(addr, n int) ([]byte, error) {
+	if err := t.Check(addr, n); err != nil {
+		return nil, err
+	}
+	return t.data[addr : addr+n], nil
+}
+
+// WriteView returns the n bytes at addr as a writable view of the
+// storage, with their pages already marked dirty: the destination of a
+// transfer, which copies into it in place. Write it before the next
+// snapshot or restore of the memory, which the dirty marks describe.
+func (t *paged) WriteView(addr, n int) ([]byte, error) {
+	if err := t.Check(addr, n); err != nil {
+		return nil, err
+	}
+	t.markDirty(addr, n)
+	return t.data[addr : addr+n], nil
+}
+
 // ReadNums reads count 16-bit fixed-point elements starting at byte
 // address addr.
 func (t *paged) ReadNums(addr, count int) ([]fixed.Num, error) {

@@ -195,7 +195,8 @@ func TestSparseRestoreSizeMismatch(t *testing.T) {
 }
 
 // TestScratchpadDirtyTracking pins that a scratchpad tracks pages like
-// main memory: every write kind marks exactly the pages it touches, a
+// main memory: every write kind, a transfer's copy into a WriteView
+// included, marks exactly the pages it touches, a
 // restore rewrites only those (and zeroes a written page the image does
 // not store), and without tracking a restore rebuilds the whole pad.
 func TestScratchpadDirtyTracking(t *testing.T) {
@@ -226,6 +227,10 @@ func TestScratchpadDirtyTracking(t *testing.T) {
 		{"WriteBytes", func() { s.WriteBytes(2*PageBytes-1, []byte{9, 9}) }, []int{1, 2}, 2 * PageBytes},
 		{"WriteNums", func() { s.WriteNums(0, fixed.FromFloats([]float64{4})) }, []int{0}, PageBytes},
 		{"FlipBit", func() { s.FlipBit(4*PageBytes+5, 1) }, []int{4}, 64},
+		{"WriteView", func() {
+			v, _ := s.WriteView(3*PageBytes-2, 4)
+			copy(v, []byte{5, 6, 7, 8})
+		}, []int{2, 3}, 2 * PageBytes},
 	} {
 		d.write()
 		if got := dirtyPages(&s.paged); !reflect.DeepEqual(got, d.pages) {

@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
 	"cambricon/internal/fixed"
@@ -76,6 +78,46 @@ func TestNumsViewAliasesSubsequentWrites(t *testing.T) {
 	}
 	if view[0] != 33 || view[1] != 44 {
 		t.Errorf("view = %v after overwrite, want [33 44] (stale copy returned instead of a view)", view)
+	}
+}
+
+// TestByteViews pins the transfer views: BytesView and WriteView fail
+// with Check's error on a bad region and mark nothing then; a WriteView
+// marks its pages before the caller writes, and a copy between two views
+// of one memory may overlap (the copy is a memmove).
+func TestByteViews(t *testing.T) {
+	s := newPad(t, "pad", 2*PageBytes, 4, 64)
+	s.BeginDirtyTracking()
+	for _, c := range []struct{ addr, n int }{{-1, 2}, {2*PageBytes - 1, 2}, {0, -1}} {
+		want := s.Check(c.addr, c.n)
+		if _, err := s.BytesView(c.addr, c.n); err == nil || err.Error() != want.Error() {
+			t.Errorf("BytesView(%d, %d) error = %v, want %v", c.addr, c.n, err, want)
+		}
+		if _, err := s.WriteView(c.addr, c.n); err == nil || err.Error() != want.Error() {
+			t.Errorf("WriteView(%d, %d) error = %v, want %v", c.addr, c.n, err, want)
+		}
+	}
+	if pages := dirtyPages(&s.paged); len(pages) != 0 {
+		t.Fatalf("failed views marked pages %v", pages)
+	}
+	if err := s.WriteBytes(0, []byte{1, 2, 3, 4, 5, 6}); err != nil {
+		t.Fatal(err)
+	}
+	s.BeginDirtyTracking()
+	src, err := s.BytesView(0, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := s.WriteView(2, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(dst, src)
+	if got, want := s.data[:8], []byte{1, 2, 1, 2, 3, 4, 5, 6}; !bytes.Equal(got, want) {
+		t.Fatalf("overlapping copy left %v, want %v", got, want)
+	}
+	if got := dirtyPages(&s.paged); !reflect.DeepEqual(got, []int{0}) {
+		t.Fatalf("dirty pages = %v, want [0]", got)
 	}
 }
 

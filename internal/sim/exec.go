@@ -164,24 +164,23 @@ func (m *Machine) matElemCycles(n int) int64 {
 // applyStuck imposes the injector's persistent stuck-at lane fault (if
 // any) on a functional unit's output: element i is produced by lane
 // i mod lanes, so every element of the stuck lane has the stuck bit
-// forced. Called just before results are stored; a nil injector makes
-// this a single branch.
+// forced. Called just before results are stored; with no injector and
+// no access trace attached this is two branches. An access trace
+// records how far the output reaches (AccessTrace.reach): a stuck lane
+// changes the output exactly when it is below len(out).
 func (m *Machine) applyStuck(unit fault.Unit, out []fixed.Num) {
+	if m.rec != nil {
+		m.rec.reach(unit, m.stats.Instructions, len(out))
+	}
 	if m.inj == nil {
 		return
 	}
 	st, ok := m.inj.StuckLane(unit)
-	if !ok || len(out) == 0 {
+	if !ok {
 		return
 	}
-	lanes := m.cfg.VectorLanes
-	if unit == fault.UnitMatrix {
-		lanes = m.cfg.MatrixBlocks * m.cfg.MACsPerBlock
-	}
-	lane := st.Lane % lanes
-	if lane < 0 {
-		lane += lanes
-	}
+	lanes := m.cfg.unitLanes(unit)
+	lane := laneIndex(st.Lane, lanes)
 	if lane >= len(out) {
 		return
 	}
@@ -194,6 +193,25 @@ func (m *Machine) applyStuck(unit fault.Unit, out []fixed.Num) {
 		}
 	}
 	m.noteFault("stuck-lane")
+}
+
+// unitLanes is the lane count of unit's outputs: 32 vector lanes, or
+// one lane per MAC of the matrix unit's blocks.
+func (c *Config) unitLanes(unit fault.Unit) int {
+	if unit == fault.UnitMatrix {
+		return c.MatrixBlocks * c.MACsPerBlock
+	}
+	return c.VectorLanes
+}
+
+// laneIndex reduces a stuck lane modulo the unit's lane count, into
+// [0, lanes).
+func laneIndex(lane, lanes int) int {
+	lane %= lanes
+	if lane < 0 {
+		lane += lanes
+	}
+	return lane
 }
 
 // corruptDMA offers an in-flight DMA payload to the injector. A nil
@@ -332,7 +350,10 @@ func (m *Machine) execInto(inst core.Instruction, e *effect) error {
 }
 
 // execLoadStore handles VLOAD/VSTORE/MLOAD/MSTORE: a DMA transfer between
-// main memory and a scratchpad.
+// main memory and a scratchpad, one copy from the source region into the
+// destination. The two memories are distinct, so the injector, offered
+// the destination bytes after the copy, flips exactly what flipping the
+// payload in flight would.
 func (m *Machine) execLoadStore(inst core.Instruction, e *effect, load bool) error {
 	sp, pad := spaceVec, m.vspad
 	e.fu = fuVector
@@ -347,35 +368,27 @@ func (m *Machine) execLoadStore(inst core.Instruction, e *effect, load bool) err
 	spadAddr := m.regAddr(inst.R[0])
 	mainAddr := m.regAddr(inst.R[2]) + int(inst.Imm)
 	bytes := fixed.Bytes(n)
-	// Check the region the transfer reads before sizing its buffer, so
-	// a corrupted length fails without allocating it.
+	// The source region is checked before the destination, so a transfer
+	// that is out of range on both sides reports its source.
+	var src, dst []byte
 	if load {
-		err = m.main.Check(mainAddr, bytes)
+		if src, err = m.main.BytesView(mainAddr, bytes); err == nil {
+			dst, err = pad.WriteView(spadAddr, bytes)
+		}
 	} else {
-		err = pad.Check(spadAddr, bytes)
+		if src, err = pad.BytesView(spadAddr, bytes); err == nil {
+			dst, err = m.main.WriteView(mainAddr, bytes)
+		}
 	}
 	if err != nil {
 		return err
 	}
-	data := scratchBytes(&m.bufBytes, bytes)
+	copy(dst, src)
+	m.corruptDMA(dst)
 	if load {
-		if err := m.main.ReadBytesInto(mainAddr, data); err != nil {
-			return err
-		}
-		m.corruptDMA(data)
-		if err := pad.WriteBytes(spadAddr, data); err != nil {
-			return err
-		}
 		e.touch(spaceMain, mainAddr, bytes, false)
 		e.touch(sp, spadAddr, bytes, true)
 	} else {
-		if err := pad.ReadBytesInto(spadAddr, data); err != nil {
-			return err
-		}
-		m.corruptDMA(data)
-		if err := m.main.WriteBytes(mainAddr, data); err != nil {
-			return err
-		}
 		e.touch(sp, spadAddr, bytes, false)
 		e.touch(spaceMain, mainAddr, bytes, true)
 	}
@@ -388,7 +401,9 @@ func (m *Machine) execLoadStore(inst core.Instruction, e *effect, load bool) err
 	return nil
 }
 
-// execMove handles VMOVE/MMOVE: an on-chip copy within one scratchpad.
+// execMove handles VMOVE/MMOVE: an on-chip copy within one scratchpad,
+// source region checked first. copy is a memmove, so overlapping regions
+// copy as if through a buffer.
 func (m *Machine) execMove(inst core.Instruction, e *effect) error {
 	sp, pad := spaceVec, m.vspad
 	e.fu = fuVector
@@ -402,16 +417,15 @@ func (m *Machine) execMove(inst core.Instruction, e *effect) error {
 	}
 	dst, src := m.regAddr(inst.R[0]), m.regAddr(inst.R[2])
 	bytes := fixed.Bytes(n)
-	if err := pad.Check(src, bytes); err != nil {
+	from, err := pad.BytesView(src, bytes)
+	if err != nil {
 		return err
 	}
-	data := scratchBytes(&m.bufBytes, bytes)
-	if err := pad.ReadBytesInto(src, data); err != nil {
+	to, err := pad.WriteView(dst, bytes)
+	if err != nil {
 		return err
 	}
-	if err := pad.WriteBytes(dst, data); err != nil {
-		return err
-	}
+	copy(to, from)
 	e.touch(sp, src, bytes, false)
 	e.touch(sp, dst, bytes, true)
 	if sp == spaceVec {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"reflect"
@@ -320,6 +321,108 @@ func TestDMABitFault(t *testing.T) {
 	}
 	if stats.FaultsInjected == 0 {
 		t.Error("FaultsInjected = 0, want > 0")
+	}
+}
+
+// TestDMABitFlipsDestination pins the dma-bit fault on transfers that
+// copy straight from source to destination: on a VLOAD and on a VSTORE,
+// the injector flips exactly bit Bit of byte Byte % len of the
+// destination region and leaves the source as it was, and restoring the
+// pre-run snapshot reverts the flip (the destination pages were marked
+// dirty before the flip).
+func TestDMABitFlipsDestination(t *testing.T) {
+	const (
+		n       = 10 // elements per transfer
+		srcMain = 100
+		spad    = 64
+		dstMain = 8192
+	)
+	src := `
+.data 100: 1, 2, 3, 4, 5, 6, 7, 8, 9, 10
+	SMOVE  $0, #10
+	SMOVE  $1, #64
+	VLOAD  $1, $0, #100
+	VSTORE $1, $0, #8192
+`
+	p := mustAssemble(t, src)
+	m := mustNew(t, DefaultConfig())
+	for _, c := range p.Data {
+		if err := m.WriteMainNums(c.Addr, c.Values); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.LoadProgram(p.Instructions)
+	pre := m.Snapshot()
+	// regions reads the three transfer regions: the VLOAD's source and
+	// destination, and the VSTORE's destination.
+	regions := func() (loadSrc, padRegion, storeDst []byte) {
+		t.Helper()
+		var err [3]error
+		loadSrc, err[0] = m.main.BytesView(srcMain, 2*n)
+		padRegion, err[1] = m.vspad.BytesView(spad, 2*n)
+		storeDst, err[2] = m.main.BytesView(dstMain, 2*n)
+		for _, e := range err {
+			if e != nil {
+				t.Fatal(e)
+			}
+		}
+		return bytes.Clone(loadSrc), bytes.Clone(padRegion), bytes.Clone(storeDst)
+	}
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	goldSrc, goldPad, goldDst := regions()
+
+	const byteSel, bit = 3*2*n + 7, 5 // byte 7 of the 20-byte payload
+	for _, c := range []struct {
+		name string
+		at   int64
+	}{{"VLOAD", 2}, {"VSTORE", 3}} {
+		t.Run(c.name, func(t *testing.T) {
+			if err := m.Restore(pre); err != nil {
+				t.Fatal(err)
+			}
+			m.SetInjector(fault.New(fault.Fault{Model: fault.ModelDMABit, At: c.at, Byte: byteSel, Bit: bit}))
+			st, err := m.Run()
+			m.SetInjector(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.FaultsInjected != 1 {
+				t.Fatalf("FaultsInjected = %d, want 1", st.FaultsInjected)
+			}
+			loadSrc, pad, storeDst := regions()
+			flipped := func(golden []byte) []byte {
+				b := bytes.Clone(golden)
+				b[byteSel%len(b)] ^= 1 << bit
+				return b
+			}
+			// A VLOAD flip reaches main memory again through the VSTORE,
+			// which copies the corrupted pad region.
+			wantPad, wantDst := goldPad, flipped(goldDst)
+			if c.name == "VLOAD" {
+				wantPad = flipped(goldPad)
+			}
+			if !bytes.Equal(loadSrc, goldSrc) {
+				t.Errorf("VLOAD source = %v, want it untouched: %v", loadSrc, goldSrc)
+			}
+			if !bytes.Equal(pad, wantPad) {
+				t.Errorf("pad region = %v, want %v", pad, wantPad)
+			}
+			if !bytes.Equal(storeDst, wantDst) {
+				t.Errorf("VSTORE destination = %v, want %v", storeDst, wantDst)
+			}
+
+			if err := m.Restore(pre); err != nil {
+				t.Fatal(err)
+			}
+			after := m.Snapshot()
+			for sp, name := range MemoryNames {
+				if pages := DiffPages(pre, after, sp); len(pages) != 0 {
+					t.Errorf("%s: restoring the pre-run snapshot left pages %v different", name, pages)
+				}
+			}
+		})
 	}
 }
 

@@ -23,6 +23,18 @@ package sim
 // so the fault-free run's observation can be returned without simulating
 // the suffix.
 //
+// A stuck lane is not transient: it forces its bit on every output of
+// its unit that is long enough to reach the lane. The same recording
+// pass therefore notes, at the point where applyStuck makes that
+// decision, each unit output's dynamic index and length, and Liveness
+// condenses them into the first and last index at which an output
+// reaches each lane (LaneReach). Before the first reach the stuck lane
+// has changed nothing, so the faulted run is the golden run; a lane no
+// output reaches leaves the whole run golden; and a proof at a boundary
+// after the last reach also covers the injector still attached, because
+// the proven-identical remainder is the golden one, whose outputs never
+// reach the lane again.
+//
 // Soundness rests on the access sets the execution core already reports
 // to the timing model: the memory-dependence and register-scoreboard
 // logic require every operand read and write region, so the recorded
@@ -36,6 +48,7 @@ import (
 	"slices"
 
 	"cambricon/internal/core"
+	"cambricon/internal/fault"
 	"cambricon/internal/mem"
 )
 
@@ -62,6 +75,9 @@ type AccessTrace struct {
 	// in-flight DMA payload to an attached injector (transfers with a
 	// non-empty payload), ascending.
 	dma []int64
+	// outs holds, per fault.Unit, every output the unit produced, in
+	// dynamic-index order (see reach).
+	outs [2][]unitOut
 	// bad marks a recording that did not start at instruction 0 or
 	// skipped indices (e.g. attached mid-run); Liveness refuses it.
 	bad bool
@@ -93,6 +109,28 @@ func (t *AccessTrace) record(idx int64, src []uint8, dst uint8, hasDst bool, e *
 	}
 }
 
+// unitOut is one functional-unit output of a recorded run: the dynamic
+// index that produced it and its length in elements.
+type unitOut struct {
+	idx int64
+	n   int
+}
+
+// reach records that the instruction at dynamic index idx produced an
+// output of n elements on unit. applyStuck calls it at the point where
+// it decides whether a stuck lane is below len(out), so the recorded
+// reach is exactly the set of instructions a stuck-lane fault can
+// change.
+func (t *AccessTrace) reach(unit fault.Unit, idx int64, n int) {
+	t.outs[unit] = append(t.outs[unit], unitOut{idx, n})
+}
+
+// laneSpan is the first and last dynamic index at which a golden-run
+// output reaches one lane.
+type laneSpan struct {
+	first, last int64
+}
+
 // pageWrite is one memory write of the golden run: the dynamic index it
 // committed at, the memory it wrote and the page range it covered.
 type pageWrite struct {
@@ -104,18 +142,23 @@ type pageWrite struct {
 // Liveness is the condensed read schedule of a recorded golden run: for
 // every scalar register and every 16-bit scratchpad word, the last
 // dynamic instruction index that reads it (-1 = never read); plus the
-// run's DMA-offer indices and its write schedule, the pages each
-// instruction wrote in each of the three memories. A location whose
-// last read is before boundary j is dead at j: a faulted run whose state
-// differs from the golden run only in dead locations commits an
-// identical remainder. A Liveness is immutable and safe to share across
-// campaign workers.
+// run's DMA-offer indices, its lane-reach schedule (LaneReach) and its
+// write schedule, the pages each instruction wrote in each of the three
+// memories. A location whose last read is before boundary j is dead at
+// j: a faulted run whose state differs from the golden run only in dead
+// locations commits an identical remainder. A Liveness is immutable and
+// safe to share across campaign workers.
 type Liveness struct {
 	gprLast   [core.NumGPRs]int64
 	vspadLast []int64 // per 16-bit word
 	mspadLast []int64
 	dma       []int64
 	writes    []pageWrite
+	// lanes holds, per fault.Unit, the reach of each lane an output ever
+	// reaches, indexed by lane; the lanes past its end are never reached.
+	// unitLanes is each unit's lane count, the modulus of a stuck lane.
+	lanes     [2][]laneSpan
+	unitLanes [2]int
 }
 
 // Liveness condenses the recorded run against the machine geometry it
@@ -141,6 +184,10 @@ func (t *AccessTrace) Liveness(cfg Config) (*Liveness, error) {
 	}
 	for i := range lv.mspadLast {
 		lv.mspadLast[i] = -1
+	}
+	for u, outs := range t.outs {
+		lv.unitLanes[u] = cfg.unitLanes(fault.Unit(u))
+		lv.lanes[u] = laneSpans(outs, lv.unitLanes[u])
 	}
 	for i := range t.recs {
 		r := &t.recs[i]
@@ -181,6 +228,50 @@ func (t *AccessTrace) Liveness(cfg Config) (*Liveness, error) {
 		}
 	}
 	return lv, nil
+}
+
+// laneSpans condenses one unit's outputs into the reach of each lane.
+// An output of n elements reaches lanes 0 to min(n, lanes)-1, a prefix,
+// so the first reaches ascend with the lane and the last reaches
+// descend: one pass forward and one backward, each keeping the widest
+// output so far, fill them in.
+func laneSpans(outs []unitOut, lanes int) []laneSpan {
+	var spans []laneSpan
+	for _, o := range outs {
+		for len(spans) < min(o.n, lanes) {
+			spans = append(spans, laneSpan{first: o.idx})
+		}
+	}
+	reached := 0
+	for i := len(outs) - 1; i >= 0 && reached < len(spans); i-- {
+		for ; reached < min(outs[i].n, lanes); reached++ {
+			spans[reached].last = outs[i].idx
+		}
+	}
+	return spans
+}
+
+// LaneReach returns the first and last dynamic index at which a golden-run
+// output of unit reaches lane, and false when no output reaches it. The
+// lane is reduced modulo the unit's lane count, as applyStuck reduces a
+// stuck lane. A stuck lane changes nothing at an instruction whose
+// output does not reach it: the faulted run is the golden run up to
+// first (all of it when no output reaches the lane), and a convergence
+// proof at a boundary after last holds with the stuck lane still
+// attached.
+func (lv *Liveness) LaneReach(unit fault.Unit, lane int) (first, last int64, ok bool) {
+	if int(unit) >= len(lv.lanes) {
+		return 0, 0, false
+	}
+	spans := lv.lanes[unit]
+	if len(spans) == 0 {
+		return 0, 0, false
+	}
+	l := laneIndex(lane, lv.unitLanes[unit])
+	if l >= len(spans) {
+		return 0, 0, false
+	}
+	return spans[l].first, spans[l].last, true
 }
 
 // DMAOfferAfter returns the dynamic index of the golden run's first DMA

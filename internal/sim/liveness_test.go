@@ -2,12 +2,15 @@ package sim
 
 // Tests for the golden-run access trace and the convergence proof
 // (liveness.go): recording must be behaviour-neutral, the condensed
-// liveness must know the golden DMA offers, and ConvergedWith must
-// accept exactly the states whose remaining differences are dead.
+// liveness must know the golden DMA offers and where each unit's
+// outputs reach each lane, and ConvergedWith must accept exactly the
+// states whose remaining differences are dead.
 
 import (
 	"reflect"
 	"testing"
+
+	"cambricon/internal/fault"
 )
 
 // recordGolden runs ckptKernel once with an access trace attached and
@@ -190,5 +193,139 @@ func TestConvergedWithAllocationFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(50, func() { m.ConvergedWith(ck2, lv) }); allocs != 0 {
 		t.Fatalf("failing proof: %.1f allocs, want 0", allocs)
+	}
+}
+
+// laneReachKernel produces vector and matrix outputs of known lengths
+// between instructions that produce none (loads, stores, moves, VDOT,
+// VMAX, VMIN). Its reach, by dynamic index:
+//
+//	vector  8 VAV 5, 15 VAS 40 (wraps the 32 lanes), 21 VAV 5
+//	matrix 14 MMV 3, 18 MMS 600, 19 OP 3x5 = 15, 20 MAM 4
+const laneReachKernel = `
+.data 0: 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12
+	SMOVE  $1, #40
+	SMOVE  $2, #5
+	SMOVE  $3, #0
+	SMOVE  $4, #256
+	VLOAD  $3, $1, #0
+	VDOT   $10, $1, $3, $3
+	VMAX   $11, $1, $3
+	VMOVE  $4, $1, $3
+	VAV    $4, $2, $3, $3
+	SMOVE  $5, #3
+	SMOVE  $6, #4
+	SMOVE  $7, #0
+	SMOVE  $8, #12
+	MLOAD  $7, $8, #0
+	MMV    $4, $5, $7, $3, $6
+	VAS    $4, $1, $3, #1
+	SMOVE  $9, #600
+	SMOVE  $12, #4096
+	MMS    $12, $9, $12, #2
+	OP     $7, $3, $5, $3, $2
+	MAM    $7, $6, $7, $7
+	VAV    $4, $2, $3, $3
+	VMIN   $11, $1, $4
+	VSTORE $4, $1, #1024
+	MSTORE $12, $9, #2048
+	MMOVE  $12, $8, $7
+`
+
+// TestLivenessLaneReach pins the lane-reach schedule on laneReachKernel:
+// each lane's first and last reaching output, none for a lane no output
+// reaches, a lane index reduced modulo the unit's lane count, and no
+// reach at all for an instruction that never calls applyStuck. Then it
+// holds the schedule to the fault it serves: a stuck-lane injector on
+// every lane of both units, stepped one instruction at a time, applies
+// its fault first at the lane's first reach and last at its last.
+func TestLivenessLaneReach(t *testing.T) {
+	cfg := DefaultConfig()
+	p := mustAssemble(t, laneReachKernel)
+	m := mustNew(t, cfg)
+	for _, c := range p.Data {
+		if err := m.WriteMainNums(c.Addr, c.Values); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.LoadProgram(p.Instructions)
+	start := m.Snapshot()
+	rec := NewAccessTrace()
+	m.SetAccessTrace(rec)
+	st, err := m.Run()
+	m.SetAccessTrace(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lv, err := rec.Liveness(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vec, mat := fault.UnitVector, fault.UnitMatrix
+	const none = -1
+	for _, c := range []struct {
+		unit        fault.Unit
+		lane        int
+		first, last int64
+	}{
+		{vec, 0, 8, 21},
+		{vec, 4, 8, 21},
+		{vec, 5, 15, 15},
+		{vec, 31, 15, 15},
+		{vec, 32 + 2, 8, 21}, // lane 2
+		{vec, -1, 15, 15},    // lane 31
+		{mat, 0, 14, 20},
+		{mat, 2, 14, 20},
+		{mat, 3, 18, 20},
+		{mat, 4, 18, 19},
+		{mat, 14, 18, 19},
+		{mat, 15, 18, 18},
+		{mat, 599, 18, 18},
+		{mat, 600, none, none},
+		{mat, 1023, none, none},
+		{mat, 1024 + 3, 18, 20}, // lane 3
+		{mat, -1, none, none},   // lane 1023
+		{fault.Unit(2), 0, none, none},
+	} {
+		first, last, ok := lv.LaneReach(c.unit, c.lane)
+		if c.first == none {
+			if ok {
+				t.Errorf("%v lane %d: reach [%d, %d], want none", c.unit, c.lane, first, last)
+			}
+			continue
+		}
+		if !ok || first != c.first || last != c.last {
+			t.Errorf("%v lane %d: reach [%d, %d] (reached %v), want [%d, %d]", c.unit, c.lane, first, last, ok, c.first, c.last)
+		}
+	}
+
+	for _, unit := range []fault.Unit{vec, mat} {
+		for lane := range cfg.unitLanes(unit) {
+			if err := m.Restore(start); err != nil {
+				t.Fatal(err)
+			}
+			m.SetInjector(fault.New(fault.Fault{Model: fault.ModelStuckLane, Unit: unit, Lane: lane, Bit: 3, Val: 1}))
+			first, last := int64(none), int64(none)
+			for i := int64(1); i <= st.Instructions; i++ {
+				before := m.stats.FaultsInjected
+				if _, _, err := m.RunUntil(i); err != nil {
+					t.Fatal(err)
+				}
+				if m.stats.FaultsInjected != before {
+					if first == none {
+						first = i - 1
+					}
+					last = i - 1
+				}
+			}
+			m.SetInjector(nil)
+			f, l, ok := lv.LaneReach(unit, lane)
+			if !ok {
+				f, l = none, none
+			}
+			if f != first || l != last {
+				t.Fatalf("%v lane %d: schedule says [%d, %d], the stuck lane applied over [%d, %d]", unit, lane, f, l, first, last)
+			}
+		}
 	}
 }

@@ -82,7 +82,6 @@ type Machine struct {
 	// hold results before they are stored.
 	bufA, bufB, bufOut, bufMat []fixed.Num
 	bufAcc                     []fixed.Acc
-	bufBytes                   []byte
 }
 
 // New builds a machine with the given configuration.
@@ -444,14 +443,6 @@ func (m *Machine) tailInt(inst core.Instruction, idx int) int32 {
 func scratch(buf *[]fixed.Num, n int) []fixed.Num {
 	if cap(*buf) < n {
 		*buf = make([]fixed.Num, n)
-	}
-	return (*buf)[:n]
-}
-
-// scratchBytes is scratch for byte buffers.
-func scratchBytes(buf *[]byte, n int) []byte {
-	if cap(*buf) < n {
-		*buf = make([]byte, n)
 	}
 	return (*buf)[:n]
 }
