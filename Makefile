@@ -40,9 +40,10 @@ perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # internal/fixed computes MMV, VMM, VDOT and the element-wise vector and
-# matrix instructions in amd64 assembly, and in plain Go on every other
-# GOARCH. Run the Go form's tests as a 386 binary, which an amd64 host
-# can execute, and vet the package for arm64.
+# matrix instructions in AVX2 assembly on amd64 hosts that support it
+# (the race run above tests it against the Go loops), and in plain Go
+# everywhere else. Run the Go form's tests as a 386 binary, which an
+# amd64 host can execute, and vet the package for arm64.
 portable:
 	GOARCH=386 $(GO) test ./internal/fixed
 	GOARCH=arm64 $(GO) vet ./internal/fixed

@@ -95,6 +95,7 @@ func main() {
 
 	if *version {
 		fmt.Printf("camsim %s (cambricon-bench-sim)\n", cambricon.Version)
+		fmt.Printf("kernels: %s\n", fixed.KernelForm())
 		return
 	}
 

@@ -13,6 +13,7 @@ import (
 
 	"cambricon/internal/asm"
 	"cambricon/internal/cmdtest"
+	"cambricon/internal/fixed"
 	"cambricon/internal/sim"
 	"cambricon/internal/trace"
 )
@@ -54,6 +55,26 @@ func TestDumpDecodedGolden(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("-dump-decoded listing diverged from golden:\ngot:\n%s\nwant:\n%s", buf.Bytes(), want)
+	}
+}
+
+// TestVersionNamesKernelForm checks that -version prints the release
+// on its first line and, on its second, the form of the fixed-point
+// kernels the host runs, so a host-speed figure can be tied to it.
+func TestVersionNamesKernelForm(t *testing.T) {
+	stdout, stderr, err := cmdtest.Run(t, "camsim", "-version")
+	if err != nil {
+		t.Fatalf("camsim -version: %v\n%s", err, stderr)
+	}
+	lines := strings.Split(strings.TrimSuffix(stdout, "\n"), "\n")
+	if len(lines) != 2 || !strings.HasPrefix(lines[0], "camsim ") {
+		t.Fatalf("camsim -version printed %q, want the release line and the kernels line", stdout)
+	}
+	if want := "kernels: " + fixed.KernelForm(); lines[1] != want {
+		t.Errorf("second line %q, want %q", lines[1], want)
+	}
+	if form := fixed.KernelForm(); form != "avx2" && form != "go" {
+		t.Errorf("fixed.KernelForm() = %q, want avx2 or go", form)
 	}
 }
 

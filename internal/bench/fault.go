@@ -230,7 +230,9 @@ func (t *faultTarget) RunSiteBuf(f fault.Fault, maxCycles int64, buf []byte) (ob
 	if len(ckpts) == 0 {
 		// Without prepared checkpoints there is nothing to fast-forward
 		// from.
-		return t.RunBuf(fault.New(f), maxCycles, buf)
+		inj := t.suite.injector(f)
+		defer t.suite.injectors.Put(inj)
+		return t.RunBuf(inj, maxCycles, buf)
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -275,6 +277,10 @@ func (t *faultTarget) RunSiteBuf(f fault.Fault, maxCycles int64, buf []byte) (ob
 		}
 		best = s
 	}
+	// Deferred before the machine's release, which detaches the
+	// injector, so the injector goes back to the pool unattached.
+	inj := t.suite.injector(f)
+	defer t.suite.injectors.Put(inj)
 	// Restoring the checkpoint directly skips the prepared-snapshot
 	// restore preparedMachine performs, which the checkpoint would
 	// overwrite anyway.
@@ -296,7 +302,7 @@ func (t *faultTarget) RunSiteBuf(f fault.Fault, maxCycles int64, buf []byte) (ob
 	// detaching it once the fault has fired is what keeps one-shot
 	// semantics identical to RunBuf's single attached run.
 	if err == nil && !done {
-		m.SetInjector(fault.New(f))
+		m.SetInjector(inj)
 		if f.Model != fault.ModelStuckLane {
 			stats, done, err = m.RunUntil(target + 1)
 			m.SetInjector(nil)
@@ -333,6 +339,17 @@ func (t *faultTarget) RunSiteBuf(f fault.Fault, maxCycles int64, buf []byte) (ob
 		stats, err = m.Resume()
 	}
 	return t.finish(m, stats, err, false, buf)
+}
+
+// injector returns an injector aimed at f: one from the suite's pool,
+// retargeted, or a new one. Return it with s.injectors.Put once no
+// machine holds it.
+func (s *Suite) injector(f fault.Fault) *fault.Single {
+	if inj, ok := s.injectors.Get().(*fault.Single); ok {
+		inj.Retarget(f)
+		return inj
+	}
+	return fault.New(f)
 }
 
 // goldenObservation copies the stored fault-free observation, backing

@@ -77,6 +77,9 @@ type Suite struct {
 	mu sync.Mutex
 
 	pool machinePool
+	// injectors holds the *fault.Single injectors RunSiteBuf attaches,
+	// so a fast-forwarded fault site does not allocate one.
+	injectors sync.Pool
 }
 
 // benchmark is everything the suite keeps for one program: its

@@ -1,9 +1,19 @@
 package fixed
 
-// The functions below are the SSE2 forms of the loops in
-// kernels_other.go, which are their contract: the same exact results,
-// for every input. SSE2 is part of the amd64 baseline, so they need no
-// CPU detection.
+// The functions below are the AVX2 forms of the Go loops in kernels.go,
+// which are their contract: the same exact results, for every input.
+// Each takes sixteen words per step, then one eight-word step and one
+// word per step for the rest (kernels_amd64.s).
+//
+// avx2 is set once, at package initialization, by a CPUID and XGETBV
+// probe: the CPU must report AVX2, AVX and OSXSAVE, and the OS must
+// save the XMM and YMM registers. Each function tests it on entry and,
+// when it is false, jumps to its Go loop, so amd64 hosts without AVX2
+// run the loops that every other GOARCH runs.
+var avx2 = hasAVX2()
+
+// hasAVX2 reports whether the CPU and the OS support AVX2.
+func hasAVX2() bool
 
 // dotAcc returns the exact sum of a[i]·b[i] over i < len(a). b must be
 // at least as long as a.

@@ -214,6 +214,41 @@ func laneIndex(lane, lanes int) int {
 	return lane
 }
 
+// resultView returns the destination of an n-element result, at byte
+// address dst of pad, for an execute function to compute into. When it
+// can, that is a writable view of the scratchpad storage itself, and
+// inPlace is true: the region is in range, the host can alias it
+// (fixed.ViewBytes), and every input region in srcs, which lie in the
+// same scratchpad, is disjoint from it or, when same is set, equal to it
+// (the element-wise kernels allow out == a and out == b). Otherwise it
+// returns *buf resized to n, and storeResult copies the result in; so a
+// partial overlap, MMV or VMM over its own input vector, a misaligned
+// view and an out-of-range destination, whose error storeResult reports
+// after the sources', all take the buffer.
+func resultView(pad *mem.Scratchpad, dst, n int, buf *[]fixed.Num, same bool, srcs ...mem.Region) (out []fixed.Num, inPlace bool) {
+	reg := mem.Region{Addr: dst, N: fixed.Bytes(n)}
+	for _, src := range srcs {
+		if src.Overlaps(reg) && !(same && src == reg) {
+			return scratch(buf, n), false
+		}
+	}
+	if view, err := pad.WriteView(dst, reg.N); err == nil {
+		if out, ok := fixed.ViewBytes(view, n); ok {
+			return out, true
+		}
+	}
+	return scratch(buf, n), false
+}
+
+// storeResult stores a result that resultView placed in a buffer at
+// byte address dst of pad; a result computed in place is already there.
+func storeResult(pad *mem.Scratchpad, dst int, out []fixed.Num, inPlace bool) error {
+	if inPlace {
+		return nil
+	}
+	return pad.WriteNums(dst, out)
+}
+
 // corruptDMA offers an in-flight DMA payload to the injector. A nil
 // injector makes this a single branch.
 func (m *Machine) corruptDMA(data []byte) {
@@ -474,14 +509,17 @@ func (m *Machine) execMatVec(inst core.Instruction, e *effect) error {
 	if err := m.vspad.Check(voutAddr, fixed.Bytes(outN)); err != nil {
 		return err
 	}
-	out := scratch(&m.bufOut, outN)
+	// MMV reads all of vin again for every output it writes, so out
+	// must not overlap vin at all; VMM keeps the same rule.
+	out, inPlace := resultView(m.vspad, voutAddr, outN, &m.bufOut, false,
+		mem.Region{Addr: vinAddr, N: fixed.Bytes(inN)})
 	if inst.Op == core.MMV {
 		fixed.MatVec(out, mat, vin)
 	} else {
 		fixed.VecMat(out, vin, mat, scratchAcc(&m.bufAcc, outN))
 	}
 	m.applyStuck(fault.UnitMatrix, out)
-	if err := m.vspad.WriteNums(voutAddr, out); err != nil {
+	if err := storeResult(m.vspad, voutAddr, out, inPlace); err != nil {
 		return err
 	}
 	e.touch(spaceMat, matAddr, fixed.Bytes(rows*cols), false)
@@ -506,10 +544,11 @@ func (m *Machine) execMMS(inst core.Instruction, e *effect) error {
 	if err != nil {
 		return err
 	}
-	out := scratch(&m.bufOut, n)
+	out, inPlace := resultView(m.mspad, dst, n, &m.bufOut, true,
+		mem.Region{Addr: src, N: fixed.Bytes(n)})
 	fixed.VecMulScalar(out, in, s)
 	m.applyStuck(fault.UnitMatrix, out)
-	if err := m.mspad.WriteNums(dst, out); err != nil {
+	if err := storeResult(m.mspad, dst, out, inPlace); err != nil {
 		return err
 	}
 	e.touch(spaceMat, src, fixed.Bytes(n), false)
@@ -545,12 +584,14 @@ func (m *Machine) execOuter(inst core.Instruction, e *effect) error {
 	if err := m.mspad.Check(dst, fixed.Bytes(rows*cols)); err != nil {
 		return err
 	}
-	out := scratch(&m.bufMat, rows*cols)
+	// The inputs are in the vector scratchpad, so they never overlap
+	// the output.
+	out, inPlace := resultView(m.mspad, dst, rows*cols, &m.bufMat, false)
 	for i, v := range v0 {
 		fixed.VecMulScalar(out[i*cols:(i+1)*cols], v1, v)
 	}
 	m.applyStuck(fault.UnitMatrix, out)
-	if err := m.mspad.WriteNums(dst, out); err != nil {
+	if err := storeResult(m.mspad, dst, out, inPlace); err != nil {
 		return err
 	}
 	e.touch(spaceVec, m.regAddr(inst.R[1]), fixed.Bytes(rows), false)
@@ -569,27 +610,28 @@ func (m *Machine) execMatElem(inst core.Instruction, e *effect) error {
 	if err != nil {
 		return err
 	}
-	dst := m.regAddr(inst.R[0])
-	a, err := m.mspad.NumsView(m.regAddr(inst.R[2]), n, &m.bufA)
+	dst, aAddr, bAddr := m.regAddr(inst.R[0]), m.regAddr(inst.R[2]), m.regAddr(inst.R[3])
+	a, err := m.mspad.NumsView(aAddr, n, &m.bufA)
 	if err != nil {
 		return err
 	}
-	b, err := m.mspad.NumsView(m.regAddr(inst.R[3]), n, &m.bufB)
+	b, err := m.mspad.NumsView(bAddr, n, &m.bufB)
 	if err != nil {
 		return err
 	}
-	out := scratch(&m.bufOut, n)
+	out, inPlace := resultView(m.mspad, dst, n, &m.bufOut, true,
+		mem.Region{Addr: aAddr, N: fixed.Bytes(n)}, mem.Region{Addr: bAddr, N: fixed.Bytes(n)})
 	if inst.Op == core.MAM {
 		fixed.VecAdd(out, a, b)
 	} else {
 		fixed.VecSub(out, a, b)
 	}
 	m.applyStuck(fault.UnitMatrix, out)
-	if err := m.mspad.WriteNums(dst, out); err != nil {
+	if err := storeResult(m.mspad, dst, out, inPlace); err != nil {
 		return err
 	}
-	e.touch(spaceMat, m.regAddr(inst.R[2]), fixed.Bytes(n), false)
-	e.touch(spaceMat, m.regAddr(inst.R[3]), fixed.Bytes(n), false)
+	e.touch(spaceMat, aAddr, fixed.Bytes(n), false)
+	e.touch(spaceMat, bAddr, fixed.Bytes(n), false)
 	e.touch(spaceMat, dst, fixed.Bytes(n), true)
 	e.execCycles = m.matElemCycles(n)
 	m.stats.MACOps += int64(n)
@@ -604,16 +646,19 @@ func (m *Machine) execVecBinary(inst core.Instruction, e *effect) error {
 	if err != nil {
 		return err
 	}
-	dst := m.regAddr(inst.R[0])
-	a, err := m.vspad.NumsView(m.regAddr(inst.R[2]), n, &m.bufA)
+	dst, aAddr, bAddr := m.regAddr(inst.R[0]), m.regAddr(inst.R[2]), m.regAddr(inst.R[3])
+	a, err := m.vspad.NumsView(aAddr, n, &m.bufA)
 	if err != nil {
 		return err
 	}
-	b, err := m.vspad.NumsView(m.regAddr(inst.R[3]), n, &m.bufB)
+	b, err := m.vspad.NumsView(bAddr, n, &m.bufB)
 	if err != nil {
 		return err
 	}
-	out := scratch(&m.bufOut, n)
+	// Every operation below sets out[i] from a[i] and b[i] alone, so out
+	// may be a or b.
+	out, inPlace := resultView(m.vspad, dst, n, &m.bufOut, true,
+		mem.Region{Addr: aAddr, N: fixed.Bytes(n)}, mem.Region{Addr: bAddr, N: fixed.Bytes(n)})
 	beatCost := 1
 	// One switch per instruction, not per element: VAV, VSV, VMV and VGTM
 	// are one call each to an element-wise kernel of internal/fixed, and
@@ -650,11 +695,11 @@ func (m *Machine) execVecBinary(inst core.Instruction, e *effect) error {
 		fixed.VecMax(out, a, b)
 	}
 	m.applyStuck(fault.UnitVector, out)
-	if err := m.vspad.WriteNums(dst, out); err != nil {
+	if err := storeResult(m.vspad, dst, out, inPlace); err != nil {
 		return err
 	}
-	e.touch(spaceVec, m.regAddr(inst.R[2]), fixed.Bytes(n), false)
-	e.touch(spaceVec, m.regAddr(inst.R[3]), fixed.Bytes(n), false)
+	e.touch(spaceVec, aAddr, fixed.Bytes(n), false)
+	e.touch(spaceVec, bAddr, fixed.Bytes(n), false)
 	e.touch(spaceVec, dst, fixed.Bytes(n), true)
 	e.execCycles = m.vecCycles(n, beatCost, e.acc.list())
 	m.stats.VectorElems += int64(n)
@@ -669,19 +714,20 @@ func (m *Machine) execVAS(inst core.Instruction, e *effect) error {
 	if err != nil {
 		return err
 	}
-	dst := m.regAddr(inst.R[0])
-	a, err := m.vspad.NumsView(m.regAddr(inst.R[2]), n, &m.bufA)
+	dst, aAddr := m.regAddr(inst.R[0]), m.regAddr(inst.R[2])
+	a, err := m.vspad.NumsView(aAddr, n, &m.bufA)
 	if err != nil {
 		return err
 	}
 	s := fixed.Num(m.tailInt(inst, 3))
-	out := scratch(&m.bufOut, n)
+	out, inPlace := resultView(m.vspad, dst, n, &m.bufOut, true,
+		mem.Region{Addr: aAddr, N: fixed.Bytes(n)})
 	fixed.VecAddScalar(out, a, s)
 	m.applyStuck(fault.UnitVector, out)
-	if err := m.vspad.WriteNums(dst, out); err != nil {
+	if err := storeResult(m.vspad, dst, out, inPlace); err != nil {
 		return err
 	}
-	e.touch(spaceVec, m.regAddr(inst.R[2]), fixed.Bytes(n), false)
+	e.touch(spaceVec, aAddr, fixed.Bytes(n), false)
 	e.touch(spaceVec, dst, fixed.Bytes(n), true)
 	e.execCycles = m.vecCycles(n, 1, e.acc.list())
 	m.stats.VectorElems += int64(n)
