@@ -150,14 +150,17 @@ func main() {
 		experiments = []bench.Experiment{e}
 	}
 
-	for _, e := range experiments {
+	for i, e := range experiments {
 		tbl, err := e.Run(suite)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "camrepro: %s: %v\n", e.ID, err)
 			os.Exit(1)
 		}
 		if *md {
-			fmt.Println(tbl.Markdown())
+			if i > 0 {
+				fmt.Println()
+			}
+			fmt.Print(tbl.Markdown())
 		} else {
 			fmt.Println(tbl.Render())
 		}
