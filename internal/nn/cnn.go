@@ -103,8 +103,10 @@ func (c *ConvLayer) Forward(in Vec) Vec {
 	patch := make(Vec, c.K*c.K*c.InC)
 	for y := 0; y < oh; y++ {
 		for x := 0; x < ow; x++ {
-			// Gather the [ky][kx][c] patch, matching the generated
-			// Cambricon code's per-row VMOVE gathers.
+			// Gather the [ky][kx][c] patch: K runs of K*InC elements,
+			// one per input row. The generated Cambricon code gathers
+			// nothing; its banded matrices place each filter row at
+			// those same offsets in the K-row input band.
 			p := 0
 			for ky := 0; ky < c.K; ky++ {
 				rowStart := idx3(y+ky, x, 0, c.InW, c.InC)
