@@ -30,7 +30,7 @@ func testServer(t *testing.T, maxInflight, ledgerSize int) (*server, *httptest.S
 	})
 }
 
-func testServerCfg(t *testing.T, cfg serverConfig) (*server, *httptest.Server) {
+func testServerCfg(t testing.TB, cfg serverConfig) (*server, *httptest.Server) {
 	t.Helper()
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
 	s, err := newServer(cfg, logger)
