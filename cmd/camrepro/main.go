@@ -201,7 +201,8 @@ func emitHostJSON(seed uint64, path string) error {
 // baseline's GOMAXPROCS (the host's when the record has none) and
 // compares the host-portable signals (cold/warm ratios, warm-row
 // allocation counts) against the committed record within
-// bench.DefaultHostTolerance.
+// bench.DefaultHostTolerance. It first prints a line when the record's
+// kernel form differs from this host's or is not recorded.
 func runHostCheck(path string, seed uint64) ([]string, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -222,6 +223,9 @@ func runHostCheck(path string, seed uint64) ([]string, error) {
 	fresh, err := bench.RunHostBenchmarks(seed, checkRuns, 32)
 	if err != nil {
 		return nil, err
+	}
+	if note := bench.KernelFormNote(&baseline, fresh); note != "" {
+		fmt.Println(note)
 	}
 	return bench.CheckHost(&baseline, fresh, bench.DefaultHostTolerance), nil
 }

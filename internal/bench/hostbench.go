@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"cambricon/internal/fault"
+	"cambricon/internal/fixed"
 	"cambricon/internal/sim"
 )
 
@@ -60,6 +61,10 @@ type HostReport struct {
 	// GoVersion and GOMAXPROCS describe the measurement host.
 	GoVersion  string `json:"go_version"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
+	// KernelForm is the form of the fixed-point kernels the host ran
+	// (fixed.KernelForm: "avx2" or "go"); empty in records that predate
+	// the field.
+	KernelForm string `json:"kernel_form,omitempty"`
 	// Seed is the benchmark generation seed; Benchmark the program the
 	// warm/cold measurements ran; DispatchBenchmark the program the
 	// campaign-fastforward rows ran.
@@ -236,6 +241,7 @@ func RunHostBenchmarks(seed uint64, runs, sites int) (*HostReport, error) {
 		Generated:         time.Now().UTC().Format(time.RFC3339),
 		GoVersion:         runtime.Version(),
 		GOMAXPROCS:        runtime.GOMAXPROCS(0),
+		KernelForm:        fixed.KernelForm(),
 		Seed:              seed,
 		Benchmark:         hostBenchmark,
 		DispatchBenchmark: dispatchBenchmark,

@@ -100,6 +100,22 @@ func CheckHost(baseline, fresh *HostReport, tol float64) []string {
 	return regressions
 }
 
+// KernelFormNote returns the line -check-host prints when the baseline
+// ran another form of the fixed-point kernels than the fresh run, or a
+// form it did not record; "" when both ran the same form. Neither case is
+// a regression: the gate reads ratios and allocation counts, not the raw
+// times the kernel form moves.
+func KernelFormNote(baseline, fresh *HostReport) string {
+	switch {
+	case baseline.KernelForm == "":
+		return fmt.Sprintf("kernel form: the baseline's is unknown (not recorded); this host runs %q", fresh.KernelForm)
+	case baseline.KernelForm != fresh.KernelForm:
+		return fmt.Sprintf("kernel form: the baseline ran %q, this host runs %q; raw times are not comparable",
+			baseline.KernelForm, fresh.KernelForm)
+	}
+	return ""
+}
+
 func findHostEntry(r *HostReport, name string) (HostEntry, bool) {
 	for _, e := range r.Entries {
 		if e.Name == name {

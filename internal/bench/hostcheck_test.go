@@ -93,3 +93,37 @@ func TestCheckHostRejectsMismatchedInputs(t *testing.T) {
 		t.Fatalf("regressions = %v, want one missing-row line", regs)
 	}
 }
+
+// TestCheckHostNamesADifferentKernelForm: a baseline measured on the
+// other form of the fixed-point kernels gets a note naming both forms,
+// and no regression.
+func TestCheckHostNamesADifferentKernelForm(t *testing.T) {
+	base, fresh := checkBaseline(), checkBaseline()
+	base.KernelForm, fresh.KernelForm = "go", "avx2"
+	note := KernelFormNote(base, fresh)
+	if !strings.Contains(note, `"go"`) || !strings.Contains(note, `"avx2"`) {
+		t.Errorf("note = %q, want both forms named", note)
+	}
+	if regs := CheckHost(base, fresh, 0); len(regs) != 0 {
+		t.Errorf("a different kernel form regressed: %v", regs)
+	}
+	fresh.KernelForm = "go"
+	if note := KernelFormNote(base, fresh); note != "" {
+		t.Errorf("same kernel form: note = %q, want none", note)
+	}
+}
+
+// TestCheckHostSaysAnUnrecordedKernelFormIsUnknown: a baseline without
+// kernel_form, like a record written before the field, gets a note that
+// its form is unknown, naming this host's, and no regression.
+func TestCheckHostSaysAnUnrecordedKernelFormIsUnknown(t *testing.T) {
+	base, fresh := checkBaseline(), checkBaseline()
+	fresh.KernelForm = "avx2"
+	note := KernelFormNote(base, fresh)
+	if !strings.Contains(note, "unknown") || !strings.Contains(note, `"avx2"`) {
+		t.Errorf("note = %q, want the form called unknown and this host's named", note)
+	}
+	if regs := CheckHost(base, fresh, 0); len(regs) != 0 {
+		t.Errorf("an unrecorded kernel form regressed: %v", regs)
+	}
+}
