@@ -231,6 +231,8 @@ func GenCNN(seed uint64) (*Program, error) {
 	return p, err
 }
 
+// genCNN is GenCNN that also returns where each stage map lives, for
+// the tests that read the maps.
 func genCNN(seed uint64) (*Program, cnnLayout, error) {
 	net, input := lenet5(seed)
 	want := net.Forward(input)
