@@ -5,9 +5,10 @@
 # the hot-kernel microbenchmarks (docs/PERF.md),
 # and the host-benchmark regression gate against BENCH_host.json. The
 # race run includes the tests that start the real camsim, camrepro and
-# camserve as child processes: a traced and profiled benchmark run, a
-# one-benchmark fault campaign, checkpoint/resume across processes, and
-# a camserve killed mid-run with SIGKILL and restarted over its WAL.
+# camserve as child processes: a traced and profiled benchmark run, the
+# testdata/*.cam programs run as their headers say, a one-benchmark
+# fault campaign, and a camserve killed mid-run with SIGKILL and
+# restarted over its WAL.
 
 GO ?= go
 

@@ -29,14 +29,6 @@
 //	camsim -max-cycles 100000 prog.cam       # watchdog: fail instead of hang
 //	camsim -bin prog.bin                     # run a binary instruction image;
 //	                                         # a corrupted image is a clean error
-//
-// Mid-run checkpointing (docs/PERF.md, Level 5): capture the machine at a
-// dynamic instruction boundary into a CAMCKPT1 file, and later resume it
-// to completion — the resumed run's statistics are bit-identical to the
-// uninterrupted run's:
-//
-//	camsim -checkpoint-at 500 -checkpoint c.bin prog.cam
-//	camsim -resume c.bin [-dump addr:count ...]
 package main
 
 import (
@@ -45,6 +37,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -80,9 +73,6 @@ func main() {
 	maxCycles := flag.Int64("max-cycles", 0, "watchdog: fail the run once the simulated clock passes this budget (0 = off)")
 	dumpDecoded := flag.Bool("dump-decoded", false, "print the pre-decoded listing (encoded words, operand registers) instead of running")
 	binFlag := flag.Bool("bin", false, "treat the program argument as a binary instruction image (8 bytes per instruction, little-endian), not assembly text")
-	ckptAt := flag.Int64("checkpoint-at", -1, "with a program file: capture a mid-run checkpoint at this dynamic instruction index, then continue (requires -checkpoint)")
-	ckptOut := flag.String("checkpoint", "", "write the CAMCKPT1 checkpoint captured by -checkpoint-at to this file")
-	resumeFile := flag.String("resume", "", "resume a CAMCKPT1 checkpoint file to completion instead of running a program")
 	version := flag.Bool("version", false, "print the simulator version and exit")
 	flag.Var(&gprs, "gpr", "initialize a register, e.g. -gpr 1=64 (repeatable)")
 	flag.Var(&pokes, "poke", "write fixed-point values to main memory, e.g. -poke 100=1.5,2.25 (repeatable)")
@@ -96,45 +86,6 @@ func main() {
 	if *version {
 		fmt.Printf("camsim %s (cambricon-bench-sim)\n", cambricon.Version)
 		fmt.Printf("kernels: %s\n", fixed.KernelForm())
-		return
-	}
-
-	if (*ckptAt >= 0) != (*ckptOut != "") {
-		fmt.Fprintln(os.Stderr, "camsim: -checkpoint-at and -checkpoint go together")
-		os.Exit(2)
-	}
-
-	if *resumeFile != "" {
-		if *benchmark != "" || flag.NArg() > 0 || *ckptAt >= 0 {
-			fmt.Fprintln(os.Stderr, "camsim: -resume replaces the program; drop -benchmark, -checkpoint-at and file arguments")
-			os.Exit(2)
-		}
-		// These flags load, seed or print a program; the checkpoint
-		// carries the program and the machine state.
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "gpr", "poke", "bin", "v", "dump-decoded":
-				fmt.Fprintf(os.Stderr, "camsim: -%s does not apply to -resume; the checkpoint carries the program and its state\n", f.Name)
-				os.Exit(2)
-			}
-		})
-		f, err := os.Open(*resumeFile)
-		if err != nil {
-			fatal(fmt.Errorf("-resume: %w", err))
-		}
-		m, err := restoreCheckpoint(f, *maxCycles)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-		obs := newObserver(m, *itrace, *traceOut, *profileFlag, *profileJSON, *resumeFile)
-		stats, err := m.Resume()
-		obs.finish(err, *topN)
-		if err != nil {
-			fatal(err)
-		}
-		printStats(&stats, *jsonOut, *hist)
-		printDumps(m, dumps)
 		return
 	}
 
@@ -152,10 +103,6 @@ func main() {
 		}
 		if len(gprs)+len(pokes)+len(dumps) > 0 {
 			fmt.Fprintln(os.Stderr, "camsim: -gpr/-poke/-dump are ignored with -benchmark (the benchmark carries its own image)")
-		}
-		if *ckptAt >= 0 {
-			fmt.Fprintln(os.Stderr, "camsim: -checkpoint-at needs a program file (benchmarks verify against their reference model in one piece)")
-			os.Exit(2)
 		}
 		if *benchmark == "all" {
 			// These flags observe or bound one run; the suite runs ten.
@@ -229,11 +176,11 @@ func main() {
 		insts = prog.Instructions
 	}
 	for _, g := range gprs {
-		reg, val, err := parsePair(g)
+		reg, val, err := parseGPR(g)
 		if err != nil {
 			fatal(fmt.Errorf("-gpr %s: %w", g, err))
 		}
-		m.SetGPR(uint8(reg), uint32(val))
+		m.SetGPR(reg, val)
 	}
 	for _, p := range pokes {
 		addr, vals, err := parsePoke(p)
@@ -250,29 +197,19 @@ func main() {
 	}
 	m.LoadProgram(insts)
 	obs := newObserver(m, *itrace, *traceOut, *profileFlag, *profileJSON, flag.Arg(0))
-	var stats sim.Stats
-	if *ckptAt >= 0 {
-		f, cerr := os.Create(*ckptOut)
-		if cerr != nil {
-			fatal(fmt.Errorf("-checkpoint: %w", cerr))
-		}
-		stats, err = runCheckpointed(m, *ckptAt, f)
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("-checkpoint %s: %w", *ckptOut, cerr)
-		}
-	} else {
-		stats, err = m.Run()
-	}
+	stats, err := m.Run()
 	obs.finish(err, *topN)
 	if err != nil {
 		fatal(err)
 	}
-	printStats(&stats, *jsonOut, *hist)
-	printDumps(m, dumps)
-}
-
-// printDumps prints each -dump region of main memory after a run.
-func printDumps(m *sim.Machine, dumps []string) {
+	if *jsonOut {
+		printJSON(&stats)
+	} else {
+		fmt.Printf("%v\n", &stats)
+	}
+	if *hist {
+		printHistogram(&stats)
+	}
 	for _, d := range dumps {
 		addr, count, err := parsePair(strings.Replace(d, ":", "=", 1))
 		if err != nil {
@@ -360,47 +297,6 @@ func (o *observer) finish(runErr error, topN int) {
 	}
 }
 
-// runCheckpointed is the testable core of -checkpoint-at/-checkpoint:
-// run the loaded program until the given dynamic instruction boundary,
-// write the CAMCKPT1 checkpoint, and continue to completion. The final
-// statistics are bit-identical to an uninterrupted run's; a program that
-// ends before the boundary is an error (there is nothing to checkpoint).
-func runCheckpointed(m *sim.Machine, at int64, w io.Writer) (sim.Stats, error) {
-	stats, done, err := m.RunUntil(at)
-	if err != nil {
-		return stats, err
-	}
-	if done {
-		return stats, fmt.Errorf("-checkpoint-at %d: program ended after %d instructions", at, stats.Instructions)
-	}
-	if err := sim.WriteCheckpoint(w, m.Snapshot()); err != nil {
-		return stats, fmt.Errorf("-checkpoint: %w", err)
-	}
-	return m.Resume()
-}
-
-// restoreCheckpoint is the testable core of -resume: rebuild the
-// machine a CAMCKPT1 checkpoint describes, ready to Resume to
-// completion. maxCycles, when positive, re-arms the watchdog for the
-// remainder.
-func restoreCheckpoint(r io.Reader, maxCycles int64) (*sim.Machine, error) {
-	snap, err := sim.ReadCheckpoint(r)
-	if err != nil {
-		return nil, err
-	}
-	m, err := sim.New(snap.Config())
-	if err != nil {
-		return nil, err
-	}
-	if maxCycles > 0 {
-		m.SetMaxCycles(maxCycles)
-	}
-	if err := m.Restore(snap); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
 // dumpDecodedProgram prints the program's pre-decoded listing — encoded
 // words and operand roles — to stdout.
 func dumpDecodedProgram(insts []core.Instruction) {
@@ -471,6 +367,23 @@ func parsePair(s string) (int, int, error) {
 	return k, v, nil
 }
 
+// parseGPR parses a -gpr REG=VALUE pair. The register must exist and the
+// value must fit a 32-bit register read as signed or unsigned, so -1 and
+// 4294967295 both set every bit, and nothing wraps silently.
+func parseGPR(s string) (uint8, uint32, error) {
+	reg, val, err := parsePair(s)
+	if err != nil {
+		return 0, 0, err
+	}
+	if reg < 0 || reg >= core.NumGPRs {
+		return 0, 0, fmt.Errorf("register %d outside 0..%d", reg, core.NumGPRs-1)
+	}
+	if int64(val) < math.MinInt32 || int64(val) > math.MaxUint32 {
+		return 0, 0, fmt.Errorf("value %d outside [%d, %d]", val, int64(math.MinInt32), int64(math.MaxUint32))
+	}
+	return uint8(reg), uint32(val), nil
+}
+
 func parsePoke(s string) (int, []fixed.Num, error) {
 	parts := strings.SplitN(s, "=", 2)
 	if len(parts) != 2 {
@@ -489,19 +402,6 @@ func parsePoke(s string) (int, []fixed.Num, error) {
 		vals = append(vals, fixed.FromFloat(v))
 	}
 	return addr, vals, nil
-}
-
-// printStats prints a program run's statistics, as JSON or as text, and
-// then the opcode histogram when asked for.
-func printStats(stats *sim.Stats, jsonOut, hist bool) {
-	if jsonOut {
-		printJSON(stats)
-	} else {
-		fmt.Printf("%v\n", stats)
-	}
-	if hist {
-		printHistogram(stats)
-	}
 }
 
 func printJSON(stats *sim.Stats) {

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -282,5 +284,183 @@ func TestBenchmarkAllRejectsPerRunFlags(t *testing.T) {
 	}
 	if len(entries) != 0 {
 		t.Errorf("rejected runs left %d files behind", len(entries))
+	}
+}
+
+// runArgs returns the camsim arguments a testdata program's header gives
+// on its "Run:" line (continued across comment lines by a trailing
+// backslash), with the program's repo-relative path replaced by path.
+// Quoted values hold no spaces, so the quotes are simply dropped.
+func runArgs(t *testing.T, path string) []string {
+	t.Helper()
+	src, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cmd []string
+	found := false
+	for _, line := range strings.Split(string(src), "\n") {
+		text, ok := strings.CutPrefix(line, "//")
+		if !ok {
+			break
+		}
+		if !found {
+			if _, text, found = strings.Cut(text, "Run:"); !found {
+				continue
+			}
+		}
+		text = strings.TrimSpace(text)
+		cont := strings.HasSuffix(text, `\`)
+		cmd = append(cmd, strings.Fields(strings.TrimSuffix(text, `\`))...)
+		if !cont {
+			break
+		}
+	}
+	const prefix = "go run ./cmd/camsim"
+	prog := "testdata/" + filepath.Base(path)
+	if len(cmd) < 4 || strings.Join(cmd[:3], " ") != prefix || cmd[len(cmd)-1] != prog {
+		t.Fatalf("%s: header Run: line %q is not %q, flags, %s", path, strings.Join(cmd, " "), prefix, prog)
+	}
+	args := cmd[3:]
+	for i := range args {
+		args[i] = strings.Trim(args[i], `"`)
+	}
+	args[len(args)-1] = path
+	return args
+}
+
+// mlpReference is the float layer fig7_mlp.cam computes from its .data
+// image: sigmoid(Wx + b) for the input x at 100, the row-major weights
+// W at 300 and the bias b at 400.
+func mlpReference(t *testing.T, path string) []float64 {
+	t.Helper()
+	src, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := asm.Assemble(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := map[int][]float64{}
+	for _, c := range prog.Data {
+		data[c.Addr] = fixed.Floats(c.Values)
+	}
+	x, w, b := data[100], data[300], data[400]
+	if len(x) == 0 || len(w) != len(x)*len(b) {
+		t.Fatalf("%s: .data holds x %v, W %v, b %v", path, x, w, b)
+	}
+	y := make([]float64, len(b))
+	for i := range y {
+		z := b[i]
+		for j, xj := range x {
+			z += w[i*len(x)+j] * xj
+		}
+		y[i] = 1 / (1 + math.Exp(-z))
+	}
+	return y
+}
+
+// TestTestdataProgramsRun runs the real camsim on each testdata/*.cam
+// program with the flags of its header's Run: line and checks the -dump
+// line it ends with: the sum of 1..10, Fig. 7's max pooling of the
+// poked window, and Fig. 7's MLP layer, each of whose outputs must also
+// lie within one Q8.8 step (2^-8) of the float layer. A -json run of
+// sum_loop.cam must print the statistics of its 34 instructions.
+func TestTestdataProgramsRun(t *testing.T) {
+	dir := filepath.Join("..", "..", "testdata")
+	programs := []struct {
+		file string
+		dump string    // the last line the run prints
+		ref  []float64 // float values the dumped ones approximate, if any
+	}{
+		{"sum_loop.cam", "[200:1] [55]", nil},
+		{"fig7_pooling.cam", "[200:4] [5 6 4 3]", nil},
+		{"fig7_mlp.cam", "[200:3] [0.31640625 0.31640625 0.91796875]", mlpReference(t, filepath.Join(dir, "fig7_mlp.cam"))},
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.cam"))
+	if err != nil || len(files) != len(programs) {
+		t.Fatalf("testdata holds %d programs (%v), this table %d: give each one a row", len(files), err, len(programs))
+	}
+	for _, p := range programs {
+		t.Run(p.file, func(t *testing.T) {
+			stdout, stderr, err := cmdtest.Run(t, "camsim", runArgs(t, filepath.Join(dir, p.file))...)
+			if err != nil {
+				t.Fatalf("%v\n%s", err, stderr)
+			}
+			if !strings.HasSuffix(stdout, "\n"+p.dump+"\n") {
+				t.Fatalf("output does not end with %q:\n%s", p.dump, stdout)
+			}
+			// The output ends with p.dump, so its values are p.dump's.
+			_, vals, _ := strings.Cut(strings.Trim(p.dump, "]"), "] [")
+			for i, f := range strings.Fields(vals)[:len(p.ref)] {
+				v, err := strconv.ParseFloat(f, 64)
+				if err != nil || math.Abs(v-p.ref[i]) > 1.0/256 {
+					t.Errorf("output %d = %s (%v), want within 2^-8 of the float %.4f", i, f, err, p.ref[i])
+				}
+			}
+		})
+	}
+
+	stdout, stderr, err := cmdtest.Run(t, "camsim", "-json", filepath.Join(dir, "sum_loop.cam"))
+	if err != nil {
+		t.Fatalf("-json sum_loop.cam: %v\n%s", err, stderr)
+	}
+	dec := json.NewDecoder(strings.NewReader(stdout))
+	dec.DisallowUnknownFields()
+	var stats sim.Stats
+	if err := dec.Decode(&stats); err != nil || stats.Instructions != 34 {
+		t.Fatalf("-json sum_loop.cam printed %d instructions (%v), want 34:\n%s", stats.Instructions, err, stdout)
+	}
+}
+
+// TestGPRFlagRange runs the real camsim with one -gpr each. A register
+// outside $0..$63 or a value outside 32 bits must fail before the run
+// with an error naming -gpr: neither may panic on the register index or
+// wrap onto another register or value. A value may be written signed or
+// unsigned, so -1 sets every bit.
+func TestGPRFlagRange(t *testing.T) {
+	prog := filepath.Join("..", "..", "testdata", "sum_loop.cam")
+	for _, c := range []struct {
+		arg string
+		reg uint8
+		val uint32
+		bad string // what the error names; "" when the pair is accepted
+	}{
+		{"1=-1", 1, 0xFFFFFFFF, ""},
+		{"63=4294967295", 63, 0xFFFFFFFF, ""},
+		{"0=-2147483648", 0, 0x80000000, ""},
+		{"99=1", 0, 0, "register 99 outside 0..63"},
+		{"-1=7", 0, 0, "register -1 outside 0..63"},
+		{"300=7", 0, 0, "register 300 outside 0..63"},
+		{"44=4294967297", 0, 0, "value 4294967297 outside [-2147483648, 4294967295]"},
+		{"44=-2147483649", 0, 0, "value -2147483649 outside [-2147483648, 4294967295]"},
+	} {
+		t.Run(c.arg, func(t *testing.T) {
+			reg, val, err := parseGPR(c.arg)
+			if c.bad == "" && (err != nil || reg != c.reg || val != c.val) {
+				t.Fatalf("parseGPR = $%d, %#x, %v; want $%d, %#x", reg, val, err, c.reg, c.val)
+			}
+			if c.bad != "" && (err == nil || err.Error() != c.bad) {
+				t.Fatalf("parseGPR error = %v, want %q", err, c.bad)
+			}
+			stdout, stderr, err := cmdtest.Run(t, "camsim", "-gpr", c.arg, prog)
+			if c.bad == "" {
+				if err != nil {
+					t.Fatalf("camsim -gpr %s: %v\n%s", c.arg, err, stderr)
+				}
+				return
+			}
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+				t.Fatalf("exit = %v, want status 1; stdout %q, stderr %q", err, stdout, stderr)
+			}
+			if want := "camsim: -gpr " + c.arg + ": " + c.bad + "\n"; stderr != want {
+				t.Errorf("stderr %q, want %q", stderr, want)
+			}
+			if stdout != "" {
+				t.Errorf("rejected run printed %q", stdout)
+			}
+		})
 	}
 }

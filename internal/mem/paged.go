@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"cambricon/internal/fixed"
 )
@@ -164,44 +163,6 @@ func (s *SparseImage) Page(p int) []byte {
 	}
 	lo := i * PageBytes
 	return s.data[lo:min(lo+PageBytes, len(s.data))]
-}
-
-// StoredPages returns the indices of the stored (nonzero) pages in
-// ascending order — the iteration order checkpoint serialization uses so
-// identical images always serialize to identical bytes.
-func (s *SparseImage) StoredPages() []int {
-	pages := make([]int, 0, len(s.pos))
-	for p := range s.pos {
-		pages = append(pages, p)
-	}
-	sort.Ints(pages)
-	return pages
-}
-
-// BuildSparseImage reconstructs an image from its serialized parts: the
-// memory capacity and the stored pages in ascending index order. Every
-// page must be full PageBytes except possibly the last (the packing
-// invariant SparseImage capture establishes); violations are errors so a
-// corrupted checkpoint cannot build a malformed image.
-func BuildSparseImage(size int, pages []int, contents [][]byte) (*SparseImage, error) {
-	if len(pages) != len(contents) {
-		return nil, fmt.Errorf("mem: sparse image: %d page indices, %d page contents", len(pages), len(contents))
-	}
-	s := &SparseImage{size: size, pos: make(map[int]int, len(pages))}
-	lastPage := (size + PageBytes - 1) / PageBytes
-	prev := -1
-	for i, p := range pages {
-		if p <= prev || p < 0 || p >= lastPage {
-			return nil, fmt.Errorf("mem: sparse image: bad page index %d (prev %d, pages %d)", p, prev, lastPage)
-		}
-		prev = p
-		if want := min(PageBytes, size-p*PageBytes); len(contents[i]) != want {
-			return nil, fmt.Errorf("mem: sparse image: page %d is %d bytes, want %d", p, len(contents[i]), want)
-		}
-		s.pos[p] = i
-		s.data = append(s.data, contents[i]...)
-	}
-	return s, nil
 }
 
 // ZeroSparseImage builds the sparse image of an all-zero memory of the

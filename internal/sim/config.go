@@ -133,9 +133,10 @@ func DefaultConfig() Config {
 }
 
 // Upper bounds on the fields that size allocations: the three memories,
-// the pipeline rings and the scratchpads' per-bank counters. A checkpoint
-// file carries its configuration, so without them a valid-CRC file could
-// make sim.New ask for any amount of memory.
+// the pipeline rings and the scratchpads' per-bank counters. They keep
+// sim.New from sizing an allocation from an unchecked field, so an
+// oversized configuration is an error naming the field, not an
+// out-of-memory fatal error.
 const (
 	maxMemBytes = 1 << 30 // main memory and each scratchpad
 	maxEntries  = 1 << 16 // ring depths and scratchpad banks

@@ -65,6 +65,42 @@ func TestValidateNegativeOverheadsClamped(t *testing.T) {
 	}
 }
 
+// TestConfigBoundsAdmitTheirLimits pins the bounds themselves: each
+// allocation-sizing field is accepted at its limit and rejected, by
+// name, past it. (The configurations the repo builds — DefaultConfig,
+// the ablations, the sweeps, the shrunken pipelines of the timing tests —
+// run through validate in their own tests.)
+func TestConfigBoundsAdmitTheirLimits(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		limit int
+		set   func(*Config, int)
+	}{
+		{"MainMemBytes", maxMemBytes, func(c *Config, v int) { c.MainMemBytes = v }},
+		{"VectorSpadBytes", maxMemBytes, func(c *Config, v int) { c.VectorSpadBytes = v }},
+		{"MatrixSpadBytes", maxMemBytes, func(c *Config, v int) { c.MatrixSpadBytes = v }},
+		{"IssueQueueDepth", maxEntries, func(c *Config, v int) { c.IssueQueueDepth = v }},
+		{"ROBDepth", maxEntries, func(c *Config, v int) { c.ROBDepth = v }},
+		{"MemQueueDepth", maxEntries, func(c *Config, v int) { c.MemQueueDepth = v }},
+		{"SpadBanks", maxEntries, func(c *Config, v int) { c.SpadBanks = v }},
+	} {
+		cfg := DefaultConfig()
+		c.set(&cfg, c.limit)
+		if err := cfg.validate(); err != nil {
+			t.Errorf("%s at its limit %d: %v", c.field, c.limit, err)
+		}
+		cfg = DefaultConfig()
+		c.set(&cfg, 2*c.limit) // past it, and still a power of two for SpadBanks
+		if err := cfg.validate(); err == nil || !strings.Contains(err.Error(), c.field+" ") {
+			t.Errorf("%s at %d: error = %v, want it rejected by name", c.field, 2*c.limit, err)
+		}
+	}
+	cfg := DefaultConfig()
+	if err := cfg.validate(); err != nil {
+		t.Errorf("DefaultConfig: %v", err)
+	}
+}
+
 func TestCeilDiv(t *testing.T) {
 	cases := []struct {
 		a, b int

@@ -68,10 +68,11 @@ type Machine struct {
 
 	// stopAt, when >= 0, makes the run loop return cleanly (no error) at
 	// the first instruction boundary where stats.Instructions reaches it —
-	// the RunUntil mechanism behind mid-run checkpoints and fault-site
-	// fast-forwarding. -1 (set by every Run/Resume entry point) disables
-	// the check. stopped records whether the last run segment ended at the
-	// boundary rather than at program completion.
+	// the RunUntil mechanism behind the fault campaigns' interval
+	// checkpoints and fault-site fast-forwarding. -1 (set by every
+	// Run/Resume entry point) disables the check. stopped records whether
+	// the last run segment ended at the boundary rather than at program
+	// completion.
 	stopAt  int64
 	stopped bool
 

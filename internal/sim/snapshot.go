@@ -38,9 +38,6 @@ type Snapshot struct {
 	pipe  pipeState
 }
 
-// Config returns the configuration the snapshot was captured under.
-func (s *Snapshot) Config() Config { return s.cfg }
-
 // Instructions returns the dynamic instruction index the snapshot was
 // captured at.
 func (s *Snapshot) Instructions() int64 { return s.stats.Instructions }

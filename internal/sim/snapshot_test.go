@@ -179,7 +179,7 @@ func TestSnapshotBytes(t *testing.T) {
 		if pristine.DenseBytes() != dense {
 			t.Fatalf("Snapshot.DenseBytes() = %d, want %d", pristine.DenseBytes(), dense)
 		}
-		if !archEqual(pristine.Config(), cfg) {
+		if !archEqual(pristine.cfg, cfg) {
 			t.Fatal("snapshot config does not match capture config")
 		}
 	}

@@ -43,8 +43,7 @@ type pipeState struct {
 }
 
 // pipeScalars is the timing state outside the rings. Every field is an
-// int64, so the struct compares with == and binary.Write lays it out
-// without padding; the names are exported for encoding/binary only.
+// int64, so the struct compares with ==.
 type pipeScalars struct {
 	// Count is the dynamic instruction index. IQPos and ROBPos are Count
 	// modulo the issue-queue and reorder-buffer ring sizes, maintained
