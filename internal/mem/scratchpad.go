@@ -6,6 +6,7 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cambricon/internal/fixed"
 )
@@ -20,6 +21,7 @@ import (
 type Scratchpad struct {
 	paged
 	banks     int
+	bankShift int // log2(banks)
 	lineBytes int
 	perBank   []int // reusable conflict counters (Scratchpad is not concurrency-safe)
 
@@ -42,7 +44,7 @@ func NewScratchpad(name string, size, banks, lineBytes int) (*Scratchpad, error)
 		return nil, fmt.Errorf("mem: bank count %d must be a power of two", banks)
 	}
 	return &Scratchpad{paged: paged{name: name, data: make([]byte, size)}, banks: banks,
-		lineBytes: lineBytes, perBank: make([]int, banks)}, nil
+		bankShift: bits.TrailingZeros(uint(banks)), lineBytes: lineBytes, perBank: make([]int, banks)}, nil
 }
 
 // Name returns the scratchpad's diagnostic name.
@@ -105,8 +107,14 @@ func (s *Scratchpad) NumsView(addr, count int, spill *[]fixed.Num) ([]fixed.Num,
 // bank conflicts every port proceeds in parallel and the cost is the maximum
 // line count of any single access; conflicting line accesses to the same
 // bank serialize through the crossbar.
+//
+// A region's consecutive lines go to consecutive banks, so its count per
+// bank is in closed form: every bank serves lines / banks of them, and
+// the lines % banks banks from its first line's bank on serve one more.
+// The cost per region is O(banks), not O(lines).
 func (s *Scratchpad) AccessCycles(regions []Region) int {
 	perBank := s.perBank
+	mask := s.banks - 1
 	for i := range perBank {
 		perBank[i] = 0
 	}
@@ -121,8 +129,13 @@ func (s *Scratchpad) AccessCycles(regions []Region) int {
 		if lines > longest {
 			longest = lines
 		}
-		for line := first; line <= last; line++ {
-			perBank[line&(s.banks-1)]++
+		if whole := lines >> s.bankShift; whole > 0 {
+			for b := range perBank {
+				perBank[b] += whole
+			}
+		}
+		for b, k := first&mask, lines&mask; k > 0; b, k = (b+1)&mask, k-1 {
+			perBank[b]++
 		}
 	}
 	// Each bank has a single port: total cycles is the busiest bank, but

@@ -844,10 +844,15 @@ func (m *Machine) execVReduce(inst core.Instruction, e *effect) error {
 	if err != nil {
 		return err
 	}
+	// One loop per opcode, so the element loop tests no opcode.
 	best := a[0]
-	for _, v := range a[1:] {
-		if (inst.Op == core.VMAX && v > best) || (inst.Op == core.VMIN && v < best) {
-			best = v
+	if inst.Op == core.VMAX {
+		for _, v := range a[1:] {
+			best = max(best, v)
+		}
+	} else {
+		for _, v := range a[1:] {
+			best = min(best, v)
 		}
 	}
 	m.gpr[inst.R[0]] = uint32(int32(best))
