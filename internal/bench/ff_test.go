@@ -386,11 +386,14 @@ func TestStuckLaneProofWaitsPastLastReach(t *testing.T) {
 }
 
 // BenchmarkStuckLaneSites times stuck-lane-only campaigns over CNN and
-// SOM, whose stuck-lane sites cost the most to replay, fast-forwarded
-// from 8 checkpoints and the golden run's lane-reach schedule
-// (checkpointed) and replayed from instruction 0 (replay). Each
-// iteration is one campaign, golden runs included; ns/site divides its
-// time by the sites it classified.
+// SOM, fast-forwarded from 8 checkpoints and the golden run's lane-reach
+// schedule (checkpointed) and replayed from instruction 0 (replay). Their
+// vector outputs reach every lane again within the last 2% of the run,
+// after the last checkpoint boundary, so their vector stuck-lane sites
+// try no convergence proof and simulate most of the run: the case the
+// lane-reach schedule cannot shorten. Each iteration is one campaign,
+// golden runs included; ns/site divides its time by the sites it
+// classified.
 func BenchmarkStuckLaneSites(b *testing.B) {
 	const sites = 40
 	run := func(b *testing.B, checkpoints int) {

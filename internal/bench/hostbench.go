@@ -38,11 +38,14 @@ const hostBenchmark = "MLP"
 const hostFFCheckpoints = 8
 
 // dispatchBenchmark is the Table III benchmark the campaign-fastforward
-// rows run: a loop-heavy program whose campaigns execute many dynamic
-// instructions per run, so skipping a fault-free prefix saves
-// interpreter time. SOM is the clearest such case (MLP, dominated by a
-// handful of large DMAs, barely dispatches at all and would measure
-// memmove instead).
+// rows run. It is named for the scalar loops SOM ran until its steps
+// became whole-map vector instructions; no suite program is
+// dispatch-bound now. SOM's 511 instructions are mostly vector
+// instructions over all 2,304 prototype elements, so skipping a
+// fault-free prefix saves their kernels and timing, and the rows
+// measure what checkpoints save a transient site on a short run of long
+// vector instructions. (MLP, dominated by a handful of large DMAs,
+// would measure memmove instead.)
 const dispatchBenchmark = "SOM"
 
 // serveBenchmark is the Table III benchmark the serve-run/warm row runs:
@@ -289,7 +292,7 @@ func RunHostBenchmarks(seed uint64, runs, sites int) (*HostReport, error) {
 	}
 
 	// Checkpoint fast-forwarding (docs/PERF.md, Level 5): a warm
-	// campaign over the loop-heavy dispatch benchmark, restricted to the
+	// campaign over the dispatch benchmark, restricted to the
 	// transient fault models the row's recorded ratio was measured on
 	// (BenchmarkStuckLaneSites times stuck-lane sites), with and without
 	// prepared checkpoints.

@@ -350,17 +350,10 @@ func emitSigmoid(b *asm.Builder, dst, src uint8, r sigmoidRegs) {
 	b.Opc(core.VDV, "exp(x)/(1+exp(x))", asm.R(dst), asm.R(r.size), asm.R(r.tmp), asm.R(dst))
 }
 
-// emitConstVec fills the region named by GPR dst with the constant held in
-// GPR scalar (Q8.8), by zeroing the region against itself and adding the
-// scalar: VSV dst = junk - junk is not safe, so the caller must pass a
-// region that it is fine to overwrite; the zeroing uses dst - dst which is
-// exact regardless of contents.
-func emitConstVec(b *asm.Builder, dst, size, scalar uint8) {
-	b.Opc(core.VSV, "zero the region", asm.R(dst), asm.R(size), asm.R(dst), asm.R(dst))
-	b.Opc(core.VAS, "fill with scalar", asm.R(dst), asm.R(size), asm.R(dst), asm.R(scalar))
-}
-
-// emitConstVecImm is emitConstVec with an immediate constant.
+// emitConstVecImm fills the region named by GPR dst with the constant v,
+// by zeroing the region against itself (dst - dst is exact whatever it
+// holds, so the caller must pass a region it is fine to overwrite) and
+// adding v.
 func emitConstVecImm(b *asm.Builder, dst, size uint8, v float64) {
 	b.Opc(core.VSV, "zero the region", asm.R(dst), asm.R(size), asm.R(dst), asm.R(dst))
 	b.Opc(core.VAS, fmt.Sprintf("fill with %.4g", v), asm.R(dst), asm.R(size), asm.R(dst), asm.Imm(fix(v)))
