@@ -1,7 +1,8 @@
 # Build/verify entry points for the Cambricon reproduction. `make ci` is
 # the gate every PR must pass: formatting, vet, build, the full test suite
 # under the race detector, vet and unit tests of the separate perfbench
-# module, the tests of internal/fixed's portable kernels, a short run of
+# module, the tests of internal/fixed's portable kernels and the two
+# golden records run on them, a short run of
 # the hot-kernel microbenchmarks (docs/PERF.md),
 # and the host-benchmark regression gate against BENCH_host.json. The
 # race run includes the tests that start the real camsim, camrepro and
@@ -44,9 +45,11 @@ perfbench-test:
 # matrix instructions in AVX2 assembly on amd64 hosts that support it
 # (the race run above tests it against the Go loops), and in plain Go
 # everywhere else. Run the Go form's tests as a 386 binary, which an
-# amd64 host can execute, and vet the package for arm64.
+# amd64 host can execute, then the Table III record and the seed-7
+# campaign record on the Go form, and vet the package for arm64.
 portable:
 	GOARCH=386 $(GO) test ./internal/fixed
+	GOARCH=386 $(GO) test -run '^(TestBenchmarkAllGolden|TestCampaignSeed7Golden)$$' ./cmd/camsim ./internal/bench
 	GOARCH=arm64 $(GO) vet ./internal/fixed
 
 # Short-benchtime kernel microbenchmarks: enough iterations to catch an

@@ -665,9 +665,6 @@ func (s *server) finishRun(w http.ResponseWriter, rec *reqtrace.Recorder, row ru
 	if b, ok := bundle.IntAttr("snapshot.restore", "bytes"); ok {
 		d.RestoreBytes = b
 	}
-	if c, ok := bundle.StrAttr("decode.lookup", "cache"); ok {
-		d.DecodeCache = c
-	}
 	s.flight.Put(strconv.FormatInt(row.ID, 10), d)
 }
 
@@ -678,7 +675,7 @@ func (s *server) handleRuns(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRunByID serves the flight-recorder debug bundle of one run:
-// ledger row, CPI-stack stall breakdown, restore/decode activity, and
+// ledger row, CPI-stack stall breakdown, restore activity, and
 // the full span timeline.
 func (s *server) handleRunByID(w http.ResponseWriter, r *http.Request) {
 	d, ok := s.flight.Get(r.PathValue("id"))
@@ -733,10 +730,6 @@ type runDebug struct {
 	// RestoreBytes is the dirty-page volume the warm-start restore
 	// copied for this run (0 when the run built a machine cold).
 	RestoreBytes int64 `json:"restore_bytes"`
-	// DecodeCache is the decode-cache outcome ("hit"/"miss") when this
-	// request performed the lookup; steady-state warm runs load the
-	// pre-decoded program via the snapshot and never look up.
-	DecodeCache string `json:"decode_cache,omitempty"`
 	// Trace is the span timeline (reqtrace bundle) of the request.
 	Trace *reqtrace.Bundle `json:"trace"`
 }

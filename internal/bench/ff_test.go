@@ -242,8 +242,12 @@ func TestConvergedWithSeesSkippedGoldenPadWrite(t *testing.T) {
 		Chunks:  []codegen.Chunk{{Addr: 0, Data: fixed.FromFloats(in)}},
 		Results: []codegen.Result{{Name: "out", Addr: 4096, N: 16}},
 	}
+	b, err := newBenchmark(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := NewSuite(7)
-	tgt := &faultTarget{suite: s, b: &benchmark{prog: prog}}
+	tgt := &faultTarget{suite: s, b: b}
 	golden := tgt.Run(nil, 0)
 	if golden.Err != nil {
 		t.Fatal(golden.Err)
@@ -338,8 +342,12 @@ func TestStuckLaneProofWaitsPastLastReach(t *testing.T) {
 		Chunks:  []codegen.Chunk{{Addr: 0, Data: fixed.FromFloats([]float64{1})}},
 		Results: []codegen.Result{{Name: "out", Addr: 4096, N: 1}},
 	}
+	b, err := newBenchmark(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := NewSuite(7)
-	tgt := &faultTarget{suite: s, b: &benchmark{prog: prog}}
+	tgt := &faultTarget{suite: s, b: b}
 	golden := tgt.Run(nil, 0)
 	if golden.Err != nil {
 		t.Fatal(golden.Err)

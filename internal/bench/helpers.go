@@ -21,7 +21,10 @@ func codegenLogisticTraining(seed uint64) (*codegen.Program, error) {
 // (pooled and snapshot-restored unless the suite is cold) and checks its
 // outputs like every run of the suite's own programs.
 func runProgram(s *Suite, p *codegen.Program) (sim.Stats, error) {
-	b := &benchmark{prog: p}
+	b, err := newBenchmark(p)
+	if err != nil {
+		return sim.Stats{}, err
+	}
 	m, pooled, err := s.preparedMachine(context.Background(), b, s.Config.MaxCycles)
 	if err != nil {
 		return sim.Stats{}, err

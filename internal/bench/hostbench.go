@@ -187,7 +187,7 @@ func hostCampaignFnWith(s *Suite, name string, c fault.Campaign) (func() error, 
 // warm path restores a run-dirtied pooled machine to the benchmark's
 // post-Init snapshot (prep re-dirties it by running the program); the
 // cold path is what a cold suite does instead — sim.New plus image
-// replay and loading the suite's cached decoded program.
+// replay and loading the benchmark's pre-decoded program.
 func hostRestoreFns(s *Suite) (prep, warm, cold func() error, err error) {
 	b, err := s.lookup(hostBenchmark)
 	if err != nil {
@@ -195,10 +195,6 @@ func hostRestoreFns(s *Suite) (prep, warm, cold func() error, err error) {
 	}
 	p, cfg := b.prog, s.runConfig(0)
 	snap, err := s.preparedSnapshot(context.Background(), b)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	dp, err := s.decodedProgram(context.Background(), b)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -222,7 +218,7 @@ func hostRestoreFns(s *Suite) (prep, warm, cold func() error, err error) {
 		if err := p.Init(fresh); err != nil {
 			return err
 		}
-		fresh.LoadDecoded(dp)
+		fresh.LoadDecoded(b.dp)
 		return nil
 	}
 	return prep, warm, cold, nil

@@ -50,6 +50,16 @@ func runPoolKernel(t *testing.T, s *Suite, cfg sim.Config) sim.Stats {
 	return st
 }
 
+// idle returns how many machines cfg's pool entry holds idle.
+func idle(s *Suite, cfg sim.Config) int {
+	s.pool.mu.Lock()
+	defer s.pool.mu.Unlock()
+	if e := s.pool.entries[poolKey(cfg)]; e != nil {
+		return len(e.free)
+	}
+	return 0
+}
+
 // freshKernelStats is the reference: the same kernel on a machine built
 // directly with sim.New.
 func freshKernelStats(t *testing.T, cfg sim.Config) sim.Stats {
@@ -72,8 +82,9 @@ func freshKernelStats(t *testing.T, cfg sim.Config) sim.Stats {
 
 // TestPoolCrossConfigMemSharing pins the sharing path end to end: two
 // configurations differing only in architectural (non-memory) knobs
-// share one machine, the share is counted, and the reconfigured
-// machine's statistics are bit-identical to a fresh build's.
+// share one machine, which moves between their entries, and the
+// reconfigured machine's statistics are bit-identical to a fresh
+// build's.
 func TestPoolCrossConfigMemSharing(t *testing.T) {
 	// Idle machines live on explicit bounded free lists, so reuse and
 	// steal counts are deterministic, with or without the race detector.
@@ -89,12 +100,12 @@ func TestPoolCrossConfigMemSharing(t *testing.T) {
 	stA := runPoolKernel(t, s, cfgA)
 	stB := runPoolKernel(t, s, cfgB) // A's machine is idle: must be stolen
 
-	shared := reg.Counter(MetricPoolMemShared, "")
-	if got := shared.Value(); got != 1 {
-		t.Fatalf("%s = %d, want 1", MetricPoolMemShared, got)
+	builds := reg.Counter(MetricPoolMisses, "")
+	if got := builds.Value(); got != 1 {
+		t.Fatalf("pool builds = %d, want 1 (second config must share)", got)
 	}
-	if builds := reg.Counter(MetricPoolMisses, "").Value(); builds != 1 {
-		t.Fatalf("pool builds = %d, want 1 (second config must share)", builds)
+	if a, b := idle(s, cfgA), idle(s, cfgB); a != 0 || b != 1 {
+		t.Fatalf("idle machines A=%d B=%d, want 0 and 1 (B stole A's)", a, b)
 	}
 
 	if want := freshKernelStats(t, cfgA); !reflect.DeepEqual(stA, want) {
@@ -109,8 +120,11 @@ func TestPoolCrossConfigMemSharing(t *testing.T) {
 	if !reflect.DeepEqual(stA2, stA) {
 		t.Fatalf("cfgA rerun on re-stolen machine diverges:\n got  %+v\n want %+v", stA2, stA)
 	}
-	if got := shared.Value(); got != 2 {
-		t.Fatalf("%s after round trip = %d, want 2", MetricPoolMemShared, got)
+	if got := builds.Value(); got != 1 {
+		t.Fatalf("pool builds after round trip = %d, want 1", got)
+	}
+	if a, b := idle(s, cfgA), idle(s, cfgB); a != 1 || b != 0 {
+		t.Fatalf("idle machines after round trip A=%d B=%d, want 1 and 0", a, b)
 	}
 }
 
@@ -129,11 +143,11 @@ func TestPoolFreeListBound(t *testing.T) {
 	}
 
 	// Acquire two, release both: both must come back (deterministically).
-	m1, reused, _, err := p.acquire(cfg)
+	m1, reused, err := p.acquire(cfg)
 	if err != nil || reused {
 		t.Fatalf("first acquire: reused=%v err=%v, want fresh build", reused, err)
 	}
-	m2, _, _, err := p.acquire(cfg)
+	m2, _, err := p.acquire(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +156,7 @@ func TestPoolFreeListBound(t *testing.T) {
 	if got := len(e.free); got != 2 {
 		t.Fatalf("idle after two releases = %d, want 2", got)
 	}
-	if m, reused, _, _ := p.acquire(cfg); !reused || m != m2 {
+	if m, reused, _ := p.acquire(cfg); !reused || m != m2 {
 		t.Fatalf("LIFO reuse: got %p reused=%v, want most recently released %p", m, reused, m2)
 	}
 
@@ -187,11 +201,11 @@ func TestPoolNoShareAcrossMemGeometry(t *testing.T) {
 	runPoolKernel(t, s, cfgA)
 	runPoolKernel(t, s, cfgB)
 
-	if got := reg.Counter(MetricPoolMemShared, "").Value(); got != 0 {
-		t.Fatalf("%s = %d, want 0 across memory geometries", MetricPoolMemShared, got)
-	}
 	if builds := reg.Counter(MetricPoolMisses, "").Value(); builds != 2 {
 		t.Fatalf("pool builds = %d, want 2", builds)
+	}
+	if a, b := idle(s, cfgA), idle(s, cfgB); a != 1 || b != 1 {
+		t.Fatalf("idle machines A=%d B=%d, want 1 and 1 (no steal)", a, b)
 	}
 }
 
@@ -224,13 +238,15 @@ func TestPoolServesOneConfigurationOutsideKernels(t *testing.T) {
 	if _, err := c.Run(context.Background(), targets); err != nil {
 		t.Fatal(err)
 	}
-	shared := reg.Counter(MetricPoolMemShared, "")
-	s.pool.mu.Lock()
-	entries := len(s.pool.entries)
-	s.pool.mu.Unlock()
-	if entries != 1 || shared.Value() != 0 {
-		t.Fatalf("serving and a campaign used %d pool entries and %d cross-configuration shares, want 1 and 0",
-			entries, shared.Value())
+	entries := func() int {
+		s.pool.mu.Lock()
+		defer s.pool.mu.Unlock()
+		return len(s.pool.entries)
+	}
+	builds := reg.Counter(MetricPoolMisses, "")
+	served := builds.Value()
+	if got := entries(); got != 1 {
+		t.Fatalf("serving and a campaign used %d pool entries, want 1", got)
 	}
 
 	if _, err := RunAblations(s); err != nil {
@@ -239,7 +255,14 @@ func TestPoolServesOneConfigurationOutsideKernels(t *testing.T) {
 	if _, err := RunMMVSweep(s); err != nil {
 		t.Fatal(err)
 	}
-	if got := shared.Value(); got != 2 {
-		t.Fatalf("ablations and the sweep shared %d times, want 2", got)
+	// The kernels ran three more configurations. The suite's own and the
+	// 1-wide ablation stole idle machines of their memory geometry; only
+	// the single-bank ablation, whose scratchpad geometry differs, built
+	// one.
+	if got := entries(); got != 4 {
+		t.Fatalf("ablations and the sweep left %d pool entries, want 4", got)
+	}
+	if got := builds.Value() - served; got != 1 {
+		t.Fatalf("ablations and the sweep built %d machines, want 1", got)
 	}
 }

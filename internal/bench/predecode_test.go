@@ -2,8 +2,7 @@ package bench
 
 // Tests pinning the pre-decoded dispatch layer's contract (docs/PERF.md,
 // Level 4): observed and unobserved runs agree on every Table III
-// workload, fault-campaign reports keep their pinned bytes, the decode
-// cache singleflights across machines and counts its traffic, and a warm
+// workload, fault-campaign reports keep their pinned bytes, and a warm
 // decoded run is allocation-free.
 
 import (
@@ -14,7 +13,6 @@ import (
 	"reflect"
 	"testing"
 
-	"cambricon/internal/metrics"
 	"cambricon/internal/sim"
 	"cambricon/internal/trace"
 )
@@ -62,35 +60,6 @@ func TestPredecodeCampaignReportsByteIdentical(t *testing.T) {
 	sum := sha256.Sum256(campaignBytes(t, NewSuite(7), 2))
 	if got := hex.EncodeToString(sum[:]); got != want {
 		t.Fatalf("campaign report SHA-256 = %s, want %s", got, want)
-	}
-}
-
-// TestPredecodeCacheSingleflight pins the decode cache: one miss (and
-// one pre-decoded program) per benchmark no matter how many machines run
-// it, and hits for every reuse.
-func TestPredecodeCacheSingleflight(t *testing.T) {
-	reg := metrics.New()
-	s := NewSuite(7)
-	s.Metrics = reg
-	if _, err := s.Stats("SOM"); err != nil {
-		t.Fatal(err)
-	}
-	// RunOnce bypasses the stats cache but not the decode cache: the
-	// snapshot already carries the decoded program, so this is a hit-free
-	// reuse; a third run through a fresh pooled machine is a hit.
-	b, err := s.lookup("SOM")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.decodedProgram(context.Background(), b); err != nil { // explicit reuse: a hit
-		t.Fatal(err)
-	}
-	c := func(name string) uint64 { return reg.Counter(name, "").Value() }
-	if got := c(MetricDecodeMisses); got != 1 {
-		t.Fatalf("decode misses = %d, want 1", got)
-	}
-	if got := c(MetricDecodeHits); got != 1 {
-		t.Fatalf("decode hits = %d, want 1", got)
 	}
 }
 

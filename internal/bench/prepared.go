@@ -121,22 +121,21 @@ func (p *machinePool) entry(cfg sim.Config) (*poolEntry, error) {
 }
 
 // acquire returns a machine for cfg with its watchdog budget set to
-// cfg.MaxCycles: recycled from cfg's own entry when possible
-// (reused=true), stolen and reconfigured from a same-memory-geometry
-// entry otherwise (reused and shared=true), freshly built as the last
-// resort. The machine's other state is whatever the previous user left;
-// callers must Restore a snapshot (or load a program onto a pristine
-// machine) before running.
-func (p *machinePool) acquire(cfg sim.Config) (m *sim.Machine, reused, shared bool, err error) {
+// cfg.MaxCycles: recycled from cfg's own entry when possible, stolen and
+// reconfigured from a same-memory-geometry entry otherwise (both
+// reused=true), freshly built as the last resort. The machine's other
+// state is whatever the previous user left; callers must Restore a
+// snapshot (or load a program onto a pristine machine) before running.
+func (p *machinePool) acquire(cfg sim.Config) (m *sim.Machine, reused bool, err error) {
 	e, err := p.entry(cfg)
 	if err != nil {
-		return nil, false, false, err
+		return nil, false, err
 	}
 	p.mu.Lock()
 	if m := e.pop(); m != nil {
 		p.mu.Unlock()
 		m.SetMaxCycles(cfg.MaxCycles)
-		return m, true, false, nil
+		return m, true, nil
 	}
 	// Own entry is empty: steal from any sibling sharing cfg's memory
 	// geometry under the same critical section.
@@ -152,34 +151,31 @@ func (p *machinePool) acquire(cfg sim.Config) (m *sim.Machine, reused, shared bo
 	p.mu.Unlock()
 	if stolen != nil {
 		if err := stolen.Reconfigure(cfg); err == nil {
-			return stolen, true, true, nil
+			return stolen, true, nil
 		}
 		// A same-memKey reconfigure can only fail on an invalid cfg,
 		// which sim.New below will report; drop the stolen machine.
 	}
 	m, err = sim.New(cfg)
-	if err != nil {
-		return nil, false, false, err
-	}
-	return m, false, false, nil
+	return m, false, err
 }
 
 // acquirePristine is acquire plus a restore to the configuration's
 // post-construction zero state: registers, PRNG and all memory exactly as
 // sim.New left them.
-func (p *machinePool) acquirePristine(cfg sim.Config) (*sim.Machine, bool, bool, error) {
-	m, reused, shared, err := p.acquire(cfg)
+func (p *machinePool) acquirePristine(cfg sim.Config) (*sim.Machine, bool, error) {
+	m, reused, err := p.acquire(cfg)
 	if err != nil {
-		return nil, false, false, err
+		return nil, false, err
 	}
 	e, err := p.entry(cfg)
 	if err != nil {
-		return nil, false, false, err
+		return nil, false, err
 	}
 	if err := m.Restore(e.pristine); err != nil {
-		return nil, false, false, err
+		return nil, false, err
 	}
-	return m, reused, shared, nil
+	return m, reused, nil
 }
 
 // release detaches the machine's tracer and injector and returns it to
@@ -198,42 +194,6 @@ func (p *machinePool) release(m *sim.Machine) {
 	}
 }
 
-// decodedProgram pre-decodes (once per benchmark) the program's
-// instruction stream: operand roles and encoded words are computed here
-// and shared — via the prepared snapshot — by every
-// pooled machine and fault-campaign worker that runs the benchmark. A
-// request recorder on ctx gets a "decode.lookup" span with the cache
-// outcome: a miss for the caller that paid for the decode, a hit for
-// every caller served from (or blocked on) it.
-func (s *Suite) decodedProgram(ctx context.Context, b *benchmark) (*sim.DecodedProgram, error) {
-	rec := reqtrace.From(ctx)
-	sp := rec.Start(reqtrace.Root, "decode.lookup")
-	defer rec.End(sp)
-	outcome := "hit"
-	b.decOnce.Do(func() {
-		outcome = "miss"
-		b.dp, b.decErr = sim.Predecode(b.prog.Asm.Instructions)
-		if b.decErr == nil {
-			s.sm().decodeCacheMiss()
-		}
-	})
-	if outcome == "hit" {
-		s.sm().decodeCacheHit()
-	}
-	rec.AnnotateStr(sp, "cache", outcome)
-	return b.dp, b.decErr
-}
-
-// loadProgram loads b's program onto m from its decode cell.
-func (s *Suite) loadProgram(ctx context.Context, m *sim.Machine, b *benchmark) error {
-	dp, err := s.decodedProgram(ctx, b)
-	if err != nil {
-		return err
-	}
-	m.LoadDecoded(dp)
-	return nil
-}
-
 // preparedSnapshot builds (once per benchmark) the snapshot of a machine
 // that has the program's memory image written and its instruction stream
 // loaded — the state every run of that benchmark starts from. The
@@ -244,20 +204,17 @@ func (s *Suite) preparedSnapshot(ctx context.Context, b *benchmark) (*sim.Snapsh
 		rec := reqtrace.From(ctx)
 		sp := rec.Start(reqtrace.Root, "snapshot.prepare")
 		defer rec.End(sp)
-		m, reused, shared, err := s.pool.acquirePristine(s.runConfig(0))
+		m, reused, err := s.pool.acquirePristine(s.runConfig(0))
 		if err != nil {
 			b.snapErr = err
 			return
 		}
-		s.sm().poolAcquired(reused, shared)
+		s.sm().poolAcquired(reused)
 		if err := b.prog.Init(m); err != nil {
 			b.snapErr = err
 			return
 		}
-		if err := s.loadProgram(ctx, m, b); err != nil {
-			b.snapErr = err
-			return
-		}
+		m.LoadDecoded(b.dp)
 		b.snap = m.Snapshot()
 		s.sm().snapshotPrepared(b.snap)
 		rec.AnnotateInt(sp, "resident_bytes", int64(b.snap.Bytes()))
@@ -292,9 +249,7 @@ func (s *Suite) preparedMachine(ctx context.Context, b *benchmark, maxCycles int
 		if err != nil {
 			return nil, false, err
 		}
-		if err := s.loadProgram(ctx, m, b); err != nil {
-			return nil, false, err
-		}
+		m.LoadDecoded(b.dp)
 		return m, false, nil
 	}
 	snap, err := s.preparedSnapshot(ctx, b)
@@ -317,13 +272,13 @@ func (s *Suite) restoredMachine(ctx context.Context, snap *sim.Snapshot, maxCycl
 	sm := s.sm()
 	rec := reqtrace.From(ctx)
 	sp := rec.Start(reqtrace.Root, "pool.acquire")
-	m, reused, shared, err := s.pool.acquire(s.runConfig(maxCycles))
+	m, reused, err := s.pool.acquire(s.runConfig(maxCycles))
 	rec.AnnotateBool(sp, "reused", reused)
 	rec.End(sp)
 	if err != nil {
 		return nil, err
 	}
-	sm.poolAcquired(reused, shared)
+	sm.poolAcquired(reused)
 	sp = rec.Start(reqtrace.Root, "snapshot.restore")
 	if cerr := s.Chaos.SnapshotRestore(); cerr != nil {
 		// An injected restore failure must not poison the pool: the
@@ -355,11 +310,11 @@ func (s *Suite) kernelMachine(cfg sim.Config) (*sim.Machine, bool, error) {
 		m, err := sim.New(cfg)
 		return m, false, err
 	}
-	m, reused, shared, err := s.pool.acquirePristine(cfg)
+	m, reused, err := s.pool.acquirePristine(cfg)
 	if err != nil {
 		return nil, false, err
 	}
-	s.sm().poolAcquired(reused, shared)
+	s.sm().poolAcquired(reused)
 	return m, true, nil
 }
 

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"cambricon/internal/reqtrace"
-	"cambricon/internal/sim"
 	"cambricon/internal/trace"
 )
 
@@ -91,39 +90,22 @@ func TestRunOnceSpanTimeline(t *testing.T) {
 }
 
 // TestWarmRequestPathNoRecorderAllocationFree pins the acceptance
-// criterion: the instrumented warm request path — the decode-cache
-// lookup with its span hooks, the snapshot restore, and a full decoded
-// run — performs zero heap allocations when the context carries no
-// recorder, exactly like the tracer/injector/metrics nil contracts.
-// (This variant holds one fixed machine; TestWarmPooledRequestPathAllocationFree
-// below runs the same loop through acquire/release now that the pool's
-// bounded free list is deterministic.)
+// criterion: the instrumented warm request path — RunOnce, with its
+// pool.acquire, snapshot.restore and sim.run span hooks, the run and
+// the output comparison — performs zero heap allocations when the
+// context carries no recorder, exactly like the tracer/injector/metrics
+// nil contracts. (TestWarmPooledRequestPathAllocationFree below pins the
+// machine-level loop under it.)
 func TestWarmRequestPathNoRecorderAllocationFree(t *testing.T) {
 	s := NewSuite(7)
-	b, err := s.lookup(dispatchBenchmark)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx := context.Background()
-	snap, err := s.preparedSnapshot(ctx, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := sim.New(s.runConfig(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Restore(snap); err != nil {
+	// The first run prepares the snapshot, pools a machine and records
+	// the output later runs compare against.
+	if _, err := s.RunOnce(ctx, dispatchBenchmark); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if dp, err := s.decodedProgram(ctx, b); err != nil || dp == nil {
-			t.Fatalf("decodedProgram: %v", err)
-		}
-		if err := m.Restore(snap); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.Run(); err != nil {
+		if _, err := s.RunOnce(ctx, dispatchBenchmark); err != nil {
 			t.Fatal(err)
 		}
 	})

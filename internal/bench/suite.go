@@ -86,15 +86,13 @@ type Suite struct {
 // pre-decoded instruction stream (docs/PERF.md, Level 4), the post-Init
 // snapshot every warm run restores (Level 3), the verified output later
 // runs compare against (checkOutput), and the Stats singleflight cell.
-// The decode and the snapshot are built once, by their first user.
-// Programs outside the suite's ten (the Section VI logistic pair, test
-// kernels) run through a record of their own that nothing keeps.
+// The decode is made with the record (newBenchmark); the snapshot is
+// built once, by its first user. Programs outside the suite's ten (the
+// Section VI logistic pair, test kernels) run through a record of their
+// own that nothing keeps.
 type benchmark struct {
 	prog *codegen.Program
-
-	decOnce sync.Once
-	dp      *sim.DecodedProgram
-	decErr  error
+	dp   *sim.DecodedProgram
 
 	snapOnce sync.Once
 	snap     *sim.Snapshot
@@ -118,6 +116,16 @@ type statsEntry struct {
 	err  error
 }
 
+// newBenchmark builds p's record with its pre-decoded program, which
+// every machine that runs p shares.
+func newBenchmark(p *codegen.Program) (*benchmark, error) {
+	dp, err := sim.Predecode(p.Asm.Instructions)
+	if err != nil {
+		return nil, fmt.Errorf("bench: %s: %w", p.Name, err)
+	}
+	return &benchmark{prog: p, dp: dp}, nil
+}
+
 // NewSuite builds a suite over the Table II machine.
 func NewSuite(seed uint64) *Suite {
 	return &Suite{Seed: seed, Config: sim.DefaultConfig()}
@@ -137,11 +145,19 @@ func (s *Suite) sm() *suiteMetrics {
 // Programs generates (once) the ten Table III benchmark programs.
 func (s *Suite) Programs() ([]*codegen.Program, error) {
 	s.progsOnce.Do(func() {
-		s.progs, s.progsErr = codegen.All(s.Seed)
-		s.byName = make(map[string]*benchmark, len(s.progs))
-		for _, p := range s.progs {
-			s.byName[p.Name] = &benchmark{prog: p}
+		progs, err := codegen.All(s.Seed)
+		if err != nil {
+			s.progsErr = err
+			return
 		}
+		byName := make(map[string]*benchmark, len(progs))
+		for _, p := range progs {
+			if byName[p.Name], err = newBenchmark(p); err != nil {
+				s.progsErr = err
+				return
+			}
+		}
+		s.progs, s.byName = progs, byName
 	})
 	return s.progs, s.progsErr
 }
@@ -185,17 +201,11 @@ func (s *Suite) StatsCtx(ctx context.Context, name string) (sim.Stats, error) {
 	}
 	s.mu.Lock()
 	entry := b.stats
-	hit := entry != nil
-	if !hit {
+	if entry == nil {
 		entry = &statsEntry{}
 		b.stats = entry
 	}
 	s.mu.Unlock()
-	if hit {
-		// Served from (or blocked on) an existing singleflight entry: the
-		// caller did not pay for a simulation of its own.
-		s.sm().cacheHit()
-	}
 	entry.once.Do(func() {
 		entry.st, entry.err = s.runBenchmark(ctx, name)
 	})

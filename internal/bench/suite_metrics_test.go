@@ -39,8 +39,8 @@ func TestMeteredStatsBitIdentical(t *testing.T) {
 }
 
 // TestSuiteMetricsCountRuns pins the counter semantics end to end: runs,
-// cache hits, pool traffic, snapshot gauges, restore counters and
-// cancellations all reflect the work the suite actually did.
+// pool traffic, snapshot gauges, restore counters and cancellations all
+// reflect the work the suite actually did.
 func TestSuiteMetricsCountRuns(t *testing.T) {
 	reg := metrics.New()
 	s := NewSuite(7)
@@ -61,9 +61,6 @@ func TestSuiteMetricsCountRuns(t *testing.T) {
 	if got := c(MetricRunsCompleted); got != 2 {
 		t.Fatalf("runs completed = %d, want 2", got)
 	}
-	if got := c(MetricCacheHits); got != 1 {
-		t.Fatalf("cache hits = %d, want 1", got)
-	}
 	if got := c(MetricRunsFailed); got != 0 {
 		t.Fatalf("runs failed = %d, want 0", got)
 	}
@@ -82,9 +79,12 @@ func TestSuiteMetricsCountRuns(t *testing.T) {
 	if got := g(MetricSnapPrepared); got != 1 {
 		t.Fatalf("snapshots prepared = %d, want 1", got)
 	}
-	resident, dense := g(MetricSnapResident), g(MetricSnapDense)
-	if resident <= 0 || dense <= resident {
-		t.Fatalf("snapshot gauges resident=%d dense=%d, want 0 < resident < dense", resident, dense)
+	b, err := s.lookup("MLP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := g(MetricSnapResident), int64(b.snap.Bytes()); got <= 0 || got != want {
+		t.Fatalf("snapshot resident gauge = %d, want the snapshot's %d (> 0)", got, want)
 	}
 	// The per-benchmark histograms saw both real runs.
 	h := reg.Histogram(MetricRunCycles, "", cycleBuckets, metrics.L("benchmark", "MLP"))
@@ -126,10 +126,8 @@ func TestSuiteMetricsNilHooksZeroAllocs(t *testing.T) {
 		sm.runStarted()
 		sm.runDone("MLP", sim.Stats{Cycles: 1}, time.Microsecond, nil)
 		sm.runDone("MLP", sim.Stats{}, time.Microsecond, context.Canceled)
-		sm.cacheHit()
-		sm.poolAcquired(true, false)
-		sm.poolAcquired(true, true)
-		sm.poolAcquired(false, false)
+		sm.poolAcquired(true)
+		sm.poolAcquired(false)
 		sm.restored(4096)
 		sm.snapshotPrepared(snap)
 	})

@@ -285,7 +285,4 @@ func TestConcurrentFirstUsePreparesOnce(t *testing.T) {
 	if got := reg.Gauge(MetricSnapPrepared, "").Value(); got != 1 {
 		t.Errorf("%d snapshots prepared, want 1", got)
 	}
-	if got := reg.Counter(MetricDecodeMisses, "").Value(); got != 1 {
-		t.Errorf("%d decode misses, want 1", got)
-	}
 }

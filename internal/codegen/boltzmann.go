@@ -116,9 +116,9 @@ func GenBM(seed uint64) (*Program, error) {
 	b.Opc(core.MMV, "Wv", asm.R(rWv), asm.R(rNH), asm.R(rW), asm.R(rv), asm.R(rNV))
 	b.Comment("L exceeds remaining scratchpad: stream it in half-matrix tiles")
 	loadImm(&b, rSz, int32(half*nh))
-	b.Opc(core.MLOAD, "L rows 0..%d", asm.R(rLTile), asm.R(rSz), asm.Imm(int32(lMain)))
+	b.Opc(core.MLOAD, fmt.Sprintf("L rows 0..%d", half), asm.R(rLTile), asm.R(rSz), asm.Imm(int32(lMain)))
 	b.Opc(core.MMV, "Lh (low half)", asm.R(rLh), asm.R(rHalf), asm.R(rLTile), asm.R(rh), asm.R(rNH))
-	b.Opc(core.MLOAD, "L rows %d..%d", asm.R(rLTile), asm.R(rSz), asm.Imm(int32(lMain+fixed.Bytes(half*nh))))
+	b.Opc(core.MLOAD, fmt.Sprintf("L rows %d..%d", half, nh), asm.R(rLTile), asm.R(rSz), asm.Imm(int32(lMain+fixed.Bytes(half*nh))))
 	b.Opc(core.MMV, "Lh (high half)", asm.R(rLh2), asm.R(rHalf), asm.R(rLTile), asm.R(rh), asm.R(rNH))
 	b.Opc(core.VAV, "Wv + Lh", asm.R(rP), asm.R(rNH), asm.R(rWv), asm.R(rLh))
 	b.Opc(core.VAV, "+ bias", asm.R(rP), asm.R(rNH), asm.R(rP), asm.R(rB))

@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"fmt"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -439,6 +440,32 @@ func TestGeneratedSourcesAreCommented(t *testing.T) {
 		}
 		if !strings.Contains(p.Source, "Table III") {
 			t.Errorf("%s: generated source missing provenance comment", p.Name)
+		}
+	}
+}
+
+// rawVerb matches a format verb left in a listing unformatted (a comment
+// passed to Builder.Opc, which does not format) and the %! fmt writes for
+// a verb it could not apply. SOM's "bx = bmu % 6" is an operator, not a
+// verb.
+var rawVerb = regexp.MustCompile(`%[dvsxg]|%!`)
+
+// TestListingsHoldNoRawVerbs generates every program ByName accepts and
+// requires each listing's comments to be formatted.
+func TestListingsHoldNoRawVerbs(t *testing.T) {
+	names := []string{"Logistic", "Logistic-Training", "RBM-CD"}
+	for _, g := range Generators() {
+		names = append(names, g.Name)
+	}
+	for _, name := range names {
+		p, err := ByName(name, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(p.Source, "\n") {
+			if rawVerb.MatchString(line) {
+				t.Errorf("%s line %d holds an unformatted verb: %s", name, i+1, line)
+			}
 		}
 	}
 }

@@ -14,7 +14,6 @@
 package codegen
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -227,18 +226,11 @@ func (o Outputs) ReadWord(addr int) (uint32, error) {
 // Execute initializes a machine, runs the program and verifies the outputs,
 // returning the run statistics.
 func (p *Program) Execute(m *sim.Machine) (sim.Stats, error) {
-	return p.ExecuteContext(context.Background(), m)
-}
-
-// ExecuteContext is Execute with cancellation: the simulation stops at
-// its next poll point once ctx is done, returning ctx.Err() wrapped
-// with the benchmark name and the partial statistics.
-func (p *Program) ExecuteContext(ctx context.Context, m *sim.Machine) (sim.Stats, error) {
 	if err := p.Init(m); err != nil {
 		return sim.Stats{}, err
 	}
 	m.LoadProgram(p.Asm.Instructions)
-	stats, err := m.RunContext(ctx)
+	stats, err := m.Run()
 	if err != nil {
 		return stats, fmt.Errorf("codegen: %s: %w", p.Name, err)
 	}

@@ -3,7 +3,7 @@
 // one run go" and internal/metrics answers "how is the fleet behaving",
 // this package answers "where did the wall time of one request go" — a
 // span tree covering HTTP ingress, semaphore wait, pool acquire,
-// snapshot restore, decode-cache lookup and the simulation itself,
+// snapshot restore and the simulation itself,
 // joined to the outside world through W3C `traceparent` propagation.
 //
 // The contract mirrors trace.Tracer's and metrics.Registry's: tracing

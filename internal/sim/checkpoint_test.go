@@ -32,8 +32,8 @@ l:	RV     $2, $1           // fresh random vector each iteration
 `
 
 // ckptMachine builds a machine running ckptKernel. predecoded installs a
-// shared DecodedProgram, the way the bench decode cache does, and leaves
-// runs unobserved. Otherwise — the baseline — the machine decodes its
+// shared DecodedProgram, the way a bench suite does, and leaves runs
+// unobserved. Otherwise — the baseline — the machine decodes its
 // own copy in LoadProgram and a text trace to io.Discard observes its
 // runs.
 func ckptMachine(t testing.TB, cfg Config, predecoded bool) *Machine {

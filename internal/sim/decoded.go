@@ -74,7 +74,7 @@ func appendUint(buf []byte, v int) []byte {
 }
 
 // LoadDecoded installs a pre-decoded program, typically one shared by
-// many machines (a decode cache, a campaign's workers): unlike
+// many machines (a benchmark's runs, a campaign's workers): unlike
 // LoadProgram it costs no decode and no allocation.
 func (m *Machine) LoadDecoded(dp *DecodedProgram) {
 	m.dec = dp
@@ -155,7 +155,7 @@ func (m *Machine) runDecoded(ctx context.Context) (Stats, error) {
 		m.stats.ByType[d.Type]++
 		m.stats.ByOpcode[d.Inst.Op]++
 		if m.rec != nil {
-			m.rec.record(n, d.Src(), d.DestReg, d.HasDest, &m.eff)
+			m.rec.record(n, d.Src(), &m.eff)
 		}
 		if tracing {
 			// The tracer consumes the event's stall attribution, which

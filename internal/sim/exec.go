@@ -270,7 +270,6 @@ func (m *Machine) execInto(inst core.Instruction, e *effect) error {
 	case core.CB:
 		e.fu = fuScalar
 		e.execCycles = 1
-		m.stats.ScalarOps++
 		if m.regInt(inst.R[0]) > 0 {
 			e.branchTaken = true
 			e.branchOffset = int(m.tailInt(inst, 1))
@@ -303,7 +302,6 @@ func (m *Machine) execInto(inst core.Instruction, e *effect) error {
 	case core.SMOVE:
 		e.fu = fuScalar
 		e.execCycles = 1
-		m.stats.ScalarOps++
 		m.gpr[inst.R[0]] = uint32(m.tailInt(inst, 1))
 
 	case core.MMV, core.VMM:
@@ -333,7 +331,6 @@ func (m *Machine) execInto(inst core.Instruction, e *effect) error {
 		core.SGT, core.SE, core.SAND:
 		e.fu = fuScalar
 		e.execCycles = 1
-		m.stats.ScalarOps++
 		a := m.regInt(inst.R[1])
 		b := m.tailInt(inst, 2)
 		var r int32
@@ -367,7 +364,6 @@ func (m *Machine) execInto(inst core.Instruction, e *effect) error {
 	case core.SEXP, core.SLOG:
 		e.fu = fuScalar
 		e.execCycles = int64(m.cfg.CordicBeatCycles)
-		m.stats.ScalarOps++
 		m.stats.TranscendentalElems++
 		v := fixed.Num(m.tailInt(inst, 1))
 		var r fixed.Num

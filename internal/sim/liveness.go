@@ -53,14 +53,12 @@ import (
 )
 
 // accessRec is one dynamic instruction of a recorded golden run: its
-// source/destination scalar registers and its memory access regions,
-// exactly as reported to the timing model.
+// source scalar registers and its memory access regions, exactly as
+// reported to the timing model.
 type accessRec struct {
-	acc    accessSet
-	nSrc   uint8
-	dst    uint8
-	hasDst bool
-	src    [6]uint8
+	acc  accessSet
+	nSrc uint8
+	src  [6]uint8
 }
 
 // AccessTrace records the architectural reads and writes of one complete
@@ -94,7 +92,7 @@ func (m *Machine) SetAccessTrace(t *AccessTrace) { m.rec = t }
 
 // record appends one committed instruction. idx is its dynamic index
 // (stats.Instructions after the increment, minus one).
-func (t *AccessTrace) record(idx int64, src []uint8, dst uint8, hasDst bool, e *effect) {
+func (t *AccessTrace) record(idx int64, src []uint8, e *effect) {
 	if idx != int64(len(t.recs)) {
 		t.bad = true
 		return
@@ -102,7 +100,6 @@ func (t *AccessTrace) record(idx int64, src []uint8, dst uint8, hasDst bool, e *
 	r := accessRec{acc: e.acc}
 	r.nSrc = uint8(len(src))
 	copy(r.src[:], src)
-	r.dst, r.hasDst = dst, hasDst
 	t.recs = append(t.recs, r)
 	if e.isDMA && e.dmaBytes > 0 {
 		t.dma = append(t.dma, idx)

@@ -369,13 +369,8 @@ func (m *Machine) RunContext(ctx context.Context) (Stats, error) {
 // bit-identical (in statistics, cycles, traces and fault behaviour) to
 // the uninterrupted run.
 func (m *Machine) Resume() (Stats, error) {
-	return m.ResumeContext(context.Background())
-}
-
-// ResumeContext is Resume with cooperative cancellation (see RunContext).
-func (m *Machine) ResumeContext(ctx context.Context) (Stats, error) {
 	m.stopAt = -1
-	return m.resume(ctx)
+	return m.resume(context.Background())
 }
 
 // RunUntil continues execution from the machine's current state until
@@ -387,17 +382,11 @@ func (m *Machine) ResumeContext(ctx context.Context) (Stats, error) {
 // by calling it on a machine that was Reset or restored to a snapshot
 // taken before a run.
 func (m *Machine) RunUntil(n int64) (Stats, bool, error) {
-	return m.RunUntilContext(context.Background(), n)
-}
-
-// RunUntilContext is RunUntil with cooperative cancellation (see
-// RunContext).
-func (m *Machine) RunUntilContext(ctx context.Context, n int64) (Stats, bool, error) {
 	if n < 0 {
 		n = 0
 	}
 	m.stopAt = n
-	stats, err := m.resume(ctx)
+	stats, err := m.resume(context.Background())
 	m.stopAt = -1
 	return stats, err == nil && !m.stopped, err
 }

@@ -51,18 +51,18 @@ func TestMemQueueCapacityLimitsOverlap(t *testing.T) {
 	shallow := DefaultConfig()
 	shallow.MemQueueDepth = 1
 	src := mixedFUProgram()
-	sd := runWith(t, deep, src)
-	ss := runWith(t, shallow, src)
+	sd, wd := waitsOf(t, deep, src)
+	ss, ws := waitsOf(t, shallow, src)
 	if ss.Cycles <= sd.Cycles {
 		t.Errorf("single-entry memory queue (%d cycles) should be slower than 32-entry (%d)",
 			ss.Cycles, sd.Cycles)
 	}
-	if ss.MemQueueFullStallCycles == 0 {
-		t.Error("shallow queue should report memory-queue-full stalls")
+	if ws.MemQueueFull == 0 {
+		t.Error("shallow queue should report memory-queue-full waits")
 	}
-	if sd.MemQueueFullStallCycles != 0 {
-		t.Errorf("deep queue should not fill on 32 in-flight ops, got %d stall cycles",
-			sd.MemQueueFullStallCycles)
+	if wd.MemQueueFull != 0 {
+		t.Errorf("deep queue should not fill on 32 in-flight ops, got %d wait cycles",
+			wd.MemQueueFull)
 	}
 }
 
@@ -194,13 +194,13 @@ func TestROBCapacityLimitsRunahead(t *testing.T) {
 	tiny := DefaultConfig()
 	tiny.ROBDepth = 2
 	sw := runWith(t, wide, src)
-	st := runWith(t, tiny, src)
+	st, waits := waitsOf(t, tiny, src)
 	if st.Cycles <= sw.Cycles {
 		t.Errorf("2-entry ROB (%d cycles) should be slower than 64-entry (%d)",
 			st.Cycles, sw.Cycles)
 	}
-	if st.ROBFullStallCycles == 0 {
-		t.Error("tiny ROB should report full stalls")
+	if waits.ROBFull == 0 {
+		t.Error("tiny ROB should report full waits")
 	}
 }
 

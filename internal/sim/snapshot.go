@@ -55,16 +55,6 @@ func (s *Snapshot) Bytes() int {
 	return n
 }
 
-// DenseBytes returns what the same capture would occupy with dense
-// memory images — the denominator of the sparse-snapshot saving.
-func (s *Snapshot) DenseBytes() int {
-	n := 0
-	for _, img := range s.img {
-		n += img.Size()
-	}
-	return n
-}
-
 // pagedMem is the page-tracked storage the machine's three memories
 // share (internal/mem): snapshots, restores and convergence proofs treat
 // main memory and both scratchpads alike through it.

@@ -167,17 +167,12 @@ func TestSetMaxCycles(t *testing.T) {
 // TestSnapshotBytes sanity-checks the captured image accounting: every
 // memory is held page-sparse, so a pristine machine's snapshot keeps
 // nothing resident, a prepared image only its touched main pages, and a
-// run's snapshot only the scratchpad pages it wrote on top, while
-// DenseBytes reports what dense images would have occupied.
+// run's snapshot only the scratchpad pages it wrote on top.
 func TestSnapshotBytes(t *testing.T) {
 	cfg := snapConfig()
-	dense := cfg.VectorSpadBytes + cfg.MatrixSpadBytes + cfg.MainMemBytes
 	for _, pristine := range []*Snapshot{mustNew(t, cfg).Snapshot(), mustPristine(t, cfg)} {
 		if pristine.Bytes() != 0 {
 			t.Fatalf("pristine Snapshot.Bytes() = %d, want 0", pristine.Bytes())
-		}
-		if pristine.DenseBytes() != dense {
-			t.Fatalf("Snapshot.DenseBytes() = %d, want %d", pristine.DenseBytes(), dense)
 		}
 		if !archEqual(pristine.cfg, cfg) {
 			t.Fatal("snapshot config does not match capture config")

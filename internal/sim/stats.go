@@ -26,8 +26,6 @@ type Stats struct {
 	// BranchesTaken counts taken control-flow redirects.
 	BranchesTaken int64
 
-	// ScalarOps counts scalar ALU operations.
-	ScalarOps int64
 	// VectorBusyCycles is the vector functional unit's occupied time.
 	VectorBusyCycles int64
 	// VectorElems counts 16-bit element operations in the vector unit.
@@ -53,25 +51,10 @@ type Stats struct {
 	// runs).
 	FaultsInjected int64 `json:",omitempty"`
 
-	// MemDepStallCycles counts cycles instructions waited in the memory
-	// queue on overlapping earlier accesses.
-	MemDepStallCycles int64
-	// FUBusyStallCycles counts cycles ready instructions waited for a
-	// busy functional unit.
-	FUBusyStallCycles int64
-	// RegStallCycles counts issue-stage waits for source registers.
-	RegStallCycles int64
-	// ROBFullStallCycles counts issue-stage waits for reorder-buffer
-	// space.
-	ROBFullStallCycles int64
-	// MemQueueFullStallCycles counts issue-stage waits for memory-queue
-	// space.
-	MemQueueFullStallCycles int64
-
 	// Stalls is the attributed CPI stack: every cycle of the run charged
-	// to exactly one cause (see pipeline.advanceWith). Unlike the raw
-	// per-instruction stall counters above — which sum each
-	// instruction's own waits and therefore double-count wall-clock
+	// to exactly one cause (see pipeline.advanceWith). Unlike the
+	// per-instruction wait totals a trace.Profile reports — which sum
+	// each instruction's own waits and therefore double-count wall-clock
 	// cycles when several instructions wait out the same interval — the
 	// attributed buckets are disjoint by construction and sum to exactly
 	// Cycles on a completed run (CheckConsistency enforces this).
@@ -99,20 +82,8 @@ func (s *Stats) CheckConsistency() error {
 	if s.MatrixBusyCycles > s.Cycles {
 		return fmt.Errorf("sim: MatrixBusyCycles %d exceeds Cycles %d", s.MatrixBusyCycles, s.Cycles)
 	}
-	for _, raw := range []struct {
-		name string
-		v    int64
-	}{
-		{"MemDepStallCycles", s.MemDepStallCycles},
-		{"FUBusyStallCycles", s.FUBusyStallCycles},
-		{"RegStallCycles", s.RegStallCycles},
-		{"ROBFullStallCycles", s.ROBFullStallCycles},
-		{"MemQueueFullStallCycles", s.MemQueueFullStallCycles},
-		{"BankConflictCycles", s.BankConflictCycles},
-	} {
-		if raw.v < 0 {
-			return fmt.Errorf("sim: %s is negative (%d)", raw.name, raw.v)
-		}
+	if s.BankConflictCycles < 0 {
+		return fmt.Errorf("sim: BankConflictCycles is negative (%d)", s.BankConflictCycles)
 	}
 	return nil
 }

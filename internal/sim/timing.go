@@ -204,21 +204,14 @@ func (p *pipeline) advanceWith(src []uint8, dst uint8, hasDst bool, e *effect, e
 			rr = p.RegReady[r]
 		}
 	}
-	p.stats.RegStallCycles += rr - s0
 	sROB := rr
 	if i >= int64(len(p.robCommit)) {
-		if t := p.robCommit[robPos]; t > sROB {
-			p.stats.ROBFullStallCycles += t - sROB
-			sROB = t
-		}
+		sROB = max(sROB, p.robCommit[robPos])
 	}
 	isMem := e.fu == fuVector || e.fu == fuMatrix || e.fu == fuScalarMem
 	sMQ := sROB
 	if isMem && p.MemCount >= int64(len(p.mqRetire)) {
-		if t := p.mqRetire[p.MQPos]; t > sMQ {
-			p.stats.MemQueueFullStallCycles += t - sMQ
-			sMQ = t
-		}
+		sMQ = max(sMQ, p.mqRetire[p.MQPos])
 	}
 	// Issue bandwidth: at most IssueWidth issues per cycle.
 	s := sMQ
@@ -245,11 +238,7 @@ func (p *pipeline) advanceWith(src []uint8, dst uint8, hasDst bool, e *effect, e
 	case fuScalar:
 		regReadEnd = s + 1 // register-read stage
 		depEnd = regReadEnd
-		start = regReadEnd
-		if p.ScalarNext > start {
-			p.stats.FUBusyStallCycles += p.ScalarNext - start
-			start = p.ScalarNext
-		}
+		start = max(regReadEnd, p.ScalarNext)
 		done = start + e.execCycles
 		p.ScalarNext = start + 1
 	default:
@@ -286,31 +275,20 @@ func (p *pipeline) advanceWith(src []uint8, dst uint8, hasDst bool, e *effect, e
 				dep = ent.done
 			}
 		}
-		p.stats.MemDepStallCycles += dep - entry
 		depEnd = dep
-		start = dep
 		switch e.fu {
 		case fuVector:
-			if p.VectorFree > start {
-				p.stats.FUBusyStallCycles += p.VectorFree - start
-				start = p.VectorFree
-			}
+			start = max(dep, p.VectorFree)
 			done = start + e.execCycles
 			p.VectorFree = done
 			p.stats.VectorBusyCycles += e.execCycles
 		case fuMatrix:
-			if p.MatrixFree > start {
-				p.stats.FUBusyStallCycles += p.MatrixFree - start
-				start = p.MatrixFree
-			}
+			start = max(dep, p.MatrixFree)
 			done = start + e.execCycles
 			p.MatrixFree = done
 			p.stats.MatrixBusyCycles += e.execCycles
 		case fuScalarMem:
-			if p.L1Next > start {
-				p.stats.FUBusyStallCycles += p.L1Next - start
-				start = p.L1Next
-			}
+			start = max(dep, p.L1Next)
 			done = start + e.execCycles
 			p.L1Next = start + 1
 		}

@@ -7,6 +7,7 @@ import (
 	"cambricon/internal/asm"
 	"cambricon/internal/core"
 	"cambricon/internal/fixed"
+	"cambricon/internal/trace"
 )
 
 func cyclesOf(t *testing.T, cfg Config, src string, setup func(*Machine)) Stats {
@@ -25,6 +26,15 @@ func cyclesOf(t *testing.T, cfg Config, src string, setup func(*Machine)) Stats 
 		t.Fatal(err)
 	}
 	return stats
+}
+
+// waitsOf runs src like cyclesOf with a profile attached and returns the
+// run's statistics and its per-instruction wait totals.
+func waitsOf(t *testing.T, cfg Config, src string) (Stats, trace.LatencyWaits) {
+	t.Helper()
+	prof := trace.NewProfile()
+	stats := cyclesOf(t, cfg, src, func(m *Machine) { m.SetTracer(prof) })
+	return stats, prof.Report(0).Latency
 }
 
 func TestCyclesGrowWithVectorSize(t *testing.T) {
@@ -64,14 +74,14 @@ func TestMemoryDependenceSerializes(t *testing.T) {
 	VAV   $3, $1, $2, $2
 	VAV   $4, $1, $2, $2
 `
-	sd := cyclesOf(t, DefaultConfig(), dep, nil)
-	si := cyclesOf(t, DefaultConfig(), indep, nil)
-	if sd.MemDepStallCycles == 0 {
-		t.Error("dependent chain should report memory-dependence stalls")
+	_, wd := waitsOf(t, DefaultConfig(), dep)
+	_, wi := waitsOf(t, DefaultConfig(), indep)
+	if wd.MemDep == 0 {
+		t.Error("dependent chain should report memory-dependence waits")
 	}
-	if si.MemDepStallCycles != 0 {
-		t.Errorf("independent ops should not stall on memory dependences, got %d",
-			si.MemDepStallCycles)
+	if wi.MemDep != 0 {
+		t.Errorf("independent ops should not wait on memory dependences, got %d",
+			wi.MemDep)
 	}
 }
 
@@ -185,15 +195,15 @@ func TestVectorAndMatrixUnitsOverlap(t *testing.T) {
 	MMV   $5, $1, $4, $3, $1
 	VEXP  $6, $1, $7
 `
-	stats := cyclesOf(t, DefaultConfig(), overlap, nil)
+	stats, waits := waitsOf(t, DefaultConfig(), overlap)
 	if stats.MatrixBusyCycles == 0 || stats.VectorBusyCycles == 0 {
 		t.Fatal("both units should be active")
 	}
 	// The final VEXP is independent of the MMV output region, so the
 	// vector unit should not wait for the matrix unit: no FU-busy stall
 	// between them beyond the RV/VEXP chain.
-	if stats.MemDepStallCycles != 0 {
-		t.Errorf("unexpected memory dependence stalls: %d", stats.MemDepStallCycles)
+	if waits.MemDep != 0 {
+		t.Errorf("unexpected memory dependence waits: %d", waits.MemDep)
 	}
 }
 

@@ -182,16 +182,16 @@ func TestCheckConsistencyDetectsCorruption(t *testing.T) {
 		t.Error("impossible busy counter not detected")
 	}
 	bad = stats
-	bad.MemDepStallCycles = -3
+	bad.BankConflictCycles = -3
 	if err := bad.CheckConsistency(); err == nil {
-		t.Error("negative raw counter not detected")
+		t.Error("negative bank-conflict counter not detected")
 	}
 }
 
 // TestNilTracerZeroAllocs pins the untraced hot path: after warm-up,
 // re-loading and re-running a program on the same machine must not
 // allocate at all, tracing plumbing included. The program is decoded
-// once, the way a decode cache shares it: LoadProgram pays its decode
+// once, the way a bench suite shares it: LoadProgram pays its decode
 // (three allocations) on every call.
 func TestNilTracerZeroAllocs(t *testing.T) {
 	p, err := asm.Assemble(traceTestPrograms["mlp-layer"])
