@@ -56,11 +56,12 @@ portable:
 # allocation or order-of-magnitude regression without taking minutes.
 # They cover the simulator's instruction kernels, the scratchpad views,
 # and the fixed-point and float64 matrix-vector kernels under them, the
-# suite, stuck-lane fault sites replayed and fast-forwarded, and the
-# root package's served runs of single benchmarks.
+# suite, stuck-lane fault sites replayed and fast-forwarded, a campaign's
+# golden runs and checkpoint capture, and the root package's served runs
+# of single benchmarks.
 bench:
 	$(GO) test -run '^$$' -bench 'Kernel|AccessCycles|NumsView' -benchmem -benchtime 50x ./internal/sim ./internal/mem ./internal/fixed ./internal/nn
-	$(GO) test -run '^$$' -bench 'SuiteSerial|SuiteParallel|StuckLaneSites' -benchmem -benchtime 2x ./internal/bench
+	$(GO) test -run '^$$' -bench 'SuiteSerial|SuiteParallel|StuckLaneSites|PrepareCheckpoints' -benchmem -benchtime 2x ./internal/bench
 	$(GO) test -run '^$$' -bench 'Simulate' -benchmem -benchtime 2x .
 
 # Host-benchmark regression gate: re-measure the warm-start layer and

@@ -206,7 +206,10 @@ func (t *faultTarget) buildCheckpoints(k int) ([]*sim.Snapshot, *sim.Liveness, *
 	return ckpts, lv, &golden, nil
 }
 
-// RunSiteBuf is RunBuf for one fault site, fast-forwarded: restore the
+// RunSiteBuf is RunBuf for one fault site, fast-forwarded: return the
+// golden observation without a machine when the golden run's schedules
+// show the fault never acts (Liveness.Inert, a dma-bit site past the last
+// DMA offer, a stuck lane no output reaches); otherwise restore the
 // nearest prepared checkpoint at or before the first instruction the
 // fault can change, simulate the fault-free prefix on the unobserved hot
 // path, attach the injector — for the firing instruction of a transient
@@ -250,6 +253,14 @@ func (t *faultTarget) RunSiteBuf(f fault.Fault, maxCycles int64, buf []byte) (ob
 	// golden remainder gives the lane nothing to change.
 	target, floor := f.At, int64(0)
 	switch f.Model {
+	case fault.ModelSpadBit, fault.ModelGPRBit, fault.ModelFetchBit:
+		if lv.Inert(f) {
+			// The flip lands in a location the golden run never reads
+			// again, or leaves the fetched instruction as it was: the run
+			// is the golden run.
+			t.suite.sm().ffConverged()
+			return goldenObservation(golden, buf)
+		}
 	case fault.ModelDMABit:
 		offer, ok := lv.DMAOfferAfter(f.At)
 		if !ok {

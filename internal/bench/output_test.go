@@ -44,6 +44,23 @@ func declaredBytes(p *codegen.Program) int {
 	return n
 }
 
+// outputAttr returns the "output" attribute of the bundle's first
+// sim.run span, and whether there is one.
+func outputAttr(b *reqtrace.Bundle) (string, bool) {
+	for _, sp := range b.Spans {
+		if sp.Name != "sim.run" {
+			continue
+		}
+		for _, a := range sp.Attrs {
+			if a.Key == "output" {
+				v, ok := a.Value.(string)
+				return v, ok
+			}
+		}
+	}
+	return "", false
+}
+
 // runCheck runs one recorded RunOnce and returns its "output" attribute.
 func runCheck(t *testing.T, s *Suite, name string) string {
 	t.Helper()
@@ -51,7 +68,7 @@ func runCheck(t *testing.T, s *Suite, name string) string {
 	if _, err := s.RunOnce(reqtrace.With(context.Background(), rec), name); err != nil {
 		t.Fatal(err)
 	}
-	check, ok := rec.Finish().StrAttr("sim.run", "output")
+	check, ok := outputAttr(rec.Finish())
 	if !ok {
 		t.Fatalf("%s: sim.run has no output attribute", name)
 	}
@@ -143,7 +160,7 @@ func TestConcurrentFirstRunsRecordOnce(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			checks[i], _ = rec.Finish().StrAttr("sim.run", "output")
+			checks[i], _ = outputAttr(rec.Finish())
 		}(i)
 	}
 	wg.Wait()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math/bits"
 
 	"cambricon/internal/fixed"
@@ -132,37 +133,43 @@ func (t *paged) WriteNums(addr int, ns []fixed.Num) error {
 }
 
 // SparseImage is a page-sparse copy of a memory's contents: only the
-// 4 KiB pages holding at least one nonzero byte are stored. Benchmarks
-// touch well under 1 MiB of the 16 MiB main memory and a few pages of
-// each scratchpad, so a sparse image is a small fraction of a dense
-// copy. A SparseImage is immutable once captured and safe to share
-// across goroutines.
+// 4 KiB pages holding at least one nonzero byte are stored, each in a
+// slice of its own. Benchmarks touch well under 1 MiB of the 16 MiB main
+// memory and a few pages of each scratchpad, so a sparse image is a
+// small fraction of a dense copy. An image captured relative to another
+// (SparseImageFrom) holds the other's slice for every page it did not
+// copy, so two images that hold the same slice for a page hold the same
+// bytes there. A SparseImage is immutable once captured and safe to
+// share across goroutines.
 type SparseImage struct {
 	size int
-	// pos maps a page index to its offset (in pages) within data; pages
-	// absent from the map are all-zero. data packs the stored pages
-	// contiguously (the last stored page may be short when size is not
-	// page-aligned).
-	pos  map[int]int
-	data []byte
+	// pages maps a page index to its stored contents; pages absent from
+	// the map are all-zero. Only the memory's last page may be short.
+	pages map[int][]byte
 }
 
 // Size returns the capacity of the memory the image was captured from.
 func (s *SparseImage) Size() int { return s.size }
 
-// Bytes returns the resident size of the image — the bytes actually
-// stored, what a dense copy of len Size() collapses to.
-func (s *SparseImage) Bytes() int { return len(s.data) }
+// Bytes returns the resident size of the image — the bytes it stores,
+// what a dense copy of len Size() collapses to. A page the image shares
+// with another image counts in both.
+func (s *SparseImage) Bytes() int {
+	n := 0
+	for _, b := range s.pages {
+		n += len(b)
+	}
+	return n
+}
 
 // Page returns the stored contents of page p, or nil when the page is
 // all-zero. The returned slice aliases the image and must not be mutated.
-func (s *SparseImage) Page(p int) []byte {
-	i, ok := s.pos[p]
-	if !ok {
-		return nil
-	}
-	lo := i * PageBytes
-	return s.data[lo:min(lo+PageBytes, len(s.data))]
+func (s *SparseImage) Page(p int) []byte { return s.pages[p] }
+
+// samePage reports whether a and b are one stored slice, which holds one
+// content: a page shared by reference between two images.
+func samePage(a, b []byte) bool {
+	return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0]
 }
 
 // ZeroSparseImage builds the sparse image of an all-zero memory of the
@@ -170,11 +177,11 @@ func (s *SparseImage) Page(p int) []byte {
 // is how the bench pool synthesizes a pristine (post-construction)
 // snapshot without ever capturing one from a machine.
 func ZeroSparseImage(size int) *SparseImage {
-	return &SparseImage{size: size, pos: map[int]int{}}
+	return &SparseImage{size: size, pages: map[int][]byte{}}
 }
 
 // SparseImage captures the current contents as a page-sparse image
-// (snapshot capture).
+// (snapshot capture), testing every page for a nonzero byte.
 func (t *paged) SparseImage() *SparseImage {
 	var nonzero []int
 	for p := 0; ; p++ {
@@ -186,16 +193,52 @@ func (t *paged) SparseImage() *SparseImage {
 			nonzero = append(nonzero, p)
 		}
 	}
-	s := &SparseImage{size: len(t.data), pos: make(map[int]int, len(nonzero))}
-	// The final stored page is the only one allowed to be short, so a
-	// short (unaligned) last memory page is packed last regardless of
-	// capture order — here order is ascending, which already guarantees it.
-	for i, p := range nonzero {
-		s.pos[p] = i
-		lo, hi, _ := t.pageSpan(p)
-		s.data = append(s.data, t.data[lo:hi]...)
-	}
+	s := &SparseImage{size: len(t.data), pages: make(map[int][]byte, len(nonzero))}
+	t.storePages(s, nonzero)
 	return s
+}
+
+// SparseImageFrom captures the current contents relative to base, the
+// image the memory was last restored from or captured into: with
+// tracking live the contents are base plus the dirty pages, so only the
+// dirty pages are tested and copied, a dirty page that is all-zero again
+// is dropped, and every other page of base is shared by reference.
+// Without tracking, or with a nil base or one of another capacity,
+// there is no such relation and it captures like SparseImage.
+func (t *paged) SparseImageFrom(base *SparseImage) *SparseImage {
+	if t.dirty == nil || base == nil || base.size != len(t.data) {
+		return t.SparseImage()
+	}
+	s := &SparseImage{size: len(t.data), pages: maps.Clone(base.pages)}
+	var nonzero []int
+	for w, word := range t.dirty {
+		for ; word != 0; word &= word - 1 {
+			p := w<<6 + bits.TrailingZeros64(word)
+			lo, hi, _ := t.pageSpan(p)
+			if bytes.Equal(t.data[lo:hi], zeroPage[:hi-lo]) {
+				delete(s.pages, p)
+			} else {
+				nonzero = append(nonzero, p)
+			}
+		}
+	}
+	t.storePages(s, nonzero)
+	return s
+}
+
+// storePages copies pages into s, all of them in one allocation.
+func (t *paged) storePages(s *SparseImage, pages []int) {
+	n := 0
+	for _, p := range pages {
+		lo, hi, _ := t.pageSpan(p)
+		n += hi - lo
+	}
+	buf := make([]byte, n)
+	for _, p := range pages {
+		lo, hi, _ := t.pageSpan(p)
+		k := copy(buf, t.data[lo:hi])
+		s.pages[p], buf = buf[:k:k], buf[k:]
+	}
 }
 
 // Tracking reports whether dirty-page tracking is active — i.e. whether
@@ -231,18 +274,27 @@ func (t *paged) markDirty(addr, n int) {
 	}
 }
 
-// MarkPagesDirty marks every page the image stores as dirty (no-op
-// without tracking). Marking the resident pages of both the previously
-// restored image and the next one — on top of whatever was dirtied
-// since — bounds every page that can differ between the current contents
-// and the next image, which lets RestoreFromSparse switch a tracked
-// memory between snapshots with a dirty-walk instead of a full rebuild.
-func (t *paged) MarkPagesDirty(img *SparseImage) {
-	if t.dirty == nil || img == nil {
+// MarkChangedPages marks dirty every page that from and to do not
+// share by reference (no-op without tracking): a page stored by one image
+// only, or by both in different slices. With the contents "from + dirty
+// pages", that bounds every page that can differ from to, which lets
+// RestoreFromSparse switch a tracked memory from one image to the other
+// with a dirty-walk instead of a full rebuild. Images captured relative
+// to each other share their unchanged pages, so a switch between them
+// copies only the pages that changed; unrelated images share none.
+func (t *paged) MarkChangedPages(from, to *SparseImage) {
+	if t.dirty == nil {
 		return
 	}
-	for p := range img.pos {
-		t.dirty[p>>6] |= 1 << (uint(p) & 63)
+	for p, b := range from.pages {
+		if !samePage(b, to.pages[p]) {
+			t.dirty[p>>6] |= 1 << (uint(p) & 63)
+		}
+	}
+	for p := range to.pages {
+		if _, ok := from.pages[p]; !ok {
+			t.dirty[p>>6] |= 1 << (uint(p) & 63)
+		}
 	}
 }
 

@@ -131,8 +131,8 @@ func TestSparseImageRoundTrip(t *testing.T) {
 	if img.Size() != len(m.data) {
 		t.Fatalf("SparseImage.Size() = %d, want %d", img.Size(), len(m.data))
 	}
-	if len(img.pos) != 2 {
-		t.Fatalf("SparseImage stores %d pages, want 2 (pages 1 and 4)", len(img.pos))
+	if len(img.pages) != 2 {
+		t.Fatalf("SparseImage stores %d pages, want 2 (pages 1 and 4)", len(img.pages))
 	}
 	if want := PageBytes + 100; img.Bytes() != want {
 		t.Fatalf("SparseImage.Bytes() = %d, want %d (one full + the short last page)", img.Bytes(), want)

@@ -363,16 +363,6 @@ func (b *Bundle) IntAttr(span, key string) (int64, bool) {
 	return i, ok
 }
 
-// StrAttr returns the first string attribute key on a span named span.
-func (b *Bundle) StrAttr(span, key string) (string, bool) {
-	v, ok := b.attr(span, key)
-	if !ok {
-		return "", false
-	}
-	s, ok := v.(string)
-	return s, ok
-}
-
 func (b *Bundle) attr(span, key string) (any, bool) {
 	if b == nil {
 		return nil, false

@@ -155,7 +155,7 @@ func (m *Machine) runDecoded(ctx context.Context) (Stats, error) {
 		m.stats.ByType[d.Type]++
 		m.stats.ByOpcode[d.Inst.Op]++
 		if m.rec != nil {
-			m.rec.record(n, d.Src(), &m.eff)
+			m.rec.record(n, d.Word, d.Src(), &m.eff)
 		}
 		if tracing {
 			// The tracer consumes the event's stall attribution, which

@@ -59,3 +59,17 @@ func DiffPages(a, b *Snapshot, sp int) []int {
 	}
 	return pages
 }
+
+// CaptureDiffPages returns the pages of memory sp where the snapshot's
+// image differs from a full capture of the machine's memory: the pages
+// stored by one of the two only, or by both with other bytes.
+func (m *Machine) CaptureDiffPages(s *Snapshot, sp int) []int {
+	full := [3]*mem.SparseImage{spaceMain: m.main.SparseImage(), spaceVec: m.vspad.SparseImage(), spaceMat: m.mspad.SparseImage()}[sp]
+	var pages []int
+	for p := 0; p*mem.PageBytes < full.Size(); p++ {
+		if !bytes.Equal(full.Page(p), s.img[sp].Page(p)) {
+			pages = append(pages, p)
+		}
+	}
+	return pages
+}

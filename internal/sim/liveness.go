@@ -45,6 +45,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"cambricon/internal/core"
@@ -69,6 +70,9 @@ type accessRec struct {
 // condensed into a Liveness it is no longer needed.
 type AccessTrace struct {
 	recs []accessRec
+	// words holds each dynamic instruction's fetched 64-bit encoding,
+	// the word a fetch-bit fault at that index corrupts.
+	words []uint64
 	// dma holds the dynamic indices of instructions that offer an
 	// in-flight DMA payload to an attached injector (transfers with a
 	// non-empty payload), ascending.
@@ -90,9 +94,9 @@ func NewAccessTrace() *AccessTrace { return &AccessTrace{} }
 // statistics, cycles or behaviour.
 func (m *Machine) SetAccessTrace(t *AccessTrace) { m.rec = t }
 
-// record appends one committed instruction. idx is its dynamic index
-// (stats.Instructions after the increment, minus one).
-func (t *AccessTrace) record(idx int64, src []uint8, e *effect) {
+// record appends one committed instruction, fetched as word. idx is its
+// dynamic index (stats.Instructions after the increment, minus one).
+func (t *AccessTrace) record(idx int64, word uint64, src []uint8, e *effect) {
 	if idx != int64(len(t.recs)) {
 		t.bad = true
 		return
@@ -101,6 +105,7 @@ func (t *AccessTrace) record(idx int64, src []uint8, e *effect) {
 	r.nSrc = uint8(len(src))
 	copy(r.src[:], src)
 	t.recs = append(t.recs, r)
+	t.words = append(t.words, word)
 	if e.isDMA && e.dmaBytes > 0 {
 		t.dma = append(t.dma, idx)
 	}
@@ -139,16 +144,20 @@ type pageWrite struct {
 // Liveness is the condensed read schedule of a recorded golden run: for
 // every scalar register and every 16-bit scratchpad word, the last
 // dynamic instruction index that reads it (-1 = never read); plus the
-// run's DMA-offer indices, its lane-reach schedule (LaneReach) and its
-// write schedule, the pages each instruction wrote in each of the three
-// memories. A location whose last read is before boundary j is dead at
-// j: a faulted run whose state differs from the golden run only in dead
-// locations commits an identical remainder. A Liveness is immutable and
-// safe to share across campaign workers.
+// run's fetched words, its DMA-offer indices, its lane-reach schedule
+// (LaneReach) and its write schedule, the pages each instruction wrote
+// in each of the three memories. A location whose last read is before
+// boundary j is dead at j: a faulted run whose state differs from the
+// golden run only in dead locations commits an identical remainder. A
+// Liveness is immutable and safe to share across campaign workers.
 type Liveness struct {
-	gprLast   [core.NumGPRs]int64
-	vspadLast []int64 // per 16-bit word
-	mspadLast []int64
+	gprLast [core.NumGPRs]int64
+	// vspadLast and mspadLast hold a last-read index per 16-bit word of
+	// each scratchpad, as int32: they span every word of both pads, so
+	// their width is most of a Liveness's size.
+	vspadLast []int32
+	mspadLast []int32
+	words     []uint64
 	dma       []int64
 	writes    []pageWrite
 	// lanes holds, per fault.Unit, the reach of each lane an output ever
@@ -160,17 +169,22 @@ type Liveness struct {
 
 // Liveness condenses the recorded run against the machine geometry it
 // was recorded on. It fails when the trace is unusable (recording did
-// not cover a complete run from instruction 0).
+// not cover a complete run from instruction 0) or longer than an int32
+// last-read index can number.
 func (t *AccessTrace) Liveness(cfg Config) (*Liveness, error) {
 	if t.bad {
 		return nil, fmt.Errorf("sim: access trace did not cover a complete run from instruction 0")
+	}
+	if len(t.recs) > math.MaxInt32 {
+		return nil, fmt.Errorf("sim: access trace of %d instructions is longer than the %d a liveness indexes", len(t.recs), math.MaxInt32)
 	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	lv := &Liveness{
-		vspadLast: make([]int64, cfg.VectorSpadBytes/2),
-		mspadLast: make([]int64, cfg.MatrixSpadBytes/2),
+		vspadLast: make([]int32, cfg.VectorSpadBytes/2),
+		mspadLast: make([]int32, cfg.MatrixSpadBytes/2),
+		words:     t.words,
 		dma:       t.dma,
 	}
 	for i := range lv.gprLast {
@@ -220,7 +234,7 @@ func (t *AccessTrace) Liveness(cfg Config) (*Liveness, error) {
 				hi = len(last) - 1
 			}
 			for w := lo; w <= hi; w++ {
-				last[w] = idx
+				last[w] = int32(idx)
 			}
 		}
 	}
@@ -269,6 +283,38 @@ func (lv *Liveness) LaneReach(unit fault.Unit, lane int) (first, last int64, ok 
 		return 0, 0, false
 	}
 	return spans[l].first, spans[l].last, true
+}
+
+// Inert reports whether the transient fault f provably leaves the run
+// golden: a spad-bit or gpr-bit flip of a location the golden run last
+// reads before f.At (the deadness rule ConvergedWith applies at
+// checkpoint boundaries), or a fetch-bit flip of a word that still
+// decodes to the instruction the golden run fetched at f.At. Stuck lanes,
+// dma-bit faults, flips of words outside the scratchpad and fetches
+// outside the recorded run are never inert.
+func (lv *Liveness) Inert(f fault.Fault) bool {
+	switch f.Model {
+	case fault.ModelSpadBit:
+		last := lv.vspadLast
+		if f.Space == fault.SpaceMatrix {
+			last = lv.mspadLast
+		}
+		return f.Word >= 0 && f.Word < len(last) && int64(last[f.Word]) < f.At
+	case fault.ModelGPRBit:
+		return lv.gprLast[int(f.Reg)%core.NumGPRs] < f.At
+	case fault.ModelFetchBit:
+		if f.At < 0 || f.At >= int64(len(lv.words)) {
+			return false
+		}
+		w := lv.words[f.At]
+		golden, err := core.Decode(w)
+		if err != nil {
+			return false
+		}
+		flipped, err := core.Decode(w ^ 1<<(f.Bit%64))
+		return err == nil && flipped == golden
+	}
+	return false
 }
 
 // DMAOfferAfter returns the dynamic index of the golden run's first DMA
@@ -385,7 +431,7 @@ func (m *Machine) ConvergedWith(s *Snapshot, lv *Liveness) (converged bool, retr
 	// (main outputs are what the observation serializes, so no liveness
 	// slack is taken there); a scratchpad may differ in up to
 	// maxDiffWords words, each of which must be dead.
-	lastRead := [3][]int64{spaceVec: lv.vspadLast, spaceMat: lv.mspadLast}
+	lastRead := [3][]int32{spaceVec: lv.vspadLast, spaceMat: lv.mspadLast}
 	for sp, mm := range m.memories() {
 		pages, ok := m.pageBound(space(sp), lv, j)
 		if !ok {
@@ -410,7 +456,7 @@ func (m *Machine) ConvergedWith(s *Snapshot, lv *Liveness) (converged bool, retr
 			if w >= len(last) {
 				return false, 0
 			}
-			need(last[w])
+			need(int64(last[w]))
 		}
 	}
 	if retry >= 0 {

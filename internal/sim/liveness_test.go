@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"testing"
 
+	"cambricon/internal/core"
 	"cambricon/internal/fault"
 )
 
@@ -139,7 +140,7 @@ func TestConvergedWith(t *testing.T) {
 	// Word 0 (vspad region A) is re-read by every remaining loop
 	// iteration: a difference there is live at j2, and the retry hint
 	// points past its last read.
-	if lv.vspadLast[0] < j2 {
+	if int64(lv.vspadLast[0]) < j2 {
 		t.Fatalf("kernel's region A is not read after j2 (last read %d); test premise broken", lv.vspadLast[0])
 	}
 	if !m.vspad.FlipBit(0, 0) {
@@ -149,7 +150,7 @@ func TestConvergedWith(t *testing.T) {
 	if conv {
 		t.Fatal("a live scratchpad difference was accepted")
 	}
-	if retry != lv.vspadLast[0]+1 {
+	if retry != int64(lv.vspadLast[0])+1 {
 		t.Fatalf("retry hint %d, want last read + 1 = %d", retry, lv.vspadLast[0]+1)
 	}
 }
@@ -326,6 +327,75 @@ func TestLivenessLaneReach(t *testing.T) {
 			if f != first || l != last {
 				t.Fatalf("%v lane %d: schedule says [%d, %d], the stuck lane applied over [%d, %d]", unit, lane, f, l, first, last)
 			}
+		}
+	}
+}
+
+// TestLivenessInert pins the rule that lets a campaign skip a transient
+// site without a machine: a spad-bit or gpr-bit flip is inert exactly
+// when the golden run's last read of the location comes before the
+// site's index, and a fetch-bit flip exactly when the corrupted word
+// decodes to the golden instruction.
+func TestLivenessInert(t *testing.T) {
+	cfg := DefaultConfig()
+	_, _, st, lv := recordGolden(t, cfg, true)
+
+	// ckptKernel's vector region A (word 0) and register $10 are read on
+	// every loop iteration: a flip at the last read still reaches it, a
+	// flip after it does not.
+	spad := fault.Fault{Model: fault.ModelSpadBit, Space: fault.SpaceVector, Word: 0, Bit: 3}
+	gpr := fault.Fault{Model: fault.ModelGPRBit, Reg: 10, Bit: 3}
+	for _, c := range []struct {
+		f    fault.Fault
+		last int64
+	}{{spad, int64(lv.vspadLast[0])}, {gpr, lv.gprLast[10]}} {
+		if c.last <= 0 || c.last >= st.Instructions {
+			t.Fatalf("%v: last read %d, not inside the %d-instruction run", c.f, c.last, st.Instructions)
+		}
+		for at, want := range map[int64]bool{c.last - 1: false, c.last: false, c.last + 1: true} {
+			c.f.At = at
+			if got := lv.Inert(c.f); got != want {
+				t.Errorf("%v (last read #%d): inert %v, want %v", c.f, c.last, got, want)
+			}
+		}
+	}
+	// The matrix pad is never read; a word past its end is not a flip.
+	never := fault.Fault{Model: fault.ModelSpadBit, Space: fault.SpaceMatrix, Word: 5}
+	if !lv.Inert(never) {
+		t.Error("a flip of a matrix word the run never reads is not inert")
+	}
+	never.Word = cfg.MatrixSpadBytes / 2
+	if lv.Inert(never) {
+		t.Error("a flip past the end of the matrix pad is inert")
+	}
+
+	// Instruction 0 is SMOVE $1, #32: bit 40 lies in a register field
+	// the format does not use, bit 0 in the immediate, and bit 63 makes
+	// the opcode invalid.
+	w := lv.words[0]
+	golden, err := core.Decode(w)
+	if err != nil || golden.Op != core.SMOVE {
+		t.Fatalf("instruction 0 decodes to %v, %v; want the kernel's SMOVE", golden, err)
+	}
+	for bit, want := range map[uint8]bool{40: true, 0: false, 63: false} {
+		inst, err := core.Decode(w ^ 1<<bit)
+		if (err == nil && inst == golden) != want {
+			t.Fatalf("bit %d: decodes to %v, %v; the kernel no longer tests inert %v", bit, inst, err, want)
+		}
+		if bit == 63 && err == nil {
+			t.Fatalf("bit 63 decodes to %v; want an invalid opcode", inst)
+		}
+		f := fault.Fault{Model: fault.ModelFetchBit, At: 0, Bit: bit}
+		if got := lv.Inert(f); got != want {
+			t.Errorf("%v: inert %v, want %v", f, got, want)
+		}
+	}
+	if lv.Inert(fault.Fault{Model: fault.ModelFetchBit, At: st.Instructions, Bit: 40}) {
+		t.Error("a fetch past the end of the run is inert")
+	}
+	for _, f := range []fault.Fault{{Model: fault.ModelDMABit}, {Model: fault.ModelStuckLane}} {
+		if lv.Inert(f) {
+			t.Errorf("%v is inert; only the three point models can be", f)
 		}
 	}
 }

@@ -55,8 +55,9 @@ type Machine struct {
 
 	// lastSnap remembers which Snapshot this machine's memory dirty
 	// tracking is relative to: Restore to the same snapshot copies only
-	// dirty pages, to another one also the pages resident in either
-	// image (everything when the machine tracks no writes).
+	// dirty pages, to another one also the pages the two images do not
+	// share (everything when the machine tracks no writes), and Snapshot
+	// copies only dirty pages, sharing the rest with it.
 	// lastRestoreBytes is the copy volume of the most recent Restore.
 	lastSnap         *Snapshot
 	lastRestoreBytes int

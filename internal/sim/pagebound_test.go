@@ -15,7 +15,9 @@ import (
 // included — in any of the three memories is inside the bound a machine
 // restored at i compares against j. A machine that has run nothing since
 // the restore has no dirty pages, so the bound is exactly the pages the
-// recorded golden writes in [i, j) cover.
+// recorded golden writes in [i, j) cover. Each checkpoint, captured
+// relative to the one before it, must also equal a full capture of the
+// machine's memories page for page.
 func TestCheckpointPageDiffsWithinRecordedWrites(t *testing.T) {
 	s := bench.NewSuite(7)
 	progs, err := s.Programs()
@@ -59,7 +61,13 @@ func TestCheckpointPageDiffsWithinRecordedWrites(t *testing.T) {
 			if _, done, err := m.RunUntil(at); err != nil || done {
 				t.Fatalf("%s: RunUntil(%d): done=%v err=%v", p.Name, at, done, err)
 			}
-			ckpts = append(ckpts, m.Snapshot())
+			c := m.Snapshot()
+			for sp, name := range sim.MemoryNames {
+				if pages := m.CaptureDiffPages(c, sp); pages != nil {
+					t.Errorf("%s: checkpoint at %d: %s pages %v differ from a full capture", p.Name, at, name, pages)
+				}
+			}
+			ckpts = append(ckpts, c)
 		}
 		for i, a := range ckpts {
 			for _, b := range ckpts[i+1:] {

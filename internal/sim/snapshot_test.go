@@ -288,3 +288,178 @@ func TestRestoreZeroesStaleDirtyPages(t *testing.T) {
 		t.Fatalf("post-restore stats = %+v, want %+v", st, wantSt)
 	}
 }
+
+// twoPhaseKernel writes new pages in two phases: it loads main page 0 into
+// vector-scratchpad page 2 and matrix-scratchpad page 5 (dynamic indices
+// 4 and 5), then stores the vector to main page 10 (index 6), adds it
+// into vector page 3 (index 7) and stores that to main page 12 (index
+// 8).
+const twoPhaseKernel = `
+	SMOVE  $1, #32
+	SMOVE  $2, #8192
+	SMOVE  $3, #20480
+	SMOVE  $4, #12288
+	VLOAD  $2, $1, #1000
+	MLOAD  $3, $1, #1000
+	VSTORE $2, $1, #40960
+	VAV    $4, $1, $2, $2
+	VSTORE $4, $1, #49152
+`
+
+// pageSpanBytes is the size of page p of memory sp under cfg (the last
+// page may be short).
+func pageSpanBytes(cfg *Config, sp space, p int) int {
+	return min(mem.PageBytes, cfg.memBytes(sp)-p*mem.PageBytes)
+}
+
+// unsharedPages returns, ascending, the pages of memory sp that a and b
+// do not hold in one shared slice: stored by one of them only, or by
+// both in slices of their own.
+func unsharedPages(a, b *Snapshot, sp space) []int {
+	ia, ib := a.img[sp], b.img[sp]
+	var pages []int
+	for p := 0; p*mem.PageBytes < ia.Size(); p++ {
+		x, y := ia.Page(p), ib.Page(p)
+		if (x != nil || y != nil) && (len(x) == 0 || len(y) == 0 || &x[0] != &y[0]) {
+			pages = append(pages, p)
+		}
+	}
+	return pages
+}
+
+// storedPages returns, ascending, the pages of memory sp that s stores.
+func storedPages(s *Snapshot, sp space) []int {
+	var pages []int
+	for p := 0; p*mem.PageBytes < s.img[sp].Size(); p++ {
+		if s.img[sp].Page(p) != nil {
+			pages = append(pages, p)
+		}
+	}
+	return pages
+}
+
+// unionBytes sums the spans of the distinct pages of memory sp in sets.
+func unionBytes(cfg *Config, sp space, sets ...[]int) int {
+	seen := map[int]bool{}
+	n := 0
+	for _, set := range sets {
+		for _, p := range set {
+			if !seen[p] {
+				seen[p] = true
+				n += pageSpanBytes(cfg, sp, p)
+			}
+		}
+	}
+	return n
+}
+
+// requireHolds fails the test unless every memory of m holds exactly the
+// images of s, by a full capture of each.
+func requireHolds(t *testing.T, m *Machine, s *Snapshot) {
+	t.Helper()
+	for sp, name := range MemoryNames {
+		if pages := m.CaptureDiffPages(s, sp); pages != nil {
+			t.Fatalf("%s pages %v differ from the restored snapshot", name, pages)
+		}
+	}
+}
+
+// TestCheckpointSwitchCopiesUnsharedPages pins copy-on-capture: a
+// checkpoint captured on a machine that tracks its writes shares every
+// page nothing wrote since the previous one, and restoring a machine
+// from one checkpoint to the next copies only the pages the machine
+// dirtied or the two checkpoints do not share, not every page either
+// stores.
+func TestCheckpointSwitchCopiesUnsharedPages(t *testing.T) {
+	cfg := snapConfig()
+	m := mustNew(t, cfg)
+	snapInit(t, m)
+	m.LoadProgram(mustAssemble(t, twoPhaseKernel).Instructions)
+	m.Snapshot()
+	var ckpts [2]*Snapshot
+	for i, at := range []int64{6, 8} {
+		if _, _, err := m.RunUntil(at); err != nil {
+			t.Fatal(err)
+		}
+		ckpts[i] = m.Snapshot()
+	}
+	c1, c2 := ckpts[0], ckpts[1]
+	wantUnshared := [3][]int{spaceMain: {10}, spaceVec: {3}}
+	for sp := range wantUnshared {
+		if got := unsharedPages(c1, c2, space(sp)); !reflect.DeepEqual(got, wantUnshared[sp]) {
+			t.Fatalf("%s: checkpoints do not share pages %v, want %v", MemoryNames[sp], got, wantUnshared[sp])
+		}
+	}
+
+	// A fault site's machine: restored to the first checkpoint, run to
+	// the end (dirtying main pages 10 and 12 and vector page 3), then
+	// restored to the second.
+	if err := m.Restore(c1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Resume(); err != nil {
+		t.Fatal(err)
+	}
+	want, stored := 0, 0
+	for sp, mm := range m.memories() {
+		dirty, ok := mm.AppendDirtyPages(nil)
+		if !ok {
+			t.Fatalf("%s: no dirty tracking after a restore", MemoryNames[sp])
+		}
+		want += unionBytes(&cfg, space(sp), dirty, unsharedPages(c1, c2, space(sp)))
+		stored += unionBytes(&cfg, space(sp), dirty, storedPages(c1, space(sp)), storedPages(c2, space(sp)))
+	}
+	if err := m.Restore(c2); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.LastRestoreBytes(); got != want || want != 3*mem.PageBytes || stored != 6*mem.PageBytes {
+		t.Fatalf("switch copied %d bytes, want %d (3 pages, not the %d bytes of every page either stores)", got, want, stored)
+	}
+	requireHolds(t, m, c2)
+}
+
+// TestSnapshotSwitchBetweenUnrelatedPrograms pins the switch between
+// snapshots captured on separate machines, which share no page: it
+// copies every page the machine dirtied or either snapshot stores, and
+// leaves the machine holding exactly the new snapshot, both ways.
+func TestSnapshotSwitchBetweenUnrelatedPrograms(t *testing.T) {
+	cfg := snapConfig()
+	prepare := func(src string, words map[int]uint32) *Snapshot {
+		d := mustNew(t, cfg)
+		for addr, v := range words {
+			if err := d.WriteMainWord(addr, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d.LoadProgram(mustAssemble(t, src).Instructions)
+		return d.Snapshot()
+	}
+	// Each stores main page 0 (its input) and a page the other does not
+	// store: main page 20 and main page 30.
+	a := prepare(snapKernel, map[int]uint32{1000: 0x00400040, 20 * mem.PageBytes: 7})
+	b := prepare(pageKernel, map[int]uint32{1004: 0x00800080, 30 * mem.PageBytes: 9})
+
+	m := mustNew(t, cfg)
+	if err := m.Restore(a); err != nil {
+		t.Fatal(err)
+	}
+	from, to := a, b
+	for round := 0; round < 4; round++ {
+		if _, err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		for sp, mm := range m.memories() {
+			dirty, _ := mm.AppendDirtyPages(nil)
+			want += unionBytes(&cfg, space(sp), dirty, storedPages(from, space(sp)), storedPages(to, space(sp)))
+		}
+		if err := m.Restore(to); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.LastRestoreBytes(); got != want {
+			t.Fatalf("round %d: switch copied %d bytes, want %d", round, got, want)
+		}
+		requireHolds(t, m, to)
+		from, to = to, from
+	}
+}
