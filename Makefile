@@ -57,11 +57,11 @@ portable:
 # They cover the simulator's instruction kernels, the scratchpad views,
 # and the fixed-point and float64 matrix-vector kernels under them, the
 # suite, stuck-lane fault sites replayed and fast-forwarded, a campaign's
-# golden runs and checkpoint capture, and the root package's served runs
-# of single benchmarks.
+# golden runs and checkpoint capture, a whole campaign on two site
+# workers, and the root package's served runs of single benchmarks.
 bench:
 	$(GO) test -run '^$$' -bench 'Kernel|AccessCycles|NumsView' -benchmem -benchtime 50x ./internal/sim ./internal/mem ./internal/fixed ./internal/nn
-	$(GO) test -run '^$$' -bench 'SuiteSerial|SuiteParallel|StuckLaneSites|PrepareCheckpoints' -benchmem -benchtime 2x ./internal/bench
+	$(GO) test -run '^$$' -bench 'SuiteSerial|SuiteParallel|StuckLaneSites|PrepareCheckpoints|TwoWorkerCampaign' -benchmem -benchtime 2x ./internal/bench
 	$(GO) test -run '^$$' -bench 'Simulate' -benchmem -benchtime 2x .
 
 # Host-benchmark regression gate: re-measure the warm-start layer and

@@ -501,3 +501,31 @@ func BenchmarkPrepareCheckpoints(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTwoWorkerCampaign times the campaign perfbench runs: all ten
+// targets, 100 sites each over the five fault models, 8 checkpoints,
+// one target at a time with two site workers. Each iteration is one
+// campaign, golden runs included; us/site divides its wall time by the
+// sites it classified. With one CPU the two workers take turns; with
+// two it shows whether they keep both busy.
+func BenchmarkTwoWorkerCampaign(b *testing.B) {
+	const sites = 100
+	s := NewSuite(7)
+	targets, err := s.FaultTargets()
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := fault.Campaign{Seed: s.Seed, Sites: sites, Workers: 2, TargetWorkers: 1, Checkpoints: 8}
+	// Untimed: generation, snapshots, checkpoints.
+	if _, err := c.Run(context.Background(), targets); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Run(context.Background(), targets); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*sites*len(targets)), "us/site")
+}

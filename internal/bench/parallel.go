@@ -4,8 +4,8 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 
+	"cambricon/internal/claim"
 	"cambricon/internal/sim"
 	"cambricon/internal/workload"
 )
@@ -34,11 +34,12 @@ type Result struct {
 // statistics are bit-identical for every worker count.
 //
 // The first per-benchmark error is returned after all workers drain, with
-// every completed Result still populated. Cancelling ctx stops dispatching
-// new benchmarks and returns ctx.Err(); already-running simulations stop at
-// their next cancellation poll point and are not cached, so every worker
-// goroutine exits promptly. A panic inside one benchmark is recovered into
-// that benchmark's Result.Err instead of crashing the pool.
+// every completed Result still populated. Cancelling ctx stops the workers
+// claiming new benchmarks, and RunAll returns ctx.Err() when that left one
+// unrun; already-running simulations stop at their next cancellation poll
+// point and are not cached, so every worker goroutine exits promptly. A
+// panic inside one benchmark is recovered into that benchmark's
+// Result.Err instead of crashing the pool.
 func (s *Suite) RunAll(ctx context.Context, workers int) ([]Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -54,55 +55,23 @@ func (s *Suite) RunAll(ctx context.Context, workers int) ([]Result, error) {
 	for i := range results {
 		results[i].Name = benches[i].Name
 	}
-	if workers > len(benches) {
-		workers = len(benches)
-	}
-
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				r := &results[i]
-				// A panic in one benchmark becomes that benchmark's
-				// error; the worker survives to drain its queue.
-				func() {
-					defer func() {
-						if rec := recover(); rec != nil {
-							r.Err = fmt.Errorf("bench: %s: panic: %v", r.Name, rec)
-						}
-					}()
-					r.Stats, r.Err = s.StatsCtx(ctx, r.Name)
-					if r.Err == nil {
-						cycles, _, ok, err := s.DaDianNao(r.Name)
-						r.DDNCycles, r.DDNOK, r.Err = cycles, ok, err
-					}
-				}()
+	err := claim.Each(ctx, len(benches), workers, func(_, i int) {
+		r := &results[i]
+		// A panic in one benchmark becomes that benchmark's error; the
+		// worker survives to claim the next.
+		defer func() {
+			if rec := recover(); rec != nil {
+				r.Err = fmt.Errorf("bench: %s: panic: %v", r.Name, rec)
 			}
 		}()
-	}
-	var ctxErr error
-	for i := range benches {
-		// Checked before the select so an already-cancelled context
-		// deterministically dispatches nothing.
-		if ctxErr = ctx.Err(); ctxErr != nil {
-			break
+		r.Stats, r.Err = s.StatsCtx(ctx, r.Name)
+		if r.Err == nil {
+			cycles, _, ok, err := s.DaDianNao(r.Name)
+			r.DDNCycles, r.DDNOK, r.Err = cycles, ok, err
 		}
-		select {
-		case <-ctx.Done():
-			ctxErr = ctx.Err()
-		case jobs <- i:
-		}
-		if ctxErr != nil {
-			break
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if ctxErr != nil {
-		return results, ctxErr
+	})
+	if err != nil {
+		return results, err
 	}
 	for i := range results {
 		if results[i].Err != nil {

@@ -7,8 +7,8 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 
+	"cambricon/internal/claim"
 	"cambricon/internal/metrics"
 )
 
@@ -209,9 +209,6 @@ func (c *Campaign) Run(ctx context.Context, targets []Target) (*Report, error) {
 	if outer <= 0 {
 		outer = runtime.GOMAXPROCS(0)
 	}
-	if outer > len(targets) {
-		outer = len(targets)
-	}
 	rep := &Report{
 		Schema:         Schema,
 		Seed:           c.Seed,
@@ -227,34 +224,19 @@ func (c *Campaign) Run(ctx context.Context, targets []Target) (*Report, error) {
 
 	reports := make([]*BenchmarkReport, len(targets))
 	errs := make([]error, len(targets))
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < outer; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				reports[i], errs[i] = c.runTarget(sweepCtx, targets[i], workers)
-				if errs[i] != nil {
-					cancel()
-				}
-			}
-		}()
-	}
-dispatch:
-	for i := range targets {
-		select {
-		case <-sweepCtx.Done():
-			break dispatch
-		case jobs <- i:
+	// Each's own result is not needed: a target left unrun means the
+	// sweep was cancelled, by a failing target or by ctx, and both are
+	// reported below.
+	_ = claim.Each(sweepCtx, len(targets), outer, func(_, i int) {
+		reports[i], errs[i] = c.runTarget(sweepCtx, targets[i], workers)
+		if errs[i] != nil {
+			cancel()
 		}
-	}
-	close(jobs)
-	wg.Wait()
+	})
 
 	// Deterministic error selection: the lowest-index real failure wins;
 	// cancellation artifacts of the internal fan-out cancel (and targets
-	// never dispatched) don't mask it. A parent-context cancellation with
+	// never claimed) don't mask it. A parent-context cancellation with
 	// no real failure surfaces as ctx.Err, like the serial sweep did.
 	for i := range targets {
 		if errs[i] != nil && !errors.Is(errs[i], context.Canceled) && !errors.Is(errs[i], context.DeadlineExceeded) {
@@ -341,11 +323,11 @@ func (c *Campaign) runTarget(ctx context.Context, t Target, workers int) (*Bench
 	ffRuns := c.Metrics.Counter(MetricFaultFastForward,
 		"faulted runs dispatched through checkpoint fast-forwarding")
 
-	// Dispatch sites in ascending dynamic-index order (ties broken by
-	// site index) while every result is still written to its site-order
-	// slot: the report bytes are unchanged, and targets that fast-forward
-	// from interval checkpoints see monotone fault indices instead of
-	// random seeks — each worker's restore point only ever moves forward.
+	// Claim sites in ascending dynamic-index order (ties broken by site
+	// index) while every result is still written to its site-order slot:
+	// the report bytes are unchanged, and targets that fast-forward from
+	// interval checkpoints see monotone fault indices instead of random
+	// seeks — each worker's restore point only ever moves forward.
 	order := make([]int, len(sites))
 	for i := range order {
 		order[i] = i
@@ -354,63 +336,47 @@ func (c *Campaign) runTarget(ctx context.Context, t Target, workers int) (*Bench
 		return sites[order[a]].At < sites[order[b]].At
 	})
 
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Each worker owns one injector and one output buffer:
-			// Classify is done with obs.Output before the next RunBuf
-			// reuses it, and the target never retains the injector
-			// past its run.
-			inj := New(Fault{})
-			var buf []byte
-			for j := range jobs {
-				i := order[j]
-				inj.Retarget(sites[i])
-				var obs Observation
-				switch {
-				case fastforward:
-					obs = ft.RunSiteBuf(sites[i], budget, buf)
-					if cap(obs.Output) > cap(buf) {
-						buf = obs.Output
-					}
-					ffRuns.Inc()
-				case buffered:
-					obs = bt.RunBuf(inj, budget, buf)
-					if cap(obs.Output) > cap(buf) {
-						buf = obs.Output
-					}
-				default:
-					obs = t.Run(inj, budget)
-				}
-				rec := RunRecord{
-					Fault:   sites[i],
-					Outcome: Classify(golden, obs),
-					Cycles:  obs.Cycles,
-				}
-				if obs.Err != nil {
-					rec.Detail = obs.Err.Error()
-				}
-				br.Runs[i] = rec
+	// Each worker owns one injector and one output buffer: Classify is
+	// done with obs.Output before the next RunBuf reuses it, and the
+	// target never retains the injector past its run.
+	workers = min(workers, len(sites))
+	injs := make([]*Single, workers)
+	bufs := make([][]byte, workers)
+	for w := range injs {
+		injs[w] = New(Fault{})
+	}
+	err := claim.Each(ctx, len(order), workers, func(w, j int) {
+		i := order[j]
+		inj := injs[w]
+		inj.Retarget(sites[i])
+		var obs Observation
+		switch {
+		case fastforward:
+			obs = ft.RunSiteBuf(sites[i], budget, bufs[w])
+			if cap(obs.Output) > cap(bufs[w]) {
+				bufs[w] = obs.Output
 			}
-		}()
-	}
-	var canceled error
-dispatch:
-	for i := range sites {
-		select {
-		case <-ctx.Done():
-			canceled = ctx.Err()
-			break dispatch
-		case jobs <- i:
+			ffRuns.Inc()
+		case buffered:
+			obs = bt.RunBuf(inj, budget, bufs[w])
+			if cap(obs.Output) > cap(bufs[w]) {
+				bufs[w] = obs.Output
+			}
+		default:
+			obs = t.Run(inj, budget)
 		}
-	}
-	close(jobs)
-	wg.Wait()
-	if canceled != nil {
-		return nil, canceled
+		rec := RunRecord{
+			Fault:   sites[i],
+			Outcome: Classify(golden, obs),
+			Cycles:  obs.Cycles,
+		}
+		if obs.Err != nil {
+			rec.Detail = obs.Err.Error()
+		}
+		br.Runs[i] = rec
+	})
+	if err != nil {
+		return nil, err
 	}
 	for i := range br.Runs {
 		br.Tally.add(br.Runs[i].Outcome)

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"cambricon/internal/metrics"
 )
@@ -304,6 +308,102 @@ func TestCampaignDispatchOrderInvisible(t *testing.T) {
 	for i, rec := range repA.Benchmarks[0].Runs {
 		if rec.Fault != sites[i] {
 			t.Fatalf("run %d records site %+v, want generation-order site %+v", i, rec.Fault, sites[i])
+		}
+	}
+}
+
+// cancellingTarget fast-forwards the scripted target's sites. It records
+// the At of every site RunSiteBuf is handed and, when cancel is set,
+// calls it from inside its k-th site.
+type cancellingTarget struct {
+	scriptedTarget
+	k      int64
+	cancel context.CancelFunc
+	sites  atomic.Int64
+
+	mu  sync.Mutex
+	ats []int64
+}
+
+func (t *cancellingTarget) RunBuf(inj Injector, maxCycles int64, _ []byte) Observation {
+	return t.Run(inj, maxCycles)
+}
+
+func (t *cancellingTarget) PrepareCheckpoints(int) error { return nil }
+
+func (t *cancellingTarget) RunSiteBuf(f Fault, maxCycles int64, _ []byte) Observation {
+	t.mu.Lock()
+	t.ats = append(t.ats, f.At)
+	t.mu.Unlock()
+	if t.sites.Add(1) == t.k && t.cancel != nil {
+		t.cancel()
+	}
+	return t.Run(New(f), maxCycles)
+}
+
+// TestCampaignCancelledAfterKSites cancels a campaign from inside its
+// k-th site, for every k, on one and on two workers. Run must return
+// context.Canceled and leave no goroutine behind. The target's own sweep
+// must return the error exactly when a site was left unrun: for k below
+// the site count, and not for k equal to it, where its report must equal
+// an uncancelled sweep's.
+func TestCampaignCancelledAfterKSites(t *testing.T) {
+	const n = 10
+	full, err := (&Campaign{Seed: 3, Sites: n, Workers: 1}).Run(context.Background(), []Target{&scriptedTarget{name: "fake"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	for _, workers := range []int{1, 2} {
+		for k := int64(1); k <= n; k++ {
+			c := &Campaign{Seed: 3, Sites: n, Workers: workers, Checkpoints: 8}
+			ctx, cancel := context.WithCancel(context.Background())
+			tgt := &cancellingTarget{scriptedTarget: scriptedTarget{name: "fake"}, k: k, cancel: cancel}
+			if _, err := c.Run(ctx, []Target{tgt}); !errors.Is(err, context.Canceled) {
+				t.Errorf("workers=%d, cancelled in site %d: Run = %v, want context.Canceled", workers, k, err)
+			}
+			cancel()
+			if workers > 1 {
+				continue
+			}
+			ctx, cancel = context.WithCancel(context.Background())
+			tgt = &cancellingTarget{scriptedTarget: scriptedTarget{name: "fake"}, k: k, cancel: cancel}
+			br, err := c.runTarget(ctx, tgt, 1)
+			cancel()
+			switch {
+			case k < n && !errors.Is(err, context.Canceled):
+				t.Errorf("cancelled in site %d of %d: sweep = %v, want context.Canceled", k, n, err)
+			case k == n && err != nil:
+				t.Errorf("cancelled in the last site: sweep = %v, want every site's report", err)
+			case k == n && !reflect.DeepEqual(br.Runs, full.Benchmarks[0].Runs):
+				t.Errorf("cancelled in the last site: runs %+v, want %+v", br.Runs, full.Benchmarks[0].Runs)
+			}
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines grew %d -> %d after cancelled campaigns", before, after)
+	}
+}
+
+// TestCampaignOneWorkerClaimsAscendingAt pins the claim order a
+// fast-forwarding target relies on: one worker hands RunSiteBuf every
+// site, with non-decreasing At.
+func TestCampaignOneWorkerClaimsAscendingAt(t *testing.T) {
+	const n = 40
+	tgt := &cancellingTarget{scriptedTarget: scriptedTarget{name: "fake"}}
+	if _, err := (&Campaign{Seed: 5, Sites: n, Workers: 1, Checkpoints: 8}).Run(context.Background(), []Target{tgt}); err != nil {
+		t.Fatal(err)
+	}
+	if len(tgt.ats) != n {
+		t.Fatalf("RunSiteBuf saw %d sites, want %d", len(tgt.ats), n)
+	}
+	for i := 1; i < n; i++ {
+		if tgt.ats[i] < tgt.ats[i-1] {
+			t.Fatalf("site %d has At %d after At %d: %v", i, tgt.ats[i], tgt.ats[i-1], tgt.ats)
 		}
 	}
 }

@@ -121,50 +121,54 @@ func AccSat(sum Acc) Num {
 }
 
 // Dot computes the dot product of a and b with 64-bit accumulation and a
-// single final rounding, mirroring the matrix unit's wide accumulators.
-// It panics if the lengths differ (an ISA-level size mismatch is a program
-// bug caught earlier by the simulator).
+// single final rounding, mirroring the matrix unit's wide accumulators:
+// a one-row MatVec. It panics if the lengths differ (an ISA-level size
+// mismatch is a program bug caught earlier by the simulator).
 func Dot(a, b []Num) Num {
 	if len(a) != len(b) {
 		panic("fixed: dot product length mismatch")
 	}
-	return AccSat(dotAcc(a, b))
+	var sum [1]Acc
+	matVecAcc(sum[:], a, b, widenSteps(maxAbs(b)))
+	return AccSat(sum[0])
 }
 
+// matVecRows is how many rows MatVec hands matVecAcc per call: its sums
+// live on the stack, and the kernel's per-call set-up is paid once per
+// this many rows.
+const matVecRows = 64
+
 // MatVec computes out = M x vin for the row-major len(out) x len(vin)
-// matrix held in mat (the MMV contraction): one exact dotAcc per row,
-// so each output equals Dot over its row bit for bit.
+// matrix held in mat (the MMV contraction). Each output is the exact
+// sum over its row, rounded once, so it equals Dot over its row bit for
+// bit.
 func MatVec(out, mat, vin []Num) {
 	cols := len(vin)
 	if len(mat) < len(out)*cols {
 		panic("fixed: MatVec matrix too small")
 	}
-	for i := range out {
-		out[i] = AccSat(dotAcc(mat[i*cols:(i+1)*cols], vin))
+	k := widenSteps(maxAbs(vin))
+	var sums [matVecRows]Acc
+	for i := 0; i < len(out); i += matVecRows {
+		s := sums[:min(matVecRows, len(out)-i)]
+		matVecAcc(s, mat[i*cols:], vin, k)
+		for j, sum := range s {
+			out[i+j] = AccSat(sum)
+		}
 	}
 }
 
 // VecMat computes out = vin x M for the row-major len(vin) x len(out)
 // matrix held in mat (the VMM contraction over rows), using acc (at least
-// len(out) long) as the wide accumulators. It walks the matrix once in
-// storage order, two rows per axpy2Acc pass; an odd last row is paired
-// with itself at weight 0. The sums are exact integers, so the result
-// does not depend on the grouping.
+// len(out) long) as the wide accumulators. The sums are exact integers,
+// so the result does not depend on the order the kernel adds them in.
 func VecMat(out, vin, mat []Num, acc []Acc) {
 	cols := len(out)
 	if len(mat) < len(vin)*cols {
 		panic("fixed: VecMat matrix too small")
 	}
 	acc = acc[:cols]
-	clear(acc)
-	for i := 0; i < len(vin); i += 2 {
-		r0 := mat[i*cols : (i+1)*cols]
-		r1, v1 := r0, Num(0)
-		if i+1 < len(vin) {
-			r1, v1 = mat[(i+1)*cols:(i+2)*cols], vin[i+1]
-		}
-		axpy2Acc(acc, r0, r1, vin[i], v1)
-	}
+	vecMatAcc(acc, vin, mat, widenSteps(maxAbs(vin)))
 	out = out[:len(acc)]
 	for j, sum := range acc {
 		out[j] = AccSat(sum)

@@ -1,12 +1,14 @@
 package fixed
 
-// The Go loops below are the contract of the eight kernel primitives
-// (dotAcc, axpy2Acc, vadd, vsub, vmul, vmax, vaddScalar, vmulScalar):
-// every form must compute exactly what its loop computes, for every
-// input. They compile on every GOARCH. On an amd64 host with AVX2 the
-// primitives run the assembly in kernels_amd64.s instead; everywhere
-// else they run these loops, and on amd64 the loops are the oracle the
-// assembly is tested against.
+import "math"
+
+// The Go loops below are the contract of the nine kernel primitives
+// (maxAbs, matVecAcc, vecMatAcc, vadd, vsub, vmul, vmax, vaddScalar,
+// vmulScalar): every form must compute exactly what its loop computes,
+// for every input. They compile on every GOARCH. On an amd64 host with
+// AVX2 the primitives run the assembly in kernels_amd64.s instead;
+// everywhere else they run these loops, and on amd64 the loops are the
+// oracle the assembly is tested against.
 
 // KernelForm names the form the kernel primitives run on this host:
 // "avx2" for the amd64 assembly, "go" for the Go loops. The form is
@@ -18,23 +20,57 @@ func KernelForm() string {
 	return "go"
 }
 
-// dotAccGo returns the exact sum of a[i]·b[i] over i < len(a). b must
-// be at least as long as a.
-func dotAccGo(a, b []Num) Acc {
-	b = b[:len(a)]
-	var sum Acc
-	for i, x := range a {
-		sum += MulAcc(x, b[i])
+// maxAbsGo returns the largest |v[i]|, counting Min as 32768, and 0
+// for an empty v.
+func maxAbsGo(v []Num) int {
+	b := 0
+	for _, x := range v {
+		b = max(b, int(x), -int(x))
 	}
-	return sum
+	return b
 }
 
-// axpy2AccGo adds r0[j]·v0 + r1[j]·v1 into acc[j] for every
-// j < len(acc). r0 and r1 must be at least as long as acc.
-func axpy2AccGo(acc []Acc, r0, r1 []Num, v0, v1 Num) {
-	r0, r1 = r0[:len(acc)], r1[:len(acc)]
-	for j := range acc {
-		acc[j] += MulAcc(r0[j], v0) + MulAcc(r1[j], v1)
+// widenSteps returns how many VPMADDWD steps the matrix kernels may add
+// in int32 lanes before they widen them, when every word of the vector
+// side is at most b in magnitude (maxAbs). A lane is the sum of two
+// products of a matrix word (at most 32768 in magnitude) and a vector
+// word, so it is at most 2^16·b in magnitude, and K such lanes stay
+// within ±(2^31-1). With b = 0 every lane is 0 and no count can wrap.
+// The result is at least 1: one step's lane can read 2^31, which
+// WIDEN (kernels_amd64.s) undoes.
+func widenSteps(b int) int {
+	if b == 0 {
+		return math.MaxInt32
+	}
+	return max(1, (1<<31-1)/(b<<16))
+}
+
+// matVecAccGo sets sums[i] to the exact sum of mat[i·n+j]·vin[j] over
+// j < n = len(vin), for every i < len(sums). mat must hold at least
+// len(sums)·len(vin) words. The assembly takes k, the steps it may add
+// before it widens, which must be at least 1 and at most
+// widenSteps(maxAbs(vin)); the loop needs none.
+func matVecAccGo(sums []Acc, mat, vin []Num, _ int) {
+	cols := len(vin)
+	for i := range sums {
+		var sum Acc
+		for j, x := range mat[i*cols : (i+1)*cols] {
+			sum += MulAcc(x, vin[j])
+		}
+		sums[i] = sum
+	}
+}
+
+// vecMatAccGo sets sums[j] to the exact sum of vin[i]·mat[i·n+j] over
+// i < len(vin), for every j < n = len(sums). mat must hold at least
+// len(vin)·len(sums) words, and k is matVecAccGo's.
+func vecMatAccGo(sums []Acc, vin, mat []Num, _ int) {
+	cols := len(sums)
+	clear(sums)
+	for i, v := range vin {
+		for j, x := range mat[i*cols : (i+1)*cols] {
+			sums[j] += MulAcc(v, x)
+		}
 	}
 }
 

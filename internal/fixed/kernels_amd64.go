@@ -2,8 +2,8 @@ package fixed
 
 // The functions below are the AVX2 forms of the Go loops in kernels.go,
 // which are their contract: the same exact results, for every input.
-// Each takes sixteen words per step, then one eight-word step and one
-// word per step for the rest (kernels_amd64.s).
+// How each one steps through its operands is described with it in
+// kernels_amd64.s.
 //
 // avx2 is set once, at package initialization, by a CPUID and XGETBV
 // probe: the CPU must report AVX2, AVX and OSXSAVE, and the OS must
@@ -15,17 +15,27 @@ var avx2 = hasAVX2()
 // hasAVX2 reports whether the CPU and the OS support AVX2.
 func hasAVX2() bool
 
-// dotAcc returns the exact sum of a[i]·b[i] over i < len(a). b must be
-// at least as long as a.
+// maxAbs returns the largest |v[i]|, counting Min as 32768, and 0 for
+// an empty v.
 //
 //go:noescape
-func dotAcc(a, b []Num) Acc
+func maxAbs(v []Num) int
 
-// axpy2Acc adds r0[j]·v0 + r1[j]·v1 into acc[j] for every j < len(acc).
-// r0 and r1 must be at least as long as acc.
+// matVecAcc sets sums[i] to the exact sum of mat[i·n+j]·vin[j] over
+// j < n = len(vin), for every i < len(sums). mat must hold at least
+// len(sums)·len(vin) words, and k must be at least 1 and at most
+// widenSteps(maxAbs(vin)).
 //
 //go:noescape
-func axpy2Acc(acc []Acc, r0, r1 []Num, v0, v1 Num)
+func matVecAcc(sums []Acc, mat, vin []Num, k int)
+
+// vecMatAcc sets sums[j] to the exact sum of vin[i]·mat[i·n+j] over
+// i < len(vin), for every j < n = len(sums). mat must hold at least
+// len(vin)·len(sums) words, and k must be at least 1 and at most
+// widenSteps(maxAbs(vin)).
+//
+//go:noescape
+func vecMatAcc(sums []Acc, vin, mat []Num, k int)
 
 // vadd, vsub, vmul and vmax set out[i] to Add, Sub, Mul or the larger
 // of a[i] and b[i] for every i < len(out); vaddScalar and vmulScalar

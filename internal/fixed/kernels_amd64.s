@@ -2,10 +2,15 @@
 
 // Every kernel below starts by testing avx2 (kernels_amd64.go) and, when
 // it is false, jumps to its Go loop in kernels.go with the same
-// arguments. Otherwise it takes sixteen words per step in YMM registers
-// while sixteen remain, runs VZEROUPPER, then takes one eight-word step
-// in XMM registers (VEX.128) if eight remain, and the rest one word at a
-// time. A path that runs no sixteen-word step touches no YMM register.
+// arguments. The element-wise kernels take sixteen words per step in YMM
+// registers while sixteen remain, run VZEROUPPER, then take one
+// eight-word step in XMM registers (VEX.128) if eight remain, and the
+// rest one word at a time. The matrix kernels (maxAbs, matVecAcc and
+// vecMatAcc) take sixteen words per step and cover a remainder with one
+// more sixteen-word step over the last sixteen words, so they need at
+// least sixteen words and take shorter operands one word at a time. A
+// path that runs no sixteen-word step touches no YMM register; every
+// path that does runs VZEROUPPER before it returns.
 
 // func hasAVX2() bool
 TEXT ·hasAVX2(SB), NOSPLIT, $0-1
@@ -44,6 +49,12 @@ no:
 // v-1 < -1 in int32 arithmetic, where the one wrapped value becomes
 // 2^31-1 and counts as positive.
 //
+// The matrix kernels add k such lanes in int32 before they widen them,
+// where k = widenSteps(maxAbs(vin)) (kernels.go): with every vector word
+// at most b in magnitude, a lane is at most 2^16·b in magnitude, and k
+// of them stay within ±(2^31-1), so the int32 sum is the true one and
+// never -2^31. With k = 1 a sum is one lane, and the rule above holds.
+//
 // WIDEN(v, hi, t, m) widens the lanes of v into exact int64s. Within
 // each 128-bit half, lanes 0 and 1 go into v and lanes 2 and 3 into hi.
 // t is scratch, and m must hold -1 in every lane. It works on X or Y
@@ -54,171 +65,401 @@ no:
 	VPUNPCKHDQ t, v, hi; \
 	VPUNPCKLDQ t, v, v
 
-// func dotAcc(a, b []Num) Acc
-TEXT ·dotAcc(SB), NOSPLIT, $0-56
+// FLUSH(a, s0, s1, hi, t, m) widens the int32 sums in a, adds the int64s
+// of lanes 0 and 1 of each 128-bit half into s0 and those of lanes 2
+// and 3 into s1, and zeroes a. hi, t and m are WIDEN's; s0 and s1 may
+// be one register.
+#define FLUSH(a, s0, s1, hi, t, m) \
+	WIDEN(a, hi, t, m); \
+	VPADDQ a, s0, s0; \
+	VPADDQ hi, s1, s1; \
+	VPXOR  a, a, a
+
+// tailmask is sixteen zero words and sixteen words of -1. The sixteen
+// words at word offset r are 16-r zeros and then r words of -1: ANDed
+// into the last sixteen words of a vector, they keep only the last r.
+DATA tailmask<>+0(SB)/8, $0
+DATA tailmask<>+8(SB)/8, $0
+DATA tailmask<>+16(SB)/8, $0
+DATA tailmask<>+24(SB)/8, $0
+DATA tailmask<>+32(SB)/8, $-1
+DATA tailmask<>+40(SB)/8, $-1
+DATA tailmask<>+48(SB)/8, $-1
+DATA tailmask<>+56(SB)/8, $-1
+GLOBL tailmask<>(SB), RODATA|NOPTR, $64
+
+// func maxAbs(v []Num) int
+TEXT ·maxAbs(SB), NOSPLIT, $0-32
 	CMPB ·avx2(SB), $0
 	JEQ  generic
-	MOVQ a_base+0(FP), SI
-	MOVQ a_len+8(FP), CX
-	MOVQ b_base+24(FP), DI
+	MOVQ v_base+0(FP), SI
+	MOVQ v_len+8(FP), CX
 	XORQ AX, AX
 	XORQ DX, DX
-	CMPQ CX, $8
-	JB   tail
 	CMPQ CX, $16
-	JB   short
+	JB   tail
 	MOVQ CX, BX
-	ANDQ $-16, BX         // elements summed sixteen at a time
-	VPXOR    Y4, Y4, Y4   // the int64 sums
-	VPXOR    Y5, Y5, Y5
-	VPCMPEQD Y7, Y7, Y7
+	ANDQ $-16, BX
+	VPXOR Y0, Y0, Y0
 
 loop:
-	VMOVDQU  (SI)(DX*2), Y0
-	VPMADDWD (DI)(DX*2), Y0, Y0
-	WIDEN(Y0, Y1, Y2, Y7)
-	VPADDQ   Y0, Y4, Y4
-	VPADDQ   Y1, Y5, Y5
-	ADDQ     $16, DX
-	CMPQ     DX, BX
-	JNE      loop
-	VPADDQ       Y5, Y4, Y4
-	VEXTRACTI128 $1, Y4, X5
-	VPADDQ       X5, X4, X4
+	// VPABSW leaves -32768 as 0x8000, which is 32768 read unsigned.
+	VPABSW  (SI)(DX*2), Y1
+	VPMAXUW Y1, Y0, Y0
+	ADDQ    $16, DX
+	CMPQ    DX, BX
+	JNE     loop
+	// The last sixteen words again: they cover the ones the loop left,
+	// and a word seen twice does not change the maximum.
+	VPABSW       -32(SI)(CX*2), Y1
+	VPMAXUW      Y1, Y0, Y0
+	VEXTRACTI128 $1, Y0, X1
+	VPMAXUW      X1, X0, X0
+	// VPHMINPOSUW finds the smallest unsigned word. Of the complements,
+	// that is the complement of the largest.
+	VPCMPEQW    X1, X1, X1
+	VPXOR       X1, X0, X0
+	VPHMINPOSUW X0, X0
+	VMOVD       X0, AX
+	NOTL        AX
+	ANDL        $0xffff, AX
 	VZEROUPPER
-	JMP          half
-
-short:
-	VPXOR    X4, X4, X4
-	VPCMPEQD X7, X7, X7
-
-half:
-	TESTQ    $8, CX       // eight left after the sixteen-word steps
-	JZ       fold
-	VMOVDQU  (SI)(DX*2), X0
-	VPMADDWD (DI)(DX*2), X0, X0
-	WIDEN(X0, X1, X2, X7)
-	VPADDQ   X0, X4, X4
-	VPADDQ   X1, X4, X4
-	ADDQ     $8, DX
-
-fold:
-	VPSHUFD $0xee, X4, X5
-	VPADDQ  X5, X4, X4
-	VMOVQ   X4, AX
+	MOVQ        AX, ret+24(FP)
+	RET
 
 tail:
 	CMPQ    DX, CX
 	JEQ     done
 	MOVWQSX (SI)(DX*2), R8
-	MOVWQSX (DI)(DX*2), R9
-	IMULQ   R9, R8
-	ADDQ    R8, AX
+	MOVQ    R8, R9
+	SARQ    $63, R9
+	XORQ    R9, R8
+	SUBQ    R9, R8 // |v[i]|
+	CMPQ    R8, AX
+	CMOVQGT R8, AX
 	INCQ    DX
 	JMP     tail
 
 done:
-	MOVQ AX, ret+48(FP)
+	MOVQ AX, ret+24(FP)
 	RET
 
 generic:
-	JMP ·dotAccGo(SB)
+	JMP ·maxAbsGo(SB)
 
-// func axpy2Acc(acc []Acc, r0, r1 []Num, v0, v1 Num)
-TEXT ·axpy2Acc(SB), NOSPLIT, $0-76
-	CMPB    ·avx2(SB), $0
-	JEQ     generic
-	MOVQ    acc_base+0(FP), DI
-	MOVQ    acc_len+8(FP), CX
-	MOVQ    r0_base+24(FP), SI
-	MOVQ    r1_base+48(FP), R10
-	MOVWQSX v0+72(FP), R8
-	MOVWQSX v1+74(FP), R9
+// func matVecAcc(sums []Acc, mat, vin []Num, k int)
+//
+// Four rows per pass. A step loads sixteen words of vin once and takes
+// VPMADDWD of them with sixteen words of each of the four rows, as
+// memory operands, into one int32 accumulator per row. Every k steps,
+// and after the last, FLUSH widens the four into one int64 accumulator
+// per row. When len(vin) is not a multiple of sixteen, one more step
+// takes the last sixteen words of each row, with the words an earlier
+// step took masked to 0 in vin (tailmask): every word counts once and no
+// load passes a row's end. A last pass over one to three rows repeats
+// the last row in the missing places and stores only the rows that
+// exist.
+TEXT ·matVecAcc(SB), NOSPLIT, $0-80
+	CMPB  ·avx2(SB), $0
+	JEQ   generic
+	MOVQ  sums_len+8(FP), R12
+	MOVQ  mat_base+24(FP), R8
+	MOVQ  vin_base+48(FP), SI
+	MOVQ  vin_len+56(FP), CX
+	TESTQ R12, R12
+	JZ    done
+	CMPQ  CX, $16
+	JB    short
+	MOVQ  CX, BX
+	ANDQ  $-16, BX // words the whole steps take
+	MOVQ  CX, AX
+	ANDQ  $15, AX  // words the masked step adds
+	LEAQ  tailmask<>(SB), DX
+	VMOVDQU  (DX)(AX*2), Y13
+	VPCMPEQD Y12, Y12, Y12
+	XORQ     DI, DI // the pass's first row
+
+pass:
+	// R8 points at row DI; R9, R10 and R11 at the three after it, or at
+	// the last row where those do not exist.
+	MOVQ    CX, AX
+	SHLQ    $1, AX // bytes per row
+	LEAQ    1(DI), R13
+	LEAQ    (R8)(AX*1), R9
+	CMPQ    R13, R12
+	CMOVQCC R8, R9
+	INCQ    R13
+	LEAQ    (R9)(AX*1), R10
+	CMPQ    R13, R12
+	CMOVQCC R9, R10
+	INCQ    R13
+	LEAQ    (R10)(AX*1), R11
+	CMPQ    R13, R12
+	CMOVQCC R10, R11
+	VPXOR   Y2, Y2, Y2 // int32 sums of the four rows
+	VPXOR   Y3, Y3, Y3
+	VPXOR   Y4, Y4, Y4
+	VPXOR   Y5, Y5, Y5
+	VPXOR   Y6, Y6, Y6 // int64 sums of the four rows
+	VPXOR   Y7, Y7, Y7
+	VPXOR   Y8, Y8, Y8
+	VPXOR   Y9, Y9, Y9
 	XORQ    DX, DX
-	CMPQ    CX, $8
-	JB      tail
-	MOVWLZX R8, AX
-	MOVL    R9, R11
-	SHLL    $16, R11
-	ORL     R11, AX
-	VMOVD   AX, X6        // v0, v1 in one pair of words
-	CMPQ    CX, $16
-	JB      short
-	MOVQ    CX, BX
-	ANDQ    $-16, BX      // elements updated sixteen at a time
-	VPBROADCASTD X6, Y6
-	VPCMPEQD     Y7, Y7, Y7
+	MOVQ    k+72(FP), R13 // steps left before the next FLUSH
 
 loop:
-	VMOVDQU    (SI)(DX*2), Y0
-	VMOVDQU    (R10)(DX*2), Y1
-	VPUNPCKHWD Y1, Y0, Y2 // r0[j], r1[j] for j = 4..7 and 12..15
-	VPUNPCKLWD Y1, Y0, Y0 // the same for j = 0..3 and 8..11
-	VPMADDWD   Y6, Y0, Y0
-	VPMADDWD   Y6, Y2, Y2
-	// Each half of a register holds four sums. Put the sums for
-	// j = 0..3 in one pair of lanes per half, so that WIDEN's low
-	// halves are acc[j..j+3] in order: j = 0, 1, 8, 9 | 2, 3, 10, 11.
-	VPERMQ     $0xd8, Y0, Y0
-	VPERMQ     $0xd8, Y2, Y2
-	WIDEN(Y0, Y1, Y3, Y7) // Y0: j = 0..3, Y1: j = 8..11
-	WIDEN(Y2, Y4, Y3, Y7) // Y2: j = 4..7, Y4: j = 12..15
-	VPADDQ     (DI)(DX*8), Y0, Y0
-	VPADDQ     32(DI)(DX*8), Y2, Y2
-	VPADDQ     64(DI)(DX*8), Y1, Y1
-	VPADDQ     96(DI)(DX*8), Y4, Y4
-	VMOVDQU    Y0, (DI)(DX*8)
-	VMOVDQU    Y2, 32(DI)(DX*8)
-	VMOVDQU    Y1, 64(DI)(DX*8)
-	VMOVDQU    Y4, 96(DI)(DX*8)
-	ADDQ       $16, DX
-	CMPQ       DX, BX
-	JNE        loop
+	VMOVDQU  (SI)(DX*2), Y0
+	VPMADDWD (R8)(DX*2), Y0, Y1
+	VPADDD   Y1, Y2, Y2
+	VPMADDWD (R9)(DX*2), Y0, Y1
+	VPADDD   Y1, Y3, Y3
+	VPMADDWD (R10)(DX*2), Y0, Y1
+	VPADDD   Y1, Y4, Y4
+	VPMADDWD (R11)(DX*2), Y0, Y1
+	VPADDD   Y1, Y5, Y5
+	ADDQ     $16, DX
+	DECQ     R13
+	JNZ      more
+	FLUSH(Y2, Y6, Y6, Y10, Y11, Y12)
+	FLUSH(Y3, Y7, Y7, Y10, Y11, Y12)
+	FLUSH(Y4, Y8, Y8, Y10, Y11, Y12)
+	FLUSH(Y5, Y9, Y9, Y10, Y11, Y12)
+	MOVQ     k+72(FP), R13
+
+more:
+	CMPQ DX, BX
+	JNE  loop
+	CMPQ DX, CX
+	JEQ  last
+	// The masked step. The loop leaves at least one step before the next
+	// FLUSH, so this one fits.
+	VMOVDQU  -32(SI)(CX*2), Y0
+	VPAND    Y13, Y0, Y0
+	VPMADDWD -32(R8)(CX*2), Y0, Y1
+	VPADDD   Y1, Y2, Y2
+	VPMADDWD -32(R9)(CX*2), Y0, Y1
+	VPADDD   Y1, Y3, Y3
+	VPMADDWD -32(R10)(CX*2), Y0, Y1
+	VPADDD   Y1, Y4, Y4
+	VPMADDWD -32(R11)(CX*2), Y0, Y1
+	VPADDD   Y1, Y5, Y5
+
+last:
+	FLUSH(Y2, Y6, Y6, Y10, Y11, Y12)
+	FLUSH(Y3, Y7, Y7, Y10, Y11, Y12)
+	FLUSH(Y4, Y8, Y8, Y10, Y11, Y12)
+	FLUSH(Y5, Y9, Y9, Y10, Y11, Y12)
+	// Add up each row's four int64s: Y0 gets the four rows' sums.
+	VPUNPCKLQDQ Y7, Y6, Y0
+	VPUNPCKHQDQ Y7, Y6, Y1
+	VPADDQ      Y1, Y0, Y0 // rows 0 and 1, twice
+	VPUNPCKLQDQ Y9, Y8, Y1
+	VPUNPCKHQDQ Y9, Y8, Y2
+	VPADDQ      Y2, Y1, Y1 // rows 2 and 3, twice
+	VPERM2I128  $0x20, Y1, Y0, Y2
+	VPERM2I128  $0x31, Y1, Y0, Y3
+	VPADDQ      Y3, Y2, Y0
+	MOVQ        sums_base+0(FP), AX
+	LEAQ        (AX)(DI*8), AX
+	LEAQ        4(DI), R13
+	CMPQ        R13, R12
+	JHI         partial
+	VMOVDQU     Y0, (AX)
+	MOVQ        CX, AX
+	SHLQ        $3, AX // bytes in four rows
+	ADDQ        AX, R8
+	MOVQ        R13, DI
+	CMPQ        DI, R12
+	JNE         pass
 	VZEROUPPER
-	JMP        half
+	RET
+
+partial:
+	MOVQ    R12, R13
+	SUBQ    DI, R13 // rows left: 1, 2 or 3
+	VMOVQ   X0, (AX)
+	CMPQ    R13, $2
+	JB      end
+	VPEXTRQ $1, X0, 8(AX)
+	CMPQ    R13, $3
+	JB      end
+	VEXTRACTI128 $1, Y0, X1
+	VMOVQ   X1, 16(AX)
+
+end:
+	VZEROUPPER
+	RET
 
 short:
-	VPBROADCASTD X6, X6
-	VPCMPEQD     X7, X7, X7
+	// Fewer than sixteen words per row: one word at a time.
+	MOVQ sums_base+0(FP), DI
+	XORQ R9, R9
 
-half:
-	TESTQ      $8, CX
-	JZ         tail
-	VMOVDQU    (SI)(DX*2), X0
-	VMOVDQU    (R10)(DX*2), X1
-	VPUNPCKHWD X1, X0, X2 // r0[j], r1[j] for j = 4..7
-	VPUNPCKLWD X1, X0, X0 // the same for j = 0..3
-	VPMADDWD   X6, X0, X0
-	VPMADDWD   X6, X2, X2
-	WIDEN(X0, X1, X3, X7) // X0: j = 0, 1, X1: j = 2, 3
-	WIDEN(X2, X4, X3, X7) // X2: j = 4, 5, X4: j = 6, 7
-	VPADDQ     (DI)(DX*8), X0, X0
-	VPADDQ     16(DI)(DX*8), X1, X1
-	VPADDQ     32(DI)(DX*8), X2, X2
-	VPADDQ     48(DI)(DX*8), X4, X4
-	VMOVDQU    X0, (DI)(DX*8)
-	VMOVDQU    X1, 16(DI)(DX*8)
-	VMOVDQU    X2, 32(DI)(DX*8)
-	VMOVDQU    X4, 48(DI)(DX*8)
-	ADDQ       $8, DX
+srow:
+	XORQ AX, AX
+	XORQ DX, DX
 
-tail:
+sword:
 	CMPQ    DX, CX
-	JEQ     done
-	MOVWQSX (SI)(DX*2), AX
-	IMULQ   R8, AX
-	MOVWQSX (R10)(DX*2), R11
-	IMULQ   R9, R11
-	ADDQ    R11, AX
-	ADDQ    AX, (DI)(DX*8)
+	JEQ     sstore
+	MOVWQSX (SI)(DX*2), R10
+	MOVWQSX (R8)(DX*2), R11
+	IMULQ   R11, R10
+	ADDQ    R10, AX
 	INCQ    DX
-	JMP     tail
+	JMP     sword
+
+sstore:
+	MOVQ AX, (DI)(R9*8)
+	LEAQ (R8)(CX*2), R8
+	INCQ R9
+	CMPQ R9, R12
+	JNE  srow
 
 done:
 	RET
 
 generic:
-	JMP ·axpy2AccGo(SB)
+	JMP ·matVecAccGo(SB)
+
+// func vecMatAcc(sums []Acc, vin, mat []Num, k int)
+//
+// Sixteen columns per pass, down the rows two at a time. A step
+// broadcasts the word pair vin[2p], vin[2p+1] to every int32 lane
+// (VPBROADCASTD of the pair at &vin[2p]), interleaves sixteen words of
+// row 2p with the same sixteen of row 2p+1, and VPMADDWD gives
+// r0[j]·vin[2p] + r1[j]·vin[2p+1] for each of the sixteen columns, in
+// two int32 accumulators. Every k steps, and after the last, FLUSH
+// widens them into four int64 accumulators, which the pass stores once.
+// An odd last row is one more step, its word paired with 0. When
+// len(sums) is not a multiple of sixteen, the last pass takes the last
+// sixteen columns, and stores again the exact sums of the columns it
+// shares with the pass before.
+TEXT ·vecMatAcc(SB), NOSPLIT, $0-80
+	CMPB ·avx2(SB), $0
+	JEQ  generic
+	MOVQ sums_base+0(FP), DI
+	MOVQ sums_len+8(FP), CX
+	MOVQ vin_base+24(FP), SI
+	MOVQ vin_len+32(FP), R12
+	MOVQ CX, R9
+	SHLQ $1, R9 // bytes per row
+	CMPQ CX, $16
+	JB   short
+	MOVQ R12, R10
+	SHRQ $1, R10 // row pairs
+	VPCMPEQD Y12, Y12, Y12
+	XORQ BX, BX // the pass's first column
+
+pass:
+	VPXOR Y3, Y3, Y3 // int32 sums: j = 0..3 and 8..11
+	VPXOR Y4, Y4, Y4 // j = 4..7 and 12..15
+	VPXOR Y8, Y8, Y8 // int64 sums: j = 0, 1 | 8, 9
+	VPXOR Y9, Y9, Y9 // j = 2, 3 | 10, 11
+	VPXOR Y10, Y10, Y10 // j = 4, 5 | 12, 13
+	VPXOR Y11, Y11, Y11 // j = 6, 7 | 14, 15
+	MOVQ  mat_base+48(FP), R8
+	LEAQ  (R8)(BX*2), R8
+	XORQ  DX, DX
+	MOVQ  k+72(FP), R13 // steps left before the next FLUSH
+	TESTQ R10, R10
+	JZ    odd
+
+pair:
+	VPBROADCASTD (SI)(DX*4), Y6
+	VMOVDQU      (R8), Y0
+	VMOVDQU      (R8)(R9*1), Y1
+	VPUNPCKHWD   Y1, Y0, Y2 // r0[j], r1[j] for j = 4..7 and 12..15
+	VPUNPCKLWD   Y1, Y0, Y0 // the same for j = 0..3 and 8..11
+	VPMADDWD     Y6, Y0, Y0
+	VPMADDWD     Y6, Y2, Y2
+	VPADDD       Y0, Y3, Y3
+	VPADDD       Y2, Y4, Y4
+	LEAQ         (R8)(R9*2), R8
+	INCQ         DX
+	DECQ         R13
+	JNZ          next
+	FLUSH(Y3, Y8, Y9, Y5, Y7, Y12)
+	FLUSH(Y4, Y10, Y11, Y5, Y7, Y12)
+	MOVQ         k+72(FP), R13
+
+next:
+	CMPQ DX, R10
+	JNE  pair
+
+odd:
+	// The pair loop leaves at least one step before the next FLUSH.
+	TESTQ        $1, R12
+	JZ           last
+	MOVWLZX      -2(SI)(R12*2), AX // vin's last word, paired with 0
+	VMOVD        AX, X6
+	VPBROADCASTD X6, Y6
+	VMOVDQU      (R8), Y0
+	VPUNPCKHWD   Y0, Y0, Y2
+	VPUNPCKLWD   Y0, Y0, Y0
+	VPMADDWD     Y6, Y0, Y0
+	VPMADDWD     Y6, Y2, Y2
+	VPADDD       Y0, Y3, Y3
+	VPADDD       Y2, Y4, Y4
+
+last:
+	FLUSH(Y3, Y8, Y9, Y5, Y7, Y12)
+	FLUSH(Y4, Y10, Y11, Y5, Y7, Y12)
+	VPERM2I128 $0x20, Y9, Y8, Y0 // j = 0..3
+	VPERM2I128 $0x20, Y11, Y10, Y1 // j = 4..7
+	VPERM2I128 $0x31, Y9, Y8, Y2 // j = 8..11
+	VPERM2I128 $0x31, Y11, Y10, Y3 // j = 12..15
+	VMOVDQU    Y0, (DI)(BX*8)
+	VMOVDQU    Y1, 32(DI)(BX*8)
+	VMOVDQU    Y2, 64(DI)(BX*8)
+	VMOVDQU    Y3, 96(DI)(BX*8)
+	ADDQ       $16, BX
+	CMPQ       BX, CX
+	JEQ        done
+	LEAQ       16(BX), AX
+	CMPQ       AX, CX
+	JLS        pass
+	MOVQ       CX, BX
+	SUBQ       $16, BX // the last sixteen columns
+	JMP        pass
+
+done:
+	VZEROUPPER
+	RET
+
+short:
+	// Fewer than sixteen columns: one word at a time, column by column.
+	XORQ BX, BX
+
+scol:
+	CMPQ BX, CX
+	JEQ  sdone
+	MOVQ mat_base+48(FP), R8
+	LEAQ (R8)(BX*2), R8
+	XORQ AX, AX
+	XORQ DX, DX
+
+srow:
+	CMPQ    DX, R12
+	JEQ     sstore
+	MOVWQSX (SI)(DX*2), R10
+	MOVWQSX (R8), R11
+	IMULQ   R11, R10
+	ADDQ    R10, AX
+	ADDQ    R9, R8
+	INCQ    DX
+	JMP     srow
+
+sstore:
+	MOVQ AX, (DI)(BX*8)
+	INCQ BX
+	JMP  scol
+
+sdone:
+	RET
+
+generic:
+	JMP ·vecMatAccGo(SB)
 
 // The element-wise kernels below set out[i] for every i < len(out) from
 // a[i] and b[i], or from a[i] and a scalar s broadcast to every word.

@@ -33,8 +33,11 @@ func checkGuard(t *testing.T, name string, s []Num) {
 // TestAVX2KernelsMatchGoLoops holds each AVX2 primitive, called
 // directly, to its Go loop in kernels.go at every length from 0 to 64,
 // which covers every tail after zero to four sixteen-word steps, with
-// and without the eight-word step. Inputs are random, all-Min, all-Max
-// and mixed; the element-wise kernels run into a separate output and in
+// and without the eight-word step. Inputs are random, all-Min, all-Max,
+// mixed, and vectors whose largest magnitude sits at each boundary of
+// the matrix kernels' widening interval (boundVec). The matrix kernels
+// run over 0 to 9 rows, at the largest interval widenSteps allows and
+// at 1; the element-wise kernels run into a separate output and in
 // place over either operand, and no kernel may store past its output.
 func TestAVX2KernelsMatchGoLoops(t *testing.T) {
 	if !avx2 {
@@ -52,6 +55,19 @@ func TestAVX2KernelsMatchGoLoops(t *testing.T) {
 			return Max
 		}
 		return Num(rng.Intn(1 << 16))
+	}
+	for n := 0; n <= 64; n++ {
+		for _, b := range boundaries {
+			v := boundVec(rng, n, b)
+			if got, want := maxAbs(v), maxAbsGo(v); got != want {
+				t.Fatalf("maxAbs n=%d: %d, Go loop %d (v=%v)", n, got, want, v)
+			}
+			for rows := 0; rows <= 9; rows++ {
+				for _, gen := range []func() Num{mixed, mins} {
+					checkMatrixPrimitives(t, rng, rows, n, fill(rows*n, gen), v, boundVec(rng, rows, b))
+				}
+			}
+		}
 	}
 	vec := []struct {
 		name      string
@@ -72,26 +88,7 @@ func TestAVX2KernelsMatchGoLoops(t *testing.T) {
 	for n := 0; n <= 64; n++ {
 		for _, gen := range []func() Num{random, mins, maxes, mixed} {
 			a, b := fill(n, gen), fill(n, gen)
-			s, v0, v1 := gen(), gen(), gen()
-
-			if got, want := dotAcc(a, b), dotAccGo(a, b); got != want {
-				t.Fatalf("dotAcc n=%d: %d, Go loop %d (a=%v b=%v)", n, got, want, a, b)
-			}
-
-			// Four more accumulators past the n updated ones must keep
-			// their values.
-			acc := make([]Acc, n+4)
-			for j := range acc {
-				acc[j] = Acc(rng.Int63n(1<<40) - 1<<39)
-			}
-			want := append([]Acc(nil), acc...)
-			axpy2Acc(acc[:n], a, b, v0, v1)
-			axpy2AccGo(want[:n], a, b, v0, v1)
-			for j := range want {
-				if acc[j] != want[j] {
-					t.Fatalf("axpy2Acc n=%d: acc[%d] = %d, Go loop %d (v0=%d v1=%d)", n, j, acc[j], want[j], v0, v1)
-				}
-			}
+			s := gen()
 
 			for _, k := range vec {
 				want := guarded(n)
@@ -129,6 +126,44 @@ func TestAVX2KernelsMatchGoLoops(t *testing.T) {
 							k.name, n, i, out[i], inA[i], a[i], s, want[i])
 					}
 				}
+			}
+		}
+	}
+}
+
+// checkMatrixPrimitives holds matVecAcc and vecMatAcc, called directly,
+// to their Go loops on one rows x cols matrix, the column-length vector
+// colVec and the row-length vector rowVec, at k = 1 and at the largest
+// k widenSteps allows. Four sums past the ones a call sets must keep
+// their values.
+func checkMatrixPrimitives(t *testing.T, rng *rand.Rand, rows, cols int, mat, colVec, rowVec []Num) {
+	t.Helper()
+	dirty := func(n int) []Acc {
+		s := make([]Acc, n+4)
+		for j := range s {
+			s[j] = Acc(rng.Int63n(1<<40) - 1<<39)
+		}
+		return s
+	}
+	for _, k := range []int{1, widenSteps(maxAbsGo(colVec))} {
+		got := dirty(rows)
+		want := append([]Acc(nil), got...)
+		matVecAcc(got[:rows], mat, colVec, k)
+		matVecAccGo(want[:rows], mat, colVec, k)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("matVecAcc %dx%d k=%d: sums[%d] = %d, Go loop %d (vin=%v)", rows, cols, k, i, got[i], want[i], colVec)
+			}
+		}
+	}
+	for _, k := range []int{1, widenSteps(maxAbsGo(rowVec))} {
+		got := dirty(cols)
+		want := append([]Acc(nil), got...)
+		vecMatAcc(got[:cols], rowVec, mat, k)
+		vecMatAccGo(want[:cols], rowVec, mat, k)
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("vecMatAcc %dx%d k=%d: sums[%d] = %d, Go loop %d (vin=%v)", rows, cols, k, j, got[j], want[j], rowVec)
 			}
 		}
 	}

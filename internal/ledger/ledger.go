@@ -26,7 +26,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -163,7 +163,11 @@ type Ledger struct {
 	seq     uint64 // last event sequence number issued
 	lastID  int64  // highest run ID ever seen (for NewID)
 	rows    map[int64]*rowState
-	closed  bool
+	// order holds the retained rows by ascending ID. IDs are issued in
+	// order, so a new row almost always goes at the end; two requests
+	// that append concurrently can put one a few places before it.
+	order  []*rowState
+	closed bool
 }
 
 // Open replays dir (when set), truncates any torn tail, marks runs that
@@ -324,25 +328,28 @@ func (l *Ledger) applyLocked(ev event) {
 	}
 	st := l.rows[ev.Row.ID]
 	if st == nil {
-		l.rows[ev.Row.ID] = &rowState{row: ev.Row, seq: ev.Seq}
+		st = &rowState{row: ev.Row, seq: ev.Seq}
+		l.rows[ev.Row.ID] = st
+		i := len(l.order)
+		for i > 0 && l.order[i-1].row.ID > ev.Row.ID {
+			i--
+		}
+		l.order = slices.Insert(l.order, i, st)
 	} else if ev.Seq >= st.seq {
 		st.row = ev.Row
 		st.seq = ev.Seq
 	}
-	for len(l.rows) > l.opts.Retain {
-		victim := int64(-1)
-		for id, st := range l.rows {
-			if !Terminal(st.row.Status) {
-				continue
-			}
-			if victim < 0 || id < victim {
-				victim = id
-			}
-		}
+	for len(l.order) > l.opts.Retain {
+		// The oldest terminal row goes. Transient rows before it stay
+		// where they are, shifted up one place.
+		victim := slices.IndexFunc(l.order, func(st *rowState) bool { return Terminal(st.row.Status) })
 		if victim < 0 {
 			return // nothing terminal to evict; transient rows stay
 		}
-		delete(l.rows, victim)
+		delete(l.rows, l.order[victim].row.ID)
+		copy(l.order[1:victim+1], l.order[:victim])
+		l.order[0] = nil
+		l.order = l.order[1:]
 	}
 }
 
@@ -439,14 +446,8 @@ func (l *Ledger) compactLocked() error {
 	if len(l.sealed) == 0 {
 		return nil
 	}
-	ids := make([]int64, 0, len(l.rows))
-	for id := range l.rows {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	buf := []byte(fileMagic)
-	for _, id := range ids {
-		st := l.rows[id]
+	for _, st := range l.order {
 		payload, err := json.Marshal(event{Seq: st.seq, Time: time.Now().UTC().Format(time.RFC3339Nano), Row: st.row})
 		if err != nil {
 			return fmt.Errorf("ledger: encoding compacted row: %w", err)
@@ -494,11 +495,10 @@ func writeFileSync(path string, data []byte) error {
 func (l *Ledger) List() []Row {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Row, 0, len(l.rows))
-	for _, st := range l.rows {
-		out = append(out, st.row)
+	out := make([]Row, 0, len(l.order))
+	for i := len(l.order) - 1; i >= 0; i-- {
+		out = append(out, l.order[i].row)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID > out[j].ID })
 	return out
 }
 

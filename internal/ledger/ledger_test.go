@@ -1,10 +1,14 @@
 package ledger
 
 import (
+	"cmp"
 	"context"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 
 	"cambricon/internal/chaos"
@@ -74,6 +78,111 @@ func TestRetainEvictsOldestTerminalOnly(t *testing.T) {
 	}
 	if got := len(l2.List()); got != 4 {
 		t.Fatalf("%d transient rows retained, want all 4", got)
+	}
+}
+
+// scanRule is the retain rule written as a scan over every held row:
+// after each event, while more than retain rows are held, the terminal
+// row with the smallest ID goes. The ledger keeps its rows in ID order
+// instead; this is the oracle it must match.
+type scanRule struct {
+	retain int
+	rows   map[int64]Row
+}
+
+func (m *scanRule) apply(r Row) {
+	m.rows[r.ID] = r
+	for len(m.rows) > m.retain {
+		victim := int64(-1)
+		for id, row := range m.rows {
+			if Terminal(row.Status) && (victim < 0 || id < victim) {
+				victim = id
+			}
+		}
+		if victim < 0 {
+			return
+		}
+		delete(m.rows, victim)
+	}
+}
+
+// list returns the held rows newest first, as Ledger.List does.
+func (m *scanRule) list() []Row {
+	out := make([]Row, 0, len(m.rows))
+	for _, r := range m.rows {
+		out = append(out, r)
+	}
+	slices.SortFunc(out, func(a, b Row) int { return cmp.Compare(b.ID, a.ID) })
+	return out
+}
+
+// TestRetainMatchesScanRule drives a ledger and the scan rule with the
+// same events and compares their rows after every append, then after a
+// reopen that replays the compacted WAL. IDs are issued in order but
+// first appended in shuffled groups of up to three, as concurrent
+// requests append them, and some runs stay running for a long time, so
+// the oldest rows are often transient and the first terminal row sits
+// behind them.
+func TestRetainMatchesScanRule(t *testing.T) {
+	const retain = 8
+	rng := rand.New(rand.NewSource(4))
+	dir := t.TempDir()
+	l, _ := mustOpen(t, Options{Dir: dir, SegmentBytes: 512, CompactAfter: 2, Retain: retain})
+	model := &scanRule{retain: retain, rows: map[int64]Row{}}
+	var live []int64 // runs not yet terminal
+	lastID := int64(0)
+	step := func(id int64, status string) {
+		t.Helper()
+		row := Row{ID: id, Benchmark: "MLP", Start: "t", Status: status}
+		if err := l.Append(context.Background(), row); err != nil {
+			t.Fatal(err)
+		}
+		model.apply(row)
+		if got, want := l.List(), model.list(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("after id %d %s:\nledger %+v\nscan rule %+v", id, status, got, want)
+		}
+	}
+	terminal := []string{StatusOK, StatusFailed, StatusTimeout, StatusRejected}
+	for len(live) > 0 || lastID < 400 {
+		if lastID < 400 && (len(live) < 3 || rng.Intn(3) == 0) {
+			group := make([]int64, 1+rng.Intn(3))
+			for i := range group {
+				lastID++
+				group[i] = lastID
+			}
+			rng.Shuffle(len(group), func(i, j int) { group[i], group[j] = group[j], group[i] })
+			for _, id := range group {
+				step(id, StatusAccepted)
+				live = append(live, id)
+			}
+			continue
+		}
+		i := rng.Intn(len(live))
+		id := live[i]
+		// A run whose ID is a multiple of 7 stays running until the
+		// IDs are used up, so the oldest rows are transient.
+		if id%7 == 0 && lastID < 400 {
+			step(id, StatusRunning)
+			continue
+		}
+		if rng.Intn(2) == 0 {
+			step(id, StatusRunning)
+			continue
+		}
+		step(id, terminal[rng.Intn(len(terminal))])
+		live = slices.Delete(live, i, i+1)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, _ := mustOpen(t, Options{Dir: dir, Retain: retain})
+	defer l2.Close()
+	want := model.list()
+	for i := range want {
+		want[i].Recovered = true
+	}
+	if got := l2.List(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after replay:\nledger %+v\nscan rule %+v", got, want)
 	}
 }
 

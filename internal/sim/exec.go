@@ -840,16 +840,11 @@ func (m *Machine) execVReduce(inst core.Instruction, e *effect) error {
 	if err != nil {
 		return err
 	}
-	// One loop per opcode, so the element loop tests no opcode.
-	best := a[0]
+	var best fixed.Num
 	if inst.Op == core.VMAX {
-		for _, v := range a[1:] {
-			best = max(best, v)
-		}
+		best = reduceMax(a)
 	} else {
-		for _, v := range a[1:] {
-			best = min(best, v)
-		}
+		best = reduceMin(a)
 	}
 	m.gpr[inst.R[0]] = uint32(int32(best))
 	e.touch(spaceVec, m.regAddr(inst.R[2]), fixed.Bytes(n), false)
@@ -857,6 +852,34 @@ func (m *Machine) execVReduce(inst core.Instruction, e *effect) error {
 	m.stats.VectorElems += int64(n)
 	m.stats.SpadBytes += int64(fixed.Bytes(n))
 	return nil
+}
+
+// reduceMax and reduceMin return the largest and the smallest word of a
+// non-empty a, in four independent chains combined at the end: max and
+// min are associative and commutative, so the result is one chain's,
+// and no chain waits on another.
+func reduceMax(a []fixed.Num) fixed.Num {
+	m0, m1, m2, m3 := a[0], a[0], a[0], a[0]
+	for len(a) >= 4 {
+		m0, m1, m2, m3 = max(m0, a[0]), max(m1, a[1]), max(m2, a[2]), max(m3, a[3])
+		a = a[4:]
+	}
+	for _, v := range a {
+		m0 = max(m0, v)
+	}
+	return max(m0, m1, m2, m3)
+}
+
+func reduceMin(a []fixed.Num) fixed.Num {
+	m0, m1, m2, m3 := a[0], a[0], a[0], a[0]
+	for len(a) >= 4 {
+		m0, m1, m2, m3 = min(m0, a[0]), min(m1, a[1]), min(m2, a[2]), min(m3, a[3])
+		a = a[4:]
+	}
+	for _, v := range a {
+		m0 = min(m0, v)
+	}
+	return min(m0, m1, m2, m3)
 }
 
 // reduceCycles is the cost of the lane-reduction tree.

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
@@ -355,6 +357,41 @@ func TestVDOTVMAXVMIN(t *testing.T) {
 	}
 	if got := fixed.Num(int32(m.GPR(12))).Float(); got != -5 {
 		t.Errorf("VMIN = %v, want -5", got)
+	}
+}
+
+// TestVMAXVMINEveryLength runs VMAX and VMIN over vectors of 1 to 9
+// words, which covers no to two four-word steps of the reduction and
+// every remainder after them, with the extreme word at every position,
+// ties, and Min and Max themselves, against a one-chain loop.
+func TestVMAXVMINEveryLength(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for n := 1; n <= 9; n++ {
+		for p := 0; p < n; p++ {
+			for _, extreme := range []fixed.Num{fixed.Max, fixed.Min, 0} {
+				v := make([]fixed.Num, n)
+				for i := range v {
+					v[i] = fixed.Num(rng.Intn(9) - 4)
+				}
+				v[p] = extreme
+				wantMax, wantMin := v[0], v[0]
+				for _, x := range v {
+					wantMax, wantMin = max(wantMax, x), min(wantMin, x)
+				}
+				src := fmt.Sprintf("\tSMOVE $1, #%d\n\tSMOVE $2, #0\n\tVLOAD $2, $1, #1000\n\tVMAX $11, $1, $2\n\tVMIN $12, $1, $2\n", n)
+				m, _ := run(t, src, func(m *Machine) {
+					if err := m.WriteMainNums(1000, v); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if got := fixed.Num(int32(m.GPR(11))); got != wantMax {
+					t.Errorf("VMAX %v = %d, want %d", v, got, wantMax)
+				}
+				if got := fixed.Num(int32(m.GPR(12))); got != wantMin {
+					t.Errorf("VMIN %v = %d, want %d", v, got, wantMin)
+				}
+			}
+		}
 	}
 }
 

@@ -13,9 +13,10 @@ package sim
 // the faulted remainder to the end is then pure waste. AccessTrace
 // records, once per prepared target, which locations the golden run
 // reads at which dynamic instruction index; Liveness condenses that into
-// a last-read index per register and per scratchpad word. At any later
-// checkpoint boundary, Machine.ConvergedWith can compare a faulted
-// machine against the golden checkpoint and prove: every location that
+// a read end per register and per scratchpad word, the index just past
+// its last read. At any later checkpoint boundary, Machine.ConvergedWith
+// can compare a faulted machine against the golden checkpoint and
+// prove: every location that
 // still differs is one the golden run never reads again, and everything
 // else — PC, PRNG, statistics, pipeline timing, main memory — is equal.
 // From that boundary on, the faulted run and the golden run commit the
@@ -142,24 +143,25 @@ type pageWrite struct {
 }
 
 // Liveness is the condensed read schedule of a recorded golden run: for
-// every scalar register and every 16-bit scratchpad word, the last
-// dynamic instruction index that reads it (-1 = never read); plus the
+// every scalar register and every 16-bit scratchpad word, its read end,
+// the dynamic instruction index just past the last one that reads it (0
+// = never read, so a zeroed array starts as "never read"); plus the
 // run's fetched words, its DMA-offer indices, its lane-reach schedule
 // (LaneReach) and its write schedule, the pages each instruction wrote
-// in each of the three memories. A location whose last read is before
-// boundary j is dead at j: a faulted run whose state differs from the
-// golden run only in dead locations commits an identical remainder. A
-// Liveness is immutable and safe to share across campaign workers.
+// in each of the three memories. A location whose read end is at or
+// before boundary j is dead at j: a faulted run whose state differs from
+// the golden run only in dead locations commits an identical remainder.
+// A Liveness is immutable and safe to share across campaign workers.
 type Liveness struct {
-	gprLast [core.NumGPRs]int64
-	// vspadLast and mspadLast hold a last-read index per 16-bit word of
-	// each scratchpad, as int32: they span every word of both pads, so
-	// their width is most of a Liveness's size.
-	vspadLast []int32
-	mspadLast []int32
-	words     []uint64
-	dma       []int64
-	writes    []pageWrite
+	gprEnd [core.NumGPRs]int64
+	// vspadEnd and mspadEnd hold a read end per 16-bit word of each
+	// scratchpad, as int32: they span every word of both pads, so their
+	// width is most of a Liveness's size.
+	vspadEnd []int32
+	mspadEnd []int32
+	words    []uint64
+	dma      []int64
+	writes   []pageWrite
 	// lanes holds, per fault.Unit, the reach of each lane an output ever
 	// reaches, indexed by lane; the lanes past its end are never reached.
 	// unitLanes is each unit's lane count, the modulus of a stuck lane.
@@ -170,7 +172,7 @@ type Liveness struct {
 // Liveness condenses the recorded run against the machine geometry it
 // was recorded on. It fails when the trace is unusable (recording did
 // not cover a complete run from instruction 0) or longer than an int32
-// last-read index can number.
+// read end can number.
 func (t *AccessTrace) Liveness(cfg Config) (*Liveness, error) {
 	if t.bad {
 		return nil, fmt.Errorf("sim: access trace did not cover a complete run from instruction 0")
@@ -182,19 +184,10 @@ func (t *AccessTrace) Liveness(cfg Config) (*Liveness, error) {
 		return nil, err
 	}
 	lv := &Liveness{
-		vspadLast: make([]int32, cfg.VectorSpadBytes/2),
-		mspadLast: make([]int32, cfg.MatrixSpadBytes/2),
-		words:     t.words,
-		dma:       t.dma,
-	}
-	for i := range lv.gprLast {
-		lv.gprLast[i] = -1
-	}
-	for i := range lv.vspadLast {
-		lv.vspadLast[i] = -1
-	}
-	for i := range lv.mspadLast {
-		lv.mspadLast[i] = -1
+		vspadEnd: make([]int32, cfg.VectorSpadBytes/2),
+		mspadEnd: make([]int32, cfg.MatrixSpadBytes/2),
+		words:    t.words,
+		dma:      t.dma,
 	}
 	for u, outs := range t.outs {
 		lv.unitLanes[u] = cfg.unitLanes(fault.Unit(u))
@@ -203,8 +196,9 @@ func (t *AccessTrace) Liveness(cfg Config) (*Liveness, error) {
 	for i := range t.recs {
 		r := &t.recs[i]
 		idx := int64(i)
+		end := idx + 1 // fits an int32: the trace is at most MaxInt32 long
 		for _, s := range r.src[:r.nSrc] {
-			lv.gprLast[int(s)%core.NumGPRs] = idx
+			lv.gprEnd[int(s)%core.NumGPRs] = end
 		}
 		for _, a := range r.acc.list() {
 			if a.reg.N <= 0 {
@@ -222,19 +216,19 @@ func (t *AccessTrace) Liveness(cfg Config) (*Liveness, error) {
 			if a.sp == spaceMain {
 				continue
 			}
-			last := lv.vspadLast
+			ends := lv.vspadEnd
 			if a.sp == spaceMat {
-				last = lv.mspadLast
+				ends = lv.mspadEnd
 			}
 			lo, hi := a.reg.Addr/2, (a.reg.Addr+a.reg.N-1)/2
 			if lo < 0 {
 				lo = 0
 			}
-			if hi >= len(last) {
-				hi = len(last) - 1
+			if hi >= len(ends) {
+				hi = len(ends) - 1
 			}
 			for w := lo; w <= hi; w++ {
-				last[w] = int32(idx)
+				ends[w] = int32(end)
 			}
 		}
 	}
@@ -295,13 +289,13 @@ func (lv *Liveness) LaneReach(unit fault.Unit, lane int) (first, last int64, ok 
 func (lv *Liveness) Inert(f fault.Fault) bool {
 	switch f.Model {
 	case fault.ModelSpadBit:
-		last := lv.vspadLast
+		ends := lv.vspadEnd
 		if f.Space == fault.SpaceMatrix {
-			last = lv.mspadLast
+			ends = lv.mspadEnd
 		}
-		return f.Word >= 0 && f.Word < len(last) && int64(last[f.Word]) < f.At
+		return f.Word >= 0 && f.Word < len(ends) && int64(ends[f.Word]) <= f.At
 	case fault.ModelGPRBit:
-		return lv.gprLast[int(f.Reg)%core.NumGPRs] < f.At
+		return lv.gprEnd[int(f.Reg)%core.NumGPRs] <= f.At
 	case fault.ModelFetchBit:
 		if f.At < 0 || f.At >= int64(len(lv.words)) {
 			return false
@@ -413,33 +407,31 @@ func (m *Machine) ConvergedWith(s *Snapshot, lv *Liveness) (converged bool, retr
 		return false, 0
 	}
 	retry := int64(-1)
-	need := func(last int64) bool {
-		if last < j {
+	need := func(end int64) bool {
+		if end <= j {
 			return true // dead: golden never reads it again
 		}
-		if last+1 > retry {
-			retry = last + 1
-		}
+		retry = max(retry, end)
 		return false
 	}
 	for r := 0; r < core.NumGPRs; r++ {
 		if m.gpr[r] != s.gpr[r] {
-			need(lv.gprLast[r])
+			need(lv.gprEnd[r])
 		}
 	}
 	// Main memory must be exactly equal on every page that can differ
 	// (main outputs are what the observation serializes, so no liveness
 	// slack is taken there); a scratchpad may differ in up to
 	// maxDiffWords words, each of which must be dead.
-	lastRead := [3][]int32{spaceVec: lv.vspadLast, spaceMat: lv.mspadLast}
+	readEnd := [3][]int32{spaceVec: lv.vspadEnd, spaceMat: lv.mspadEnd}
 	for sp, mm := range m.memories() {
 		pages, ok := m.pageBound(space(sp), lv, j)
 		if !ok {
 			return false, 0
 		}
-		last := lastRead[sp]
+		ends := readEnd[sp]
 		limit := 0
-		if last != nil {
+		if ends != nil {
 			limit = maxDiffWords
 		}
 		words := m.wordBuf[:0]
@@ -453,10 +445,10 @@ func (m *Machine) ConvergedWith(s *Snapshot, lv *Liveness) (converged bool, retr
 			return false, 0
 		}
 		for _, w := range words {
-			if w >= len(last) {
+			if w >= len(ends) {
 				return false, 0
 			}
-			need(int64(last[w]))
+			need(int64(ends[w]))
 		}
 	}
 	if retry >= 0 {

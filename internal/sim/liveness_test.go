@@ -127,8 +127,8 @@ func TestConvergedWith(t *testing.T) {
 
 	// A flipped word the kernel never touches is dead everywhere.
 	deadWord := 10000
-	if lv.vspadLast[deadWord] != -1 {
-		t.Fatalf("test word %d is read by the kernel (last read %d)", deadWord, lv.vspadLast[deadWord])
+	if lv.vspadEnd[deadWord] != 0 {
+		t.Fatalf("test word %d is read by the kernel (read end %d)", deadWord, lv.vspadEnd[deadWord])
 	}
 	if !m.vspad.FlipBit(2*deadWord, 0) {
 		t.Fatal("flip out of range")
@@ -140,8 +140,8 @@ func TestConvergedWith(t *testing.T) {
 	// Word 0 (vspad region A) is re-read by every remaining loop
 	// iteration: a difference there is live at j2, and the retry hint
 	// points past its last read.
-	if int64(lv.vspadLast[0]) < j2 {
-		t.Fatalf("kernel's region A is not read after j2 (last read %d); test premise broken", lv.vspadLast[0])
+	if int64(lv.vspadEnd[0]) <= j2 {
+		t.Fatalf("kernel's region A is not read after j2 (read end %d); test premise broken", lv.vspadEnd[0])
 	}
 	if !m.vspad.FlipBit(0, 0) {
 		t.Fatal("flip out of range")
@@ -150,8 +150,8 @@ func TestConvergedWith(t *testing.T) {
 	if conv {
 		t.Fatal("a live scratchpad difference was accepted")
 	}
-	if retry != int64(lv.vspadLast[0])+1 {
-		t.Fatalf("retry hint %d, want last read + 1 = %d", retry, lv.vspadLast[0]+1)
+	if retry != int64(lv.vspadEnd[0]) {
+		t.Fatalf("retry hint %d, want the read end, last read + 1 = %d", retry, lv.vspadEnd[0])
 	}
 }
 
@@ -348,7 +348,7 @@ func TestLivenessInert(t *testing.T) {
 	for _, c := range []struct {
 		f    fault.Fault
 		last int64
-	}{{spad, int64(lv.vspadLast[0])}, {gpr, lv.gprLast[10]}} {
+	}{{spad, int64(lv.vspadEnd[0]) - 1}, {gpr, lv.gprEnd[10] - 1}} {
 		if c.last <= 0 || c.last >= st.Instructions {
 			t.Fatalf("%v: last read %d, not inside the %d-instruction run", c.f, c.last, st.Instructions)
 		}
